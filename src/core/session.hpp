@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "core/attacker_radio.hpp"
 #include "core/heuristic.hpp"
@@ -227,7 +228,15 @@ private:
     InjectionObservation observation_;
     bool awaiting_response_ = false;
 
-    ble::sim::EventId guarded_at(ble::TimePoint t, std::function<void()> fn);
+    /// Schedules `fn`, dropped if this session is gone by then; the guard
+    /// wraps `fn` itself, so the callback lives inline in the event node.
+    template <typename F>
+    ble::sim::EventId guarded_at(ble::TimePoint t, F&& fn) {
+        return radio_.scheduler().schedule_at(
+            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
+                if (alive.lock()) fn();
+            });
+    }
 };
 
 }  // namespace injectable

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/time.hpp"
@@ -205,8 +206,19 @@ private:
     /// Schedules `fn` but silently drops it if this Connection has been
     /// destroyed or closed by then — every internal timer goes through these,
     /// so tearing down a device mid-event can never fire a dangling callback.
-    sim::EventId guarded_at(TimePoint t, std::function<void()> fn);
-    sim::EventId guarded_after(Duration d, std::function<void()> fn);
+    /// The guard wraps `fn` itself, so the whole callback lives inline in
+    /// the scheduler's event node.
+    template <typename F>
+    sim::EventId guarded_at(TimePoint t, F&& fn) {
+        return radio_.scheduler().schedule_at(
+            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
+                if (alive.lock()) fn();
+            });
+    }
+    template <typename F>
+    sim::EventId guarded_after(Duration d, F&& fn) {
+        return guarded_at(radio_.scheduler().now() + d, std::forward<F>(fn));
+    }
 
     sim::RadioDevice& radio_;
     ConnectionConfig config_;

@@ -1,5 +1,7 @@
 #include "phy/crc.hpp"
 
+#include <array>
+
 namespace ble::phy {
 
 namespace {
@@ -8,22 +10,28 @@ namespace {
 // over-the-air captures by those projects).
 constexpr std::uint32_t kLfsrMask = 0x5A6000;
 constexpr std::uint32_t k24Bits = 0xFFFFFF;
+
+/// Eight LFSR steps of every possible low byte of (state ^ input), with a
+/// zero upper state: the byte-wise form of the reflected LFSR is then
+/// state = (state >> 8) ^ kTable[(state ^ byte) & 0xFF].
+constexpr std::array<std::uint32_t, 256> kTable = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t state = i;
+        for (int bit = 0; bit < 8; ++bit) {
+            const std::uint32_t next = state & 1;
+            state >>= 1;
+            if (next != 0) state ^= (1u << 23) | kLfsrMask;
+        }
+        table[i] = state;
+    }
+    return table;
+}();
 }  // namespace
 
 std::uint32_t crc24(BytesView pdu, std::uint32_t init) noexcept {
     std::uint32_t state = init & k24Bits;
-    for (std::uint8_t byte : pdu) {
-        std::uint8_t cur = byte;
-        for (int bit = 0; bit < 8; ++bit) {
-            const std::uint32_t next = (state ^ cur) & 1;
-            cur >>= 1;
-            state >>= 1;
-            if (next != 0) {
-                state |= 1u << 23;
-                state ^= kLfsrMask;
-            }
-        }
-    }
+    for (std::uint8_t byte : pdu) state = (state >> 8) ^ kTable[(state ^ byte) & 0xFF];
     return state;
 }
 

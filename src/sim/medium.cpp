@@ -23,14 +23,12 @@ RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
       params_(params) {}
 
 void RadioMedium::attach(RadioDevice& device) {
-    devices_.push_back(&device);
     device.listen_state_ = ListenState{};
     device.listen_state_.attach_order = next_attach_order_++;
 }
 
 void RadioMedium::detach(RadioDevice& device) noexcept {
     if (device.listen_state_.active) remove_listener(device, device.listen_state_.channel);
-    std::erase(devices_, &device);
     // Any in-flight transmission keeps a sender pointer only for exclusion
     // checks; clear it so a device destroyed mid-frame cannot dangle.
     for (auto& [id, tx] : active_) {
@@ -92,8 +90,9 @@ void RadioMedium::stop_listening(RadioDevice& device) noexcept {
 }
 
 double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) {
-    auto it = tx.rx_power_dbm.find(&receiver);
-    if (it != tx.rx_power_dbm.end()) return it->second;
+    for (const RxPower& memo : tx.rx_power_dbm) {
+        if (memo.receiver == &receiver) return memo.dbm;
+    }
     // One fading draw per (frame, receiver): channel hopping decorrelates
     // consecutive frames, so each frame sees a fresh fade.
     const double loss =
@@ -101,7 +100,7 @@ double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) 
             ? 200.0
             : path_loss_.sample_loss_db(tx.sender->position(), receiver.position(), rng_);
     const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
-    tx.rx_power_dbm.emplace(&receiver, power);
+    tx.rx_power_dbm.push_back(RxPower{&receiver, power});
     return power;
 }
 
@@ -114,16 +113,13 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     device.transmitting_ = true;
 
     const std::uint64_t id = next_tx_id_++;
-    Transmission tx;
-    tx.id = id;
-    tx.sender = &device;
-    tx.channel = channel;
-    tx.start = scheduler_.now();
-    tx.end = tx.start + frame.duration();
-    tx.frame = std::move(frame);
-
-    auto [it, inserted] = active_.emplace(id, std::move(tx));
-    Transmission& stored = it->second;
+    Transmission& stored = active_.try_emplace(id).first->second;
+    stored.id = id;
+    stored.sender = &device;
+    stored.channel = channel;
+    stored.start = scheduler_.now();
+    stored.end = stored.start + frame.duration();
+    stored.frame = std::move(frame);
     // Ids are monotonic, so appending keeps the per-channel view id-ordered.
     channel_active_[channel].push_back(&stored);
 
@@ -144,28 +140,14 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     // Idle listeners on this channel lock onto the new frame if it is loud
     // enough. Listeners already locked on an earlier frame, or that started
     // listening mid-frame, cannot sync (no preamble for them) — the frame
-    // only interferes.  The interest list is the attach-order walk filtered
-    // to (active, this channel); the remaining filters match the legacy walk
-    // exactly, so both paths make identical RNG fading draws in identical
-    // order.
-    if (params_.legacy_full_scan) {
-        for (RadioDevice* d : devices_) {
-            if (d == &device) continue;
-            ListenState& state = d->listen_state_;
-            if (!state.active || state.channel != channel || state.locked_tx != 0) continue;
-            if (d->transmitting()) continue;
-            if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
-                state.locked_tx = id;
-            }
-        }
-    } else {
-        for (RadioDevice* d : listeners_[channel]) {
-            if (d == &device) continue;
-            ListenState& state = d->listen_state_;
-            if (state.locked_tx != 0 || d->transmitting()) continue;
-            if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
-                state.locked_tx = id;
-            }
+    // only interferes.  The interest list walks this channel's listeners in
+    // attach order, which fixes the order of the fading draws.
+    for (RadioDevice* d : listeners_[channel]) {
+        if (d == &device) continue;
+        ListenState& state = d->listen_state_;
+        if (state.locked_tx != 0 || d->transmitting()) continue;
+        if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
+            state.locked_tx = id;
         }
     }
 
@@ -204,31 +186,24 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     // difference between the injected and legitimate signals"), with a
     // coherence time on the order of a byte — so the phase lottery is drawn
     // *per byte* below, which is what makes longer overlaps deadlier.
-    // channel_active_ is the id-ordered subsequence of active_ on this
-    // channel, so both paths visit the same interferers in the same order:
-    // same FP accumulation order, same fading draws.
+    // channel_active_ is id-ordered, which fixes the FP accumulation order
+    // and the order of the fading draws.
     struct Interferer {
         const Transmission* tx;
         double power_mw;
     };
-    std::vector<Interferer> interferers;
-    if (params_.legacy_full_scan) {
-        for (auto& [other_id, other] : active_) {
-            if (other_id == tx.id || other.channel != tx.channel) continue;
-            if (other.start >= tx.end || other.end <= tx.start) continue;
-            if (other.sender == &receiver) continue;  // own TX handled by half-duplex
-            interferers.push_back(
-                Interferer{&other, dbm_to_mw(rx_power_dbm(other, receiver))});
-        }
-    } else {
-        for (Transmission* other : channel_active_[tx.channel]) {
-            if (other->id == tx.id) continue;
-            if (other->start >= tx.end || other->end <= tx.start) continue;
-            if (other->sender == &receiver) continue;  // own TX handled by half-duplex
-            interferers.push_back(
-                Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver))});
-        }
+    InlineVec<Interferer, 4> interferers;
+    for (Transmission* other : channel_active_[tx.channel]) {
+        if (other->id == tx.id) continue;
+        if (other->start >= tx.end || other->end <= tx.start) continue;
+        if (other->sender == &receiver) continue;  // own TX handled by half-duplex
+        interferers.push_back(Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver))});
     }
+    // A byte no interferer overlaps sees only the noise floor and the
+    // neutral phase, so its corruption probability is the same for the
+    // whole delivery.  It still takes its own chance() draw below.
+    const double p_noise_only =
+        capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(noise_mw), 0.5);
 
     Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
     bool corrupted = false;
@@ -240,15 +215,19 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
         const TimePoint byte_end = byte_start + tx.frame.byte_time;
 
         double interference_mw = noise_mw;
-        double phase = 0.5;  // neutral when only noise is present
+        double phase = 0.5;
+        bool overlapped = false;
         for (const auto& intf : interferers) {
             if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
                 interference_mw += intf.power_mw;
                 phase = rng_.next_double();  // per-byte carrier-phase lottery
+                overlapped = true;
             }
         }
-        const double sir_db = signal_dbm - mw_to_dbm(interference_mw);
-        const double p_corrupt = capture_.byte_corruption_prob(sir_db, phase);
+        const double p_corrupt =
+            overlapped ? capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(interference_mw),
+                                                       phase)
+                       : p_noise_only;
         if (rng_.chance(p_corrupt)) {
             // Flip a random bit: the CRC then fails naturally downstream.
             bytes[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
@@ -337,17 +316,10 @@ void RadioMedium::finish_transmission(std::uint64_t tx_id) {
     // order: delivery order decides the rng_ draw order, so heap layout must
     // never leak into it (the PR 3 regression).  A locked receiver is by
     // invariant still a member of this channel's interest list (locks are
-    // cleared on any retune/stop), so the filtered walks agree.
-    std::vector<RadioDevice*> locked;
-    if (params_.legacy_full_scan) {
-        for (RadioDevice* device : devices_) {
-            const ListenState& state = device->listen_state_;
-            if (state.active && state.locked_tx == tx_id) locked.push_back(device);
-        }
-    } else {
-        for (RadioDevice* device : listeners_[tx.channel]) {
-            if (device->listen_state_.locked_tx == tx_id) locked.push_back(device);
-        }
+    // cleared on any retune/stop).
+    InlineVec<RadioDevice*, 8> locked;
+    for (RadioDevice* device : listeners_[tx.channel]) {
+        if (device->listen_state_.locked_tx == tx_id) locked.push_back(device);
     }
     for (RadioDevice* receiver : locked) deliver(tx, *receiver);
     flush_rx_batch();  // trailing lost-sync verdicts with no on_rx after them

@@ -21,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -78,18 +77,19 @@ struct RxFrame {
 };
 
 /// Per-device receiver state.  Lives inside RadioDevice (not in a
-/// medium-side map) so the medium's only iteration surface is `devices_` in
-/// attach order: receiver walk order — which decides RNG draw order — can
-/// never depend on heap layout (the PR 3 determinism bug class).
+/// medium-side map) so the medium's only iteration surfaces are its
+/// attach-ordered interest lists: receiver walk order — which decides RNG
+/// draw order — can never depend on heap layout (the PR 3 determinism bug
+/// class).
 struct ListenState {
     Channel channel = 0;
     bool active = false;
     /// Transmission the receiver is locked on (0 = idle).
     std::uint64_t locked_tx = 0;
     /// Monotonic attach sequence number, assigned once by RadioMedium::attach.
-    /// The per-channel interest lists sort by it, which makes their walk
-    /// order identical to the historical all-device attach-order walk — the
-    /// property that keeps RNG draw order (and therefore traces) bit-stable.
+    /// The per-channel interest lists sort by it, so a channel's receivers
+    /// are always walked in attach order — the property that keeps RNG draw
+    /// order (and therefore traces) bit-stable.
     std::uint64_t attach_order = 0;
 };
 
@@ -100,12 +100,6 @@ struct MediumParams {
     /// accept an access address with a couple of flipped bits and output the
     /// *matched* pattern). Beyond this, the frame is silently lost.
     int max_sync_bit_errors = 2;
-    /// Disable the per-channel interest/transmission indexes and fall back to
-    /// the pre-refactor all-device / all-transmission walks.  Bit-identical
-    /// results by construction (the indexes are order-preserving caches of
-    /// exactly those walks); exists as the honest A/B baseline for the
-    /// BM_DenseWorld* speedup claim and the equivalence tests.
-    bool legacy_full_scan = false;
 };
 
 class RadioMedium {
@@ -160,6 +154,10 @@ public:
     void add_tx_observer(TxObserver observer);
 
 private:
+    struct RxPower {
+        const RadioDevice* receiver;
+        double dbm;
+    };
     struct Transmission {
         std::uint64_t id = 0;
         RadioDevice* sender = nullptr;
@@ -168,8 +166,10 @@ private:
         TimePoint end = 0;
         AirFrame frame;
         /// Memoized received power per receiver (one fading draw per pair).
-        /// injectable-lint: allow(D1) -- lookup-only memo (find/emplace, never iterated): heap-address order cannot reach RNG draws or events
-        std::unordered_map<const RadioDevice*, double> rx_power_dbm;
+        /// A frame reaches a handful of co-channel receivers, so a linear
+        /// scan of an inline array beats hashing; it allocates only past
+        /// four receivers.
+        InlineVec<RxPower, 4> rx_power_dbm;
     };
 
     double rx_power_dbm(Transmission& tx, const RadioDevice& receiver);
@@ -189,11 +189,8 @@ private:
 
     std::uint64_t next_tx_id_ = 1;
     std::uint64_t next_attach_order_ = 1;
-    /// Attach order: the historical iteration surface for receiver walks,
-    /// still authoritative under legacy_full_scan and for detach bookkeeping.
-    std::vector<RadioDevice*> devices_;
-    /// Per-channel interest lists, sorted by ListenState::attach_order — an
-    /// order-preserving index of `devices_` filtered to (active, channel).
+    /// Per-channel interest lists, sorted by ListenState::attach_order: the
+    /// attached devices filtered to (active, channel), in attach order.
     /// Membership invariant: a device appears in listeners_[c] iff its
     /// listen_state_ is {active, channel == c}; locked_tx != 0 implies
     /// membership (locks are only granted to and cleared with listeners).

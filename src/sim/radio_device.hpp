@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -56,7 +57,11 @@ public:
     /// Schedule on this device's *local* clock: the real delay is `local_delay`
     /// distorted by the sleep clock's current drift. This is how every LL
     /// timer (connection events, transmit windows) is armed.
-    EventId schedule_local(Duration local_delay, std::function<void()> fn);
+    template <typename F>
+    EventId schedule_local(Duration local_delay, F&& fn) {
+        const Duration global_delay = sleep_clock_.to_global(local_delay);
+        return scheduler_.schedule_after(global_delay, std::forward<F>(fn));
+    }
 
 private:
     friend class RadioMedium;

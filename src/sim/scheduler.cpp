@@ -1,43 +1,35 @@
 #include "sim/scheduler.hpp"
 
-#include <utility>
-
 #include "obs/prof/profiler.hpp"
 
 namespace ble::sim {
 
-namespace {
-
-/// One dispatched event, profiled.  The "sim.dispatch" span opens at the
-/// pre-dispatch clock and closes at the event's firing time, so its sim-time
-/// duration is exactly the simulated jump the event caused; queue depth is
-/// sampled as a prof gauge.  All of it compiles down to a thread-local null
-/// test when no profiler is installed.
-inline void dispatch_profiled(TimePoint prev, TimePoint fire, std::size_t pending,
-                              const std::function<void()>& fn) {
-    obs::prof::set_sim_now(fire);
-    static thread_local obs::prof::SpanSite dispatch_site{"sim.dispatch"};
-    static thread_local obs::prof::GaugeSite depth_site{"sim.sched.queue_depth"};
-    obs::prof::Span span(dispatch_site, prev);
-    obs::prof::sample_gauge(depth_site, static_cast<std::int64_t>(pending));
-    fn();
-}
-
-}  // namespace
-
 Scheduler::~Scheduler() {
     for (Bucket& bucket : buckets_) {
-        for (EventNode* node = bucket.head; node != nullptr;) {
-            EventNode* next = node->next;
-            destroy(node);
-            node = next;
+        for (EventNode* node = bucket.head; node != nullptr; node = node->next) {
+            node->ops->destroy(node->storage);
         }
     }
 }
 
-void Scheduler::destroy(EventNode* node) noexcept {
-    node->~EventNode();
-    pool_.deallocate(node, sizeof(EventNode));
+Scheduler::EventNode* Scheduler::grow() {
+    const auto first = static_cast<std::uint32_t>(chunks_.size() * kChunkSlots);
+    chunks_.push_back(std::make_unique_for_overwrite<EventNode[]>(kChunkSlots));
+    EventNode* chunk = chunks_.back().get();
+    for (std::size_t i = kChunkSlots; i-- > 0;) {  // thread in address order
+        chunk[i].index = first + static_cast<std::uint32_t>(i);
+        chunk[i].next = free_;
+        free_ = &chunk[i];
+    }
+    free_count_ += kChunkSlots;
+    return free_;
+}
+
+void Scheduler::release(EventNode* node) noexcept {
+    node->ops->destroy(node->storage);
+    node->next = free_;
+    free_ = node;
+    ++free_count_;
 }
 
 void Scheduler::unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexcept {
@@ -54,16 +46,20 @@ void Scheduler::unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexce
     if (bucket.head == nullptr) mark_empty(slot);
 }
 
-EventId Scheduler::schedule_at(TimePoint t, std::function<void()> fn) {
+EventId Scheduler::insert(TimePoint t, EventNode* node) noexcept {
+    free_ = node->next;
+    --free_count_;
+    ++node->generation;
+    ++pending_;
     if (t < now_) t = now_;
-    const EventId id = next_id_++;
-    const std::size_t slot = static_cast<std::size_t>(window_of(t)) & kBucketMask;
+    node->key = Key{t, next_seq_++};
+    node->prev = nullptr;
+    const std::size_t slot = slot_of(t);
     Bucket& bucket = buckets_[slot];
-    auto* node =
-        new (pool_.allocate(sizeof(EventNode))) EventNode{Key{t, id}, nullptr, nullptr, std::move(fn)};
-    // Ids are monotonic and simulations schedule forward, so the new key
-    // almost always sorts after everything already in its bucket: walk
-    // backward from the tail, which terminates immediately in the hot case.
+    // Sequence numbers are monotonic and simulations schedule forward, so
+    // the new key almost always sorts after everything already in its
+    // bucket: walk backward from the tail, which terminates immediately in
+    // the hot case.
     EventNode* after = bucket.tail;
     while (after != nullptr && node->key < after->key) after = after->prev;
     if (after == nullptr) {  // new minimum (or empty bucket)
@@ -85,22 +81,23 @@ EventId Scheduler::schedule_at(TimePoint t, std::function<void()> fn) {
         }
         after->next = node;
     }
-    index_.emplace(id, node);
-    return id;
+    return (EventId{node->index} << 32) | node->generation;
 }
 
 void Scheduler::cancel(EventId id) noexcept {
-    const auto found = index_.find(id);
-    if (found == index_.end()) return;
-    EventNode* node = found->second;
-    const std::size_t slot = static_cast<std::size_t>(window_of(node->key.t)) & kBucketMask;
+    const auto index = static_cast<std::size_t>(id >> 32);
+    if (index >= chunks_.size() * kChunkSlots) return;
+    EventNode* node = &chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
+    if (node->generation != static_cast<std::uint32_t>(id)) return;  // stale or never issued
+    const std::size_t slot = slot_of(node->key.t);
     unlink(buckets_[slot], node, slot);
-    destroy(node);  // slot returns to the arena
-    index_.erase(found);
+    ++node->generation;
+    --pending_;
+    release(node);
 }
 
 bool Scheduler::find_next(std::int64_t& window, Bucket** bucket) noexcept {
-    if (index_.empty()) return false;
+    if (pending_ == 0) return false;
     // Walk the *occupied* slots in circular order from the cursor, skipping
     // empty windows wholesale via the bitmap.  Within one lap, circular slot
     // distance is window order, so the first slot whose earliest entry
@@ -142,19 +139,32 @@ bool Scheduler::find_next(std::int64_t& window, Bucket** bucket) noexcept {
 
 void Scheduler::fire(Bucket& bucket) {
     EventNode* node = bucket.head;
-    const TimePoint t = node->key.t;
-    const EventId id = node->key.id;
-    // The callback is moved out before the node dies so an event
-    // rescheduling itself (or churning the arena) can never touch the
-    // running functor.
-    std::function<void()> fn = std::move(node->fn);
-    unlink(bucket, node, static_cast<std::size_t>(window_of(t)) & kBucketMask);
-    destroy(node);
-    index_.erase(id);
+    unlink(bucket, node, slot_of(node->key.t));
+    // The id goes stale before the callback runs, so an event cancelling
+    // itself is a no-op.  The slot stays off the free list until the
+    // callback returns, so nothing it schedules can reuse the storage it is
+    // running from; the guard frees it on unwind too.
+    ++node->generation;
+    --pending_;
+    struct Release {
+        Scheduler& scheduler;
+        EventNode* node;
+        ~Release() { scheduler.release(node); }
+    } release_after{*this, node};
     const TimePoint prev = now_;
-    now_ = t;
+    now_ = node->key.t;
     cursor_ = window_of(now_);
-    dispatch_profiled(prev, now_, index_.size(), fn);
+    // Profiled dispatch: the "sim.dispatch" span opens at the pre-dispatch
+    // clock and closes at the event's firing time, so its sim-time duration
+    // is exactly the simulated jump the event caused; queue depth is sampled
+    // as a prof gauge.  All of it compiles down to a thread-local null test
+    // when no profiler is installed.
+    obs::prof::set_sim_now(now_);
+    static thread_local obs::prof::SpanSite dispatch_site{"sim.dispatch"};
+    static thread_local obs::prof::GaugeSite depth_site{"sim.sched.queue_depth"};
+    obs::prof::Span span(dispatch_site, prev);
+    obs::prof::sample_gauge(depth_site, static_cast<std::int64_t>(pending_));
+    node->ops->invoke(node->storage);
 }
 
 bool Scheduler::run_one() {

@@ -3,92 +3,38 @@
 // Events fire in (time, insertion-order) order, so same-timestamp events are
 // deterministic.  Storage is a calendar queue: a ring of fixed-width time
 // buckets (width ~ one connection event), each an intrusive doubly-linked
-// list kept sorted by (time, id), with a bitmap of occupied buckets so the
-// drain cursor skips runs of empty windows in one countr_zero.  Cancellation
-// unlinks the node outright — no tombstones — so cancel-heavy workloads
-// (dense worlds cancelling timeout guards every event) keep storage
-// proportional to the live event count.  Nodes come from a per-scheduler
-// chunk arena whose free slots are recycled in place, so steady-state
-// schedule/cancel churn — and the first burst of a freshly built world —
-// performs one heap allocation per *chunk* of events, not per event.
+// list kept sorted by (time, sequence), with a bitmap of occupied buckets so
+// the drain cursor skips runs of empty windows in one countr_zero.
+// Cancellation unlinks the node outright — no tombstones — so cancel-heavy
+// workloads (dense worlds cancelling timeout guards every event) keep
+// storage proportional to the live event count.  Nodes live in a
+// per-scheduler chunk arena whose slots are recycled in place, and each
+// node holds its callback inline, so steady-state schedule/fire/cancel churn
+// — and the first burst of a freshly built world — performs one heap
+// allocation per *chunk* of events, not per event.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
 
 namespace ble::sim {
 
+/// Handle of a scheduled event: the index of its arena node in the high 32
+/// bits and the node's generation at scheduling time in the low 32.
+/// Generations are odd exactly while the node's event is pending, so a
+/// handle whose event fired or was cancelled — even if the node now holds a
+/// newer event — no longer matches, and 0 never does.
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
-
-/// Fixed-size-slot arena feeding the calendar buckets' map nodes.  Slots are
-/// carved out of chunks (one malloc per kChunkSlots events) and recycled
-/// through an intrusive free list; chunks are only returned to the system
-/// when the owning scheduler dies, so peak memory equals peak live events
-/// rounded up to a chunk.
-class EventNodePool {
-public:
-    EventNodePool() = default;
-    EventNodePool(const EventNodePool&) = delete;
-    EventNodePool& operator=(const EventNodePool&) = delete;
-
-    void* allocate(std::size_t bytes) {
-        if (slot_bytes_ == 0) slot_bytes_ = bytes;
-        if (bytes != slot_bytes_) return ::operator new(bytes);  // foreign size: bypass
-        if (free_ == nullptr) grow();
-        FreeSlot* slot = free_;
-        free_ = slot->next;
-        --free_count_;
-        return slot;
-    }
-
-    void deallocate(void* p, std::size_t bytes) noexcept {
-        if (bytes != slot_bytes_) {
-            ::operator delete(p);
-            return;
-        }
-        auto* slot = static_cast<FreeSlot*>(p);
-        slot->next = free_;
-        free_ = slot;
-        ++free_count_;
-    }
-
-    /// Recycled slots currently waiting for reuse.
-    [[nodiscard]] std::size_t free_count() const noexcept { return free_count_; }
-
-private:
-    struct FreeSlot {
-        FreeSlot* next;
-    };
-    static constexpr std::size_t kChunkSlots = 64;
-
-    void grow() {
-        const std::size_t stride =
-            (slot_bytes_ + alignof(std::max_align_t) - 1) & ~(alignof(std::max_align_t) - 1);
-        chunks_.push_back(std::make_unique<unsigned char[]>(stride * kChunkSlots));
-        unsigned char* base = chunks_.back().get();
-        for (std::size_t i = kChunkSlots; i-- > 0;) {  // thread in address order
-            auto* slot = reinterpret_cast<FreeSlot*>(base + i * stride);
-            slot->next = free_;
-            free_ = slot;
-        }
-        free_count_ += kChunkSlots;
-    }
-
-    std::size_t slot_bytes_ = 0;
-    FreeSlot* free_ = nullptr;
-    std::size_t free_count_ = 0;
-    std::vector<std::unique_ptr<unsigned char[]>> chunks_;
-};
 
 class Scheduler {
 public:
@@ -100,19 +46,34 @@ public:
     [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
     /// Schedules `fn` at absolute time `t` (clamped to `now()` if in the past).
-    /// The returned EventId is the only way to cancel the event; discarding it
-    /// (fire-and-forget) needs an audited allow(D4) lint suppression.
-    [[nodiscard]] EventId schedule_at(TimePoint t, std::function<void()> fn);
-    [[nodiscard]] EventId schedule_after(Duration d, std::function<void()> fn) {
-        return schedule_at(now_ + d, std::move(fn));
+    /// The callable is built in place inside the event's arena node (on the
+    /// heap only if it is larger than kInlineBytes).  The returned EventId is
+    /// the only way to cancel the event; discarding it (fire-and-forget)
+    /// needs an audited allow(D4) lint suppression.
+    template <typename F>
+    [[nodiscard]] EventId schedule_at(TimePoint t, F&& fn) {
+        using Fn = std::decay_t<F>;
+        EventNode* node = free_ != nullptr ? free_ : grow();
+        if constexpr (kFitsInline<Fn>) {
+            ::new (static_cast<void*>(node->storage)) Fn(std::forward<F>(fn));
+        } else {
+            ::new (static_cast<void*>(node->storage)) Fn*(new Fn(std::forward<F>(fn)));
+        }
+        node->ops = &kOps<Fn>;
+        return insert(t, node);
+    }
+    template <typename F>
+    [[nodiscard]] EventId schedule_after(Duration d, F&& fn) {
+        return schedule_at(now_ + d, std::forward<F>(fn));
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or invalid id is a
-    /// harmless no-op (devices routinely cancel their timeout guards).
+    /// Cancels a pending event. Cancelling an already-fired, running, or
+    /// invalid id is a harmless no-op (devices routinely cancel their
+    /// timeout guards).
     void cancel(EventId id) noexcept;
 
-    [[nodiscard]] bool empty() const noexcept { return index_.empty(); }
-    [[nodiscard]] std::size_t pending() const noexcept { return index_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
+    [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
     /// Live entries actually stored in the calendar buckets.  Always equals
     /// pending(): cancels erase their node instead of tombstoning it, which
@@ -121,7 +82,7 @@ public:
 
     /// Recycled arena slots waiting for reuse (bounded by the peak live
     /// event count, rounded up to a chunk).
-    [[nodiscard]] std::size_t pooled_nodes() const noexcept { return pool_.free_count(); }
+    [[nodiscard]] std::size_t pooled_nodes() const noexcept { return free_count_; }
 
     /// Runs the next event; returns false if none are pending.
     bool run_one();
@@ -134,6 +95,11 @@ public:
     /// Drains the queue (bounded by `max_events` as a runaway guard).
     std::size_t run_all(std::size_t max_events = 100'000'000);
 
+    /// Callback bytes stored inside an event node.  Every callback src/
+    /// schedules fits; the largest is AttackSession's guarded injection
+    /// lambda at 56 B, and the node's alignment pads 56 to 64 anyway.
+    static constexpr std::size_t kInlineBytes = 64;
+
 private:
     /// Bucket width 2^20 ns (~1.05 ms), one connection event at the paper's
     /// shortest practical interval, so a connection's worth of traffic lands
@@ -141,22 +107,45 @@ private:
     static constexpr int kBucketShift = 20;
     static constexpr std::size_t kNumBuckets = 256;
     static constexpr std::size_t kBucketMask = kNumBuckets - 1;
+    static constexpr std::size_t kChunkShift = 6;
+    static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkShift;
 
+    /// Firing key: time, then the monotonic scheduling sequence number.
     struct Key {
         TimePoint t;
-        EventId id;
+        std::uint64_t seq;
         bool operator<(const Key& other) const noexcept {
-            return t != other.t ? t < other.t : id < other.id;
+            return t != other.t ? t < other.t : seq < other.seq;
         }
     };
 
-    /// One pending event, arena-allocated, linked into its bucket's sorted
-    /// list.  Fixed-size by design: the arena recycles slots in place.
+    /// Type-erased run/destroy of the callable in an EventNode's storage.
+    struct CallbackOps {
+        void (*invoke)(void* storage);
+        void (*destroy)(void* storage) noexcept;
+    };
+    template <typename Fn>
+    static constexpr bool kFitsInline =
+        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
+    template <typename Fn>
+    static constexpr CallbackOps kOps =
+        kFitsInline<Fn>
+            ? CallbackOps{[](void* s) { (*static_cast<Fn*>(s))(); },
+                          [](void* s) noexcept { static_cast<Fn*>(s)->~Fn(); }}
+            : CallbackOps{[](void* s) { (**static_cast<Fn**>(s))(); },
+                          [](void* s) noexcept { delete *static_cast<Fn**>(s); }};
+
+    /// One arena slot: a pending event linked into its bucket's sorted list,
+    /// a running event (unlinked, callable alive), or a free slot threaded
+    /// on the free list through `next`.
     struct EventNode {
-        Key key;
+        Key key{};
         EventNode* prev = nullptr;
         EventNode* next = nullptr;
-        std::function<void()> fn;
+        const CallbackOps* ops = nullptr;
+        std::uint32_t index = 0;       ///< position in the arena
+        std::uint32_t generation = 0;  ///< odd while pending
+        alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
 
     /// A calendar bucket: sorted by Key, smallest at head.  Trivially
@@ -170,6 +159,17 @@ private:
     [[nodiscard]] static constexpr std::int64_t window_of(TimePoint t) noexcept {
         return t >> kBucketShift;
     }
+    [[nodiscard]] static constexpr std::size_t slot_of(TimePoint t) noexcept {
+        return static_cast<std::size_t>(window_of(t)) & kBucketMask;
+    }
+
+    /// Adds a chunk of slots to the free list and returns its head.
+    EventNode* grow();
+    /// Takes `node` (the free-list head, callable already built) off the
+    /// free list and links it into its bucket as a pending event.
+    EventId insert(TimePoint t, EventNode* node) noexcept;
+    /// Destroys the callable and returns the slot to the free list.
+    void release(EventNode* node) noexcept;
 
     /// Finds the earliest live event at or after the cursor window.  Returns
     /// false when no events are pending.  The occupancy bitmap makes the
@@ -187,24 +187,23 @@ private:
 
     void fire(Bucket& bucket);
     void unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexcept;
-    void destroy(EventNode* node) noexcept;
 
     TimePoint now_ = 0;
-    EventId next_id_ = 1;
+    std::uint64_t next_seq_ = 1;
+    std::size_t pending_ = 0;
     /// Window currently being drained; every live event has t >= now(), and
     /// now() lies inside this window, so forward scans never miss an event.
     std::int64_t cursor_ = 0;
-    /// Arena backing every event node.
-    EventNodePool pool_;
     std::array<Bucket, kNumBuckets> buckets_{};
     /// Bit b set iff buckets_[b] is non-empty; lets find_next skip runs of
     /// empty windows with countr_zero instead of probing each list.
     std::array<std::uint64_t, kNumBuckets / 64> occupancy_{};
-    /// Keyed by the monotonically assigned EventId (a value, never a
-    /// pointer) and used for O(1) cancel-and-erase only — firing order comes
-    /// from the bucket lists, so this map's bucket order can never reach the
-    /// simulation.
-    std::unordered_map<EventId, EventNode*> index_;
+    /// The node arena: node i is chunks_[i >> kChunkShift][i & (kChunkSlots - 1)].
+    /// Chunks never move or shrink, so a node's address is stable while its
+    /// callback runs, and are freed only with the scheduler.
+    std::vector<std::unique_ptr<EventNode[]>> chunks_;
+    EventNode* free_ = nullptr;
+    std::size_t free_count_ = 0;
 };
 
 }  // namespace ble::sim

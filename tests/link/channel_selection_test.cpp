@@ -122,5 +122,30 @@ TEST(Csa2Test, SynchronisedInstancesAgree) {
     }
 }
 
+// Core Spec sample data for CSA#2 (Vol 6, Part C, §3), access address
+// 0x8E89BED6 (channelIdentifier 0x305F).
+TEST(Csa2Test, CoreSpecSampleDataAllChannels) {
+    Csa2 csa(0x8E89BED6, ChannelMap{});
+    const std::uint16_t prn_e[] = {56857, 1685, 38301, 27475};
+    const std::uint8_t channel[] = {25, 20, 6, 21};
+    for (std::uint16_t counter = 0; counter < 4; ++counter) {
+        EXPECT_EQ(csa.prn_e(counter), prn_e[counter]) << "counter " << counter;
+        EXPECT_EQ(csa.channel_for_event(counter), channel[counter]) << "counter " << counter;
+    }
+}
+
+TEST(Csa2Test, CoreSpecSampleDataNineChannels) {
+    ChannelMap map{0};
+    for (std::uint8_t ch : {9, 10, 21, 22, 23, 33, 34, 35, 36}) map.set_used(ch, true);
+    Csa2 csa(0x8E89BED6, map);
+    const std::uint16_t prn_e[] = {10975, 5490, 46970};
+    const std::uint8_t channel[] = {23, 9, 34};  // 5490 and 46970 remap
+    for (std::uint16_t i = 0; i < 3; ++i) {
+        const auto counter = static_cast<std::uint16_t>(6 + i);
+        EXPECT_EQ(csa.prn_e(counter), prn_e[i]) << "counter " << counter;
+        EXPECT_EQ(csa.channel_for_event(counter), channel[i]) << "counter " << counter;
+    }
+}
+
 }  // namespace
 }  // namespace ble::link

@@ -1,11 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "sim/scheduler.hpp"
 
 namespace ble::sim {
 namespace {
+
+/// A callable that counts its calls and its live copies; `Pad` payload bytes
+/// decide whether it fits inside an event node.
+template <std::size_t Pad>
+struct Tracked {
+    int* calls;
+    int* live;
+    std::array<unsigned char, Pad> pad{};
+    Tracked(int* c, int* l) : calls(c), live(l) { ++*live; }
+    Tracked(const Tracked& other) : calls(other.calls), live(other.live), pad(other.pad) {
+        ++*live;
+    }
+    Tracked& operator=(const Tracked&) = delete;
+    ~Tracked() { --*live; }
+    void operator()() const { ++*calls; }
+};
+using Oversized = Tracked<Scheduler::kInlineBytes>;
+static_assert(sizeof(Oversized) > Scheduler::kInlineBytes);
 
 TEST(SchedulerTest, FiresInTimeOrder) {
     Scheduler s;
@@ -201,6 +221,80 @@ TEST(SchedulerTest, SparseFarFutureEventReachedWithoutFullDrain) {
     s.run_until(far);
     EXPECT_TRUE(fired);
     EXPECT_EQ(s.now(), far);
+}
+
+// --- slot+generation handles and inline callbacks ---
+
+TEST(SchedulerTest, StaleIdOfReusedSlotCancelsNothing) {
+    Scheduler s;
+    const EventId cancelled = s.schedule_at(10, [] {});
+    s.cancel(cancelled);
+    int fired = 0;
+    const EventId reuse = s.schedule_at(20, [&] { ++fired; });
+    ASSERT_EQ(reuse >> 32, cancelled >> 32);  // same arena node, new generation
+    s.cancel(cancelled);
+    EXPECT_EQ(s.pending(), 1u);
+    s.run_all();
+    EXPECT_EQ(fired, 1);
+
+    // A fired event's id goes stale the same way.
+    const EventId again = s.schedule_at(30, [&] { ++fired; });
+    ASSERT_EQ(again >> 32, reuse >> 32);
+    s.cancel(reuse);
+    s.run_all();
+    EXPECT_EQ(fired, 2);
+}
+
+TEST(SchedulerTest, EventCancellingItselfIsNoop) {
+    Scheduler s;
+    EventId self = kInvalidEvent;
+    const std::string tag(40, 'x');  // heap-backed capture
+    std::string seen;
+    int later = 0;
+    self = s.schedule_at(10, [&, tag] {
+        s.cancel(self);
+        // Enough new events to grow the arena: none may land in the slot
+        // this callback is still running from.
+        for (int i = 0; i < 200; ++i) (void)s.schedule_at(20, [&] { ++later; });
+        seen = tag;
+    });
+    s.run_all();
+    EXPECT_EQ(seen, tag);
+    EXPECT_EQ(later, 200);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.storage_entries(), 0u);
+}
+
+TEST(SchedulerTest, OversizedCaptureFiresOnceAndIsDestroyedOnce) {
+    int calls = 0;
+    int live = 0;
+    Scheduler s;
+    (void)s.schedule_at(5, Oversized(&calls, &live));
+    EXPECT_EQ(live, 1);  // only the scheduler's copy is left
+    s.run_all();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 0);  // a second destruction would drive this negative
+
+    const EventId id = s.schedule_at(9, Oversized(&calls, &live));
+    s.cancel(id);
+    EXPECT_EQ(live, 0);
+    s.run_all();
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(SchedulerTest, PendingEventsAreDestroyedOnceWithTheScheduler) {
+    int calls = 0;
+    int live = 0;
+    {
+        Scheduler s;
+        (void)s.schedule_at(5, Tracked<0>(&calls, &live));
+        (void)s.schedule_at(6, Oversized(&calls, &live));
+        const EventId gone = s.schedule_at(7, Tracked<0>(&calls, &live));
+        s.cancel(gone);
+        EXPECT_EQ(live, 2);
+    }
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(live, 0);
 }
 
 }  // namespace
