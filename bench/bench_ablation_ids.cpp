@@ -7,6 +7,7 @@
 #include "core/scenarios.hpp"
 #include "gatt/builder.hpp"
 #include "ids/detector.hpp"
+#include "obs/bus.hpp"
 #include "world/world.hpp"
 
 namespace {
@@ -14,7 +15,6 @@ namespace {
 using namespace injectable;
 using namespace injectable::world;
 using namespace ble;
-using ble::ids::Alert;
 using ble::ids::InjectionDetector;
 
 WorldSpec ids_spec(std::uint64_t seed) {
@@ -41,9 +41,10 @@ struct IdsRun : World {
         ids_sniffer.stop();
         if (!atk_cap || !ids_cap) return false;
         detector = std::make_unique<InjectionDetector>(*probe, *ids_cap);
-        detector->on_alert = [this](const Alert& alert) {
-            if (!first_alert) first_alert = alert;
-        };
+        alert_sub = obs::ScopedSubscription(bus(), [this](const obs::Event& event) {
+            const auto* alert = std::get_if<obs::IdsAlert>(&event);
+            if (alert != nullptr && !first_alert) first_alert = alert->time;
+        });
         detector->start();
         attack_t0 = scheduler.now();
         start_session(400_ms);
@@ -52,7 +53,8 @@ struct IdsRun : World {
 
     std::unique_ptr<AttackerRadio> probe;
     std::unique_ptr<InjectionDetector> detector;
-    std::optional<Alert> first_alert;
+    std::optional<TimePoint> first_alert;  ///< time of the first IDS alert
+    obs::ScopedSubscription alert_sub;     // writes first_alert; destroyed before it
     TimePoint attack_t0 = 0;
 };
 
@@ -115,7 +117,7 @@ int main() {
             if (result && result->success) ++row.attack_ok;
             if (run.first_alert) {
                 ++row.detected;
-                row.latency_ms_sum += to_ms(run.first_alert->time - run.attack_t0);
+                row.latency_ms_sum += to_ms(*run.first_alert - run.attack_t0);
             }
         }
         print_detect_row("scenario A (ATT inject)", row);
@@ -139,7 +141,7 @@ int main() {
             if (result && result->success) ++row.attack_ok;
             if (run.first_alert) {
                 ++row.detected;
-                row.latency_ms_sum += to_ms(run.first_alert->time - run.attack_t0);
+                row.latency_ms_sum += to_ms(*run.first_alert - run.attack_t0);
             }
         }
         print_detect_row("scenario B (slave hijack)", row);
@@ -160,7 +162,7 @@ int main() {
             if (result && result->success) ++row.attack_ok;
             if (run.first_alert) {
                 ++row.detected;
-                row.latency_ms_sum += to_ms(run.first_alert->time - run.attack_t0);
+                row.latency_ms_sum += to_ms(*run.first_alert - run.attack_t0);
             }
         }
         print_detect_row("scenario C (master hijack)", row);

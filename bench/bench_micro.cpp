@@ -11,12 +11,10 @@
 #include "crypto/aes128.hpp"
 #include "crypto/ccm.hpp"
 #include "link/channel_selection.hpp"
-#include "campaign/wire.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/profiler.hpp"
 #include "obs/sinks.hpp"
-#include "obs/telemetry.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
 #include "phy/whitening.hpp"
@@ -267,79 +265,6 @@ void BM_ProfSpanWall(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProfSpanWall);
-
-// ---------------------------------------------------------------------------
-// Campaign telemetry (DESIGN.md §12): a worker compacts its merged
-// MetricsSnapshot into the task-end telemetry frame, and every heartbeat
-// pays one frame encode.  Both ride the hot result stream, so their cost
-// bounds how cheap a heartbeat interval can be.
-
-/// A registry shaped like a real trial's: a few dozen counters, a handful
-/// of log2 histograms with spread-out samples.
-obs::MetricsRegistry filled_registry() {
-    obs::MetricsRegistry registry;
-    for (int i = 0; i < 40; ++i) {
-        registry.counter("bench.counter." + std::to_string(i)).add(i * 17 + 1);
-    }
-    for (int i = 0; i < 6; ++i) {
-        auto& hist = registry.histogram("bench.hist." + std::to_string(i));
-        for (int sample = 1; sample < 4096; sample *= 3) hist.record(sample);
-    }
-    return registry;
-}
-
-void BM_TelemetrySnapshot(benchmark::State& state) {
-    const obs::MetricsRegistry registry = filled_registry();
-    for (auto _ : state) {
-        obs::WorkerTelemetry hb;
-        obs::compact_snapshot(registry.snapshot(), hb);
-        benchmark::DoNotOptimize(hb.counters.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetrySnapshot);
-
-void BM_TelemetryFrameEncode(benchmark::State& state) {
-    const obs::MetricsRegistry registry = filled_registry();
-    obs::WorkerTelemetry hb;
-    hb.worker = 3;
-    hb.task = 7;
-    hb.t_ms = 123456789;
-    hb.trials_done = 40;
-    hb.trials_total = 125;
-    hb.tx_frames = 512;
-    hb.tx_bytes = 1 << 20;
-    hb.final_snapshot = true;
-    obs::compact_snapshot(registry.snapshot(), hb);
-    std::uint64_t bytes = 0;
-    for (auto _ : state) {
-        const std::string frame = injectable::campaign::encode_telemetry(hb);
-        bytes += frame.size();
-        benchmark::DoNotOptimize(frame.data());
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetryFrameEncode);
-
-void BM_TelemetryHeartbeatFrameEncode(benchmark::State& state) {
-    // The periodic heartbeat: no snapshot, just progress + tx counters —
-    // this is the frame workers send every heartbeat_ms.
-    obs::WorkerTelemetry hb;
-    hb.worker = 3;
-    hb.task = 7;
-    hb.t_ms = 123456789;
-    hb.trials_done = 40;
-    hb.trials_total = 125;
-    hb.tx_frames = 512;
-    hb.tx_bytes = 1 << 20;
-    for (auto _ : state) {
-        const std::string frame = injectable::campaign::encode_telemetry(hb);
-        benchmark::DoNotOptimize(frame.data());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetryHeartbeatFrameEncode);
 
 void BM_SchedulerChurnProfiled(benchmark::State& state) {
     // BM_SchedulerChurn with a live profiler: the delta over the plain churn

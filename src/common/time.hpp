@@ -5,7 +5,6 @@
 // headroom so sub-µs clock-drift integration never rounds to zero.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 
 namespace ble {
@@ -29,30 +28,6 @@ constexpr Duration milliseconds(std::int64_t v) { return v * 1000 * 1000; }
 constexpr Duration seconds(std::int64_t v) { return v * 1000 * 1000 * 1000; }
 constexpr double to_us(Duration d) { return static_cast<double>(d) / 1000.0; }
 constexpr double to_ms(Duration d) { return static_cast<double>(d) / 1'000'000.0; }
-
-// --- The telemetry clock (host wall time, quarantined) ------------------
-//
-// Campaign telemetry (src/obs/telemetry, src/campaign heartbeats, the
-// straggler watchdog) needs host wall time: shard latency, heartbeat age and
-// throughput are properties of the run, not of the simulation.  Every such
-// read flows through this ONE helper so the determinism boundary stays
-// auditable: values derived from it live in the `telemetry.*` namespace and
-// never reach sim-derived artifacts (records, metrics.*, prof.*, traces).
-// This is the single audited wall-clock suppression of the telemetry path;
-// injectable_lint rule D2 flags any other clock read outside common/rng.
-
-/// Monotonic host time in nanoseconds (epoch unspecified; deltas only).
-[[nodiscard]] inline std::int64_t telemetry_now_ns() noexcept {
-    // injectable-lint: allow(D2) -- the telemetry clock: the one audited wall-clock read of the campaign telemetry path; telemetry.* values never enter deterministic outputs
-    const auto now = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now.time_since_epoch())
-        .count();
-}
-
-/// Monotonic host time in milliseconds — the unit telemetry records use.
-[[nodiscard]] inline std::int64_t telemetry_now_ms() noexcept {
-    return telemetry_now_ns() / 1'000'000;
-}
 
 // --- Bluetooth Core Specification timing constants (Vol 6, Part B) ---
 

@@ -65,26 +65,19 @@ void InjectionDetector::stop() {
 }
 
 void InjectionDetector::raise(AlertType type, std::uint16_t event_counter,
-                              std::string detail) {
+                              std::string_view detail) {
     ++alerts_;
-    Alert alert;
-    alert.type = type;
-    alert.time = radio_.now();
-    alert.event_counter = event_counter;
-    alert.detail = std::move(detail);
-    BLE_LOG_INFO("ids: ", alert_type_name(type), " (event ", event_counter, "): ",
-                 alert.detail);
+    BLE_LOG_INFO("ids: ", alert_type_name(type), " (event ", event_counter, "): ", detail);
     auto& bus = radio_.medium().bus();
     if (bus.active()) {
         obs::IdsAlert event;
-        event.time = alert.time;
+        event.time = radio_.now();
         event.type = static_cast<std::uint8_t>(type);
         event.type_name = alert_type_name(type);
         event.event_counter = event_counter;
-        event.detail = alert.detail;
+        event.detail = detail;
         bus.emit(event);
     }
-    if (on_alert) on_alert(alert);
 }
 
 void InjectionDetector::handle_packet(const SniffedPacket& packet) {

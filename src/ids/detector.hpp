@@ -26,10 +26,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "core/session.hpp"
 
@@ -47,13 +46,6 @@ enum class AlertType : std::uint8_t {
 };
 
 [[nodiscard]] const char* alert_type_name(AlertType type) noexcept;
-
-struct Alert {
-    AlertType type{};
-    TimePoint time = 0;
-    std::uint16_t event_counter = 0;
-    std::string detail;
-};
 
 struct DetectorParams {
     /// Extra anchor-timing tolerance beyond the spec drift bound. Must sit
@@ -74,6 +66,7 @@ struct DetectorParams {
     int update_grace_events = 2;
 };
 
+/// Every alert is published as an obs::IdsAlert on the medium's event bus.
 class InjectionDetector {
 public:
     /// The detector owns an observe-only session on `radio` following
@@ -85,8 +78,6 @@ public:
     void start();
     void stop();
 
-    std::function<void(const Alert&)> on_alert;
-
     [[nodiscard]] int alerts_raised() const noexcept { return alerts_; }
     [[nodiscard]] bool following() const noexcept { return session_ && !session_->lost(); }
     /// Events observed so far (diagnostics / false-positive-rate baselines).
@@ -94,7 +85,7 @@ public:
 
 private:
     void handle_packet(const injectable::SniffedPacket& packet);
-    void raise(AlertType type, std::uint16_t event_counter, std::string detail);
+    void raise(AlertType type, std::uint16_t event_counter, std::string_view detail);
 
     injectable::AttackerRadio& radio_;
     DetectorParams params_;

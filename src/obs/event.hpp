@@ -20,11 +20,6 @@
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 
-namespace ble::sim {
-class RadioDevice;
-struct AirFrame;
-}  // namespace ble::sim
-
 namespace injectable {
 struct AttemptReport;
 }  // namespace injectable
@@ -40,10 +35,6 @@ struct TxStart {
     BytesView bytes;          ///< AA + PDU + CRC, unwhitened
     Duration duration = 0;    ///< airtime including the preamble
     double tx_power_dbm = 0.0;  ///< sender's transmit power (capture phdr signal)
-    /// Emitter-side handles for legacy shims (e.g. RadioMedium's TxObserver);
-    /// valid only during dispatch.
-    const sim::RadioDevice* sender_device = nullptr;
-    const sim::AirFrame* frame = nullptr;
 };
 
 /// What the medium decided for one (transmission, locked receiver) pair —

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/json.hpp"
 #include "obs/sinks.hpp"
 
 namespace ble::obs {
@@ -93,62 +92,6 @@ std::string MetricsSnapshot::to_json() const {
     }
     out += "}}";
     return out;
-}
-
-bool metrics_snapshot_from_json(const json::Value& value, MetricsSnapshot& out,
-                                std::string* error) {
-    auto fail = [&](std::string message) {
-        if (error != nullptr) *error = std::move(message);
-        return false;
-    };
-    out = MetricsSnapshot{};
-    if (!value.is_object()) return fail("metrics: not an object");
-    if (const json::Value* counters = value.find("counters"); counters != nullptr) {
-        if (!counters->is_object()) return fail("metrics: \"counters\" is not an object");
-        for (const auto& [name, cell] : counters->object) out.counters[name] = cell.as_u64();
-    }
-    if (const json::Value* gauges = value.find("gauges"); gauges != nullptr) {
-        if (!gauges->is_object()) return fail("metrics: \"gauges\" is not an object");
-        for (const auto& [name, cell] : gauges->object) {
-            if (!cell.is_object()) return fail("metrics: gauge \"" + name + "\" is not an object");
-            GaugeSnapshot g;
-            g.samples = cell.u64("n");
-            g.last = cell.i64("last");
-            g.min = cell.i64("min");
-            g.max = cell.i64("max");
-            out.gauges[name] = g;
-        }
-    }
-    if (const json::Value* histograms = value.find("histograms"); histograms != nullptr) {
-        if (!histograms->is_object()) return fail("metrics: \"histograms\" is not an object");
-        for (const auto& [name, cell] : histograms->object) {
-            if (!cell.is_object()) {
-                return fail("metrics: histogram \"" + name + "\" is not an object");
-            }
-            HistogramSnapshot h;
-            h.count = cell.u64("n");
-            h.sum = cell.u64("sum");
-            h.min = cell.u64("min");
-            h.max = cell.u64("max");
-            if (const json::Value* buckets = cell.find("buckets"); buckets != nullptr) {
-                if (!buckets->is_array()) {
-                    return fail("metrics: histogram \"" + name + "\" buckets is not an array");
-                }
-                for (const json::Value& pair : buckets->array) {
-                    if (!pair.is_array() || pair.array.size() != 2) {
-                        return fail("metrics: histogram \"" + name + "\" bucket pair malformed");
-                    }
-                    const std::uint64_t bucket = pair.array[0].as_u64();
-                    if (bucket >= static_cast<std::uint64_t>(kHistogramBuckets)) {
-                        return fail("metrics: histogram \"" + name + "\" bucket out of range");
-                    }
-                    h.buckets[static_cast<std::size_t>(bucket)] = pair.array[1].as_u64();
-                }
-            }
-            out.histograms[name] = h;
-        }
-    }
-    return true;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -15,7 +15,7 @@
 // snapshots merge with commutative/associative ops for counters and
 // histograms.  Gauges keep a `last` value, so TrialRunner harnesses merge
 // snapshots *in trial-index order*; with that order fixed, serial and
-// parallel campaigns produce bit-identical merged snapshots — the same
+// parallel series runs produce bit-identical merged snapshots — the same
 // store-by-index trick the runner uses for results.
 #pragma once
 
@@ -27,10 +27,6 @@
 #include <string_view>
 
 #include "obs/bus.hpp"
-
-namespace ble::json {
-class Value;
-}
 
 namespace ble::obs {
 
@@ -127,13 +123,6 @@ private:
 
 /// Prints a short human-readable digest (one line per metric) to stdout.
 void print_metrics_summary(const MetricsSnapshot& snapshot, const std::string& label);
-
-/// Parses the MetricsSnapshot::to_json() format back into a snapshot — the
-/// inverse the campaign wire protocol relies on (shard partials travel as
-/// JSON and must merge bit-identically).  Returns false and sets *error on a
-/// malformed document; a missing top-level section is treated as empty.
-bool metrics_snapshot_from_json(const json::Value& value, MetricsSnapshot& out,
-                                std::string* error = nullptr);
 
 struct MetricsSinkParams {
     /// Receiver sensitivity used for the per-capture power-margin histogram

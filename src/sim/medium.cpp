@@ -132,8 +132,6 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
         event.bytes = stored.frame.bytes;
         event.duration = stored.frame.duration();
         event.tx_power_dbm = device.tx_power_dbm();
-        event.sender_device = &device;
-        event.frame = &stored.frame;
         bus_.emit(event);
     }
 
@@ -157,15 +155,6 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     (void)scheduler_.schedule_at(  // injectable-lint: allow(D4) -- see above
         stored.end, [this, id] { finish_transmission(id); });
     return id;
-}
-
-void RadioMedium::add_tx_observer(TxObserver observer) {
-    bus_.subscribe([observer = std::move(observer)](const obs::Event& event) {
-        const auto* tx = std::get_if<obs::TxStart>(&event);
-        if (tx != nullptr && tx->sender_device != nullptr && tx->frame != nullptr) {
-            observer(*tx->sender_device, tx->channel, tx->time, *tx->frame);
-        }
-    });
 }
 
 void RadioMedium::flush_rx_batch() {

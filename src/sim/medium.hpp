@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -146,12 +145,6 @@ public:
     /// other layers (link, ids, world) publish their events here too, so one
     /// subscriber sees the whole trial.
     [[nodiscard]] obs::EventBus& bus() noexcept { return bus_; }
-
-    /// Legacy tx-observer shim, now a bus subscriber under the hood: observe
-    /// every transmission start (channel, start, frame, sender).
-    using TxObserver =
-        std::function<void(const RadioDevice&, Channel, TimePoint, const AirFrame&)>;
-    void add_tx_observer(TxObserver observer);
 
 private:
     struct RxPower {

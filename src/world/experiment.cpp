@@ -156,25 +156,18 @@ RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
     return result;
 }
 
-std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink,
-                                  SeriesSlice slice) {
+std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink) {
     const ResultChannels& ch = sink.channels();
-
-    // Resolve the slice against the series length: trials [first, first+count)
-    // of config.runs, seeds keyed by the *global* trial index.
-    const int total_runs = config.runs;
-    int first = std::clamp(slice.first, 0, total_runs);
-    int count = slice.count < 0 ? total_runs - first
-                                : std::min(slice.count, total_runs - first);
-    if (count < 0) count = 0;
+    const int runs = std::max(config.runs, 0);
 
     const bool want_metrics = ch.metrics || static_cast<bool>(config.on_series_metrics);
     const bool want_prof = config.profile_spans || ch.profile;
 
     // Per-trial metric snapshots, stored by index like the results: merging
-    // them in slice order afterwards is deterministic for any worker count.
+    // them in trial-index order afterwards is deterministic for any worker
+    // count.
     std::vector<obs::MetricsSnapshot> metric_snapshots(
-        want_metrics ? static_cast<std::size_t>(count) : 0);
+        want_metrics ? static_cast<std::size_t>(runs) : 0);
 
     TrialRunner runner(config.jobs);
     runner.set_progress_label(config.name);
@@ -183,17 +176,17 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
     runner.set_progress([&](int done, int total) {
         if (ch.progress) sink.on_progress(config.name, done, total);
     });
-    auto results = runner.map(count, [&](int i) {
+    auto results = runner.map(runs, [&](int i) {
         // RunResult::wall_ms is documented non-deterministic and excluded
-        // from every comparison, so the host clock is fine here; campaign
-        // sinks turn the channel off for bit-identical shard outputs.
+        // from every comparison, so the host clock is fine here; sinks that
+        // need byte-stable records turn the channel off.
         // injectable-lint: allow(D2) -- measures host wall-clock cost only
         std::chrono::steady_clock::time_point t0{};
         if (ch.wall_clock) {
             // injectable-lint: allow(D2) -- host wall-clock cost, see above.
             t0 = std::chrono::steady_clock::now();
         }
-        const auto base_seed = config.base_seed + static_cast<std::uint64_t>(first + i);
+        const auto base_seed = config.base_seed + static_cast<std::uint64_t>(i);
 
         const ExperimentConfig* trial_config = &config;
         ExperimentConfig instrumented_config;
@@ -292,8 +285,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         if (config.on_series_metrics) config.on_series_metrics(series_metrics);
     }
     if (ch.series_record) {
-        const SeriesSlice resolved{first, count};
-        sink.on_series_record(config, resolved, results,
+        sink.on_series_record(config, SeriesSlice{0, runs}, results,
                               want_metrics ? &series_metrics : nullptr);
     }
     return results;
@@ -309,9 +301,13 @@ std::vector<RunResult> run_series(const ExperimentConfig& config) {
     return run_series(effective, sink);
 }
 
+namespace {
+
+/// Appends one trial object — the element format of to_json()'s "trials"
+/// array.
 void append_run_result_json(std::string& out, const RunResult& r) {
     // wall_ms formats like `ostream << double` (%g, precision 6) so the
-    // record bytes match every previously written campaign file.
+    // record bytes match every previously written series record.
     char wall[40];
     std::snprintf(wall, sizeof(wall), "%g", r.wall_ms);
     out += "{\"seed\":" + std::to_string(r.seed);
@@ -332,6 +328,8 @@ void append_run_result_json(std::string& out, const RunResult& r) {
     out += wall;
     out += '}';
 }
+
+}  // namespace
 
 std::string to_json(const ExperimentConfig& config, const std::vector<RunResult>& results,
                     const ble::obs::MetricsSnapshot* metrics) {

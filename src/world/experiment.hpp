@@ -135,17 +135,14 @@ struct Stats {
 [[nodiscard]] RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
                                                             std::uint64_t seed, int tries);
 
-/// Runs the trials of one series through an explicit ResultSink — the core
-/// entry every campaign path uses.  `slice` selects trials
-/// [first, first+count) of config.runs (the default is the whole series);
-/// trial seeds are base_seed + global trial index, so a slice executed
-/// anywhere produces exactly the trials a single-process run would.  The
-/// sink's channels gate what each trial produces (traces, timelines, metrics,
-/// profiler spans, wall-clock timing); artifacts, the series record and
-/// progress heartbeats are delivered through the sink.  Reads no environment
-/// variables.
-[[nodiscard]] std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink,
-                                                SeriesSlice slice = {});
+/// Runs the config.runs trials of one series through an explicit
+/// ResultSink; trial i uses seed base_seed + i.  The sink's channels gate
+/// what each trial produces (traces, timelines, metrics, profiler spans,
+/// wall-clock timing); artifacts, the series record (always with
+/// SeriesSlice{0, config.runs}) and progress heartbeats are delivered
+/// through the sink.  Reads no environment variables.
+[[nodiscard]] std::vector<RunResult> run_series(const ExperimentConfig& config,
+                                                ResultSink& sink);
 
 /// Legacy edge wrapper: resolves the classic INJECTABLE_* environment
 /// variables into a PathsResultSink (INJECTABLE_RUNS overrides the run
@@ -159,11 +156,6 @@ struct Stats {
 [[nodiscard]] std::string to_json(const ExperimentConfig& config,
                                   const std::vector<RunResult>& results,
                                   const ble::obs::MetricsSnapshot* metrics = nullptr);
-
-/// Appends one trial object — the element format of the "trials" array in
-/// to_json().  Shared with the campaign wire protocol (src/campaign) so a
-/// shard result re-serializes byte-identically wherever it lands.
-void append_run_result_json(std::string& out, const RunResult& r);
 
 /// Prints one row of a paper-style results table.
 void print_stats_row(const std::string& label, const Stats& stats);

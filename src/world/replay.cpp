@@ -518,6 +518,10 @@ ReplayDiff replay_trace_file(const std::string& path) {
     return replay_trace_lines(lines);
 }
 
+namespace {
+
+/// Parses one element of a series record's "trials" array back into a
+/// RunResult.
 RunResult run_result_from_json(const json::Value& trial) {
     RunResult r;
     r.seed = trial.u64("seed");
@@ -532,8 +536,6 @@ RunResult run_result_from_json(const json::Value& trial) {
     r.wall_ms = trial.number("wall_ms");
     return r;
 }
-
-namespace {
 
 /// Name of the first deterministic RunResult field that differs.
 std::string first_differing_field(const RunResult& a, const RunResult& b) {

@@ -18,10 +18,6 @@
 
 #include "world/experiment.hpp"
 
-namespace ble::json {
-class Value;
-}
-
 namespace injectable::world {
 
 /// Bumped when the meta line's schema changes incompatibly.
@@ -94,11 +90,5 @@ struct SeriesReplay {
 /// recorded vs fresh RunResult fields (wall_ms excluded, as always).  Trials
 /// fan out on a TrialRunner; `jobs` 0 resolves via BENCH_JOBS.
 [[nodiscard]] SeriesReplay replay_series_line(const std::string& line, int jobs = 0);
-
-/// Parses one element of a series record's "trials" array (the
-/// append_run_result_json format) back into a RunResult.  wall_ms is
-/// restored too, so campaign shard results round-trip the wire byte-exactly
-/// (campaign runs record it as 0).
-[[nodiscard]] RunResult run_result_from_json(const ble::json::Value& trial);
 
 }  // namespace injectable::world

@@ -1,13 +1,11 @@
 // ResultSink: every experiment output channel as one explicit interface.
 //
-// run_series() historically pushed results out through ambient globals — the
+// run_series() used to push results out through ambient globals — the
 // INJECTABLE_* environment variables named files and toggles, read deep
-// inside the harness.  That cannot be routed over a wire, which the campaign
-// layer (src/campaign) needs: a shard worker must stream the *same* records,
-// metrics and trace artifacts back to a leader that merges them
-// bit-identically to a single-process run.
+// inside the harness.  Callers that want the results in memory (tests,
+// pcap_export, the end-to-end benchmark) could not reach them that way.
 //
-// So the channels are now first-class:
+// So the channels are first-class:
 //
 //  * ResultChannels — which outputs a run should produce at all (production
 //    gating lives with the owner, not with getenv probes);
@@ -41,7 +39,7 @@ class ProgressMeter;
 
 /// Which output channels a series run produces.  Channels gate *production*
 /// (no trace sink attached when traces is off); what a produced value means
-/// (file path, wire frame, in-memory capture) is the sink's business.
+/// (file path, in-memory capture, digest) is the sink's business.
 struct ResultChannels {
     bool series_record = false;  ///< per-series record (trials + metrics)
     bool metrics = false;        ///< collect + merge per-trial MetricsSnapshots
@@ -52,8 +50,8 @@ struct ResultChannels {
     bool profile_wall = false;   ///< wall-clock span tables (stderr only)
     bool progress = false;       ///< per-trial heartbeats via on_progress()
     bool captures = false;       ///< per-trial omniscient PCAP link captures
-    /// Record host wall-clock cost in RunResult::wall_ms.  Campaign runs turn
-    /// this off so shard outputs are bit-identical however they were produced.
+    /// Record host wall-clock cost in RunResult::wall_ms.  Off makes every
+    /// record a pure function of (config, seed).
     bool wall_clock = true;
 };
 
@@ -64,7 +62,7 @@ enum class ArtifactKind : std::uint8_t {
     kPcapCapture = 3,     ///< omniscient link-layer PCAP (DESIGN.md §14)
 };
 
-/// One per-trial by-product, carried as bytes so any transport can move it.
+/// One per-trial by-product, carried as bytes so a sink can write, hash or keep it.
 struct TrialArtifact {
     ArtifactKind kind = ArtifactKind::kEventTrace;
     std::string stem;         ///< "<sanitized-name>-seed<seed>" file stem
@@ -75,9 +73,8 @@ struct TrialArtifact {
 };
 
 /// Half-open trial range of a series: trials [first, first+count) of
-/// config.runs.  count < 0 means "through the last trial".  The global trial
-/// index fixes the seed (base_seed + index), so a slice executed on any
-/// worker yields the identical trials a single-process run would.
+/// config.runs.  count < 0 means "through the last trial".  run_series()
+/// always reports the whole series, {0, config.runs}.
 struct SeriesSlice {
     int first = 0;
     int count = -1;
@@ -97,7 +94,7 @@ public:
     /// for event traces only when the trace survives the trace_all filter).
     virtual void on_artifact(const TrialArtifact& artifact) = 0;
 
-    /// The series' results (slice order == trial-index order) and, when the
+    /// The series' results (in trial-index order) and, when the
     /// metrics channel is on, the merged snapshot (nullptr otherwise).
     virtual void on_series_record(const ExperimentConfig& config, const SeriesSlice& slice,
                                   const std::vector<RunResult>& results,

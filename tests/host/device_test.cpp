@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "link/device.hpp"
+#include "obs/bus.hpp"
 #include "phy/access_address.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
@@ -43,10 +44,9 @@ TEST(DeviceTest, AdvertisingUsesAllThreeChannels) {
     DeviceBed bed;
     auto advertiser = bed.make("adv", {0, 0});
     std::set<sim::Channel> channels;
-    bed.medium.add_tx_observer(
-        [&](const sim::RadioDevice&, sim::Channel ch, TimePoint, const sim::AirFrame&) {
-            channels.insert(ch);
-        });
+    obs::ScopedSubscription sub(bed.medium.bus(), [&](const obs::Event& event) {
+        if (const auto* tx = std::get_if<obs::TxStart>(&event)) channels.insert(tx->channel);
+    });
     advertiser->start_advertising(make_adv_name("dut"));
     bed.run_for(500_ms);
     EXPECT_EQ(channels, (std::set<sim::Channel>{37, 38, 39}));
@@ -56,10 +56,10 @@ TEST(DeviceTest, AdvertisingIntervalRespected) {
     DeviceBed bed;
     auto advertiser = bed.make("adv", {0, 0}, 200_ms);
     std::vector<TimePoint> ch37_times;
-    bed.medium.add_tx_observer(
-        [&](const sim::RadioDevice&, sim::Channel ch, TimePoint t, const sim::AirFrame&) {
-            if (ch == 37) ch37_times.push_back(t);
-        });
+    obs::ScopedSubscription sub(bed.medium.bus(), [&](const obs::Event& event) {
+        const auto* tx = std::get_if<obs::TxStart>(&event);
+        if (tx != nullptr && tx->channel == 37) ch37_times.push_back(tx->time);
+    });
     advertiser->start_advertising(make_adv_name("dut"));
     bed.run_for(2'000_ms);
     ASSERT_GE(ch37_times.size(), 5u);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -539,103 +538,6 @@ TEST(Summaries, ScopedLockContributesNoIntraCallEdges) {
         "void f() { std::scoped_lock both(a, b); }\n";
     const FileSummary s = summarize_source("t.cpp", "src/campaign/t.cpp", src);
     EXPECT_TRUE(s.lock_edges.empty());
-}
-
-// --- phase-1 summary cache ---
-
-TEST(SummaryCache, SerializationRoundTripsEveryField) {
-    // One source exercising every summary section at once: a finding, a
-    // suppressed finding (reason with escaping-hostile characters), quoted
-    // and angled includes, an enum, a switch, a lock edge, a suppression.
-    const std::string src =
-        "#include \"campaign/wire.hpp\"\n"
-        "#include <mutex>\n"
-        "enum class FixCacheEnum { kA, kB };\n"
-        "std::mutex a;  // guards: x (fixture)\n"
-        "std::mutex b;  // guards: y (fixture)\n"
-        "int f(FixCacheEnum t) {\n"
-        "  std::lock_guard<std::mutex> ga(a);\n"
-        "  std::lock_guard<std::mutex> gb(b);\n"
-        "  // injectable-lint: allow(D2) -- fixture: 100% tricky  reason\n"
-        "  int r = rand();\n"
-        "  int q = rand();\n"
-        "  (void)r; (void)q;\n"
-        "  switch (t) { case FixCacheEnum::kA: return 1; default: return 0; }\n"
-        "}\n";
-    const FileSummary a = summarize_source("t.cpp", "src/campaign/t.cpp", src);
-    ASSERT_FALSE(a.findings.empty());
-    ASSERT_FALSE(a.includes.empty());
-    ASSERT_FALSE(a.enums.empty());
-    ASSERT_FALSE(a.switches.empty());
-    ASSERT_FALSE(a.lock_edges.empty());
-    ASSERT_FALSE(a.suppressions.empty());
-
-    FileSummary b;
-    ASSERT_TRUE(deserialize_summary(serialize_summary(a), b));
-    EXPECT_EQ(a.path, b.path);
-    EXPECT_EQ(a.logical, b.logical);
-    ASSERT_EQ(a.findings.size(), b.findings.size());
-    for (std::size_t i = 0; i < a.findings.size(); ++i) {
-        EXPECT_EQ(a.findings[i].rule, b.findings[i].rule);
-        EXPECT_EQ(a.findings[i].line, b.findings[i].line);
-        EXPECT_EQ(a.findings[i].message, b.findings[i].message);
-        EXPECT_EQ(a.findings[i].suppressed, b.findings[i].suppressed);
-        EXPECT_EQ(a.findings[i].suppress_reason, b.findings[i].suppress_reason);
-    }
-    ASSERT_EQ(a.includes.size(), b.includes.size());
-    for (std::size_t i = 0; i < a.includes.size(); ++i) {
-        EXPECT_EQ(a.includes[i].path, b.includes[i].path);
-        EXPECT_EQ(a.includes[i].angled, b.includes[i].angled);
-        EXPECT_EQ(a.includes[i].line, b.includes[i].line);
-    }
-    ASSERT_EQ(a.enums.size(), b.enums.size());
-    EXPECT_EQ(a.enums[0].name, b.enums[0].name);
-    EXPECT_EQ(a.enums[0].enumerators, b.enums[0].enumerators);
-    ASSERT_EQ(a.switches.size(), b.switches.size());
-    EXPECT_EQ(a.switches[0].enum_name, b.switches[0].enum_name);
-    EXPECT_EQ(a.switches[0].cases, b.switches[0].cases);
-    EXPECT_EQ(a.switches[0].has_default, b.switches[0].has_default);
-    ASSERT_EQ(a.lock_edges.size(), b.lock_edges.size());
-    EXPECT_EQ(a.lock_edges[0].outer, b.lock_edges[0].outer);
-    EXPECT_EQ(a.lock_edges[0].inner, b.lock_edges[0].inner);
-    ASSERT_EQ(a.suppressions.size(), b.suppressions.size());
-    EXPECT_EQ(a.suppressions[0].rule, b.suppressions[0].rule);
-    EXPECT_EQ(a.suppressions[0].line, b.suppressions[0].line);
-    EXPECT_EQ(a.suppressions[0].reason, b.suppressions[0].reason);
-    EXPECT_EQ(a.suppressions[0].reason, "fixture: 100% tricky  reason");
-}
-
-TEST(SummaryCache, RejectsVersionMismatchAndGarbage) {
-    FileSummary out;
-    EXPECT_FALSE(deserialize_summary("", out));
-    EXPECT_FALSE(deserialize_summary("injectable-lint-summary v0\nP x\n", out));
-    EXPECT_FALSE(deserialize_summary("injectable-lint-summary v1\nZ bogus\n", out));
-}
-
-TEST(SummaryCache, KeyTracksPathAndContent) {
-    const auto k1 = summary_cache_key("a.cpp", "int x;");
-    EXPECT_EQ(k1, summary_cache_key("a.cpp", "int x;"));
-    EXPECT_NE(k1, summary_cache_key("b.cpp", "int x;"));
-    EXPECT_NE(k1, summary_cache_key("a.cpp", "int y;"));
-}
-
-TEST(SummaryCache, WarmAnalyzeServesEveryFileFromCache) {
-    Options options;
-    options.cache_dir = ::testing::TempDir() + "injectable_lint_cache_test";
-    std::filesystem::remove_all(options.cache_dir);
-
-    const Analysis cold = analyze_paths({LINT_FIXTURE_DIR}, options);
-    ASSERT_GT(cold.files_scanned, 0);
-    EXPECT_EQ(cold.cache_hits, 0);
-    EXPECT_EQ(cold.cache_misses, cold.files_scanned);
-
-    const Analysis warm = analyze_paths({LINT_FIXTURE_DIR}, options);
-    EXPECT_EQ(warm.cache_hits, warm.files_scanned);
-    EXPECT_EQ(warm.cache_misses, 0);
-
-    // Cached and fresh runs agree byte-for-byte on the findings.
-    EXPECT_EQ(to_jsonl(cold.findings), to_jsonl(warm.findings));
-    std::filesystem::remove_all(options.cache_dir);
 }
 
 // --- layer ranking ---

@@ -1,10 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.hpp"
 #include "phy/whitening.hpp"
 
 namespace ble::phy {
 namespace {
+
+// Independent bit-serial reference, transcribed from the Core Spec's
+// whitening LFSR (Vol 6, Part B, §3.2) for x^7 + x^4 + 1: register
+// positions 0..6; position 0 is preset to 1 and positions 1..6 hold the
+// channel index, MSB first.  Each data bit, LSB first, is XORed with
+// position 6; as the register shifts up by one, position 6 feeds position 0
+// and is XORed into position 4.
+Bytes reference_whiten(std::uint8_t channel, Bytes data) {
+    std::array<unsigned, 7> position{};
+    position[0] = 1;
+    for (int k = 1; k <= 6; ++k) position[k] = (channel >> (6 - k)) & 1u;
+    for (auto& byte : data) {
+        for (int bit = 0; bit < 8; ++bit) {
+            const unsigned out = position[6];
+            byte ^= static_cast<std::uint8_t>(out << bit);
+            for (int i = 6; i > 0; --i) position[i] = position[i - 1];
+            position[0] = out;
+            position[4] ^= out;
+        }
+    }
+    return data;
+}
 
 TEST(WhiteningTest, IsAnInvolution) {
     Rng rng(3);
@@ -44,13 +68,22 @@ TEST(WhiteningTest, SequenceIsXorMask) {
 }
 
 TEST(WhiteningTest, GoldenSequenceChannel37) {
-    // Pinned first whitening bytes for channel 37 — regression guard so the
-    // LFSR implementation cannot silently change.
-    const Bytes mask = whitened(37, Bytes(4, 0x00));
-    const Bytes again = whitened(37, Bytes(4, 0x00));
-    EXPECT_EQ(mask, again);
-    EXPECT_EQ(mask.size(), 4u);
-    EXPECT_NE(mask[0], 0x00);
+    // Literal first eight bytes of the channel-37 mask: a change to any bit
+    // of the whitening sequence must be deliberate.
+    EXPECT_EQ(whitened(37, Bytes(8, 0x00)),
+              (Bytes{0x8D, 0xD2, 0x57, 0xA1, 0x3D, 0xA7, 0x66, 0xB0}));
+}
+
+TEST(WhiteningTest, MatchesBitSerialReference) {
+    Rng rng(32);
+    for (std::uint8_t channel = 0; channel < 40; ++channel) {
+        for (int trial = 0; trial < 50; ++trial) {
+            Bytes data(rng.next_below(64));
+            for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+            ASSERT_EQ(whitened(channel, data), reference_whiten(channel, data))
+                << "channel " << int(channel) << ", trial " << trial;
+        }
+    }
 }
 
 TEST(WhiteningTest, SevenBitPeriod) {

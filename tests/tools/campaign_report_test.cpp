@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/telemetry.hpp"
 #include "world/experiment.hpp"
 
 namespace injectable::report {
@@ -134,100 +133,6 @@ TEST(CampaignReport, EmptyAndUnparsableInputsFailCheck) {
     const CampaignData bad = load_campaign({path});
     ASSERT_EQ(bad.errors.size(), 1u);
     EXPECT_FALSE(check_campaign(bad, {}).ok);
-}
-
-TEST(CampaignReportTelemetry, SinkLogRoundTripsThroughLoaderAndRenders) {
-    char tmpl[] = "/tmp/campaign_report_test.XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    const std::string path = std::string(tmpl) + "/telemetry.jsonl";
-
-    // Drive the real leader-side sink with a fake clock so the loader is
-    // tested against the exact log format the leader produces.
-    {
-        ble::obs::TelemetrySinkParams params;
-        params.campaign = "demo";
-        params.jsonl_path = path;
-        params.total_trials = 4;
-        ble::obs::CampaignTelemetrySink sink(params);
-        sink.shard_issued(0, 0, 2, 0, 0, 0, false);
-        sink.shard_issued(1, 0, 2, 1, 0, 0, false);
-        sink.shard_done(0, 0, 0, 100);
-        sink.shard_lost(1, 1, 0, 150, "stream torn");
-        sink.shard_issued(1, 0, 2, 0, 1, 160, true);
-        sink.shard_done(1, 0, 1, 260);
-        ble::obs::WorkerTelemetry hb;
-        hb.worker = 0;
-        hb.t_ms = 90;
-        hb.tx_frames = 4;
-        hb.tx_bytes = 64;
-        sink.worker_heartbeat(hb, 100);
-        sink.close(300);
-    }
-
-    const TelemetryData telemetry = load_telemetry(path);
-    ASSERT_TRUE(telemetry.loaded)
-        << (telemetry.errors.empty() ? "" : telemetry.errors.front());
-    EXPECT_EQ(telemetry.campaign, "demo");
-    EXPECT_EQ(telemetry.stragglers, 0u);
-    ASSERT_EQ(telemetry.shards.size(), 2u);
-    EXPECT_EQ(telemetry.shards[0].elapsed_ms, 100);
-    EXPECT_EQ(telemetry.shards[1].state, "done");
-    EXPECT_EQ(telemetry.shards[1].attempts, 2);
-    ASSERT_EQ(telemetry.workers.size(), 1u);  // worker 0 committed both shards
-    EXPECT_EQ(telemetry.workers[0].tasks_done, 2u);
-    EXPECT_EQ(telemetry.counters.at("telemetry.shards.reissued"), 1u);
-    EXPECT_TRUE(check_telemetry(telemetry).ok);
-
-    const std::string md = render_markdown(CampaignData{}, {}, false, &telemetry);
-    for (const char* needle :
-         {"## Campaign telemetry (wall-clock; non-deterministic)",
-          "### Per-worker attribution", "| w0 | 2 |", "### Shard lifecycle spans",
-          "### Shard-latency flamegraph", "campaign;worker 0;task 0 100",
-          "### Transport counters", "telemetry.shards.lost"}) {
-        EXPECT_NE(md.find(needle), std::string::npos) << "missing: " << needle;
-    }
-    // Without --telemetry the section never appears.
-    EXPECT_EQ(render_markdown(CampaignData{}, {}, false).find("Campaign telemetry"),
-              std::string::npos);
-
-    const std::string html = render_html(CampaignData{}, {}, false, &telemetry);
-    EXPECT_NE(html.find("Shard-latency flamegraph"), std::string::npos);
-    EXPECT_NE(html.find("title=\"worker 0:"), std::string::npos);
-}
-
-TEST(CampaignReportTelemetry, GateFailsOnStragglersLostShardsAndMissingSummary) {
-    const TelemetryData missing = load_telemetry("/nonexistent/telemetry.jsonl");
-    EXPECT_FALSE(missing.loaded);
-    EXPECT_FALSE(check_telemetry(missing).ok);
-
-    char tmpl[] = "/tmp/campaign_report_test.XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-
-    // A log whose leader died before close(): events but no summary line.
-    const std::string truncated = std::string(tmpl) + "/truncated.jsonl";
-    std::ofstream partial(truncated, std::ios::binary);
-    partial << "{\"e\":\"shard\",\"campaign\":\"x\",\"task\":0,\"series\":0,\"worker\":0,"
-               "\"round\":0,\"state\":\"issued\",\"attempt\":1,\"t_ms\":0}\n";
-    partial.close();
-    const TelemetryData incomplete = load_telemetry(truncated);
-    EXPECT_FALSE(incomplete.loaded);
-    EXPECT_FALSE(check_telemetry(incomplete).ok);
-
-    // A finished campaign with a flagged straggler and an unrecovered shard.
-    const std::string bad_path = std::string(tmpl) + "/bad.jsonl";
-    std::ofstream bad_out(bad_path, std::ios::binary);
-    bad_out << "{\"e\":\"summary\",\"campaign\":\"x\",\"t_ms\":10,\"total_trials\":2,"
-               "\"elapsed_ms\":10,\"workers\":[],\"shards\":[{\"task\":0,\"series\":0,"
-               "\"worker\":1,\"round\":0,\"state\":\"lost\",\"attempts\":2,"
-               "\"elapsed_ms\":5}],\"stragglers\":1,\"metrics\":{\"counters\":{}}}\n";
-    bad_out.close();
-    const TelemetryData bad = load_telemetry(bad_path);
-    ASSERT_TRUE(bad.loaded);
-    const CheckResult gate = check_telemetry(bad);
-    EXPECT_FALSE(gate.ok);
-    ASSERT_EQ(gate.problems.size(), 2u);
-    EXPECT_NE(gate.problems[0].find("straggler"), std::string::npos);
-    EXPECT_NE(gate.problems[1].find("state 'lost'"), std::string::npos);
 }
 
 TEST(CampaignReport, FlameTreeRebuildsNestedStacks) {

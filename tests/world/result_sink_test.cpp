@@ -1,5 +1,5 @@
 // ResultSink extraction: run_series through explicit sinks — channel gating,
-// slice addressing, and equivalence with the legacy environment edge.
+// the whole-series record, and equivalence with the legacy environment edge.
 #include "world/result_sink.hpp"
 
 #include <gtest/gtest.h>
@@ -80,20 +80,6 @@ TEST(ResultSink, NullSinkIsAPureComputeAndDeterministic) {
         EXPECT_EQ(a[i].seed, 4242u + i);
         EXPECT_EQ(a[i].wall_ms, 0.0);  // wall_clock channel off
     }
-}
-
-TEST(ResultSink, SliceProducesExactlyTheFullRunsTrials) {
-    NullResultSink sink;
-    const auto full = run_series(tiny_config(), sink);
-    const auto slice = run_series(tiny_config(), sink, SeriesSlice{2, 2});
-    ASSERT_EQ(slice.size(), 2u);
-    EXPECT_EQ(slice[0], full[2]);
-    EXPECT_EQ(slice[1], full[3]);
-    // Open-ended and clamped slices.
-    const auto tail = run_series(tiny_config(), sink, SeriesSlice{3, -1});
-    ASSERT_EQ(tail.size(), 2u);
-    EXPECT_EQ(tail[0], full[3]);
-    EXPECT_EQ(tail[1], full[4]);
 }
 
 TEST(ResultSink, ChannelsGateArtifactsRecordMetricsAndProgress) {

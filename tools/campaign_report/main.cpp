@@ -1,19 +1,12 @@
 // campaign_report CLI: fold a campaign's INJECTABLE_JSON records (plus,
 // optionally, its trace directory) into one self-contained report.
 //
-//   campaign_report [--traces DIR] [--telemetry FILE] [--md FILE]
-//                   [--html FILE] [--check] [--budgets FILE]
-//                   <results.jsonl[.gz]>...
+//   campaign_report [--traces DIR] [--md FILE] [--html FILE] [--check]
+//                   [--budgets FILE] <results.jsonl[.gz]>...
 //   campaign_report --diff <A.jsonl[.gz]> <B.jsonl[.gz]> [--md FILE]
 //
 //   --traces DIR     also check recorded-vs-expected event counts against
 //                    the per-trial traces under DIR (INJECTABLE_TRACE_DIR)
-//   --telemetry F    fold the leader's campaign telemetry JSONL
-//                    (campaign_ctl run --telemetry F) into the report:
-//                    per-worker attribution, shard lifecycle spans, a
-//                    shard-latency flamegraph — rendered in its own
-//                    wall-clock section; with --check, also gate on zero
-//                    watchdog stragglers and every shard ending `done`
 //   --md FILE        write the markdown report to FILE (default: stdout
 //                    when neither --md nor --html is given)
 //   --html FILE      write the self-contained HTML report (flamegraph as
@@ -39,13 +32,12 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--traces DIR] [--telemetry FILE] [--md FILE] [--html FILE]\n"
+                 "usage: %s [--traces DIR] [--md FILE] [--html FILE]\n"
                  "       %*s [--check] [--budgets FILE] <results.jsonl[.gz]>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
                  "  per-series tables, counters, log2 histograms, the profiler\n"
-                 "  flamegraph, (with --traces) event-count drift, and (with\n"
-                 "  --telemetry) the leader's wall-clock campaign telemetry.\n",
+                 "  flamegraph and (with --traces) event-count drift.\n",
                  argv0, static_cast<int>(std::strlen(argv0)), "");
 }
 
@@ -67,7 +59,6 @@ int main(int argc, char** argv) {
     bool check = false;
     bool diff = false;
     std::string budgets_path;
-    std::string telemetry_path;
     std::vector<std::string> json_paths;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -108,12 +99,6 @@ int main(int argc, char** argv) {
             const char* v = value_of("--budgets");
             if (v == nullptr) return 2;
             budgets_path = v;
-            continue;
-        }
-        if (std::strcmp(arg, "--telemetry") == 0) {
-            const char* v = value_of("--telemetry");
-            if (v == nullptr) return 2;
-            telemetry_path = v;
             continue;
         }
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -158,12 +143,9 @@ int main(int argc, char** argv) {
     const CampaignData campaign = load_campaign(json_paths);
     const std::vector<DriftRow> drift = compute_drift(campaign, traces_dir);
     const bool have_traces = !traces_dir.empty();
-    TelemetryData telemetry;
-    if (!telemetry_path.empty()) telemetry = load_telemetry(telemetry_path);
-    const TelemetryData* telemetry_ptr = telemetry_path.empty() ? nullptr : &telemetry;
 
     if (!md_path.empty() || html_path.empty()) {
-        const std::string md = render_markdown(campaign, drift, have_traces, telemetry_ptr);
+        const std::string md = render_markdown(campaign, drift, have_traces);
         if (md_path.empty()) {
             if (!check) std::fputs(md.c_str(), stdout);
         } else if (!write_file(md_path, md)) {
@@ -172,19 +154,13 @@ int main(int argc, char** argv) {
         }
     }
     if (!html_path.empty() &&
-        !write_file(html_path, render_html(campaign, drift, have_traces, telemetry_ptr))) {
+        !write_file(html_path, render_html(campaign, drift, have_traces))) {
         std::fprintf(stderr, "%s: cannot write %s\n", argv[0], html_path.c_str());
         return 2;
     }
 
     if (check) {
         CheckResult result = check_campaign(campaign, drift);
-        if (telemetry_ptr != nullptr) {
-            const CheckResult telemetry_result = check_telemetry(telemetry);
-            result.problems.insert(result.problems.end(), telemetry_result.problems.begin(),
-                                   telemetry_result.problems.end());
-            result.ok = result.problems.empty();
-        }
         if (!budgets_path.empty()) {
             std::vector<std::string> budget_errors;
             const std::vector<SpanBudget> budgets = load_budgets(budgets_path, budget_errors);

@@ -362,137 +362,6 @@ std::string md_table_to_html(const std::string& md) {
     return out;
 }
 
-// --- campaign telemetry (wall-clock section, DESIGN.md §12) ---------------
-
-std::string worker_attribution_table(const TelemetryData& telemetry) {
-    std::string out =
-        "| worker | shards done | trials | heartbeats | tx frames | tx bytes | "
-        "rx frames | rx bytes | busy (ms) |\n|---|---|---|---|---|---|---|---|---|\n";
-    for (const WorkerAttribution& w : telemetry.workers) {
-        out += "| w" + std::to_string(w.worker) + " | " + u64_str(w.tasks_done) + " | " +
-               u64_str(w.trials) + " | " + u64_str(w.heartbeats) + " | " +
-               u64_str(w.tx_frames) + " | " + u64_str(w.tx_bytes) + " | " +
-               u64_str(w.rx_frames) + " | " + u64_str(w.rx_bytes) + " | " +
-               std::to_string(w.busy_ms) + " |\n";
-    }
-    return out;
-}
-
-std::string shard_span_table(const TelemetryData& telemetry) {
-    std::uint64_t max_ms = 0;
-    for (const ShardSpan& s : telemetry.shards) {
-        if (s.elapsed_ms > 0) max_ms = std::max(max_ms, static_cast<std::uint64_t>(s.elapsed_ms));
-    }
-    std::string out =
-        "| task | series | worker | round | state | attempts | elapsed (ms) | |\n"
-        "|---|---|---|---|---|---|---|---|\n";
-    for (const ShardSpan& s : telemetry.shards) {
-        const std::uint64_t elapsed =
-            s.elapsed_ms > 0 ? static_cast<std::uint64_t>(s.elapsed_ms) : 0;
-        out += "| " + std::to_string(s.task) + " | " + std::to_string(s.series) + " | w" +
-               std::to_string(s.worker) + " | " + std::to_string(s.round) + " | " + s.state +
-               " | " + std::to_string(s.attempts) + " | " + std::to_string(s.elapsed_ms) +
-               " | " + bar(elapsed, max_ms, 20) + " |\n";
-    }
-    return out;
-}
-
-/// Shards with measured latency grouped per worker, for the flamegraph
-/// views.  std::map keys keep both renderings deterministic given the log.
-std::map<int, std::vector<const ShardSpan*>> shards_by_worker(
-    const TelemetryData& telemetry) {
-    std::map<int, std::vector<const ShardSpan*>> by_worker;
-    for (const ShardSpan& s : telemetry.shards) {
-        if (s.elapsed_ms > 0) by_worker[s.worker].push_back(&s);
-    }
-    return by_worker;
-}
-
-/// Collapsed stacks — same flamegraph.pl input format as the profiler
-/// section, but the value is wall milliseconds, not span counts.
-std::string shard_collapsed(const TelemetryData& telemetry) {
-    std::string out;
-    for (const auto& [worker, spans] : shards_by_worker(telemetry)) {
-        for (const ShardSpan* s : spans) {
-            out += "campaign;worker " + std::to_string(worker) + ";task " +
-                   std::to_string(s->task) + " " + std::to_string(s->elapsed_ms) + "\n";
-        }
-    }
-    return out;
-}
-
-/// Elapsed-proportional nested divs: one frame per worker (width = share of
-/// total shard wall time), one nested frame per shard.  Deliberately not
-/// render_flame_html — that one is count-proportional and labels sim-us.
-void render_shard_flame_html(std::string& out, const TelemetryData& telemetry) {
-    const auto by_worker = shards_by_worker(telemetry);
-    std::uint64_t total_ms = 0;
-    for (const auto& [worker, spans] : by_worker) {
-        for (const ShardSpan* s : spans) total_ms += static_cast<std::uint64_t>(s->elapsed_ms);
-    }
-    if (total_ms == 0) return;
-    out += "<div class=\"flame\"><div class=\"row\">";
-    for (const auto& [worker, spans] : by_worker) {
-        std::uint64_t worker_ms = 0;
-        for (const ShardSpan* s : spans) worker_ms += static_cast<std::uint64_t>(s->elapsed_ms);
-        char width[32];
-        std::snprintf(width, sizeof(width), "%.2f",
-                      100.0 * static_cast<double>(worker_ms) / static_cast<double>(total_ms));
-        out += "<div class=\"frame d0\" style=\"width:" + std::string(width) +
-               "%\" title=\"worker " + std::to_string(worker) + ": " + u64_str(worker_ms) +
-               " ms\"><span>worker " + std::to_string(worker) + "</span><div class=\"row\">";
-        for (const ShardSpan* s : spans) {
-            std::snprintf(width, sizeof(width), "%.2f",
-                          100.0 * static_cast<double>(s->elapsed_ms) /
-                              static_cast<double>(worker_ms));
-            out += "<div class=\"frame d1\" style=\"width:" + std::string(width) +
-                   "%\" title=\"task " + std::to_string(s->task) + ": " +
-                   std::to_string(s->elapsed_ms) + " ms (" + s->state + ", " +
-                   std::to_string(s->attempts) + " attempt(s))\"><span>task " +
-                   std::to_string(s->task) + "</span></div>";
-        }
-        out += "</div></div>";
-    }
-    out += "</div></div>\n";
-}
-
-std::string telemetry_counters_table(const TelemetryData& telemetry) {
-    std::string out = "| counter | total |\n|---|---|\n";
-    for (const auto& [name, value] : telemetry.counters) {
-        // Per-worker folded sim counters would swamp the table; the
-        // attribution table above already covers the per-worker story.
-        if (name.rfind("telemetry.worker.", 0) == 0) continue;
-        out += "| " + name + " | " + u64_str(value) + " |\n";
-    }
-    return out;
-}
-
-std::string telemetry_section_md(const TelemetryData& telemetry) {
-    std::string out = "## Campaign telemetry (wall-clock; non-deterministic)\n\n";
-    if (!telemetry.errors.empty()) {
-        out += "**Telemetry problems:**\n\n";
-        for (const std::string& e : telemetry.errors) out += "- " + e + "\n";
-        out += "\n";
-    }
-    if (!telemetry.loaded) return out;
-    out += "Leader-side observations for campaign `" + telemetry.campaign + "`: " +
-           u64_str(telemetry.workers.size()) + " worker(s), " +
-           u64_str(telemetry.shards.size()) + " shard(s), elapsed " +
-           std::to_string(telemetry.elapsed_ms) + " ms, " + u64_str(telemetry.stragglers) +
-           " watchdog straggler(s).  Values here come from the host clock and differ run "
-           "to run; nothing above this section depends on them.\n\n";
-    out += "### Per-worker attribution\n\n" + worker_attribution_table(telemetry) + "\n";
-    out += "### Shard lifecycle spans\n\n" + shard_span_table(telemetry) + "\n";
-    const std::string collapsed = shard_collapsed(telemetry);
-    if (!collapsed.empty()) {
-        out += "### Shard-latency flamegraph\n\nCollapsed stacks (flamegraph.pl input, "
-               "value = wall milliseconds):\n\n```\n" +
-               collapsed + "```\n\n";
-    }
-    out += "### Transport counters\n\n" + telemetry_counters_table(telemetry) + "\n";
-    return out;
-}
-
 }  // namespace
 
 void HistRecord::merge(const HistRecord& other) {
@@ -527,79 +396,6 @@ CampaignData load_campaign(const std::vector<std::string>& json_paths) {
         }
     }
     return campaign;
-}
-
-TelemetryData load_telemetry(const std::string& jsonl_path) {
-    TelemetryData telemetry;
-    std::string error;
-    const std::vector<std::string> lines = ble::obs::read_jsonl_file(jsonl_path, &error);
-    if (lines.empty()) {
-        telemetry.errors.push_back(jsonl_path + ": " +
-                                   (error.empty() ? "empty telemetry log" : error));
-        return telemetry;
-    }
-    // The sink writes exactly one summary line, at close; take the last one
-    // so a log with a stale prefix (restarted leader) still resolves.
-    const std::string* summary = nullptr;
-    for (const std::string& line : lines) {
-        if (line.rfind("{\"e\":\"summary\"", 0) == 0) summary = &line;
-    }
-    if (summary == nullptr) {
-        telemetry.errors.push_back(
-            jsonl_path + ": no {\"e\":\"summary\"} line (campaign incomplete?)");
-        return telemetry;
-    }
-    const json::ParseResult parsed = json::parse(*summary);
-    if (!parsed.ok || !parsed.value.is_object()) {
-        telemetry.errors.push_back(jsonl_path + ": unparsable summary line: " + parsed.error);
-        return telemetry;
-    }
-    const json::Value& root = parsed.value;
-    telemetry.campaign = root.string_at("campaign", "?");
-    telemetry.elapsed_ms = root.i64("elapsed_ms", -1);
-    telemetry.total_trials = root.u64("total_trials", 0);
-    telemetry.stragglers = root.u64("stragglers", 0);
-    if (const json::Value* workers = root.find("workers");
-        workers != nullptr && workers->is_array()) {
-        for (const json::Value& w : workers->array) {
-            if (!w.is_object()) continue;
-            WorkerAttribution row;
-            row.worker = static_cast<int>(w.i64("worker", -1));
-            row.tasks_done = w.u64("tasks_done", 0);
-            row.trials = w.u64("trials", 0);
-            row.heartbeats = w.u64("heartbeats", 0);
-            row.tx_frames = w.u64("tx_frames", 0);
-            row.tx_bytes = w.u64("tx_bytes", 0);
-            row.rx_frames = w.u64("rx_frames", 0);
-            row.rx_bytes = w.u64("rx_bytes", 0);
-            row.busy_ms = w.i64("busy_ms", 0);
-            telemetry.workers.push_back(row);
-        }
-    }
-    if (const json::Value* shards = root.find("shards");
-        shards != nullptr && shards->is_array()) {
-        for (const json::Value& s : shards->array) {
-            if (!s.is_object()) continue;
-            ShardSpan span;
-            span.task = static_cast<int>(s.i64("task", -1));
-            span.series = static_cast<int>(s.i64("series", 0));
-            span.worker = static_cast<int>(s.i64("worker", -1));
-            span.round = static_cast<int>(s.i64("round", 0));
-            span.attempts = static_cast<int>(s.i64("attempts", 0));
-            span.state = s.string_at("state", "?");
-            span.elapsed_ms = s.i64("elapsed_ms", 0);
-            telemetry.shards.push_back(std::move(span));
-        }
-    }
-    if (const json::Value* metrics = root.find("metrics")) {
-        if (const json::Value* counters = metrics->find("counters")) {
-            for (const auto& [name, v] : counters->object) {
-                telemetry.counters[name] = v.as_u64(0);
-            }
-        }
-    }
-    telemetry.loaded = true;
-    return telemetry;
 }
 
 std::uint64_t FlameNode::total_count() const {
@@ -668,7 +464,7 @@ std::vector<DriftRow> compute_drift(const CampaignData& campaign,
 }
 
 std::string render_markdown(const CampaignData& campaign, const std::vector<DriftRow>& drift,
-                            bool have_traces, const TelemetryData* telemetry) {
+                            bool have_traces) {
     std::string out = "# Campaign report\n\n";
     out += u64_str(campaign.series.size()) + " series, " + u64_str(total_trials(campaign)) +
            " trials, " + pct_str(total_successes(campaign), total_trials(campaign)) +
@@ -717,12 +513,11 @@ std::string render_markdown(const CampaignData& campaign, const std::vector<Drif
                "drift.\n\n" +
                drift_table(drift) + "\n";
     }
-    if (telemetry != nullptr) out += telemetry_section_md(*telemetry);
     return out;
 }
 
 std::string render_html(const CampaignData& campaign, const std::vector<DriftRow>& drift,
-                        bool have_traces, const TelemetryData* telemetry) {
+                        bool have_traces) {
     std::string out =
         "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
         "<title>Campaign report</title>\n<style>\n"
@@ -788,58 +583,8 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
     if (have_traces) {
         out += "<h2>Event-count drift</h2>\n" + md_table_to_html(drift_table(drift)) + "\n";
     }
-    if (telemetry != nullptr) {
-        out += "<h2>Campaign telemetry (wall-clock; non-deterministic)</h2>\n";
-        if (!telemetry->errors.empty()) {
-            out += "<ul>\n";
-            for (const std::string& e : telemetry->errors) {
-                out += "<li>";
-                html_escape(out, e);
-                out += "</li>\n";
-            }
-            out += "</ul>\n";
-        }
-        if (telemetry->loaded) {
-            out += "<p>Leader-side observations for campaign <code>";
-            html_escape(out, telemetry->campaign);
-            out += "</code>: " + u64_str(telemetry->workers.size()) + " worker(s), " +
-                   u64_str(telemetry->shards.size()) + " shard(s), elapsed " +
-                   std::to_string(telemetry->elapsed_ms) + " ms, " +
-                   u64_str(telemetry->stragglers) + " watchdog straggler(s).</p>\n";
-            out += "<h3>Per-worker attribution</h3>\n" +
-                   md_table_to_html(worker_attribution_table(*telemetry));
-            out += "\n<h3>Shard lifecycle spans</h3>\n" +
-                   md_table_to_html(shard_span_table(*telemetry));
-            out += "\n<h3>Shard-latency flamegraph (by wall time)</h3>\n";
-            render_shard_flame_html(out, *telemetry);
-            out += "<h3>Transport counters</h3>\n" +
-                   md_table_to_html(telemetry_counters_table(*telemetry)) + "\n";
-        }
-    }
     out += "</body></html>\n";
     return out;
-}
-
-CheckResult check_telemetry(const TelemetryData& telemetry) {
-    CheckResult result;
-    for (const std::string& e : telemetry.errors) {
-        result.problems.push_back("telemetry: " + e);
-    }
-    if (telemetry.loaded) {
-        if (telemetry.stragglers > 0) {
-            result.problems.push_back("telemetry: " + u64_str(telemetry.stragglers) +
-                                      " watchdog straggler(s) flagged");
-        }
-        for (const ShardSpan& shard : telemetry.shards) {
-            if (shard.state != "done") {
-                result.problems.push_back("telemetry: task " + std::to_string(shard.task) +
-                                          " ended in state '" + shard.state + "' after " +
-                                          std::to_string(shard.attempts) + " attempt(s)");
-            }
-        }
-    }
-    result.ok = result.problems.empty();
-    return result;
 }
 
 CheckResult check_campaign(const CampaignData& campaign, const std::vector<DriftRow>& drift) {

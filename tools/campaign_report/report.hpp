@@ -12,17 +12,12 @@
 //     (prof.stack.* counters, DESIGN.md §9) in both collapsed-stack text
 //     (flamegraph.pl input) and a nested-div HTML view,
 //   * a recorded-vs-expected event-count drift check: the sum of non-meta
-//     lines across a series' traces must equal its `events_total` counter,
-//   * optionally (--telemetry) the leader's campaign telemetry JSONL:
-//     per-worker attribution, shard lifecycle spans and a shard-latency
-//     flamegraph, rendered in a section explicitly labeled wall-clock.
+//     lines across a series' traces must equal its `events_total` counter.
 //
-// Everything in the main report body is derived from deterministic fields
-// only (wall_ms never appears), so two runs of the same campaign produce
+// Everything in the report is derived from deterministic fields only
+// (wall_ms never appears), so two runs of the same campaign produce
 // byte-identical reports — which is what lets CI gate on `campaign_report
-// --check` and tests pin golden output.  Telemetry data is wall-clock by
-// nature; it stays in its own section (DESIGN.md §12 determinism boundary)
-// and is only rendered when explicitly requested.
+// --check` and tests pin golden output.
 #pragma once
 
 #include <cstdint>
@@ -123,65 +118,16 @@ struct DriftRow {
 [[nodiscard]] std::vector<DriftRow> compute_drift(const CampaignData& campaign,
                                                   const std::string& traces_dir);
 
-/// One worker's attribution row from the telemetry summary: committed
-/// shards/trials plus transport traffic, as observed by the leader.
-struct WorkerAttribution {
-    int worker = -1;
-    std::uint64_t tasks_done = 0;
-    std::uint64_t trials = 0;
-    std::uint64_t heartbeats = 0;
-    std::uint64_t tx_frames = 0;
-    std::uint64_t tx_bytes = 0;
-    std::uint64_t rx_frames = 0;
-    std::uint64_t rx_bytes = 0;
-    std::int64_t busy_ms = 0;
-};
-
-/// Final state of one shard's lifecycle span (issued → … → done/lost).
-struct ShardSpan {
-    int task = -1;
-    int series = 0;
-    int worker = -1;
-    int round = 0;
-    int attempts = 0;
-    std::string state;
-    std::int64_t elapsed_ms = 0;
-};
-
-/// Parsed campaign telemetry JSONL (the leader's CampaignTelemetrySink log).
-/// Everything here is wall-clock-derived and deliberately kept out of the
-/// deterministic report body: it renders under its own clearly-labeled
-/// section and never mixes with metrics.* data.
-struct TelemetryData {
-    bool loaded = false;  ///< a summary line was found and parsed
-    std::string campaign;
-    std::int64_t elapsed_ms = 0;
-    std::uint64_t total_trials = 0;
-    std::uint64_t stragglers = 0;
-    std::vector<WorkerAttribution> workers;
-    std::vector<ShardSpan> shards;
-    std::map<std::string, std::uint64_t> counters;  ///< telemetry.* totals
-    std::vector<std::string> errors;
-};
-
-/// Reads one telemetry JSONL and folds its final {"e":"summary"} line (the
-/// sink writes exactly one, at close).  Missing file / missing summary /
-/// malformed lines land in `errors` with `loaded` left false.
-[[nodiscard]] TelemetryData load_telemetry(const std::string& jsonl_path);
-
 /// The full report as GitHub-flavored markdown.  `have_traces` toggles the
-/// drift section (rows only exist when a traces dir was given); a non-null
-/// `telemetry` appends the wall-clock campaign-telemetry section.
+/// drift section (rows only exist when a traces dir was given).
 [[nodiscard]] std::string render_markdown(const CampaignData& campaign,
                                           const std::vector<DriftRow>& drift,
-                                          bool have_traces,
-                                          const TelemetryData* telemetry = nullptr);
+                                          bool have_traces);
 
 /// Same content as one self-contained HTML page (inline CSS, no external
 /// assets) with the flamegraph as nested proportional divs.
 [[nodiscard]] std::string render_html(const CampaignData& campaign,
-                                      const std::vector<DriftRow>& drift, bool have_traces,
-                                      const TelemetryData* telemetry = nullptr);
+                                      const std::vector<DriftRow>& drift, bool have_traces);
 
 struct CheckResult {
     bool ok = true;
@@ -192,11 +138,6 @@ struct CheckResult {
 /// nonzero drift in any complete series.
 [[nodiscard]] CheckResult check_campaign(const CampaignData& campaign,
                                          const std::vector<DriftRow>& drift);
-
-/// The `--telemetry` arm of `--check`: fails on an unreadable/incomplete
-/// telemetry log, any watchdog-flagged straggler, or a shard whose final
-/// state is not `done` (a lost shard that was never successfully re-run).
-[[nodiscard]] CheckResult check_telemetry(const TelemetryData& telemetry);
 
 /// One sim-time budget line (bench/campaign_budgets.json): the campaign-wide
 /// prof.span.<span>.sim_us total divided by the total profiled sim time (the

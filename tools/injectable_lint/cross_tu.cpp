@@ -207,7 +207,7 @@ void rule_l1(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
 }
 
 /// C2 — cross-TU lock order.  Mutex identity is the variable name (merged
-/// across TUs: the campaign leader's `cache_mutex` is one lock everywhere);
+/// across TUs: a `cache_mutex` is one lock everywhere it appears);
 /// an acquisition edge whose inner mutex can reach back to its outer mutex
 /// through the merged graph closes an ABBA cycle.
 void rule_c2(const std::vector<FileSummary>& files, std::vector<Finding>& out) {

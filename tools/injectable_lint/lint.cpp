@@ -425,8 +425,8 @@ struct Scanner {
             // trace, so it must not be hash order.
             "emit", "emit_batch", "dispatch", "on_event", "on_events",
             // Result serialization: the order values hit the byte stream
-            // becomes the record / wire frame, which the campaign merge
-            // (DESIGN.md §11) must reproduce bit-identically.
+            // becomes the record, which must be byte-identical across
+            // reruns and worker counts (DESIGN.md §6).
             "to_json", "to_jsonl", "json_escape", "append_json_escaped",
             "encode_frame", "append_frame", "on_artifact", "on_series_record"};
         // Pass 1: names declared (member, local or parameter) with an
@@ -681,7 +681,7 @@ struct Scanner {
     // result refactor moved every output channel behind an explicit
     // ResultSink; the INJECTABLE_* variables survive only as one concrete
     // sink built at the edge (sink_paths_from_env).  Any other getenv is
-    // ambient configuration a shard worker would silently not inherit.
+    // ambient configuration no caller can see or set.
     void rule_e1() {
         for (std::size_t i = 0; i < toks.size(); ++i) {
             const Token& t = toks[i];
@@ -760,7 +760,7 @@ struct Scanner {
 
     // C1: concurrency discipline.  Three shapes:
     //   (a) .detach() — a detached thread outlives every join point and
-    //       races process teardown; the campaign leader joins everything;
+    //       races process teardown; every thread here is joined;
     //   (b) bare .lock()/.unlock() on a declared mutex — any early return or
     //       exception between the pair leaks the lock (RAII guards only);
     //   (c) a mutex *member* without a `// guards: <state>` comment — what a
@@ -1190,25 +1190,15 @@ Analysis analyze_paths(const std::vector<std::string>& roots, const Options& opt
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
-    // Phase 1: per-TU summaries, served from the content-hash cache when the
-    // file is unchanged.
+    // Phase 1: per-TU summaries.
     for (const std::string& file : files) {
         std::string source;
         if (!read_file(file, source)) {
             analysis.files_scanned = -1;
             return analysis;
         }
-        const std::uint64_t key = summary_cache_key(file, source);
-        FileSummary summary;
-        if (!options.cache_dir.empty() && cache_load(options.cache_dir, key, summary)) {
-            ++analysis.cache_hits;
-        } else {
-            summary = summarize_source(file, fixture_logical_path(file, source), source,
-                                       options);
-            ++analysis.cache_misses;
-            if (!options.cache_dir.empty()) cache_store(options.cache_dir, key, summary);
-        }
-        analysis.files.push_back(std::move(summary));
+        analysis.files.push_back(
+            summarize_source(file, fixture_logical_path(file, source), source, options));
         ++analysis.files_scanned;
     }
 

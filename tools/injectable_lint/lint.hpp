@@ -8,12 +8,11 @@
 // unordered_map.  This linter catches that whole bug class (and its
 // relatives) statically, before a single trial runs.
 //
-// Since PR 9 the analysis runs in two phases (DESIGN.md §13): phase 1 lexes
-// every translation unit into a FileSummary (per-TU findings plus the raw
-// material the whole-program rules need: include directives, enum
-// definitions, switch shapes, lock-acquisition nesting, suppression
-// directives), cached on disk keyed by content hash; phase 2 merges the
-// summaries and runs the cross-TU rules over the whole program.
+// The analysis runs in two phases (DESIGN.md §13): phase 1 lexes every
+// translation unit into a FileSummary (per-TU findings plus the raw material
+// the whole-program rules need: include directives, enum definitions, switch
+// shapes, lock-acquisition nesting, suppression directives); phase 2 merges
+// the summaries and runs the cross-TU rules over the whole program.
 //
 // Per-translation-unit rules:
 //
@@ -28,10 +27,9 @@
 //       inside a range-for over *any* std::unordered_* container is flagged
 //       regardless of key type — hash order is unspecified for every key,
 //       so the emitted event order or serialized byte stream would vary
-//       across standard libraries and runs.  The campaign layer's
-//       bit-identical-merge contract (DESIGN.md §11) dies exactly here:
-//       a worker serializing results out of hash order produces frames a
-//       leader cannot reproduce.
+//       across standard libraries and runs.  The byte-identity contract on
+//       records and traces (DESIGN.md §6) dies exactly here: results
+//       serialized out of hash order differ from run to run.
 //   D2  No wall-clock time or unseeded randomness outside the allowlisted
 //       time/rng primitives: simulated time must flow from common/time.hpp
 //       (sim::Scheduler) and all randomness from common/rng.hpp (seeded
@@ -54,8 +52,8 @@
 //       explicit ResultSink (src/world/result_sink.hpp), and the classic
 //       INJECTABLE_* variables are exactly one concrete sink built at the
 //       edge by sink_paths_from_env().  A getenv anywhere else re-creates
-//       the ambient-global plumbing the campaign layer had to remove —
-//       config a worker process would silently not inherit.
+//       ambient-global plumbing — config a caller can neither see in the
+//       signature nor set without touching the process environment.
 //   S1  No bare spec magic numbers in src/phy / src/link: frame-layout and
 //       timing constants (TIFS 150 µs, the 1250 µs unit, 8 µs/byte LE 1M
 //       airtime, channel counts, the advertising access address, ...) must be
@@ -66,7 +64,7 @@
 //   C1  Concurrency discipline: std::thread::detach() (a detached thread
 //       outlives every join point and races teardown), bare mutex
 //       .lock()/.unlock() calls outside RAII guards (an early return or
-//       exception between them deadlocks the campaign leader), and mutex
+//       exception between them deadlocks the next locker), and mutex
 //       *members* that do not document what they protect with a
 //       `// guards: <state>` comment on the declaration (or the line above)
 //       are all findings.
@@ -108,8 +106,7 @@
 // preprocessor expansion, no name lookup, no libclang.  Token patterns per
 // TU plus merged summaries are enough for every rule above, keep the tool
 // dependency-free, and make it fast enough to run as a tier-1 ctest over the
-// whole tree (the on-disk summary cache keeps warm runs cheaper than the old
-// single-phase scan).
+// whole tree.
 #pragma once
 
 #include <cstdint>
@@ -146,10 +143,9 @@ struct Finding {
 
 struct Options {
     /// Paths (substring match) where rule D2 never fires: the seeded rng
-    /// primitives themselves.  src/common/time.hpp is deliberately NOT
-    /// allowlisted: its telemetry_now_ns() helper is the telemetry path's one
-    /// wall-clock read and carries the audited allow(D2) suppression, so the
-    /// whole-tree suppression inventory lists it like any other clock read.
+    /// primitives themselves.  Every other clock read, src/common/time.hpp
+    /// included, needs an audited allow(D2) suppression, so the whole-tree
+    /// suppression inventory lists each one.
     std::vector<std::string> d2_allowlist = {"src/common/rng."};
     /// Paths (substring match) where rule E1 never fires: the edge wiring
     /// that owns the INJECTABLE_* / BENCH_JOBS environment contract.
@@ -160,9 +156,6 @@ struct Options {
     std::vector<std::string> w1_enums = {"WireType",    "ShardState",       "RxVerdict",
                                          "CommandType", "NotificationType", "CaptureFormat",
                                          "VantageKind"};
-    /// Directory for the phase-1 summary cache, keyed by (path, content)
-    /// hash.  Empty disables caching; the directory is created on demand.
-    std::string cache_dir;
 };
 
 // --- tokenizer (exposed for the self-tests) ---
@@ -255,32 +248,12 @@ struct FileSummary {
                                            std::string_view source,
                                            const Options& options = {});
 
-// --- phase-1 cache ---
-
-/// Content hash of (path, source, summary-format version) — the cache key.
-[[nodiscard]] std::uint64_t summary_cache_key(const std::string& path,
-                                              std::string_view source);
-
-/// Serialization of a FileSummary for the on-disk cache (stable, versioned
-/// line format; load rejects any version mismatch so stale entries read as
-/// cache misses).
-[[nodiscard]] std::string serialize_summary(const FileSummary& summary);
-[[nodiscard]] bool deserialize_summary(std::string_view text, FileSummary& out);
-
-/// Cache lookup/store under `cache_dir` (no-ops when it is empty).
-[[nodiscard]] bool cache_load(const std::string& cache_dir, std::uint64_t key,
-                              FileSummary& out);
-void cache_store(const std::string& cache_dir, std::uint64_t key,
-                 const FileSummary& summary);
-
 // --- phase 2: whole-program analysis ---
 
 struct Analysis {
     std::vector<FileSummary> files;  ///< sorted by reported path
     std::vector<Finding> findings;   ///< per-TU + cross-TU, per-file line order
     int files_scanned = 0;
-    int cache_hits = 0;
-    int cache_misses = 0;
 };
 
 /// The declared architecture layer of a logical path (or of an #include
@@ -294,7 +267,7 @@ struct Analysis {
 void run_cross_tu_rules(const std::vector<FileSummary>& files,
                         const Options& options, std::vector<Finding>& findings);
 
-/// Full two-phase run: phase 1 (cached) over every source file under
+/// Full two-phase run: phase 1 over every source file under
 /// `roots`, then phase 2 over the merged summaries.  files_scanned is -1 if
 /// any root is missing.
 [[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots,

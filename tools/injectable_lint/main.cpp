@@ -2,8 +2,8 @@
 // per-TU determinism & spec-invariant rules plus whole-program layering /
 // lock-order / wire-exhaustiveness rules (see lint.hpp, DESIGN.md §8 §13).
 //
-//   injectable_lint [--jsonl FILE] [--cache DIR] [--graph-dot FILE]
-//                   [--suppressions] [--quiet] <path>...
+//   injectable_lint [--jsonl FILE] [--graph-dot FILE] [--suppressions]
+//                   [--quiet] <path>...
 //
 // exits 0 when the tree is clean (suppressed findings with audited reasons
 // are fine), 1 when any unsuppressed finding remains, 2 on usage/IO errors.
@@ -19,8 +19,8 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--jsonl FILE] [--cache DIR] [--graph-dot FILE]\n"
-                 "          [--suppressions] [--quiet] <path>...\n"
+                 "usage: %s [--jsonl FILE] [--graph-dot FILE] [--suppressions]\n"
+                 "          [--quiet] <path>...\n"
                  "  Scans *.cpp/*.hpp under each path (overlapping paths are\n"
                  "  deduplicated) for determinism and spec-invariant violations:\n"
                  "    D1  pointer-keyed unordered_map/unordered_set, and event\n"
@@ -39,8 +39,6 @@ void print_usage(const char* argv0) {
                  "  the line:  // injectable-lint: allow(D1) -- <reason>\n"
                  "  --jsonl FILE     also write findings as JSONL (suppressed\n"
                  "                   ones included, with their reasons)\n"
-                 "  --cache DIR      phase-1 summary cache keyed by content hash\n"
-                 "                   (warm runs skip re-lexing unchanged files)\n"
                  "  --graph-dot FILE write the include-layer graph as DOT\n"
                  "  --suppressions   print the audited allow() inventory as JSONL\n"
                  "                   (rule, file, line, reason) instead of findings\n"
@@ -57,7 +55,6 @@ int main(int argc, char** argv) {
     std::string graph_dot_path;
     bool quiet = false;
     bool suppressions_mode = false;
-    Options options;
     std::vector<std::string> roots;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -72,12 +69,6 @@ int main(int argc, char** argv) {
             const char* value = needs_value("--jsonl");
             if (value == nullptr) return 2;
             jsonl_path = value;
-            continue;
-        }
-        if (std::strcmp(arg, "--cache") == 0) {
-            const char* value = needs_value("--cache");
-            if (value == nullptr) return 2;
-            options.cache_dir = value;
             continue;
         }
         if (std::strcmp(arg, "--graph-dot") == 0) {
@@ -110,7 +101,7 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const Analysis analysis = analyze_paths(roots, options);
+    const Analysis analysis = analyze_paths(roots);
     if (analysis.files_scanned < 0) {
         std::fprintf(stderr, "%s: could not read one of the given paths\n", argv[0]);
         return 2;
@@ -147,11 +138,6 @@ int main(int argc, char** argv) {
                    stdout);
     } else {
         std::fputs(text.c_str(), stdout);
-    }
-    if (!options.cache_dir.empty() && !quiet) {
-        std::fprintf(stdout, "injectable_lint: summary cache: %d hit%s, %d miss%s\n",
-                     analysis.cache_hits, analysis.cache_hits == 1 ? "" : "s",
-                     analysis.cache_misses, analysis.cache_misses == 1 ? "" : "es");
     }
     return unsuppressed_count(analysis.findings) > 0 ? 1 : 0;
 }

@@ -3,10 +3,9 @@
 #
 #   1. injectable_lint (two-phase: per-TU rules D1-D4, E1, S1, C1 plus the
 #      whole-program rules L1 layering / C2 lock order / W1 wire-enum
-#      exhaustiveness) over src/ tools/ bench/ examples/, with the phase-1
-#      summary cache under the build dir so warm re-runs skip unchanged
-#      files.  Writes the same artifacts CI uploads: the findings JSONL,
-#      the include-layer DOT graph, and the audited allow() inventory.
+#      exhaustiveness) over src/ tools/ bench/ examples/.  Writes the same
+#      artifacts CI uploads: the findings JSONL, the include-layer DOT
+#      graph, and the audited allow() inventory.
 #   2. clang-tidy (profile in .clang-tidy) over the same trees, when a
 #      compile_commands.json and run-clang-tidy are available.
 #
@@ -24,7 +23,6 @@ fi
 
 status=0
 "$build_dir/tools/injectable_lint" \
-    --cache "$build_dir/lint-cache" \
     --jsonl "$build_dir/lint-findings.jsonl" \
     --graph-dot "$build_dir/lint-include-graph.dot" \
     src tools bench examples || status=$?
@@ -37,8 +35,7 @@ else
     echo "lint.sh: include-layer graph at $build_dir/lint-include-graph.dot (no upward edges)"
 fi
 
-"$build_dir/tools/injectable_lint" \
-    --cache "$build_dir/lint-cache" --suppressions \
+"$build_dir/tools/injectable_lint" --suppressions \
     src tools bench examples > "$build_dir/lint-suppressions.jsonl" || status=$?
 echo "lint.sh: audited suppression inventory at $build_dir/lint-suppressions.jsonl"
 
