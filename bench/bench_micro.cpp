@@ -13,8 +13,8 @@
 #include "link/channel_selection.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof/profiler.hpp"
 #include "obs/sinks.hpp"
+#include "obs/work_counters.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
 #include "phy/whitening.hpp"
@@ -199,94 +199,9 @@ void BM_PcapSinkFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_PcapSinkFrame);
 
-// ---------------------------------------------------------------------------
-// Profiler-span overhead (DESIGN.md §9): every instrumented site pays one
-// Span construction per event whether profiling is on or not, so the
-// no-profiler rung must stay near-free and the enabled rung bounds what
-// INJECTABLE_PROF=1 costs a campaign.  CI records these as BENCH_micro.json.
-
-void BM_ProfSpanNoProfiler(benchmark::State& state) {
-    // No Install in scope: the thread-local is null and the Span constructor
-    // short-circuits — the everyone-pays-it path.
-    for (auto _ : state) {
-        obs::prof::Span span("bench.noop");
-        benchmark::DoNotOptimize(&span);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfSpanNoProfiler);
-
-void BM_ProfSpanEnabled(benchmark::State& state) {
-    // The realistic hot path: cached SpanSite ids, Chrome buffering off —
-    // exactly what run_series installs under INJECTABLE_PROF=1 without a
-    // Chrome trace dir.
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    static thread_local obs::prof::SpanSite outer_site{"bench.outer"};
-    static thread_local obs::prof::SpanSite inner_site{"bench.inner"};
-    for (auto _ : state) {
-        obs::prof::Span outer(outer_site);
-        obs::prof::Span inner(inner_site);
-        benchmark::DoNotOptimize(&inner);
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_ProfSpanEnabled);
-
-void BM_ProfSpanNamed(benchmark::State& state) {
-    // Name-lookup slow path (a mutex-guarded global intern per Span) plus
-    // Chrome-event buffering; the delta over BM_ProfSpanEnabled is what a
-    // cached SpanSite saves.  Instrumented hot paths never use this form.
-    obs::prof::Profiler profiler;
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    for (auto _ : state) {
-        obs::prof::Span outer("bench.outer");
-        obs::prof::Span inner("bench.inner");
-        benchmark::DoNotOptimize(&inner);
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_ProfSpanNamed);
-
-void BM_ProfSpanWall(benchmark::State& state) {
-    obs::prof::ProfilerParams params;
-    params.wall_clock = true;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    for (auto _ : state) {
-        obs::prof::Span span("bench.wall");
-        benchmark::DoNotOptimize(&span);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfSpanWall);
-
-void BM_SchedulerChurnProfiled(benchmark::State& state) {
-    // BM_SchedulerChurn with a live profiler: the delta over the plain churn
-    // bench is the per-dispatch cost of sim.dispatch span + queue gauge.
-    obs::prof::Profiler profiler;
-    const obs::prof::Install install(&profiler);
-    for (auto _ : state) {
-        sim::Scheduler scheduler;
-        for (int i = 0; i < 1000; ++i) {
-            // injectable-lint: allow(D4) -- churn bench measures the discard path
-            (void)scheduler.schedule_at(i * 10, [] {});
-        }
-        scheduler.run_all();
-        benchmark::DoNotOptimize(scheduler.now());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerChurnProfiled);
-
 void BM_InjectionTrialBaseline(benchmark::State& state) {
-    // One full paper-style trial (connect + sniff + inject) with no profiler
-    // installed — the reference for the ≤5% span-overhead budget below.
+    // One full paper-style trial (connect + sniff + inject) with no work
+    // counters installed — the reference for the observed rungs below.
     injectable::world::ExperimentConfig config;
     config.name = "bench-micro-trial";
     config.max_attempts = 200;
@@ -325,19 +240,15 @@ void BM_CaptureOmniscientTrial(benchmark::State& state) {
 BENCHMARK(BM_CaptureOmniscientTrial);
 
 void BM_InjectionTrialProfiled(benchmark::State& state) {
-    // The identical trial with the INJECTABLE_PROF=1 profiler installed
-    // (cached span sites, Chrome buffering off).  The acceptance budget:
-    // this stays within 5% of BM_InjectionTrialBaseline, and both land in
-    // BENCH_micro.json so CI can diff the ratio across PRs.
+    // The identical trial with the INJECTABLE_PROF=1 work counters installed:
+    // the delta over BM_InjectionTrialBaseline is what counting costs a trial.
     injectable::world::ExperimentConfig config;
     config.name = "bench-micro-trial";
     config.max_attempts = 200;
     std::uint64_t seed = 7000;
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
     for (auto _ : state) {
-        obs::prof::Profiler profiler(params);
-        const obs::prof::Install install(&profiler);
+        obs::work::Counters counts;
+        const obs::work::Install install(&counts);
         const auto result = injectable::world::run_injection_experiment(config, seed++);
         benchmark::DoNotOptimize(result.attempts);
     }
@@ -345,26 +256,6 @@ void BM_InjectionTrialProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectionTrialProfiled);
 
-
-void BM_InjectionTrialProfiledReused(benchmark::State& state) {
-    // Same trial with one long-lived profiler across iterations: the delta
-    // against BM_InjectionTrialProfiled is the per-trial construction +
-    // first-use cost, and against the baseline the pure marginal span cost.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-micro-trial";
-    config.max_attempts = 200;
-    std::uint64_t seed = 7000;
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InjectionTrialProfiledReused);
 
 // ---------------------------------------------------------------------------
 // Crowded-spectrum engine (DESIGN.md §10).  BM_DenseWorldTransmit pumps the

@@ -1,13 +1,12 @@
 #include "link/channel_selection.hpp"
 
 #include "link/spec.hpp"
-#include "obs/prof/profiler.hpp"
+#include "obs/work_counters.hpp"
 
 namespace ble::link {
 
 std::uint8_t Csa1::channel_for_event(std::uint16_t /*event_counter*/) {
-    static thread_local obs::prof::SpanSite prof_site{"link.csa1.hop"};
-    obs::prof::Span prof_span(prof_site);
+    obs::work::count(obs::work::Site::kCsa1Hop);
     last_unmapped_ = static_cast<std::uint8_t>((last_unmapped_ + hop_) % kNumDataChannels);
     if (map_.is_used(last_unmapped_)) return last_unmapped_;
     const auto used = map_.used_channels();
@@ -50,8 +49,7 @@ std::uint16_t Csa2::prn_e(std::uint16_t event_counter) const noexcept {
 }
 
 std::uint8_t Csa2::channel_for_event(std::uint16_t event_counter) {
-    static thread_local obs::prof::SpanSite prof_site{"link.csa2.hop"};
-    obs::prof::Span prof_span(prof_site);
+    obs::work::count(obs::work::Site::kCsa2Hop);
     const std::uint16_t prn = prn_e(event_counter);
     const auto unmapped = static_cast<std::uint8_t>(prn % kNumDataChannels);
     if (map_.is_used(unmapped)) return unmapped;

@@ -34,4 +34,15 @@ constexpr std::size_t kMaxAdvPayloadBytes = 37;
 static_assert(kMaxAdvPayloadBytes == kDeviceAddressBytes + kMaxAdvDataBytes,
               "Vol 6 Part B 2.3.1: AdvA(6) + AdvData(<=31) = 37 octets");
 
+/// Largest data-channel PDU payload (Vol 6 Part B §2.4), MIC excluded.
+constexpr std::size_t kMaxDataPayloadBytes = 251;
+/// connInterval = Hop Interval x 1.25 ms, from 7.5 ms to 4.0 s
+/// (Vol 6 Part B §4.5.1).
+constexpr std::uint16_t kMinHopInterval = 6;
+constexpr std::uint16_t kMaxHopInterval = 3200;
+
+static_assert(kMaxDataPayloadBytes == 251, "Vol 6 Part B 2.4: payload <= 251 octets");
+static_assert(kMinHopInterval * 125 == 750 && kMaxHopInterval * 125 == 400'000,
+              "Vol 6 Part B 4.5.1: connInterval 7.5 ms .. 4.0 s in 1.25 ms units");
+
 }  // namespace ble::link

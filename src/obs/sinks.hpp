@@ -86,7 +86,6 @@ public:
     };
 
     void on_event(const Event& event) override;
-    [[nodiscard]] std::string_view prof_name() const noexcept override { return "obs.sink.counter"; }
     [[nodiscard]] Snapshot snapshot() const noexcept;
     void reset() noexcept;
 
@@ -105,7 +104,6 @@ public:
     explicit JsonlTraceSink(FrameDescriber describe = {}) : describe_(std::move(describe)) {}
 
     void on_event(const Event& event) override { lines_.push_back(to_jsonl(event, describe_)); }
-    [[nodiscard]] std::string_view prof_name() const noexcept override { return "obs.sink.jsonl"; }
 
     /// Optional metadata line written before the event lines (the replay tool
     /// stores the trial's reconstructed config here).  Not part of lines().

@@ -49,9 +49,6 @@ struct OccupancyReport {
 class ChannelOccupancySink : public EventSink {
 public:
     void on_event(const Event& event) override;
-    [[nodiscard]] std::string_view prof_name() const noexcept override {
-        return "obs.sink.timeline";
-    }
 
     [[nodiscard]] const OccupancyReport& report() const noexcept { return report_; }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "obs/prof/profiler.hpp"
+#include "obs/work_counters.hpp"
 #include "sim/radio_device.hpp"
 
 namespace ble::sim {
@@ -105,9 +105,6 @@ double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) 
 }
 
 std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFrame frame) {
-    static thread_local obs::prof::SpanSite prof_site{"medium.transmit"};
-    obs::prof::Span prof_span(prof_site);
-    prof_span.add_sim(frame.duration());  // claim the frame's airtime
     // Half-duplex: transmitting suspends any reception in progress.
     stop_listening(device);
     device.transmitting_ = true;
@@ -164,8 +161,7 @@ void RadioMedium::flush_rx_batch() {
 }
 
 void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
-    static thread_local obs::prof::SpanSite prof_site{"medium.deliver"};
-    obs::prof::Span prof_span(prof_site);
+    obs::work::count(obs::work::Site::kMediumDeliver);
     const double signal_dbm = rx_power_dbm(tx, receiver);
     const double noise_mw = dbm_to_mw(params_.noise_floor_dbm);
 

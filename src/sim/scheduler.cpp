@@ -1,6 +1,6 @@
 #include "sim/scheduler.hpp"
 
-#include "obs/prof/profiler.hpp"
+#include "obs/work_counters.hpp"
 
 namespace ble::sim {
 
@@ -151,19 +151,9 @@ void Scheduler::fire(Bucket& bucket) {
         EventNode* node;
         ~Release() { scheduler.release(node); }
     } release_after{*this, node};
-    const TimePoint prev = now_;
     now_ = node->key.t;
     cursor_ = window_of(now_);
-    // Profiled dispatch: the "sim.dispatch" span opens at the pre-dispatch
-    // clock and closes at the event's firing time, so its sim-time duration
-    // is exactly the simulated jump the event caused; queue depth is sampled
-    // as a prof gauge.  All of it compiles down to a thread-local null test
-    // when no profiler is installed.
-    obs::prof::set_sim_now(now_);
-    static thread_local obs::prof::SpanSite dispatch_site{"sim.dispatch"};
-    static thread_local obs::prof::GaugeSite depth_site{"sim.sched.queue_depth"};
-    obs::prof::Span span(dispatch_site, prev);
-    obs::prof::sample_gauge(depth_site, static_cast<std::int64_t>(pending_));
+    obs::work::count_dispatch(pending_);
     node->ops->invoke(node->storage);
 }
 

@@ -9,9 +9,9 @@
 #include "link/trace.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/timeline.hpp"
+#include "obs/work_counters.hpp"
 #include "world/replay.hpp"
 
 namespace injectable::world {
@@ -161,7 +161,8 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
     const int runs = std::max(config.runs, 0);
 
     const bool want_metrics = ch.metrics || static_cast<bool>(config.on_series_metrics);
-    const bool want_prof = config.profile_spans || ch.profile;
+    // The work counters' only destination is the merged metrics snapshot.
+    const bool want_counts = ch.profile && want_metrics;
 
     // Per-trial metric snapshots, stored by index like the results: merging
     // them in trial-index order afterwards is deterministic for any worker
@@ -223,18 +224,12 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             trial_config = &instrumented_config;
         }
 
-        std::unique_ptr<obs::prof::Profiler> profiler;
-        if (want_prof) {
-            obs::prof::ProfilerParams params;
-            params.wall_clock = ch.profile_wall;
-            params.chrome_trace = ch.timelines;
-            profiler = std::make_unique<obs::prof::Profiler>(params);
-        }
+        obs::work::Counters counts;
         RunResult result;
         {
             // Install covers the whole trial (all setup retries) on this
-            // worker thread; a null profiler makes every span a no-op.
-            const obs::prof::Install install(profiler.get());
+            // worker thread; a null table counts nothing.
+            const obs::work::Install install(want_counts ? &counts : nullptr);
             result = run_injection_experiment_with_retry(*trial_config, base_seed, kSetupRetries);
         }
         if (ch.wall_clock) {
@@ -245,7 +240,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         }
         if (metrics) {
             metrics->finalize();
-            if (profiler) profiler->export_metrics(*registry);
+            if (want_counts) counts.export_metrics(*registry);
             metric_snapshots[static_cast<std::size_t>(i)] = registry->snapshot();
         }
         const std::string stem = sanitize_experiment_name(config.name) + "-seed" +
@@ -267,14 +262,6 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         }
         if (capture) {
             emit_artifact(ArtifactKind::kPcapCapture, capture->pcap_bytes());
-        }
-        if (profiler != nullptr && ch.timelines) {
-            emit_artifact(ArtifactKind::kProfTimeline, profiler->chrome_trace_json());
-        }
-        if (profiler != nullptr && ch.profile_wall) {
-            const std::string summary = profiler->wall_summary();
-            std::fprintf(stderr, "[injectable] %s seed %llu %s", stem.c_str(),
-                         static_cast<unsigned long long>(result.seed), summary.c_str());
         }
         return result;
     });

@@ -42,15 +42,6 @@ struct ExperimentConfig {
     /// concurrency (results are index-ordered, identical for any value).
     int jobs = 0;
 
-    /// Enables the deterministic self-profiler (src/obs/prof) per trial:
-    /// prof.* sim-time span metrics join the merged series snapshot (and thus
-    /// INJECTABLE_JSON / INJECTABLE_METRICS), and nested span timelines land
-    /// next to the Chrome traces under INJECTABLE_CHROME_TRACE_DIR.
-    /// INJECTABLE_PROF=1 turns this on from the environment;
-    /// INJECTABLE_PROF_WALL=1 additionally prints per-trial wall-clock span
-    /// tables to stderr (non-deterministic, never recorded).
-    bool profile_spans = false;
-
     /// The testbed (geometry, clocks, RF, traffic, counter-measures).
     WorldSpec world{};
 
@@ -137,7 +128,7 @@ struct Stats {
 
 /// Runs the config.runs trials of one series through an explicit
 /// ResultSink; trial i uses seed base_seed + i.  The sink's channels gate
-/// what each trial produces (traces, timelines, metrics, profiler spans,
+/// what each trial produces (traces, timelines, metrics, work counters,
 /// wall-clock timing); artifacts, the series record (always with
 /// SeriesSlice{0, config.runs}) and progress heartbeats are delivered
 /// through the sink.  Reads no environment variables.

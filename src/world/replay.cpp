@@ -10,6 +10,7 @@
 
 #include "common/hex.hpp"
 #include "common/json.hpp"
+#include "link/spec.hpp"
 #include "link/trace.hpp"
 #include "obs/sinks.hpp"
 
@@ -367,8 +368,16 @@ TraceMeta parse_trace_meta(const std::string& line) {
     config.jobs = 1;
     config.base_seed = meta.seed;
     config.max_attempts = static_cast<int>(r.integer("max_attempts", config.max_attempts));
-    config.ll_payload_size =
-        static_cast<std::size_t>(r.u64("ll_payload_size", config.ll_payload_size));
+    // The header is outside input: a payload size or hop interval outside
+    // what the Core Spec allows would make the replay allocate without bound
+    // or never advance the clock, so reject it here.
+    const std::uint64_t payload_size = r.u64("ll_payload_size", config.ll_payload_size);
+    if (payload_size > ble::link::kMaxDataPayloadBytes) {
+        meta.error = "ll_payload_size " + std::to_string(payload_size) + " above " +
+                     std::to_string(ble::link::kMaxDataPayloadBytes);
+        return meta;
+    }
+    config.ll_payload_size = static_cast<std::size_t>(payload_size);
     config.llid = static_cast<ble::link::Llid>(r.integer("llid", static_cast<int>(config.llid)));
     const std::string payload_hex = r.str("payload_hex");
     if (!payload_hex.empty()) {
@@ -381,7 +390,14 @@ TraceMeta parse_trace_meta(const std::string& line) {
     }
 
     WorldSpec& w = config.world;
-    w.hop_interval = static_cast<std::uint16_t>(r.integer("hop_interval", w.hop_interval));
+    const long long hop_interval = r.integer("hop_interval", w.hop_interval);
+    if (hop_interval < ble::link::kMinHopInterval || hop_interval > ble::link::kMaxHopInterval) {
+        meta.error = "hop_interval " + std::to_string(hop_interval) + " outside " +
+                     std::to_string(ble::link::kMinHopInterval) + ".." +
+                     std::to_string(ble::link::kMaxHopInterval);
+        return meta;
+    }
+    w.hop_interval = static_cast<std::uint16_t>(hop_interval);
     w.supervision_timeout =
         static_cast<std::uint16_t>(r.integer("supervision_timeout", w.supervision_timeout));
     w.use_csa2 = r.boolean("use_csa2", w.use_csa2);

@@ -25,7 +25,6 @@ ResultChannels channels_for(const SinkPaths& paths) {
     ch.trace_all = paths.trace_all;
     ch.timelines = !paths.chrome_dir.empty();
     ch.profile = paths.profile;
-    ch.profile_wall = paths.profile_wall;
     ch.progress = paths.progress;
     ch.captures = !paths.pcap_dir.empty();
     ch.wall_clock = paths.wall_clock;
@@ -52,12 +51,6 @@ void PathsResultSink::on_artifact(const TrialArtifact& artifact) {
             if (paths_.chrome_dir.empty()) return;
             ble::obs::write_text_file(paths_.chrome_dir + "/" + artifact.stem + ".trace.json",
                                       artifact.content);
-            return;
-        }
-        case ArtifactKind::kProfTimeline: {
-            if (paths_.chrome_dir.empty()) return;
-            ble::obs::write_text_file(
-                paths_.chrome_dir + "/" + artifact.stem + ".prof.trace.json", artifact.content);
             return;
         }
         case ArtifactKind::kPcapCapture: {
@@ -113,7 +106,6 @@ SinkPaths sink_paths_from_env() {
     if (const char* env = std::getenv("INJECTABLE_PCAP_DIR")) paths.pcap_dir = env;
     paths.metrics_print = std::getenv("INJECTABLE_METRICS") != nullptr;
     paths.profile = std::getenv("INJECTABLE_PROF") != nullptr;
-    paths.profile_wall = std::getenv("INJECTABLE_PROF_WALL") != nullptr;
     paths.progress = env_progress_enabled();
     return paths;
 }

@@ -10,7 +10,7 @@
 //  * ResultChannels — which outputs a run should produce at all (production
 //    gating lives with the owner, not with getenv probes);
 //  * TrialArtifact  — one per-trial by-product (JSONL event trace, Chrome
-//    occupancy timeline, profiler span timeline) as bytes + identity;
+//    occupancy timeline, PCAP capture) as bytes + identity;
 //  * ResultSink     — the consumer interface: artifacts, the per-series
 //    record (trial results + merged metrics), progress heartbeats.
 //
@@ -45,9 +45,9 @@ struct ResultChannels {
     bool metrics = false;        ///< collect + merge per-trial MetricsSnapshots
     bool traces = false;         ///< per-trial JSONL event traces
     bool trace_all = false;      ///< keep successful-trial traces too
-    bool timelines = false;      ///< Chrome occupancy (+ profiler) timelines
-    bool profile = false;        ///< deterministic self-profiler spans
-    bool profile_wall = false;   ///< wall-clock span tables (stderr only)
+    bool timelines = false;      ///< Chrome occupancy timelines
+    bool profile = false;        ///< work counters (src/obs/work_counters.hpp) in
+                                 ///< the metrics snapshot; needs metrics
     bool progress = false;       ///< per-trial heartbeats via on_progress()
     bool captures = false;       ///< per-trial omniscient PCAP link captures
     /// Record host wall-clock cost in RunResult::wall_ms.  Off makes every
@@ -58,7 +58,8 @@ struct ResultChannels {
 enum class ArtifactKind : std::uint8_t {
     kEventTrace = 0,      ///< replayable JSONL (meta header + event lines)
     kChromeTimeline = 1,  ///< channel-occupancy Chrome trace-event JSON
-    kProfTimeline = 2,    ///< profiler span Chrome trace-event JSON
+    // perfbench hashes these values, so they are never renumbered (2 is
+    // retired).
     kPcapCapture = 3,     ///< omniscient link-layer PCAP (DESIGN.md §14)
 };
 
@@ -118,7 +119,7 @@ public:
 private:
     // Every channel off, wall clock included: results are a pure function
     // of (config, seed).
-    ResultChannels channels_{false, false, false, false, false, false,
+    ResultChannels channels_{false, false, false, false, false,
                              false, false, /*captures=*/false, /*wall_clock=*/false};
 };
 
@@ -130,12 +131,11 @@ struct SinkPaths {
     std::string trace_dir;   ///< seed-keyed replayable JSONL traces
     bool trace_all = false;  ///< keep successful-trial traces too
     bool trace_gzip = false; ///< gzip traces on write (when zlib is in)
-    std::string chrome_dir;  ///< Chrome occupancy + profiler timelines
+    std::string chrome_dir;  ///< Chrome occupancy timelines
     std::string pcap_dir;    ///< seed-keyed omniscient .pcap captures
     bool metrics_print = false;  ///< print the merged metrics summary
     bool metrics = false;        ///< collect metrics even without json/print
-    bool profile = false;        ///< enable the self-profiler
-    bool profile_wall = false;   ///< wall-clock span tables on stderr
+    bool profile = false;        ///< work counters in the metrics snapshot
     bool progress = false;       ///< ETA heartbeats on stderr
     bool wall_clock = true;      ///< record RunResult::wall_ms
 };
@@ -169,7 +169,7 @@ private:
 
 /// Reads the classic INJECTABLE_JSON / _TRACE_DIR / _TRACE_ALL /
 /// _TRACE_COMPRESS / _CHROME_TRACE_DIR / _PCAP_DIR / _METRICS / _PROF /
-/// _PROF_WALL / _PROGRESS variables into a SinkPaths.
+/// _PROGRESS variables into a SinkPaths.
 [[nodiscard]] SinkPaths sink_paths_from_env();
 
 /// INJECTABLE_RUNS override for the per-series run count (`runs` unchanged

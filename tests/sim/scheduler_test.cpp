@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/work_counters.hpp"
 #include "sim/scheduler.hpp"
 
 namespace ble::sim {
@@ -140,6 +141,30 @@ TEST(SchedulerTest, PendingCountsOnlyLiveEvents) {
     EXPECT_EQ(s.pending(), 2u);
     s.cancel(a);
     EXPECT_EQ(s.pending(), 1u);
+}
+
+TEST(SchedulerTest, WorkCountersSeeEveryDispatchAndTheQueueLeft) {
+    obs::work::Counters counts;
+    {
+        const obs::work::Install install(&counts);
+        Scheduler s;
+        const EventId cancelled = s.schedule_at(1, [] {});
+        (void)s.schedule_at(2, [] {});
+        (void)s.schedule_at(3, [] {});
+        (void)s.schedule_at(4, [] {});
+        s.cancel(cancelled);
+        s.run_all();
+    }
+    obs::MetricsRegistry registry;
+    counts.export_metrics(registry);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters.at("prof.span.sim.dispatch.count"), 3u);
+    // Sampled as each event fires, after it left the queue: 2, 1, 0.
+    const obs::GaugeSnapshot depth = snap.gauges.at("prof.gauge.sim.sched.queue_depth");
+    EXPECT_EQ(depth.samples, 3u);
+    EXPECT_EQ(depth.max, 2);
+    EXPECT_EQ(depth.min, 0);
+    EXPECT_EQ(depth.last, 0);
 }
 
 // --- calendar-queue storage and window semantics (DESIGN.md §10) ---

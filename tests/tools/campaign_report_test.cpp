@@ -37,6 +37,7 @@ protected:
         std::filesystem::create_directories(traces_dir_);
         ASSERT_EQ(setenv("INJECTABLE_TRACE_DIR", traces_dir_.c_str(), 1), 0);
         ASSERT_EQ(setenv("INJECTABLE_TRACE_ALL", "1", 1), 0);
+        ASSERT_EQ(setenv("INJECTABLE_PROF", "1", 1), 0);
 
         std::ofstream json(json_path_, std::ios::binary);
         for (const int hop : {25, 50}) {
@@ -46,7 +47,6 @@ protected:
             config.max_attempts = 60;
             config.base_seed = 3000 + static_cast<std::uint64_t>(hop);
             config.jobs = 1;
-            config.profile_spans = true;
             config.world.hop_interval = static_cast<std::uint16_t>(hop);
             ble::obs::MetricsSnapshot merged;
             config.on_series_metrics = [&merged](const ble::obs::MetricsSnapshot& snapshot) {
@@ -60,6 +60,7 @@ protected:
     void TearDown() override {
         unsetenv("INJECTABLE_TRACE_DIR");
         unsetenv("INJECTABLE_TRACE_ALL");
+        unsetenv("INJECTABLE_PROF");
     }
 
     std::string dir_;
@@ -89,7 +90,8 @@ TEST_F(CampaignFixture, ReportIsDeterministicAndComplete) {
         << "report must be byte-deterministic";
     for (const char* needle :
          {"# Campaign report", "## Series", "report-test-hop25", "report-test-hop50",
-          "## Outcome counters", "events_total", "## Event-count drift", "| 2/2 |"}) {
+          "## Outcome counters", "events_total", "| prof.span.sim.dispatch.count |",
+          "## Event-count drift", "| 2/2 |"}) {
         EXPECT_NE(md.find(needle), std::string::npos) << "missing: " << needle;
     }
     EXPECT_EQ(md.find("wall"), std::string::npos)
@@ -135,89 +137,32 @@ TEST(CampaignReport, EmptyAndUnparsableInputsFailCheck) {
     EXPECT_FALSE(check_campaign(bad, {}).ok);
 }
 
-TEST(CampaignReport, FlameTreeRebuildsNestedStacks) {
-    CampaignData campaign;
-    SeriesRecord series;
-    series.counters["prof.stack.a.count"] = 10;
-    series.counters["prof.stack.a.sim_us"] = 100;
-    series.counters["prof.stack.a;b.count"] = 4;
-    series.counters["prof.stack.a;b;c.count"] = 1;
-    series.counters["prof.stack.d.count"] = 2;
-    campaign.series.push_back(series);
-    campaign.series.push_back(series);  // aggregation doubles everything
-
-    const FlameNode flame = build_flame(campaign);
-    ASSERT_EQ(flame.children.size(), 2u);
-    const FlameNode& a = flame.children.at("a");
-    EXPECT_EQ(a.count, 20u);
-    EXPECT_EQ(a.sim_us, 200u);
-    EXPECT_EQ(a.children.at("b").count, 8u);
-    EXPECT_EQ(a.children.at("b").children.at("c").count, 2u);
-    EXPECT_EQ(a.total_count(), 30u);
-    EXPECT_EQ(flame.total_count(), 34u);
-}
-
-TEST(CampaignReport, BudgetFileParsesAndRejectsMalformedEntries) {
+TEST(CampaignReport, OutOfRangeHistogramBucketFailsCheck) {
     char tmpl[] = "/tmp/campaign_report_test.XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
+    const std::string path = std::string(tmpl) + "/doctored.jsonl";
+    // bit_width indices run 0..64; 70 would be an over-wide shift when the
+    // bucket's value range is rendered.
+    std::ofstream(path, std::ios::binary)
+        << R"({"experiment":"doctored","trials":[{"seed":1,"success":true,"attempts":2}],)"
+        << R"("metrics":{"histograms":{"h":{"n":1,"sum":9,"min":9,"max":9,)"
+        << R"("buckets":[[70,1]]}}}})" << "\n";
+    const CampaignData campaign = load_campaign({path});
+    ASSERT_EQ(campaign.errors.size(), 1u);
+    EXPECT_NE(campaign.errors[0].find("bucket index 70"), std::string::npos)
+        << campaign.errors[0];
+    EXPECT_FALSE(check_campaign(campaign, {}).ok);
+    EXPECT_EQ(render_markdown(campaign, {}, false).find("18446744073709551615"),
+              std::string::npos);
 
-    const std::string good = dir + "/budgets.json";
-    std::ofstream(good, std::ios::binary)
-        << R"({"e":"campaign-budgets","budgets":[)"
-        << R"({"span":"sim.dispatch","max_share":0.9},)"
-        << R"({"span":"medium.transmit","max_share":0.5}]})" << "\n";
-    std::vector<std::string> errors;
-    const std::vector<SpanBudget> budgets = load_budgets(good, errors);
-    EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-    ASSERT_EQ(budgets.size(), 2u);
-    EXPECT_EQ(budgets[0].span, "sim.dispatch");
-    EXPECT_DOUBLE_EQ(budgets[1].max_share, 0.5);
-
-    // Missing file, wrong envelope tag, out-of-range share: all loud.
-    errors.clear();
-    EXPECT_TRUE(load_budgets(dir + "/absent.json", errors).empty());
-    EXPECT_FALSE(errors.empty());
-
-    const std::string bad = dir + "/bad.json";
-    std::ofstream(bad, std::ios::binary)
-        << R"({"e":"campaign-budgets","budgets":[{"span":"x","max_share":1.5}]})" << "\n";
-    errors.clear();
-    EXPECT_TRUE(load_budgets(bad, errors).empty());
-    EXPECT_FALSE(errors.empty());
-}
-
-TEST(CampaignReport, SpanBudgetGateFailsOnRegressionStaleSpanAndMissingProfile) {
-    CampaignData campaign;
-    SeriesRecord series;
-    // Root span "a" covers all profiled time; nested "a;b" takes 40% of it.
-    series.counters["prof.stack.a.count"] = 10;
-    series.counters["prof.stack.a.sim_us"] = 600;
-    series.counters["prof.stack.a;b.count"] = 4;
-    series.counters["prof.stack.a;b.sim_us"] = 400;
-    series.counters["prof.span.a.count"] = 10;
-    series.counters["prof.span.a.sim_us"] = 1000;  // inclusive
-    series.counters["prof.span.b.count"] = 4;
-    series.counters["prof.span.b.sim_us"] = 400;
-    campaign.series.push_back(series);
-
-    EXPECT_TRUE(check_span_budgets(campaign, {{"b", 0.5}}).ok);
-
-    const CheckResult regressed = check_span_budgets(campaign, {{"b", 0.25}});
-    ASSERT_FALSE(regressed.ok);
-    EXPECT_NE(regressed.problems[0].find("'b'"), std::string::npos);
-    EXPECT_NE(regressed.problems[0].find("exceeds budget"), std::string::npos);
-
-    const CheckResult stale = check_span_budgets(campaign, {{"vanished", 0.5}});
-    ASSERT_FALSE(stale.ok);
-    EXPECT_NE(stale.problems[0].find("stale"), std::string::npos);
-
-    const CheckResult unprofiled = check_span_budgets(CampaignData{}, {{"b", 0.5}});
-    ASSERT_FALSE(unprofiled.ok);
-    EXPECT_NE(unprofiled.problems[0].find("no profiler data"), std::string::npos);
-
-    // No budgets at all: nothing to gate on, trivially ok.
-    EXPECT_TRUE(check_span_budgets(campaign, {}).ok);
+    // The top index MetricsSnapshot can write still loads.
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << R"({"experiment":"edge","trials":[{"seed":1,"success":true,"attempts":2}],)"
+        << R"("metrics":{"histograms":{"h":{"n":1,"sum":1,"min":1,"max":1,)"
+        << R"("buckets":[[64,1]]}}}})" << "\n";
+    const CampaignData edge = load_campaign({path});
+    EXPECT_TRUE(edge.errors.empty()) << (edge.errors.empty() ? "" : edge.errors[0]);
+    EXPECT_TRUE(check_campaign(edge, {}).ok);
 }
 
 namespace {

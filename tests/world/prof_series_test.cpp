@@ -1,62 +1,70 @@
-// The profiler half of the determinism contract: with profile_spans enabled,
-// run_series exports every prof.* series into the merged snapshot, and —
-// because span data is attributed purely on the sim clock and merged in
-// trial-index order — the result is bit-identical for any worker count.
+// The work-counter half of the determinism contract: with the profile
+// channel on, run_series exports the five prof.span.*.count work counters
+// and the queue-depth gauge into the merged snapshot, and — because counts
+// are a pure function of (config, seed), merged in trial-index order — the
+// result is bit-identical for any worker count.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "world/experiment.hpp"
 
 namespace injectable::world {
 namespace {
 
-std::string profiled_series_json(int jobs) {
+ble::obs::MetricsSnapshot series_metrics(int jobs, bool profile, int runs = 4) {
     ExperimentConfig config;
     config.name = "prof-series-test";
-    config.runs = 4;
+    config.runs = runs;
     config.max_attempts = 60;
     config.base_seed = 917;
     config.jobs = jobs;
-    config.profile_spans = true;
-    std::string json;
-    config.on_series_metrics = [&json](const ble::obs::MetricsSnapshot& snapshot) {
-        json = snapshot.to_json();
+    ble::obs::MetricsSnapshot merged;
+    config.on_series_metrics = [&merged](const ble::obs::MetricsSnapshot& snapshot) {
+        merged = snapshot;
     };
-    (void)run_series(config);
-    return json;
+    SinkPaths paths;
+    paths.profile = profile;
+    paths.wall_clock = false;
+    PathsResultSink sink(paths);
+    (void)run_series(config, sink);
+    return merged;
 }
 
 TEST(ProfSeriesTest, SerialAndEightWorkerSnapshotsAreBitIdentical) {
-    const std::string serial = profiled_series_json(1);
-    const std::string parallel = profiled_series_json(8);
-    ASSERT_FALSE(serial.empty());
+    const std::string serial = series_metrics(1, true).to_json();
+    const std::string parallel = series_metrics(8, true).to_json();
+    ASSERT_NE(serial.find("prof."), std::string::npos);
     EXPECT_EQ(serial, parallel);
 }
 
 TEST(ProfSeriesTest, SnapshotCarriesTheInstrumentedSubsystems) {
-    const std::string json = profiled_series_json(2);
-    for (const char* name :
-         {"prof.span.sim.dispatch.count", "prof.span.medium.transmit.sim_us",
-          "prof.span.medium.deliver.count", "prof.span.link.conn.process_frame.count",
-          "prof.span.link.csa1.hop.count", "prof.span.obs.sink.metrics.count",
-          "prof.stack.sim.dispatch.count", "prof.gauge.sim.sched.queue_depth"}) {
-        EXPECT_NE(json.find(name), std::string::npos) << "missing metric " << name;
+    const ble::obs::MetricsSnapshot snap = series_metrics(2, true);
+    // The baseline world hops with CSA#1, so CSA#2 has no count; nothing
+    // else carries a prof. name.
+    std::vector<std::string> prof_names;
+    for (const auto& [name, value] : snap.counters) {
+        if (name.rfind("prof.", 0) == 0) prof_names.push_back(name);
     }
+    for (const auto& [name, gauge] : snap.gauges) {
+        if (name.rfind("prof.", 0) == 0) prof_names.push_back(name);
+    }
+    for (const auto& [name, hist] : snap.histograms) {
+        if (name.rfind("prof.", 0) == 0) prof_names.push_back(name);
+    }
+    const std::vector<std::string> expected = {
+        "prof.span.link.conn.process_frame.count", "prof.span.link.csa1.hop.count",
+        "prof.span.medium.deliver.count", "prof.span.sim.dispatch.count",
+        "prof.gauge.sim.sched.queue_depth"};
+    EXPECT_EQ(prof_names, expected);
+    // One queue-depth sample per dispatch.
+    EXPECT_EQ(snap.gauges.at("prof.gauge.sim.sched.queue_depth").samples,
+              snap.counters.at("prof.span.sim.dispatch.count"));
 }
 
 TEST(ProfSeriesTest, ProfilingOffLeavesMetricsUntouched) {
-    ExperimentConfig config;
-    config.name = "prof-series-off";
-    config.runs = 2;
-    config.max_attempts = 60;
-    config.base_seed = 918;
-    config.jobs = 1;
-    std::string json;
-    config.on_series_metrics = [&json](const ble::obs::MetricsSnapshot& snapshot) {
-        json = snapshot.to_json();
-    };
-    (void)run_series(config);
+    const std::string json = series_metrics(1, false, 2).to_json();
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.find("prof."), std::string::npos)
         << "prof.* series must only exist when profiling was requested";

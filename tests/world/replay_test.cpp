@@ -130,6 +130,42 @@ TEST(TraceMetaTest, RejectsNonMetaOrWrongVersion) {
     EXPECT_NE(meta.error.find("version"), std::string::npos);
 }
 
+TEST(TraceMetaTest, RejectsValuesOutsideTheCoreSpec) {
+    // A header is outside input: hop_interval 0 would never advance the
+    // replay's clock, and a huge payload size would allocate without bound.
+    const std::string good = experiment_meta_json(small_config(), 515, 3);
+    ASSERT_TRUE(parse_trace_meta(good).valid);
+    auto doctored = [&good](const std::string& field, const std::string& value) {
+        const std::string key = "\"" + field + "\":";
+        const std::size_t at = good.find(key);
+        EXPECT_NE(at, std::string::npos) << field;
+        const std::size_t end = good.find(',', at);
+        return good.substr(0, at + key.size()) + value + good.substr(end);
+    };
+    for (const char* hop : {"0", "5", "3201", "70000", "-36"}) {
+        const std::string line = doctored("hop_interval", hop);
+        const TraceMeta meta = parse_trace_meta(line);
+        EXPECT_FALSE(meta.valid) << hop;
+        EXPECT_NE(meta.error.find("hop_interval"), std::string::npos) << meta.error;
+        EXPECT_FALSE(replay_trace_lines({line, "{\"e\":\"tx\"}"}).loaded) << hop;
+    }
+    for (const char* size : {"252", "1000000000000", "-1"}) {
+        const TraceMeta meta = parse_trace_meta(doctored("ll_payload_size", size));
+        EXPECT_FALSE(meta.valid) << size;
+        EXPECT_NE(meta.error.find("ll_payload_size"), std::string::npos) << meta.error;
+    }
+    EXPECT_TRUE(parse_trace_meta(doctored("hop_interval", "6")).valid);
+    EXPECT_TRUE(parse_trace_meta(doctored("hop_interval", "3200")).valid);
+    EXPECT_TRUE(parse_trace_meta(doctored("ll_payload_size", "251")).valid);
+
+    // --from-json embeds the same header and goes through the same parser.
+    const SeriesReplay series = replay_series_line(
+        "{\"experiment\":\"doctored\",\"meta\":" + doctored("hop_interval", "0") +
+        ",\"trials\":[{\"seed\":515}]}");
+    EXPECT_FALSE(series.loaded);
+    EXPECT_NE(series.error.find("hop_interval"), std::string::npos) << series.error;
+}
+
 TEST(ReplayTest, UnmodifiedTraceReplaysWithZeroDivergences) {
     const std::vector<std::string> lines = record_trace("unmodified");
     ASSERT_GT(lines.size(), 2u);

@@ -2,20 +2,17 @@
 // optionally, its trace directory) into one self-contained report.
 //
 //   campaign_report [--traces DIR] [--md FILE] [--html FILE] [--check]
-//                   [--budgets FILE] <results.jsonl[.gz]>...
+//                   <results.jsonl[.gz]>...
 //   campaign_report --diff <A.jsonl[.gz]> <B.jsonl[.gz]> [--md FILE]
 //
 //   --traces DIR     also check recorded-vs-expected event counts against
 //                    the per-trial traces under DIR (INJECTABLE_TRACE_DIR)
 //   --md FILE        write the markdown report to FILE (default: stdout
 //                    when neither --md nor --html is given)
-//   --html FILE      write the self-contained HTML report (flamegraph as
-//                    nested proportional divs) to FILE
+//   --html FILE      write the self-contained HTML report to FILE
 //   --check          gate mode: exit 1 when the campaign is empty, any
 //                    input line is unparsable, or any complete trace set
 //                    disagrees with its series' events_total counter
-//   --budgets F      with --check: also gate prof.span.* sim-time shares
-//                    against the budget file (bench/campaign_budgets.json)
 //   --diff A B       differential mode: per-series outcome deltas (success
 //                    rate, attempt percentiles) between two campaigns
 //
@@ -33,11 +30,11 @@ namespace {
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--traces DIR] [--md FILE] [--html FILE]\n"
-                 "       %*s [--check] [--budgets FILE] <results.jsonl[.gz]>...\n"
+                 "       %*s [--check] <results.jsonl[.gz]>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
-                 "  per-series tables, counters, log2 histograms, the profiler\n"
-                 "  flamegraph and (with --traces) event-count drift.\n",
+                 "  per-series tables, counters, log2 histograms and (with\n"
+                 "  --traces) event-count drift.\n",
                  argv0, static_cast<int>(std::strlen(argv0)), "");
 }
 
@@ -58,7 +55,6 @@ int main(int argc, char** argv) {
     std::string html_path;
     bool check = false;
     bool diff = false;
-    std::string budgets_path;
     std::vector<std::string> json_paths;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -93,12 +89,6 @@ int main(int argc, char** argv) {
         }
         if (std::strcmp(arg, "--diff") == 0) {
             diff = true;
-            continue;
-        }
-        if (std::strcmp(arg, "--budgets") == 0) {
-            const char* v = value_of("--budgets");
-            if (v == nullptr) return 2;
-            budgets_path = v;
             continue;
         }
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -160,18 +150,7 @@ int main(int argc, char** argv) {
     }
 
     if (check) {
-        CheckResult result = check_campaign(campaign, drift);
-        if (!budgets_path.empty()) {
-            std::vector<std::string> budget_errors;
-            const std::vector<SpanBudget> budgets = load_budgets(budgets_path, budget_errors);
-            for (const std::string& e : budget_errors) {
-                result.problems.push_back("budgets: " + e);
-            }
-            const CheckResult budget_result = check_span_budgets(campaign, budgets);
-            result.problems.insert(result.problems.end(), budget_result.problems.begin(),
-                                   budget_result.problems.end());
-            result.ok = result.problems.empty();
-        }
+        const CheckResult result = check_campaign(campaign, drift);
         if (!result.ok) {
             for (const std::string& problem : result.problems) {
                 std::fprintf(stderr, "CHECK %s\n", problem.c_str());

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "world/experiment.hpp"
 
@@ -13,9 +14,6 @@ namespace injectable::report {
 namespace {
 
 namespace json = ble::json;
-
-constexpr std::string_view kStackPrefix = "prof.stack.";
-constexpr std::string_view kSpanPrefix = "prof.span.";
 
 std::string u64_str(std::uint64_t v) { return std::to_string(v); }
 
@@ -73,7 +71,7 @@ bool parse_trial(const json::Value& v, TrialRecord& out) {
     return true;
 }
 
-void parse_metrics(const json::Value& metrics, SeriesRecord& out) {
+bool parse_metrics(const json::Value& metrics, SeriesRecord& out, std::string& error) {
     if (const json::Value* counters = metrics.find("counters")) {
         for (const auto& [name, v] : counters->object) out.counters[name] = v.as_u64(0);
     }
@@ -97,13 +95,22 @@ void parse_metrics(const json::Value& metrics, SeriesRecord& out) {
             if (const json::Value* buckets = v.find("buckets")) {
                 for (const json::Value& pair : buckets->array) {
                     if (pair.array.size() != 2) continue;
-                    h.buckets[static_cast<int>(pair.array[0].as_i64(0))] +=
-                        pair.array[1].as_u64(0);
+                    const std::int64_t b = pair.array[0].as_i64(-1);
+                    // MetricsSnapshot writes bit_width indices, 0..64; any
+                    // other index would make bucket_range() shift out of range.
+                    if (b < 0 || b >= ble::obs::kHistogramBuckets) {
+                        error = "histogram '" + name + "' has bucket index " +
+                                std::to_string(b) + " outside 0.." +
+                                std::to_string(ble::obs::kHistogramBuckets - 1);
+                        return false;
+                    }
+                    h.buckets[static_cast<int>(b)] += pair.array[1].as_u64(0);
                 }
             }
             out.histograms[name] = std::move(h);
         }
     }
+    return true;
 }
 
 bool parse_series_line(const std::string& line, const std::string& source,
@@ -133,42 +140,8 @@ bool parse_series_line(const std::string& line, const std::string& source,
         TrialRecord trial;
         if (parse_trial(t, trial)) out.trials.push_back(trial);
     }
-    if (const json::Value* metrics = root.find("metrics")) parse_metrics(*metrics, out);
-    return true;
-}
-
-/// Splits "a;b;c" into path components.
-std::vector<std::string> split_stack(std::string_view stack) {
-    std::vector<std::string> parts;
-    while (!stack.empty()) {
-        const std::size_t semi = stack.find(';');
-        parts.emplace_back(stack.substr(0, semi));
-        if (semi == std::string_view::npos) break;
-        stack.remove_prefix(semi + 1);
-    }
-    return parts;
-}
-
-struct SpanAgg {
-    std::uint64_t count = 0;
-    std::uint64_t sim_us = 0;
-};
-
-/// prof.span.<name>.count / .sim_us counters folded across every series.
-std::map<std::string, SpanAgg> aggregate_spans(const CampaignData& campaign) {
-    std::map<std::string, SpanAgg> spans;
-    for (const SeriesRecord& series : campaign.series) {
-        for (const auto& [name, value] : series.counters) {
-            if (name.rfind(kSpanPrefix, 0) != 0) continue;
-            const std::string_view rest = std::string_view(name).substr(kSpanPrefix.size());
-            if (rest.ends_with(".count")) {
-                spans[std::string(rest.substr(0, rest.size() - 6))].count += value;
-            } else if (rest.ends_with(".sim_us")) {
-                spans[std::string(rest.substr(0, rest.size() - 7))].sim_us += value;
-            }
-        }
-    }
-    return spans;
+    const json::Value* metrics = root.find("metrics");
+    return metrics == nullptr || parse_metrics(*metrics, out, error);
 }
 
 std::uint64_t total_trials(const CampaignData& campaign) {
@@ -192,51 +165,6 @@ int attempts_percentile(std::vector<int> attempts, int pct) {
     const std::size_t rank =
         (attempts.size() * static_cast<std::size_t>(pct) + 99) / 100;
     return attempts[rank == 0 ? 0 : rank - 1];
-}
-
-void render_flame_text(std::string& out, const FlameNode& node, std::uint64_t root_total,
-                       const std::string& indent) {
-    for (const auto& [name, child] : node.children) {
-        const std::uint64_t total = child.total_count();
-        out += indent + name + "  " + bar(total, root_total, 30) + " " +
-               pct_str(total, root_total) + " (" + u64_str(total) + " spans, " +
-               u64_str(child.total_sim_us()) + " sim-us)\n";
-        render_flame_text(out, child, root_total, indent + "  ");
-    }
-}
-
-void collect_collapsed(std::string& out, const FlameNode& node, const std::string& prefix) {
-    for (const auto& [name, child] : node.children) {
-        const std::string path = prefix.empty() ? name : prefix + ";" + name;
-        if (child.count > 0) out += path + " " + u64_str(child.count) + "\n";
-        collect_collapsed(out, child, path);
-    }
-}
-
-void render_flame_html(std::string& out, const FlameNode& node, std::uint64_t parent_total,
-                       int depth) {
-    for (const auto& [name, child] : node.children) {
-        const std::uint64_t total = child.total_count();
-        char width[32];
-        std::snprintf(width, sizeof(width), "%.2f",
-                      parent_total == 0
-                          ? 0.0
-                          : 100.0 * static_cast<double>(total) /
-                                static_cast<double>(parent_total));
-        out += "<div class=\"frame d" + std::to_string(depth % 6) + "\" style=\"width:" +
-               width + "%\" title=\"";
-        html_escape(out, name);
-        out += ": " + u64_str(total) + " spans, " + u64_str(child.total_sim_us()) +
-               " sim-us\"><span>";
-        html_escape(out, name);
-        out += "</span>";
-        if (!child.children.empty()) {
-            out += "<div class=\"row\">";
-            render_flame_html(out, child, total, depth + 1);
-            out += "</div>";
-        }
-        out += "</div>";
-    }
 }
 
 std::string render_histogram(const std::string& name, const HistRecord& hist) {
@@ -291,25 +219,11 @@ std::string series_table(const CampaignData& campaign) {
 std::string counters_table(const CampaignData& campaign) {
     std::map<std::string, std::uint64_t> totals;
     for (const SeriesRecord& s : campaign.series) {
-        for (const auto& [name, value] : s.counters) {
-            if (name.rfind("prof.", 0) == 0) continue;  // profiler gets its own section
-            totals[name] += value;
-        }
+        for (const auto& [name, value] : s.counters) totals[name] += value;
     }
     std::string out = "| counter | total |\n|---|---|\n";
     for (const auto& [name, value] : totals) {
         out += "| " + name + " | " + u64_str(value) + " |\n";
-    }
-    return out;
-}
-
-std::string span_table(const CampaignData& campaign) {
-    const auto spans = aggregate_spans(campaign);
-    if (spans.empty()) return {};
-    std::string out = "| span | count | sim-time (us) |\n|---|---|---|\n";
-    for (const auto& [name, agg] : spans) {
-        out += "| " + name + " | " + u64_str(agg.count) + " | " + u64_str(agg.sim_us) +
-               " |\n";
     }
     return out;
 }
@@ -398,42 +312,6 @@ CampaignData load_campaign(const std::vector<std::string>& json_paths) {
     return campaign;
 }
 
-std::uint64_t FlameNode::total_count() const {
-    std::uint64_t total = count;
-    for (const auto& [name, child] : children) total += child.total_count();
-    return total;
-}
-
-std::uint64_t FlameNode::total_sim_us() const {
-    std::uint64_t total = sim_us;
-    for (const auto& [name, child] : children) total += child.total_sim_us();
-    return total;
-}
-
-FlameNode build_flame(const CampaignData& campaign) {
-    FlameNode root;
-    for (const SeriesRecord& series : campaign.series) {
-        for (const auto& [name, value] : series.counters) {
-            if (name.rfind(kStackPrefix, 0) != 0) continue;
-            std::string_view rest = std::string_view(name).substr(kStackPrefix.size());
-            bool is_count = false;
-            if (rest.ends_with(".count")) {
-                is_count = true;
-                rest.remove_suffix(6);
-            } else if (rest.ends_with(".sim_us")) {
-                rest.remove_suffix(7);
-            } else {
-                continue;
-            }
-            FlameNode* node = &root;
-            for (const std::string& part : split_stack(rest)) node = &node->children[part];
-            if (is_count) node->count += value;
-            else node->sim_us += value;
-        }
-    }
-    return root;
-}
-
 std::vector<DriftRow> compute_drift(const CampaignData& campaign,
                                     const std::string& traces_dir) {
     std::vector<DriftRow> rows;
@@ -491,22 +369,6 @@ std::string render_markdown(const CampaignData& campaign, const std::vector<Drif
         }
     }
 
-    const std::string spans = span_table(campaign);
-    if (!spans.empty()) {
-        out += "## Profiler\n\nSim-time-attributed spans (INJECTABLE_PROF=1), merged "
-               "across every trial of every series.\n\n### Span totals\n\n" +
-               spans + "\n";
-        const FlameNode flame = build_flame(campaign);
-        if (!flame.children.empty()) {
-            const std::uint64_t root_total = flame.total_count();
-            out += "### Flamegraph (by span count)\n\n```\n";
-            render_flame_text(out, flame, root_total, "");
-            out += "```\n\nCollapsed stacks (flamegraph.pl input):\n\n```\n";
-            collect_collapsed(out, flame, "");
-            out += "```\n\n";
-        }
-    }
-
     if (have_traces) {
         out += "## Event-count drift\n\nNon-meta lines summed across each series' traces "
                "vs. its `events_total` counter; only a complete trace set can assert "
@@ -526,13 +388,6 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
         "th,td{border:1px solid #ccc;padding:0.25em 0.6em;text-align:left;"
         "font-variant-numeric:tabular-nums}\n"
         "th{background:#f0f0f0}\npre{background:#f7f7f7;padding:0.8em;overflow-x:auto}\n"
-        ".flame{border:1px solid #ddd;padding:0.4em;margin:1em 0}\n"
-        ".row{display:flex}\n"
-        ".frame{overflow:hidden;white-space:nowrap;font-size:0.75em;"
-        "border:1px solid #fff;padding:1px 2px;box-sizing:border-box}\n"
-        ".frame span{pointer-events:none}\n"
-        ".d0{background:#fcd9a0}.d1{background:#fbbf77}.d2{background:#f9a65a}\n"
-        ".d3{background:#f78d3f}.d4{background:#ef7028}.d5{background:#e35617}\n"
         "</style></head><body>\n<h1>Campaign report</h1>\n<p>";
     out += u64_str(campaign.series.size()) + " series, " + u64_str(total_trials(campaign)) +
            " trials, " + pct_str(total_successes(campaign), total_trials(campaign)) +
@@ -548,22 +403,6 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
     }
     out += "<h2>Series</h2>\n" + md_table_to_html(series_table(campaign));
     out += "\n<h2>Outcome counters</h2>\n" + md_table_to_html(counters_table(campaign));
-
-    const std::string spans = span_table(campaign);
-    if (!spans.empty()) {
-        out += "\n<h2>Profiler</h2>\n<h3>Span totals</h3>\n" + md_table_to_html(spans);
-        const FlameNode flame = build_flame(campaign);
-        if (!flame.children.empty()) {
-            out += "\n<h3>Flamegraph (by span count)</h3>\n"
-                   "<div class=\"flame\"><div class=\"row\">";
-            render_flame_html(out, flame, flame.total_count(), 0);
-            out += "</div></div>\n<h3>Collapsed stacks</h3>\n<pre>";
-            std::string collapsed;
-            collect_collapsed(collapsed, flame, "");
-            html_escape(out, collapsed);
-            out += "</pre>\n";
-        }
-    }
 
     std::map<std::string, HistRecord> hists;
     for (const SeriesRecord& s : campaign.series) {
@@ -602,82 +441,6 @@ CheckResult check_campaign(const CampaignData& campaign, const std::vector<Drift
             result.problems.push_back("series '" + row.series + "': trace event count " +
                                       u64_str(row.trace_events) + " != events_total " +
                                       u64_str(row.expected_events));
-        }
-    }
-    result.ok = result.problems.empty();
-    return result;
-}
-
-std::vector<SpanBudget> load_budgets(const std::string& path,
-                                     std::vector<std::string>& errors) {
-    std::vector<SpanBudget> budgets;
-    std::string error;
-    const std::vector<std::string> lines = ble::obs::read_jsonl_file(path, &error);
-    if (lines.empty()) {
-        errors.push_back(path + ": " + (error.empty() ? "empty budget file" : error));
-        return budgets;
-    }
-    std::string text;
-    for (const std::string& line : lines) text += line;  // allow pretty-printed JSON
-    const json::ParseResult parsed = json::parse(text);
-    if (!parsed.ok || !parsed.value.is_object()) {
-        errors.push_back(path + ": unparsable budget document");
-        return budgets;
-    }
-    if (parsed.value.string_at("e") != "campaign-budgets") {
-        errors.push_back(path + ": not a campaign-budgets document");
-        return budgets;
-    }
-    const json::Value* entries = parsed.value.find("budgets");
-    if (entries == nullptr || !entries->is_array()) {
-        errors.push_back(path + ": no \"budgets\" array");
-        return budgets;
-    }
-    for (const json::Value& entry : entries->array) {
-        SpanBudget budget;
-        budget.span = entry.is_object() ? entry.string_at("span") : "";
-        budget.max_share = entry.is_object() ? entry.number("max_share", -1.0) : -1.0;
-        if (budget.span.empty() || budget.max_share < 0.0 || budget.max_share > 1.0) {
-            errors.push_back(path + ": bad budget entry (need span + max_share in [0,1])");
-            continue;
-        }
-        budgets.push_back(std::move(budget));
-    }
-    return budgets;
-}
-
-CheckResult check_span_budgets(const CampaignData& campaign,
-                               const std::vector<SpanBudget>& budgets) {
-    CheckResult result;
-    if (budgets.empty()) {
-        result.ok = true;
-        return result;
-    }
-    const std::map<std::string, SpanAgg> spans = aggregate_spans(campaign);
-    const std::uint64_t profiled_total = build_flame(campaign).total_sim_us();
-    if (profiled_total == 0) {
-        result.problems.emplace_back(
-            "budgets given but the campaign has no profiler data (prof.* counters)");
-        result.ok = false;
-        return result;
-    }
-    for (const SpanBudget& budget : budgets) {
-        const auto it = spans.find(budget.span);
-        if (it == spans.end()) {
-            result.problems.push_back("budgeted span '" + budget.span +
-                                      "' not found in campaign (stale budget file?)");
-            continue;
-        }
-        const double share = static_cast<double>(it->second.sim_us) /
-                             static_cast<double>(profiled_total);
-        if (share > budget.max_share) {
-            char buffer[160];
-            std::snprintf(buffer, sizeof(buffer),
-                          "span '%s' share %.4f exceeds budget %.4f (%" PRIu64
-                          " / %" PRIu64 " sim-us)",
-                          budget.span.c_str(), share, budget.max_share, it->second.sim_us,
-                          profiled_total);
-            result.problems.emplace_back(buffer);
         }
     }
     result.ok = result.problems.empty();

@@ -7,10 +7,8 @@
 // of it into a single markdown (and HTML) document:
 //
 //   * per-series outcome tables (success rate, attempt quartiles),
-//   * aggregate counters and log2-histogram renderings,
-//   * a flamegraph of the profiler's sim-time-attributed span stacks
-//     (prof.stack.* counters, DESIGN.md §9) in both collapsed-stack text
-//     (flamegraph.pl input) and a nested-div HTML view,
+//   * aggregate counters (the prof.span.* work counters of INJECTABLE_PROF=1
+//     included) and log2-histogram renderings,
 //   * a recorded-vs-expected event-count drift check: the sum of non-meta
 //     lines across a series' traces must equal its `events_total` counter.
 //
@@ -78,22 +76,9 @@ struct CampaignData {
 };
 
 /// Reads and parses every INJECTABLE_JSON file (gzip-transparent).  Parse
-/// failures land in `errors`; parsable lines are kept regardless.
+/// failures — including a histogram bucket index outside 0..64 — land in
+/// `errors`; parsable lines are kept regardless.
 [[nodiscard]] CampaignData load_campaign(const std::vector<std::string>& json_paths);
-
-/// Aggregate span-stack tree rebuilt from the prof.stack.<a;b;c>.count /
-/// .sim_us counters of every series.  Node values are self values (exactly
-/// what the profiler exported); total_count() adds the descendants back in.
-struct FlameNode {
-    std::uint64_t count = 0;
-    std::uint64_t sim_us = 0;
-    std::map<std::string, FlameNode> children;
-
-    [[nodiscard]] std::uint64_t total_count() const;
-    [[nodiscard]] std::uint64_t total_sim_us() const;
-};
-
-[[nodiscard]] FlameNode build_flame(const CampaignData& campaign);
 
 /// Per-series recorded-vs-expected event counts.  `expected_events` is the
 /// series' events_total counter; `trace_events` sums the non-meta lines of
@@ -125,7 +110,7 @@ struct DriftRow {
                                           bool have_traces);
 
 /// Same content as one self-contained HTML page (inline CSS, no external
-/// assets) with the flamegraph as nested proportional divs.
+/// assets).
 [[nodiscard]] std::string render_html(const CampaignData& campaign,
                                       const std::vector<DriftRow>& drift, bool have_traces);
 
@@ -138,28 +123,6 @@ struct CheckResult {
 /// nonzero drift in any complete series.
 [[nodiscard]] CheckResult check_campaign(const CampaignData& campaign,
                                          const std::vector<DriftRow>& drift);
-
-/// One sim-time budget line (bench/campaign_budgets.json): the campaign-wide
-/// prof.span.<span>.sim_us total divided by the total profiled sim time (the
-/// flamegraph root) must stay at or below max_share.  Spans nest, so a share
-/// is "fraction of all profiled time attributed to this span (inclusive)" —
-/// it regresses when the span grows relative to everything else.
-struct SpanBudget {
-    std::string span;
-    double max_share = 1.0;
-};
-
-/// Parses {"e":"campaign-budgets","budgets":[{"span":S,"max_share":X},...]}.
-/// Unreadable files / malformed entries land in `errors`.
-[[nodiscard]] std::vector<SpanBudget> load_budgets(const std::string& path,
-                                                   std::vector<std::string>& errors);
-
-/// The `--budgets` gate: every budgeted span must exist in the campaign (a
-/// vanished span means the budget file is stale — that fails loudly, not
-/// silently) and hold its share.  A campaign with no profiler data at all
-/// fails too: budgets imply the run was expected to profile.
-[[nodiscard]] CheckResult check_span_budgets(const CampaignData& campaign,
-                                             const std::vector<SpanBudget>& budgets);
 
 /// `--diff A B`: per-series outcome deltas between two campaigns — success
 /// rates and attempt percentiles (p25/p50/p75), series matched by
