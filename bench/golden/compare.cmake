@@ -5,7 +5,7 @@
 # parallel merge.  After a deliberate model change, regenerate a table with
 #   BENCH_JOBS=2 build/bench/<name> > bench/golden/<name>.txt
 foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS CHROME_TRACE_DIR PCAP_DIR
-            METRICS PROF PROF_WALL PROGRESS)
+            METRICS PROF PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)

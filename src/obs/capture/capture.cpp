@@ -1,6 +1,7 @@
 #include "obs/capture/capture.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,6 +126,14 @@ bool parse_phdr_packet(std::string_view payload, CaptureRecord& record,
     record.crc_valid = (flags & kFlagCrcValid) != 0;
     const auto* body = reinterpret_cast<const std::uint8_t*>(payload.data());
     record.bytes.assign(body + kPhdrSize, body + payload.size());
+    // The writer derives the reference AA and the other flag bits from the
+    // record; a pseudo-header it would not have written is not ours.
+    std::string expected;
+    append_phdr(expected, record);
+    if (payload.substr(0, kPhdrSize) != expected) {
+        *error = "pseudo-header the writer never emits (reference AA or flags)";
+        return false;
+    }
     return true;
 }
 
@@ -311,9 +320,12 @@ ParsedCapture parse_pcap(std::string_view bytes) {
         parsed.error = "unsupported pcap version";
         return parsed;
     }
-    (void)c.u32le();  // thiszone
-    (void)c.u32le();  // sigfigs
-    (void)c.u32le();  // snaplen
+    const std::uint32_t thiszone = c.u32le();
+    const std::uint32_t sigfigs = c.u32le();
+    if (thiszone != 0 || sigfigs != 0 || c.u32le() != kPcapSnaplen) {
+        parsed.error = "unexpected pcap header fields (thiszone, sigfigs or snaplen)";
+        return parsed;
+    }
     if (c.u32le() != kLinktypeBleLlWithPhdr) {
         parsed.error = "unexpected linktype (want 256, LE_LL_WITH_PHDR)";
         return parsed;
@@ -329,6 +341,10 @@ ParsedCapture parse_pcap(std::string_view bytes) {
         const std::uint32_t orig = c.u32le();
         if (incl != orig) {
             parsed.error = "truncated packet (incl_len != orig_len)";
+            return parsed;
+        }
+        if (nsec >= 1'000'000'000ull) {
+            parsed.error = "pcap timestamp nanoseconds out of range";
             return parsed;
         }
         if (c.remaining() < incl) {
@@ -372,11 +388,21 @@ ParsedCapture parse_btsnoop(std::string_view bytes) {
         }
         const std::uint32_t orig = c.u32be();
         const std::uint32_t incl = c.u32be();
-        (void)c.u32be();  // flags
-        (void)c.u32be();  // cumulative drops
-        const auto ts = static_cast<std::int64_t>(c.u64be());
+        const std::uint32_t flags = c.u32be();
+        const std::uint32_t drops = c.u32be();
+        const std::uint64_t ts = c.u64be();
         if (incl != orig) {
             parsed.error = "truncated packet (incl_len != orig_len)";
+            return parsed;
+        }
+        if (flags != 0 || drops != 0) {
+            parsed.error = "unexpected btsnoop record flags or drop count";
+            return parsed;
+        }
+        // Before sim-time zero, or so late that the ns conversion overflows.
+        constexpr auto kEpoch = static_cast<std::uint64_t>(kBtsnoopEpochDeltaUs);
+        if (ts < kEpoch || ts - kEpoch > static_cast<std::uint64_t>(INT64_MAX / 1000)) {
+            parsed.error = "btsnoop timestamp out of range";
             return parsed;
         }
         if (c.remaining() < incl) {
@@ -386,7 +412,7 @@ ParsedCapture parse_btsnoop(std::string_view bytes) {
         CaptureRecord record;
         // µs resolution: sub-µs sim-time is truncated on write, so the
         // re-serialized file is still byte-identical.
-        record.time = static_cast<TimePoint>((ts - kBtsnoopEpochDeltaUs) * 1000);
+        record.time = static_cast<TimePoint>(ts - kEpoch) * 1000;
         if (!parse_phdr_packet(bytes.substr(c.pos, incl), record, &parsed.error)) {
             return parsed;
         }
@@ -426,9 +452,13 @@ void CaptureBuilder::on_tx(TimePoint time, std::uint64_t tx_id, std::uint8_t cha
             // Park the frame until the named receiver's verdict arrives
             // (RxDecision fires at the frame's end).  Prune stale entries
             // first: pending_ is tx_id-ordered and tx ids are monotonic in
-            // start time, so popping from the front is exact.
-            while (!pending_.empty() &&
-                   pending_.begin()->second.time + kPendingHorizonNs < time) {
+            // start time, so popping from the front is exact.  The age is
+            // taken in unsigned arithmetic so that times read from a trace
+            // file cannot overflow it.
+            while (!pending_.empty() && pending_.begin()->second.time < time &&
+                   static_cast<std::uint64_t>(time) -
+                           static_cast<std::uint64_t>(pending_.begin()->second.time) >
+                       static_cast<std::uint64_t>(kPendingHorizonNs)) {
                 pending_.erase(pending_.begin());
             }
             PendingTx tx;

@@ -6,10 +6,10 @@
 // phase difference between the injected and legitimate signals".
 //
 // We model exactly that: each byte that overlaps an interferer is corrupted
-// with a probability driven by the signal-to-interference ratio (SIR) shifted
-// by a per-frame "phase quality" lottery.  Above `mid_sir_db + a few dB` the
-// capture effect wins (GFSK receivers track the stronger signal); far below,
-// overlapped bytes are almost surely destroyed.
+// with a probability that is a logistic in the signal-to-interference ratio
+// (SIR), shifted by a per-byte carrier-phase lottery.  With the defaults a
+// byte survives half the time at -12 dB SIR, 88% of the time at -2 dB and
+// 99% at +11 dB; the phase moves the effective SIR by up to ±3 dB.
 #pragma once
 
 namespace ble::sim {
@@ -21,7 +21,7 @@ struct CaptureParams {
     double mid_sir_db = -12.0;
     /// Logistic slope (dB): smaller = sharper capture threshold.
     double slope_db = 5.0;
-    /// Amplitude of the per-frame phase lottery, expressed as an equivalent
+    /// Amplitude of the per-byte phase lottery, expressed as an equivalent
     /// SIR shift in dB. A lucky relative carrier phase can rescue a collision
     /// (paper §V-D); an unlucky one dooms it.
     double phase_spread_db = 3.0;
@@ -32,10 +32,33 @@ public:
     explicit CaptureModel(CaptureParams params = {}) noexcept : params_(params) {}
 
     /// Probability that a single byte overlapped by an interferer at the given
-    /// SIR is corrupted. `phase_quality` in [0,1] is drawn once per
-    /// frame/interferer pair and shifts the effective SIR by
-    /// ±phase_spread_db.
+    /// SIR is corrupted. `phase_quality` in [0,1] shifts the effective SIR by
+    /// ±phase_spread_db.  RadioMedium draws it per byte and per overlapping
+    /// interferer, in transmission-id order; the last draw is the one used.
     [[nodiscard]] double byte_corruption_prob(double sir_db, double phase_quality) const noexcept;
+
+    /// The range byte_corruption_prob(sir_db, ·) spans over every phase:
+    /// [p(sir, 1), p(sir, 0)], widened by 1e-9 on each side (far above the
+    /// few-ulp rounding that can step the computed logistic out of it).  A
+    /// draw below `lo` is a corruption and a draw at or above `hi` is not,
+    /// whatever the phase.  Non-finite or inverted bounds (a negative phase
+    /// spread) come back as [-1, 2], which no draw in [0, 1) escapes.
+    struct CorruptionBand {
+        double lo = -1.0;
+        double hi = 2.0;
+    };
+    [[nodiscard]] CorruptionBand corruption_band(double sir_db) const noexcept;
+
+    /// Exactly `u < byte_corruption_prob(sir_db, phase_quality)`, but only
+    /// evaluates the logistic when `u` falls inside `band` (which must be
+    /// corruption_band(sir_db)).  The medium computes one band per overlap
+    /// segment, so most overlapped bytes cost two comparisons.
+    [[nodiscard]] bool byte_corrupted(double u, double sir_db, double phase_quality,
+                                      const CorruptionBand& band) const noexcept {
+        if (u < band.lo) return true;
+        if (u >= band.hi) return false;
+        return u < byte_corruption_prob(sir_db, phase_quality);
+    }
 
     [[nodiscard]] const CaptureParams& params() const noexcept { return params_; }
 

@@ -20,7 +20,9 @@ RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
       rng_(rng),
       path_loss_(std::move(path_loss)),
       capture_(capture),
-      params_(params) {}
+      params_(params),
+      noise_mw_(dbm_to_mw(params_.noise_floor_dbm)),
+      noise_dbm_(mw_to_dbm(noise_mw_)) {}
 
 void RadioMedium::attach(RadioDevice& device) {
     device.listen_state_ = ListenState{};
@@ -90,8 +92,9 @@ void RadioMedium::stop_listening(RadioDevice& device) noexcept {
 }
 
 double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) {
+    const std::uint64_t key = receiver.listen_state_.attach_order;
     for (const RxPower& memo : tx.rx_power_dbm) {
-        if (memo.receiver == &receiver) return memo.dbm;
+        if (memo.receiver == key) return memo.dbm;
     }
     // One fading draw per (frame, receiver): channel hopping decorrelates
     // consecutive frames, so each frame sees a fresh fade.
@@ -100,7 +103,7 @@ double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) 
             ? 200.0
             : path_loss_.sample_loss_db(tx.sender->position(), receiver.position(), rng_);
     const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
-    tx.rx_power_dbm.push_back(RxPower{&receiver, power});
+    tx.rx_power_dbm.push_back(RxPower{key, power});
     return power;
 }
 
@@ -163,7 +166,6 @@ void RadioMedium::flush_rx_batch() {
 void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     obs::work::count(obs::work::Site::kMediumDeliver);
     const double signal_dbm = rx_power_dbm(tx, receiver);
-    const double noise_mw = dbm_to_mw(params_.noise_floor_dbm);
 
     // Collect interferers overlapping this frame at this receiver. The
     // carrier-phase alignment between two unsynchronised transmitters rotates
@@ -172,23 +174,31 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     // coherence time on the order of a byte — so the phase lottery is drawn
     // *per byte* below, which is what makes longer overlaps deadlier.
     // channel_active_ is id-ordered, which fixes the FP accumulation order
-    // and the order of the fading draws.
+    // and the order of the fading draws; ids follow start times, so the
+    // first record starting after this frame ends the scan.
     struct Interferer {
         const Transmission* tx;
         double power_mw;
+        bool overlapping;  ///< overlaps the current byte
     };
     InlineVec<Interferer, 4> interferers;
     for (Transmission* other : channel_active_[tx.channel]) {
-        if (other->id == tx.id) continue;
-        if (other->start >= tx.end || other->end <= tx.start) continue;
+        if (other->start >= tx.end) break;
+        if (other->id == tx.id || other->end <= tx.start) continue;
         if (other->sender == &receiver) continue;  // own TX handled by half-duplex
-        interferers.push_back(Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver))});
+        interferers.push_back(
+            Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver)), false});
     }
     // A byte no interferer overlaps sees only the noise floor and the
     // neutral phase, so its corruption probability is the same for the
     // whole delivery.  It still takes its own chance() draw below.
-    const double p_noise_only =
-        capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(noise_mw), 0.5);
+    const double p_noise_only = capture_.byte_corruption_prob(signal_dbm - noise_dbm_, 0.5);
+
+    // The current overlap segment: a run of bytes that the same interferers
+    // overlap shares one interference sum (accumulated in id order, so the
+    // same double a per-byte sum gives), one SIR and one phase band.
+    double segment_sir_db = 0.0;
+    CaptureModel::CorruptionBand segment_band;
 
     Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
     bool corrupted = false;
@@ -199,21 +209,34 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
             tx.start + tx.frame.preamble_time + static_cast<Duration>(i) * tx.frame.byte_time;
         const TimePoint byte_end = byte_start + tx.frame.byte_time;
 
-        double interference_mw = noise_mw;
         double phase = 0.5;
         bool overlapped = false;
-        for (const auto& intf : interferers) {
-            if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
-                interference_mw += intf.power_mw;
+        bool new_segment = false;
+        for (auto& intf : interferers) {
+            const bool overlaps = intf.tx->start < byte_end && intf.tx->end > byte_start;
+            new_segment |= overlaps != intf.overlapping;
+            intf.overlapping = overlaps;
+            if (overlaps) {
                 phase = rng_.next_double();  // per-byte carrier-phase lottery
                 overlapped = true;
             }
         }
-        const double p_corrupt =
-            overlapped ? capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(interference_mw),
-                                                       phase)
-                       : p_noise_only;
-        if (rng_.chance(p_corrupt)) {
+        bool hit = false;
+        if (!overlapped) {
+            hit = rng_.chance(p_noise_only);
+        } else {
+            if (new_segment) {
+                double interference_mw = noise_mw_;
+                for (const auto& intf : interferers) {
+                    if (intf.overlapping) interference_mw += intf.power_mw;
+                }
+                segment_sir_db = signal_dbm - mw_to_dbm(interference_mw);
+                segment_band = capture_.corruption_band(segment_sir_db);
+            }
+            hit = capture_.byte_corrupted(rng_.next_double(), segment_sir_db, phase,
+                                          segment_band);
+        }
+        if (hit) {
             // Flip a random bit: the CRC then fails naturally downstream.
             bytes[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
             corrupted = true;
@@ -273,9 +296,11 @@ void RadioMedium::collect_garbage() {
     // Keep records around briefly so frames that overlapped them can still
     // account for their interference, then reclaim map entry, per-channel
     // slot, and payload buffer together.
+    // Records are in start order and a record that started at or after the
+    // horizon also ends after it, so the walk stops there.
     const TimePoint now = scheduler_.now();
     const TimePoint horizon = now - 10_ms;
-    for (auto it = active_.begin(); it != active_.end();) {
+    for (auto it = active_.begin(); it != active_.end() && it->second.start < horizon;) {
         Transmission& tx = it->second;
         if (tx.end <= now && tx.end < horizon) {
             channel_active_[tx.channel].erase_value(&tx);

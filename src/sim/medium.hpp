@@ -9,10 +9,12 @@
 //    race even when the legitimate master transmits moments later.
 //  * When the locked transmission ends, every byte that overlapped another
 //    transmission (or sits near the noise floor) is corrupted with a
-//    probability from CaptureModel.  A corrupted sync header (preamble /
-//    access address region) suppresses delivery entirely; corruption later in
-//    the frame is delivered as-is and caught by the link layer's CRC — the
-//    paper's outcome (b).
+//    probability from CaptureModel.  Each byte takes its own draws; the SIR
+//    and the probability's phase band are computed once per overlap segment
+//    (a run of bytes that the same interferers overlap).  A corrupted sync
+//    header (preamble / access address region) suppresses delivery entirely;
+//    corruption later in the frame is delivered as-is and caught by the link
+//    layer's CRC — the paper's outcome (b).
 //  * Devices are half-duplex: transmitting suspends listening.
 #pragma once
 
@@ -148,7 +150,9 @@ public:
 
 private:
     struct RxPower {
-        const RadioDevice* receiver;
+        /// ListenState::attach_order of the receiver: never reused, so a
+        /// device built at a dead one's address cannot inherit its power.
+        std::uint64_t receiver;
         double dbm;
     };
     struct Transmission {
@@ -178,6 +182,11 @@ private:
     PathLossModel path_loss_;
     CaptureModel capture_;
     MediumParams params_;
+    /// The noise floor in mW, and that value converted back to dBm: the
+    /// round trip can differ from params_.noise_floor_dbm in the last bit,
+    /// and the noise-only SIR is taken against it.
+    double noise_mw_;
+    double noise_dbm_;
     obs::EventBus bus_;
 
     std::uint64_t next_tx_id_ = 1;
@@ -190,12 +199,14 @@ private:
     std::array<ListenerList, kNumChannels> listeners_;
     /// Ordered by transmission id (== start order) so interference sums —
     /// FP additions, order-sensitive — accumulate identically on every run
-    /// and platform.  A handful of frames are in flight at once, so the
+    /// and platform, and so garbage collection can stop at the first record
+    /// too young to drop.  A handful of frames are in flight at once, so the
     /// O(log n) lookup is irrelevant.
     std::map<std::uint64_t, Transmission> active_;
     /// Per-channel view of `active_` in the same id order (append-only in id
     /// order; erasure preserves relative order), so interference collection
-    /// touches co-channel transmissions only.  Map node addresses are stable.
+    /// touches co-channel transmissions only and stops at the first one that
+    /// starts at or after the frame's end.  Map node addresses are stable.
     std::array<InlineVec<Transmission*, 4>, kNumChannels> channel_active_;
     /// Recycles per-delivery payload copies and retired AirFrame payloads.
     BufferPool pool_;

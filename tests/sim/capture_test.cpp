@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/capture.hpp"
 
 namespace ble::sim {
@@ -55,6 +61,74 @@ TEST(CaptureModelTest, PhaseQualityClamped) {
                 model.byte_corruption_prob(0.0, 1.0), 1e-9);
     EXPECT_NEAR(model.byte_corruption_prob(0.0, -1.0),
                 model.byte_corruption_prob(0.0, 0.0), 1e-9);
+}
+
+TEST(CaptureModelTest, BandBracketsEveryPhase) {
+    CaptureModel model;
+    for (double sir = -40.0; sir <= 40.0; sir += 0.5) {
+        const CaptureModel::CorruptionBand band = model.corruption_band(sir);
+        EXPECT_LT(band.hi - band.lo, 1.0) << "at SIR " << sir;  // a real band, not the fallback
+        for (double phase = 0.0; phase <= 1.0; phase += 1.0 / 64) {
+            const double p = model.byte_corruption_prob(sir, phase);
+            EXPECT_LE(band.lo, p) << "at SIR " << sir << ", phase " << phase;
+            EXPECT_GE(band.hi, p) << "at SIR " << sir << ", phase " << phase;
+        }
+    }
+    // A negative spread inverts the phase order: every draw takes the exact
+    // path.
+    CaptureParams inverted;
+    inverted.phase_spread_db = -3.0;
+    const CaptureModel::CorruptionBand fallback = CaptureModel(inverted).corruption_band(0.0);
+    EXPECT_EQ(fallback.lo, -1.0);
+    EXPECT_EQ(fallback.hi, 2.0);
+}
+
+TEST(CaptureModelTest, BandDecisionMatchesTheExactFormula) {
+    // Seeded property: deciding from the band first never changes a verdict
+    // of `u < byte_corruption_prob(sir, phase)` — for random draws, for draws
+    // placed exactly on, just below and just above the probability and the
+    // band's ends, and for parameter sets far from the defaults.
+    std::vector<CaptureParams> param_sets(6);
+    param_sets[1].phase_spread_db = 0.0;
+    param_sets[2].phase_spread_db = -3.0;
+    param_sets[3].phase_spread_db = 30.0;
+    param_sets[4].slope_db = 0.05;
+    param_sets[5].slope_db = 40.0;
+    Rng rng(20211);
+    long decisions = 0;
+    long mismatches = 0;
+    std::string first_mismatch;
+    for (const CaptureParams& params : param_sets) {
+        const CaptureModel model(params);
+        for (int trial = 0; trial < 20000; ++trial) {
+            const double sir = rng.uniform(-120.0, 120.0);
+            const double phase = trial % 7 == 0 ? static_cast<double>(trial % 3) / 2.0
+                                                : rng.next_double();
+            const double p = model.byte_corruption_prob(sir, phase);
+            const CaptureModel::CorruptionBand band = model.corruption_band(sir);
+            const double draws[] = {rng.next_double(),
+                                    p,
+                                    std::nextafter(p, 0.0),
+                                    std::nextafter(p, 1.0),
+                                    band.lo,
+                                    std::nextafter(band.lo, 0.0),
+                                    band.hi,
+                                    std::nextafter(band.hi, 0.0)};
+            for (const double u : draws) {
+                if (!(u >= 0.0 && u < 1.0)) continue;  // next_double() never yields it
+                ++decisions;
+                if (model.byte_corrupted(u, sir, phase, band) == (u < p)) continue;
+                if (mismatches++ == 0) {
+                    std::ostringstream out;
+                    out << std::hexfloat << "sir " << sir << " phase " << phase << " u " << u
+                        << " spread " << params.phase_spread_db << " slope " << params.slope_db;
+                    first_mismatch = out.str();
+                }
+            }
+        }
+    }
+    EXPECT_GT(decisions, 600000);
+    EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
 }
 
 }  // namespace

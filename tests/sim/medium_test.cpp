@@ -341,6 +341,39 @@ TEST_F(MediumFixture, DetachedLockedReceiverIsSafe) {
     EXPECT_TRUE(medium.listeners_on(7).empty());
 }
 
+TEST_F(MediumFixture, RecycledReceiverAddressGetsItsOwnRxPower) {
+    // A receiver dies mid-frame and a new one is built at the same address.
+    // The in-flight frame's rx-power memo must not hand the newcomer the
+    // dead receiver's power: 0.5 m from the jammer it was -33 dBm, which
+    // would bury the newcomer's own frame (-40 dBm from 1 m); from 100 m the
+    // jammer is ~-84 dBm and the frame arrives clean.
+    auto jam = make("jam", {0, 0});
+    auto tx = make("tx", {101, 0});
+    RadioDeviceConfig cfg;
+    cfg.name = "old";
+    cfg.position = {0.5, 0};
+    std::optional<ProbeDevice> slot;
+    slot.emplace(scheduler, medium, Rng(7), cfg);
+    const ProbeDevice* first_address = &*slot;
+    slot->listen(7);
+    jam->transmit(7, test_frame(200, 0x11));  // 1608 µs on air
+    ASSERT_TRUE(slot->receiving());
+    (void)scheduler.schedule_at(100'000, [&] {
+        slot.reset();  // destroyed while locked on the jammer's frame
+        cfg.name = "new";
+        cfg.position = {100, 0};
+        slot.emplace(scheduler, medium, Rng(7), cfg);
+        slot->listen(7);
+    });
+    // Starts 1500 µs in: the first 13 bytes overlap the jammer's tail.
+    (void)scheduler.schedule_at(1'500'000, [&] { tx->transmit(7, test_frame(16, 0x5A)); });
+    scheduler.run_all();
+    ASSERT_EQ(&*slot, first_address);
+    ASSERT_EQ(slot->received.size(), 1u);
+    EXPECT_FALSE(slot->received[0].corrupted_by_medium);
+    EXPECT_EQ(slot->received[0].bytes, Bytes(16, 0x5A));
+}
+
 TEST_F(MediumFixture, TransmitterLeavesItsChannelInterestList) {
     // Half-duplex: transmit() drops the sender's own listen before the lock
     // walk, so a transmitter never sits in its channel's interest list.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "link/trace.hpp"
 #include "obs/capture/capture.hpp"
 #include "world/experiment.hpp"
@@ -203,6 +204,121 @@ TEST(CaptureVantageTest, InjectedPduPresentAtVictimSnifferAbsentOutOfRange) {
     EXPECT_GT(frames_with_marker(victim.records()), 0);
     // ...and the out-of-range sniffer heard nothing at all.
     EXPECT_TRUE(out_of_range.records().empty());
+}
+
+/// One real trial's live capture and its JSONL trace lines.
+struct RealArtifacts {
+    std::string pcap;
+    std::vector<std::string> trace;
+};
+
+RealArtifacts one_real_trial() {
+    ExperimentConfig config = small_series();
+    config.runs = 1;
+    CollectingSink sink;
+    (void)run_series(config, sink);
+    RealArtifacts real;
+    for (const auto& [key, content] : sink.artifacts()) {
+        if (key.rfind("3/", 0) == 0) real.pcap = content;              // kPcapCapture
+        if (key.rfind("0/", 0) == 0) real.trace = split_lines(content);  // kEventTrace
+    }
+    return real;
+}
+
+std::string random_bytes(Rng& rng, std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<char>(rng.next_below(256)));
+    return out;
+}
+
+TEST(CaptureGarbageTest, ReaderRejectsOrRoundTripsSeededGarbage) {
+    // parse_capture reads outside bytes, so it must survive garbage: random
+    // bytes, truncations and single-byte mutations of a real capture, in both
+    // container formats.  An input it accepts must re-serialize to itself:
+    // the reader takes exactly what the writers emit.
+    const RealArtifacts real = one_real_trial();
+    ASSERT_FALSE(real.pcap.empty());
+    const auto parsed = obs::capture::parse_capture(real.pcap);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const std::string btsnoop =
+        obs::capture::capture_bytes(parsed.records, obs::capture::CaptureFormat::kBtsnoop);
+
+    int accepted = 0;
+    int rejected = 0;
+    int unreproducible = 0;
+    std::string first_unreproducible;
+    const auto check = [&](const std::string& input) {
+        const auto result = obs::capture::parse_capture(input);
+        if (!result.ok) {
+            EXPECT_FALSE(result.error.empty());
+            ++rejected;
+            return;
+        }
+        ++accepted;
+        const std::string again = obs::capture::capture_bytes(result.records, result.format);
+        if (again != input && unreproducible++ == 0) {
+            const auto at = std::mismatch(input.begin(), input.end(), again.begin(), again.end());
+            first_unreproducible = std::to_string(input.size()) + " bytes, differs at offset " +
+                                   std::to_string(at.first - input.begin());
+        }
+    };
+    Rng rng(7100);
+    for (const std::string& file : {real.pcap, btsnoop}) {
+        const std::size_t header = file == btsnoop ? 16 : 24;
+        // Every cut through the file header and the first records, then a
+        // seeded sample of the rest.
+        for (std::size_t n = 0; n < std::min<std::size_t>(file.size(), 256); ++n) {
+            check(file.substr(0, n));
+        }
+        for (int i = 0; i < 300; ++i) check(file.substr(0, rng.next_below(file.size())));
+        for (int i = 0; i < 3000; ++i) {
+            std::string mutated = file;
+            mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next_below(256));
+            check(mutated);
+        }
+        // Random records behind a valid file header, and random bytes alone.
+        for (int i = 0; i < 400; ++i) {
+            const std::string prefix = i % 2 == 0 ? file.substr(0, header) : std::string();
+            check(prefix + random_bytes(rng, rng.next_below(200)));
+        }
+    }
+    EXPECT_EQ(unreproducible, 0) << "first accepted input it cannot reproduce: "
+                                 << first_unreproducible;
+    EXPECT_GT(accepted, 1000);  // payload-byte mutations still parse
+    EXPECT_GT(rejected, 1000);
+}
+
+TEST(CaptureGarbageTest, OfflineRendererSurvivesMutatedTraceLines) {
+    // records_from_trace_lines (what tools/pcap_export runs) decodes the tx
+    // and rx lines of a trace file.  Mutated lines must come back as an
+    // error or as records, never as a crash, at both kinds of vantage.
+    const RealArtifacts real = one_real_trial();
+    ASSERT_GT(real.trace.size(), 4u);
+    Rng rng(7101);
+    int errors = 0;
+    for (int i = 0; i < 600; ++i) {
+        std::vector<std::string> lines = real.trace;
+        std::string& line = lines[1 + rng.next_below(lines.size() - 1)];
+        switch (i % 3) {
+            case 0:
+                if (!line.empty()) {
+                    line[rng.next_below(line.size())] = static_cast<char>(rng.next_below(256));
+                }
+                break;
+            case 1: line.resize(rng.next_below(line.size() + 1)); break;
+            default: line = random_bytes(rng, rng.next_below(80)); break;
+        }
+        const VantagePoint vantage = i % 2 == 0 ? VantagePoint{}
+                                                : VantagePoint{VantageKind::kDevice, "bulb"};
+        std::string error;
+        const std::vector<CaptureRecord> records =
+            obs::capture::records_from_trace_lines(lines, vantage, &error);
+        if (!error.empty()) {
+            EXPECT_TRUE(records.empty()) << error;
+            ++errors;
+        }
+    }
+    EXPECT_GT(errors, 0);
 }
 
 TEST(DescribeFrameSweepTest, EveryFig8BaselineFrameDecodesWithoutUnknowns) {

@@ -4,6 +4,8 @@
 // through the trace header exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -117,6 +119,64 @@ TEST(DenseWorld, EnablingTheCrowdAppendsToTheRngTree) {
     const auto after = run_series(baseline);
     ASSERT_EQ(before.size(), after.size());
     for (std::size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);
+}
+
+/// FNV-1a over raw bytes.
+struct Fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void mix(const void* data, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= static_cast<const unsigned char*>(data)[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void u64(std::uint64_t v) { mix(&v, sizeof v); }
+};
+
+TEST(DenseWorld, StadiumDigestIsPinned) {
+    // The crowded medium bit for bit: every capture verdict of two full
+    // stadium trials (tx id, receiver, verdict, corrupted bytes, sync bit
+    // errors, RSSI bit pattern) plus the trial outcomes.  Any change to a
+    // fading or lottery draw, its place in the stream, or a corruption
+    // decision among 580 crowd radios moves this digest.  Recorded before the
+    // lottery moved to overlap segments.
+    ExperimentConfig config;
+    config.name = "stadium-digest";
+    config.runs = 2;
+    config.base_seed = 9000;
+    config.jobs = 1;  // one thread: the sink sees the worlds in trial order
+    config.world = WorldSpec::stadium();
+    Fnv1a digest;
+    std::uint64_t decisions = 0;
+    config.per_trial_sinks = [&](ble::obs::EventBus& bus, std::uint64_t seed) {
+        digest.u64(seed);
+        (void)bus.subscribe([&](const ble::obs::Event& event) {
+            const auto* rx = std::get_if<ble::obs::RxDecision>(&event);
+            if (rx == nullptr) return;
+            ++decisions;
+            digest.u64(rx->tx_id);
+            digest.mix(rx->receiver.data(), rx->receiver.size());
+            digest.u64(static_cast<std::uint64_t>(rx->verdict));
+            digest.u64(static_cast<std::uint64_t>(rx->corrupted_bytes));
+            digest.u64(static_cast<std::uint64_t>(rx->sync_bit_errors));
+            std::uint64_t rssi_bits = 0;
+            std::memcpy(&rssi_bits, &rx->rssi_dbm, sizeof rssi_bits);
+            digest.u64(rssi_bits);
+        });
+    };
+    NullResultSink sink;
+    const std::vector<RunResult> results = run_series(config, sink);
+    ASSERT_EQ(results.size(), 2u);
+    for (const RunResult& r : results) {
+        digest.u64(r.seed);
+        digest.u64(static_cast<std::uint64_t>(r.attempts));
+        digest.u64(static_cast<std::uint64_t>(r.heuristic_false_positives));
+        digest.u64(static_cast<std::uint64_t>(r.heuristic_false_negatives));
+        digest.u64((r.success ? 1u : 0u) | (r.sniffed ? 2u : 0u) | (r.established ? 4u : 0u) |
+                   (r.session_lost ? 8u : 0u) | (r.victim_disconnected ? 16u : 0u));
+    }
+    EXPECT_EQ(decisions, 53380u);
+    EXPECT_EQ(digest.h, 0xf1bebc0ec42d7f6dULL);
 }
 
 TEST(DenseWorld, MetaRoundTripsThroughTraceHeader) {

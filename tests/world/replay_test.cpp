@@ -3,11 +3,13 @@
 // trace must fail naming exactly the event that was touched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/sinks.hpp"
 #include "world/replay.hpp"
 
@@ -208,6 +210,48 @@ TEST(ReplayTest, TruncatedTraceDivergesAtTheMissingTail) {
     EXPECT_EQ(diff.first_divergence, lines.size() - 1);
     EXPECT_TRUE(diff.recorded_line.empty());  // recorded stream ended first
     EXPECT_EQ(diff.replayed_line, dropped);
+}
+
+TEST(ReplayTest, SeededGarbageEventLinesDivergeWhereTheyWereMade) {
+    // replay_trace_lines reads event lines from outside: byte mutations,
+    // truncations, random bytes, dropped and inserted lines must each be
+    // reported at the first event they touched, or replay with zero
+    // divergences when the edit changed nothing.
+    const std::vector<std::string> recorded = record_trace("garbage");
+    ASSERT_GT(recorded.size(), 4u);
+    ble::Rng rng(7200);
+    const auto random_line = [&rng] {
+        std::string line;
+        for (std::uint64_t n = rng.next_below(80); n > 0; --n) {
+            line.push_back(static_cast<char>(rng.next_below(256)));
+        }
+        return line;
+    };
+    for (int round = 0; round < 200; ++round) {
+        std::vector<std::string> lines = recorded;
+        const std::size_t k = 1 + rng.next_below(lines.size() - 1);  // never the meta line
+        std::string& line = lines[k];
+        switch (round % 5) {
+            case 0:
+                line[rng.next_below(line.size())] = static_cast<char>(rng.next_below(256));
+                break;
+            case 1: line.resize(rng.next_below(line.size())); break;
+            case 2: line = random_line(); break;
+            case 3: lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(k)); break;
+            default: lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(k), random_line());
+        }
+        std::size_t first_edit = 0;  // event index: line i + 1 holds event i
+        while (first_edit + 1 < std::min(lines.size(), recorded.size()) &&
+               lines[first_edit + 1] == recorded[first_edit + 1]) {
+            ++first_edit;
+        }
+        const ReplayDiff diff = replay_trace_lines(lines);
+        ASSERT_TRUE(diff.loaded) << diff.error;
+        EXPECT_EQ(diff.identical, lines == recorded) << "round " << round;
+        if (lines != recorded) {
+            EXPECT_EQ(diff.first_divergence, first_edit) << "round " << round;
+        }
+    }
 }
 
 TEST(ReplayTest, ReportsErrorsInsteadOfCrashing) {
