@@ -11,6 +11,7 @@
 #include "crypto/aes128.hpp"
 #include "crypto/ccm.hpp"
 #include "link/channel_selection.hpp"
+#include "link/trace.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
@@ -238,6 +239,29 @@ void BM_CaptureOmniscientTrial(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CaptureOmniscientTrial);
+
+void BM_InjectionTrialTraced(benchmark::State& state) {
+    // The identical trial with a JsonlTraceSink (frame descriptions on)
+    // attached and its text taken per trial — what the traces channel costs
+    // a trial over BM_InjectionTrialBaseline.
+    injectable::world::ExperimentConfig config;
+    config.name = "bench-micro-trial";
+    config.max_attempts = 200;
+    std::shared_ptr<obs::JsonlTraceSink> trace;
+    config.per_trial_sinks = [&trace](obs::EventBus& bus, std::uint64_t) {
+        trace = std::make_shared<obs::JsonlTraceSink>(link::describe_frame);
+        bus.attach(*trace);
+    };
+    std::uint64_t seed = 7000;
+    for (auto _ : state) {
+        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        benchmark::DoNotOptimize(result.attempts);
+        const std::string text = trace->str();
+        benchmark::DoNotOptimize(text.size());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InjectionTrialTraced);
 
 void BM_InjectionTrialProfiled(benchmark::State& state) {
     // The identical trial with the INJECTABLE_PROF=1 work counters installed:

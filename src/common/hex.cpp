@@ -15,12 +15,17 @@ int nibble(char c) noexcept {
 
 std::string to_hex(BytesView data) {
     std::string out;
-    out.reserve(data.size() * 2);
-    for (auto b : data) {
-        out.push_back(kDigits[b >> 4]);
-        out.push_back(kDigits[b & 0xF]);
-    }
+    append_hex(out, data);
     return out;
+}
+
+void append_hex(std::string& out, BytesView data) {
+    std::size_t at = out.size();
+    out.resize(at + 2 * data.size());
+    for (auto b : data) {
+        out[at++] = kDigits[b >> 4];
+        out[at++] = kDigits[b & 0xF];
+    }
 }
 
 std::optional<Bytes> from_hex(const std::string& hex) {

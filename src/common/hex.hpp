@@ -10,6 +10,8 @@ namespace ble {
 
 /// "0a1b2c" — lowercase, no separators.
 std::string to_hex(BytesView data);
+/// Appends to_hex(data) to `out`.
+void append_hex(std::string& out, BytesView data);
 
 /// Accepts upper/lower case; rejects odd length or non-hex characters.
 std::optional<Bytes> from_hex(const std::string& hex);

@@ -1,40 +1,12 @@
 #include "common/json.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
 namespace ble::json {
 
 namespace {
-
-/// Mirrors ble::obs::append_json_escaped (sinks.cpp) — common/ sits below
-/// obs/ in the dependency order, so the 20 lines are duplicated rather than
-/// inverting the layering.  Keep the two in sync: every byte outside
-/// printable ASCII becomes \u00xx (Latin-1 read), which always round-trips.
-void append_escaped(std::string& out, std::string_view s) {
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default: {
-                const auto u = static_cast<unsigned char>(c);
-                if (u < 0x20 || u >= 0x7f) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-            }
-        }
-    }
-}
 
 struct Parser {
     const char* begin;
@@ -329,6 +301,92 @@ ParseResult parse(std::string_view text) {
     }
     result.ok = true;
     return result;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+    const char* p = s.data();
+    const char* const end = p + s.size();
+    while (p != end) {
+        const char* const run = p;
+        while (p != end && static_cast<unsigned char>(*p) >= 0x20 &&
+               static_cast<unsigned char>(*p) < 0x7f && *p != '"' && *p != '\\') {
+            ++p;
+        }
+        out.append(run, static_cast<std::size_t>(p - run));
+        if (p == end) break;
+        const auto u = static_cast<unsigned char>(*p++);
+        switch (u) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\t': out += "\\t"; break;
+            case '\r': out += "\\r"; break;
+            case '\b': out += "\\b"; break;
+            case '\f': out += "\\f"; break;
+            default: {
+                // Remaining control bytes, DEL and non-ASCII: \u00xx reads
+                // each byte as Latin-1 and always round-trips.
+                constexpr char kHex[] = "0123456789abcdef";
+                const char escaped[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xF]};
+                out.append(escaped, sizeof escaped);
+            }
+        }
+    }
+}
+
+std::string escape(std::string_view s) {
+    std::string out;
+    append_escaped(out, s);
+    return out;
+}
+
+void append_int(std::string& out, long long value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+void append_u64(std::string& out, std::uint64_t value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+void append_fixed1(std::string& out, double value) {
+    // Wide enough for DBL_MAX: 309 integer digits, sign, ".d".
+    char buf[320];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, 1).ptr);
+}
+
+void append_key(std::string& out, std::string_view key) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+}
+
+void append_int(std::string& out, std::string_view key, long long value) {
+    append_key(out, key);
+    append_int(out, value);
+}
+
+void append_u64(std::string& out, std::string_view key, std::uint64_t value) {
+    append_key(out, key);
+    append_u64(out, value);
+}
+
+void append_fixed1(std::string& out, std::string_view key, double value) {
+    append_key(out, key);
+    append_fixed1(out, value);
+}
+
+void append_bool(std::string& out, std::string_view key, bool value) {
+    append_key(out, key);
+    out += value ? "true" : "false";
+}
+
+void append_str(std::string& out, std::string_view key, std::string_view value) {
+    append_key(out, key);
+    out += '"';
+    append_escaped(out, value);
+    out += '"';
 }
 
 }  // namespace ble::json

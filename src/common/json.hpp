@@ -53,7 +53,7 @@ public:
     [[nodiscard]] std::string string_at(std::string_view key, std::string fallback = {}) const;
 
     /// Compact re-serialization (number tokens verbatim, members in stored
-    /// order, strings re-escaped with the obs escaping rules).
+    /// order, strings re-escaped with append_escaped).
     void dump(std::string& out) const;
     [[nodiscard]] std::string dump() const;
 };
@@ -68,5 +68,34 @@ struct ParseResult {
 /// Parses one complete JSON value (trailing whitespace allowed, trailing
 /// garbage is an error).
 [[nodiscard]] ParseResult parse(std::string_view text);
+
+// ---------------------------------------------------------------------------
+// The one writer behind every JSONL record we emit (trace events, trace meta
+// headers, metrics, series records).  Everything appends to `out`; numbers go
+// through std::to_chars, which [charconv.to.chars] defines as printf's
+// conversion in the C locale, so the bytes equal "%lld", "%llu" and "%.1f".
+
+/// Appends `s` as the body of a JSON string literal (no surrounding quotes):
+/// quotes/backslashes and the short control escapes (\n \t \r \b \f) are
+/// escaped, every other control byte, DEL and every non-ASCII byte becomes
+/// \u00xx (Latin-1 view of the byte) — device names and frame descriptions
+/// are attacker-influenced, so the output must stay valid JSON (and valid
+/// UTF-8) for ANY input bytes.  Clean runs are copied whole.
+void append_escaped(std::string& out, std::string_view s);
+[[nodiscard]] std::string escape(std::string_view s);
+
+/// Bare number tokens.
+void append_int(std::string& out, long long value);
+void append_u64(std::string& out, std::uint64_t value);
+void append_fixed1(std::string& out, double value);
+
+/// `,"key":value` object members (append_key writes the `,"key":` alone);
+/// append_str escapes its value.
+void append_key(std::string& out, std::string_view key);
+void append_int(std::string& out, std::string_view key, long long value);
+void append_u64(std::string& out, std::string_view key, std::uint64_t value);
+void append_fixed1(std::string& out, std::string_view key, double value);
+void append_bool(std::string& out, std::string_view key, bool value);
+void append_str(std::string& out, std::string_view key, std::string_view value);
 
 }  // namespace ble::json

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/hex.hpp"
+#include "common/json.hpp"
 #include "link/adv_pdu.hpp"
 #include "link/control_pdu.hpp"
 #include "link/pdu.hpp"
@@ -40,31 +41,30 @@ std::string connect_req_detail(const AdvPdu& pdu) {
 
 /// Procedure payload detail for the control PDUs the attack scenarios use:
 /// the paper's injections hinge on instants (Fig. 2/7), so name them.
-std::string control_detail(const ControlPdu& control) {
-    char buf[96];
+void append_control_detail(std::string& out, const ControlPdu& control) {
     switch (control.opcode) {
         case ControlOpcode::kConnectionUpdateInd:
             if (const auto update = ConnectionUpdateInd::parse(control)) {
-                std::snprintf(buf, sizeof(buf), " interval=%u instant=%u", update->interval,
-                              update->instant);
-                return buf;
+                out += " interval=";
+                json::append_u64(out, update->interval);
+                out += " instant=";
+                json::append_u64(out, update->instant);
             }
             break;
         case ControlOpcode::kChannelMapInd:
             if (const auto map = ChannelMapInd::parse(control)) {
-                std::snprintf(buf, sizeof(buf), " instant=%u", map->instant);
-                return buf;
+                out += " instant=";
+                json::append_u64(out, map->instant);
             }
             break;
         case ControlOpcode::kTerminateInd:
             if (const auto term = TerminateInd::parse(control)) {
-                std::snprintf(buf, sizeof(buf), " error=0x%02x", term->error_code);
-                return buf;
+                out += " error=0x";
+                append_hex(out, BytesView(&term->error_code, 1));
             }
             break;
         default: break;
     }
-    return {};
 }
 }  // namespace
 
@@ -72,37 +72,41 @@ std::string describe_frame(BytesView bytes) {
     const auto raw = phy::split_frame(bytes);
     if (!raw) return "malformed (" + std::to_string(bytes.size()) + "B)";
 
-    char buf[160];
     if (raw->access_address == phy::kAdvertisingAccessAddress) {
         const auto pdu = AdvPdu::parse(raw->pdu);
         if (!pdu) return "ADV malformed";
         std::string extra;
         if (pdu->type == AdvPduType::kConnectReq) extra = connect_req_detail(*pdu);
+        char buf[160];
         std::snprintf(buf, sizeof(buf), "%s (%zuB)%s%s", adv_type_name(pdu->type),
                       pdu->payload.size(), pdu->ch_sel ? " ChSel" : "", extra.c_str());
         return buf;
     }
 
+    // Data PDUs are most of every trace: append straight into the line.
     const auto pdu = DataPdu::parse(raw->pdu);
     if (!pdu) return "DATA malformed";
-    std::string detail;
+    std::string out;
+    out.reserve(64);
+    out += pdu->sn ? "DATA sn=1" : "DATA sn=0";
+    out += pdu->nesn ? " nesn=1" : " nesn=0";
+    if (pdu->md) out += " MD";
     if (pdu->is_control()) {
         if (const auto control = ControlPdu::parse(pdu->payload)) {
-            detail = control_opcode_name(control->opcode);
-            detail += control_detail(*control);
+            out += ' ';
+            out += control_opcode_name(control->opcode);
+            append_control_detail(out, *control);
         } else {
-            detail = "LL control (empty)";
+            out += " LL control (empty)";
         }
     } else if (pdu->is_empty()) {
-        detail = "empty PDU";
+        out += " empty PDU";
     } else {
-        detail = "L2CAP ";
-        detail += pdu->llid == Llid::kDataStart ? "start" : "cont";
-        detail += " " + std::to_string(pdu->payload.size()) + "B";
+        out += pdu->llid == Llid::kDataStart ? " L2CAP start " : " L2CAP cont ";
+        json::append_u64(out, pdu->payload.size());
+        out += 'B';
     }
-    std::snprintf(buf, sizeof(buf), "DATA sn=%d nesn=%d%s %s", pdu->sn ? 1 : 0,
-                  pdu->nesn ? 1 : 0, pdu->md ? " MD" : "", detail.c_str());
-    return buf;
+    return out;
 }
 
 PacketTrace::PacketTrace(sim::RadioMedium& medium, std::size_t max_records)

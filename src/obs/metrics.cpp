@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/sinks.hpp"
+#include "common/json.hpp"
 
 namespace ble::obs {
 
@@ -52,7 +52,7 @@ void append_key(std::string& out, std::string_view name, bool& first) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_json_escaped(out, name);
+    json::append_escaped(out, name);
     out += "\":";
 }
 

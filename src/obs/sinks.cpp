@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/hex.hpp"
+#include "common/json.hpp"
 
 #if BLE_OBS_HAS_ZLIB
 #include <zlib.h>
@@ -32,78 +33,16 @@ const char* event_kind_name(const Event& event) noexcept {
     return std::visit(Visitor{}, event);
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default: {
-                // Escape the remaining control bytes AND everything outside
-                // printable ASCII: device names / frame descriptions can hold
-                // arbitrary attacker-chosen bytes, and raw 0x80..0xFF would
-                // make the line invalid UTF-8 (hence invalid JSON for strict
-                // parsers).  \u00xx reads each byte as Latin-1 and always
-                // round-trips.
-                const auto u = static_cast<unsigned char>(c);
-                if (u < 0x20 || u >= 0x7f) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-            }
-        }
-    }
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    append_json_escaped(out, s);
-    return out;
-}
-
 namespace {
 
-void append_str(std::string& out, const char* key, std::string_view value) {
-    out += ",\"";
-    out += key;
-    out += "\":\"";
-    append_json_escaped(out, value);
-    out += '"';
-}
-
-void append_int(std::string& out, const char* key, long long value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-}
-
-void append_bool(std::string& out, const char* key, bool value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += value ? "true" : "false";
-}
-
-/// dBm figures serialize at one decimal — the exact quantization the capture
-/// subsystem's phdr uses, so offline trace-to-pcap rendering is bit-identical
-/// to the live sink (obs::capture::quantize_dbm round-trips this form).
-void append_fixed1(std::string& out, const char* key, double value) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", value);
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += buf;
-}
+// dBm figures serialize at one decimal (append_fixed1) — the exact
+// quantization the capture subsystem's phdr uses, so offline trace-to-pcap
+// rendering is bit-identical to the live sink (obs::capture::quantize_dbm
+// round-trips this form).
+using json::append_bool;
+using json::append_fixed1;
+using json::append_int;
+using json::append_str;
 
 struct JsonVisitor {
     std::string& out;
@@ -115,7 +54,10 @@ struct JsonVisitor {
         append_str(out, "sender", e.sender);
         append_int(out, "dur_ns", e.duration);
         append_fixed1(out, "tx_dbm", e.tx_power_dbm);
-        append_str(out, "hex", to_hex(e.bytes));
+        json::append_key(out, "hex");
+        out += '"';
+        append_hex(out, e.bytes);
+        out += '"';
         if (describe) append_str(out, "desc", describe(e.bytes));
     }
     void operator()(const RxDecision& e) const {
@@ -177,18 +119,33 @@ TimePoint event_time(const Event& event) noexcept {
     return std::visit([](const auto& e) { return e.time; }, event);
 }
 
-}  // namespace
-
-std::string to_jsonl(const Event& event, const FrameDescriber& describe) {
-    std::string out;
-    out.reserve(128);
+/// Appends one event's line (without the newline) to `out`.
+void append_jsonl(std::string& out, const Event& event, const FrameDescriber& describe) {
     out += "{\"e\":\"";
     out += event_kind_name(event);
     out += '"';
     append_int(out, "t_ns", event_time(event));
     std::visit(JsonVisitor{out, describe}, event);
     out += '}';
+}
+
+}  // namespace
+
+std::string to_jsonl(const Event& event, const FrameDescriber& describe) {
+    std::string out;
+    append_jsonl(out, event, describe);
     return out;
+}
+
+void JsonlTraceSink::on_event(const Event& event) {
+    append_jsonl(text_, event, describe_);
+    text_ += '\n';
+}
+
+void JsonlTraceSink::set_header(std::string_view line) {
+    const std::string head = line.empty() ? std::string() : std::string(line) + '\n';
+    text_.replace(0, header_size_, head);
+    header_size_ = head.size();
 }
 
 namespace {
@@ -268,22 +225,6 @@ void CounterSink::reset() noexcept {
     }
 }
 
-std::string JsonlTraceSink::str() const {
-    std::string out;
-    std::size_t total = header_.empty() ? 0 : header_.size() + 1;
-    for (const auto& line : lines_) total += line.size() + 1;
-    out.reserve(total);
-    if (!header_.empty()) {
-        out += header_;
-        out += '\n';
-    }
-    for (const auto& line : lines_) {
-        out += line;
-        out += '\n';
-    }
-    return out;
-}
-
 bool trace_compression_available() noexcept {
 #if BLE_OBS_HAS_ZLIB
     return true;
@@ -311,10 +252,6 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
     bool ok = content.empty() || std::fwrite(content.data(), 1, content.size(), f) == content.size();
     if (std::fclose(f) != 0) ok = false;
     return ok;
-}
-
-bool JsonlTraceSink::write_file(const std::string& path, bool gzip) const {
-    return write_text_file(path, str(), gzip);
 }
 
 bool read_binary_file(const std::string& path, std::string& content, std::string* error) {

@@ -3,8 +3,8 @@
 //  * CounterSink — lock-free per-trial metrics: every counter is a relaxed
 //    atomic, so an aggregator thread may snapshot while the trial's scheduler
 //    thread keeps emitting (the TrialRunner pattern).
-//  * JsonlTraceSink — serializes every event into one JSON line, buffered in
-//    memory; TrialRunner-style harnesses attach one per trial and flush the
+//  * JsonlTraceSink — appends every event as one JSON line to one in-memory
+//    buffer; TrialRunner-style harnesses attach one per trial and flush the
 //    buffer to a file next to the INJECTABLE_JSON records when the trial
 //    fails, keyed by seed, so the trial can be replayed frame-by-frame.
 //
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/bus.hpp"
@@ -25,15 +26,6 @@ namespace ble::obs {
 /// Optional frame decoder injected by higher layers (link::describe_frame
 /// has exactly this signature); keeps ble_obs free of link-layer knowledge.
 using FrameDescriber = std::function<std::string(BytesView)>;
-
-/// Appends `s` as the body of a JSON string literal (no surrounding quotes):
-/// quotes/backslashes and the short control escapes (\n \t \r \b \f) are
-/// escaped, every other control byte, DEL and every non-ASCII byte becomes
-/// \u00xx (Latin-1 view of the byte) — device names and frame descriptions
-/// are attacker-influenced, so the output must stay valid JSON (and valid
-/// UTF-8) for ANY input bytes.
-void append_json_escaped(std::string& out, std::string_view s);
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Serializes one event as a compact single-line JSON object (no trailing
 /// newline).  With a describer, TxStart lines carry a decoded "desc" field.
@@ -98,35 +90,33 @@ private:
     Counter ids_alerts_{0}, phases_{0};
 };
 
-/// Buffers every event as one JSON line; flush with write_file() / str().
+/// Renders every event as one JSON line into a single append-only buffer
+/// (header line first, if set); write_text_file(path, str()) flushes it.
 class JsonlTraceSink : public EventSink {
 public:
     explicit JsonlTraceSink(FrameDescriber describe = {}) : describe_(std::move(describe)) {}
 
-    void on_event(const Event& event) override { lines_.push_back(to_jsonl(event, describe_)); }
+    void on_event(const Event& event) override;
 
-    /// Optional metadata line written before the event lines (the replay tool
-    /// stores the trial's reconstructed config here).  Not part of lines().
-    void set_header(std::string line) { header_ = std::move(line); }
-    [[nodiscard]] const std::string& header() const noexcept { return header_; }
+    /// Optional metadata line kept before the event lines (the replay tool
+    /// stores the trial's reconstructed config here).  Not part of events().
+    void set_header(std::string_view line);
 
-    [[nodiscard]] const std::vector<std::string>& lines() const noexcept { return lines_; }
-    [[nodiscard]] std::string str() const;
-    void clear() noexcept {
-        lines_.clear();
-        header_.clear();
+    /// The event lines, each terminated by '\n', without the header.
+    [[nodiscard]] std::string_view events() const noexcept {
+        return std::string_view(text_).substr(header_size_);
     }
-
-    /// Writes the header (if any) and all lines to `path` (truncating);
-    /// returns false on I/O error.  With gzip=true the stream is
-    /// gzip-compressed when trace_compression_available(), and written plain
-    /// otherwise (graceful fallback).
-    bool write_file(const std::string& path, bool gzip = false) const;
+    /// The whole trace as written to disk: the header line, then the events.
+    [[nodiscard]] const std::string& str() const noexcept { return text_; }
+    void clear() noexcept {
+        text_.clear();
+        header_size_ = 0;
+    }
 
 private:
     FrameDescriber describe_;
-    std::string header_;
-    std::vector<std::string> lines_;
+    std::string text_;
+    std::size_t header_size_ = 0;  ///< bytes of text_ the header line takes, '\n' included
 };
 
 }  // namespace ble::obs

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/sinks.hpp"
+#include "common/json.hpp"
 
 namespace ble::obs {
 
@@ -57,9 +57,9 @@ void ChannelOccupancySink::add_complete(int tid, std::string_view name, std::str
     std::string e;
     e.reserve(96);
     e += "{\"name\":\"";
-    append_json_escaped(e, name);
+    json::append_escaped(e, name);
     e += "\",\"cat\":\"";
-    append_json_escaped(e, cat);
+    json::append_escaped(e, cat);
     e += "\",\"ph\":\"X\",\"ts\":";
     append_us(e, start);
     e += ",\"dur\":";
@@ -79,9 +79,9 @@ void ChannelOccupancySink::add_instant(int tid, std::string_view name, std::stri
     std::string e;
     e.reserve(96);
     e += "{\"name\":\"";
-    append_json_escaped(e, name);
+    json::append_escaped(e, name);
     e += "\",\"cat\":\"";
-    append_json_escaped(e, cat);
+    json::append_escaped(e, cat);
     e += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
     append_us(e, time);
     e += ",\"pid\":0,\"tid\":" + std::to_string(tid) + '}';

@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "core/forge.hpp"
 #include "link/trace.hpp"
 #include "obs/capture/capture.hpp"
@@ -297,20 +298,16 @@ void append_run_result_json(std::string& out, const RunResult& r) {
     // record bytes match every previously written series record.
     char wall[40];
     std::snprintf(wall, sizeof(wall), "%g", r.wall_ms);
-    out += "{\"seed\":" + std::to_string(r.seed);
-    out += ",\"success\":";
-    out += r.success ? "true" : "false";
-    out += ",\"attempts\":" + std::to_string(r.attempts);
-    out += ",\"established\":";
-    out += r.established ? "true" : "false";
-    out += ",\"sniffed\":";
-    out += r.sniffed ? "true" : "false";
-    out += ",\"session_lost\":";
-    out += r.session_lost ? "true" : "false";
-    out += ",\"victim_disconnected\":";
-    out += r.victim_disconnected ? "true" : "false";
-    out += ",\"heuristic_fp\":" + std::to_string(r.heuristic_false_positives);
-    out += ",\"heuristic_fn\":" + std::to_string(r.heuristic_false_negatives);
+    out += "{\"seed\":";
+    json::append_u64(out, r.seed);
+    json::append_bool(out, "success", r.success);
+    json::append_int(out, "attempts", r.attempts);
+    json::append_bool(out, "established", r.established);
+    json::append_bool(out, "sniffed", r.sniffed);
+    json::append_bool(out, "session_lost", r.session_lost);
+    json::append_bool(out, "victim_disconnected", r.victim_disconnected);
+    json::append_int(out, "heuristic_fp", r.heuristic_false_positives);
+    json::append_int(out, "heuristic_fn", r.heuristic_false_negatives);
     out += ",\"wall_ms\":";
     out += wall;
     out += '}';
@@ -323,7 +320,7 @@ std::string to_json(const ExperimentConfig& config, const std::vector<RunResult>
     std::ostringstream os;
     // Experiment names are free-form (and end up in shared JSONL files):
     // escape them like every other observability string.
-    os << "{\"experiment\":\"" << obs::json_escape(config.name)
+    os << "{\"experiment\":\"" << json::escape(config.name)
        << "\",\"base_seed\":" << config.base_seed
        << ",\"runs\":" << results.size() << ",\"jobs\":" << resolve_jobs(config.jobs)
        << ",\"hop_interval\":" << config.world.hop_interval

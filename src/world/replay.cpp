@@ -20,17 +20,18 @@ using namespace ble;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Serialization helpers.  Doubles use %.17g: enough digits that strtod
-// recovers the exact bit pattern, which is what makes a replayed world
-// byte-identical to the recorded one.
+using json::append_bool;
+using json::append_int;
+using json::append_str;
+using json::append_u64;
 
+// Doubles use %.17g: enough digits that strtod recovers the exact bit
+// pattern, which is what makes a replayed world byte-identical to the
+// recorded one.
 void append_double(std::string& out, const char* key, double value) {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += ",\"";
-    out += key;
-    out += "\":";
+    json::append_key(out, key);
     // %.17g can emit "inf"/"nan" which are not JSON; the specs never hold
     // them, but keep the line parseable regardless.
     if (std::isfinite(value)) {
@@ -38,35 +39,6 @@ void append_double(std::string& out, const char* key, double value) {
     } else {
         out += '0';
     }
-}
-
-void append_int(std::string& out, const char* key, long long value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-}
-
-void append_u64(std::string& out, const char* key, std::uint64_t value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-}
-
-void append_bool(std::string& out, const char* key, bool value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += value ? "true" : "false";
-}
-
-void append_str(std::string& out, const char* key, std::string_view value) {
-    out += ",\"";
-    out += key;
-    out += "\":\"";
-    ble::obs::append_json_escaped(out, value);
-    out += '"';
 }
 
 std::string position_str(ble::sim::Position p) {
@@ -500,8 +472,13 @@ ReplayDiff replay_trace_lines(const std::vector<std::string>& lines) {
     (void)run_injection_experiment_with_retry(config, meta.seed, meta.tries);
     diff.loaded = true;
 
-    const std::vector<std::string> no_lines;
-    const std::vector<std::string>& fresh = trace ? trace->lines() : no_lines;
+    // The fresh event lines, viewed in place in the trace sink's one buffer.
+    std::vector<std::string_view> fresh;
+    for (std::string_view rest = trace ? trace->events() : std::string_view(); !rest.empty();) {
+        const std::size_t nl = rest.find('\n');
+        fresh.push_back(rest.substr(0, nl));
+        rest.remove_prefix(nl + 1);
+    }
     diff.replayed_events = fresh.size();
 
     const std::size_t common = std::min(diff.recorded_events, fresh.size());
@@ -509,14 +486,14 @@ ReplayDiff replay_trace_lines(const std::vector<std::string>& lines) {
         if (lines[i + 1] != fresh[i]) {
             diff.first_divergence = i;
             diff.recorded_line = lines[i + 1];
-            diff.replayed_line = fresh[i];
+            diff.replayed_line = std::string(fresh[i]);
             return diff;
         }
     }
     if (diff.recorded_events != diff.replayed_events) {
         diff.first_divergence = common;
         if (common < diff.recorded_events) diff.recorded_line = lines[common + 1];
-        if (common < diff.replayed_events) diff.replayed_line = fresh[common];
+        if (common < diff.replayed_events) diff.replayed_line = std::string(fresh[common]);
         return diff;
     }
     diff.identical = true;

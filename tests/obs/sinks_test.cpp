@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/sinks.hpp"
 
 namespace ble::obs {
@@ -129,9 +130,9 @@ TEST(ToJsonlTest, EscapesHostileNames) {
         EXPECT_TRUE(u >= 0x20 && u < 0x7f) << "raw byte 0x" << std::hex << int(u);
     }
 
-    EXPECT_EQ(json_escape("plain"), "plain");
-    EXPECT_EQ(json_escape("\x1f\x7f\xc3"), "\\u001f\\u007f\\u00c3");
-    EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("\x1f\x7f\xc3"), "\\u001f\\u007f\\u00c3");
+    EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
 }
 
 TEST(ToJsonlTest, ConnEventVariants) {
@@ -179,12 +180,12 @@ TEST(JsonlTraceSinkTest, BuffersAndWritesFile) {
     phase.phase = "establish";
     bus.emit(phase);
     bus.emit(TxStart{});
-    ASSERT_EQ(sink.lines().size(), 2u);
-    EXPECT_EQ(sink.lines()[0].find("{\"e\":\"phase\""), 0u);
-    EXPECT_EQ(sink.str(), sink.lines()[0] + "\n" + sink.lines()[1] + "\n");
+    EXPECT_EQ(sink.str(), to_jsonl(Event(phase)) + "\n" + to_jsonl(Event(TxStart{})) + "\n");
+    EXPECT_EQ(sink.str().find("{\"e\":\"phase\""), 0u);
+    EXPECT_EQ(sink.events(), sink.str());  // no header
 
     const std::string path = ::testing::TempDir() + "obs_sink_test.jsonl";
-    ASSERT_TRUE(sink.write_file(path));
+    ASSERT_TRUE(write_text_file(path, sink.str()));
     FILE* f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::string contents(4096, '\0');
@@ -194,8 +195,8 @@ TEST(JsonlTraceSinkTest, BuffersAndWritesFile) {
     EXPECT_EQ(contents, sink.str());
 
     sink.clear();
-    EXPECT_TRUE(sink.lines().empty());
-    EXPECT_FALSE(sink.write_file("/nonexistent-dir/x/y.jsonl"));
+    EXPECT_TRUE(sink.str().empty());
+    EXPECT_FALSE(write_text_file("/nonexistent-dir/x/y.jsonl", sink.str()));
 }
 
 TEST(JsonlTraceSinkTest, HeaderLinePrecedesEvents) {
@@ -205,13 +206,18 @@ TEST(JsonlTraceSinkTest, HeaderLinePrecedesEvents) {
     bus.attach(sink);
     bus.emit(TxStart{});
 
-    const std::string text = sink.str();
-    EXPECT_EQ(text.find("{\"e\":\"meta\",\"v\":1}\n"), 0u);
-    EXPECT_NE(text.find("{\"e\":\"tx\""), std::string::npos);
-    ASSERT_EQ(sink.lines().size(), 1u);  // header is not an event line
+    const std::string event_line = to_jsonl(Event(TxStart{})) + "\n";
+    EXPECT_EQ(sink.str(), "{\"e\":\"meta\",\"v\":1}\n" + event_line);
+    EXPECT_EQ(sink.events(), event_line);  // header is not an event line
+
+    // A header set after the first event still goes first, replacing the old one.
+    sink.set_header("{\"e\":\"meta\",\"v\":22}");
+    EXPECT_EQ(sink.str(), "{\"e\":\"meta\",\"v\":22}\n" + event_line);
+    sink.set_header("");
+    EXPECT_EQ(sink.str(), event_line);
 
     sink.clear();
-    EXPECT_TRUE(sink.header().empty());
+    EXPECT_TRUE(sink.str().empty());
 }
 
 TEST(JsonlTraceSinkTest, GzipRoundTrip) {
@@ -227,7 +233,7 @@ TEST(JsonlTraceSinkTest, GzipRoundTrip) {
     const bool gz = trace_compression_available();
     const std::string path =
         ::testing::TempDir() + (gz ? "obs_sink_test.jsonl.gz" : "obs_sink_test_rt.jsonl");
-    ASSERT_TRUE(sink.write_file(path, gz));
+    ASSERT_TRUE(write_text_file(path, sink.str(), gz));
 
     if (gz) {
         // The bytes on disk really are gzip (magic 1f 8b), not plain text.
@@ -247,8 +253,8 @@ TEST(JsonlTraceSinkTest, GzipRoundTrip) {
     EXPECT_TRUE(error.empty()) << error;
     ASSERT_EQ(lines.size(), 3u);
     EXPECT_EQ(lines[0], "{\"e\":\"meta\",\"v\":1}");
-    EXPECT_EQ(lines[1], sink.lines()[0]);
-    EXPECT_EQ(lines[2], sink.lines()[1]);
+    EXPECT_EQ(lines[1], to_jsonl(Event(tx)));
+    EXPECT_EQ(lines[2], to_jsonl(Event(IdsAlert{})));
 
     std::string missing_error;
     EXPECT_TRUE(read_jsonl_file("/nonexistent-dir/x.jsonl", &missing_error).empty());

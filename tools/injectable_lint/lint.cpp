@@ -427,7 +427,7 @@ struct Scanner {
             // Result serialization: the order values hit the byte stream
             // becomes the record, which must be byte-identical across
             // reruns and worker counts (DESIGN.md §6).
-            "to_json", "to_jsonl", "json_escape", "append_json_escaped",
+            "to_json", "to_jsonl", "json_escape", "append_json_escaped", "append_escaped",
             "encode_frame", "append_frame", "on_artifact", "on_series_record"};
         // Pass 1: names declared (member, local or parameter) with an
         // unordered container type.

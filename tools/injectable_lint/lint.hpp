@@ -23,8 +23,9 @@
 //       suppress with an order-freedom argument.  Extension: event emission
 //       (emit / emit_batch / dispatch / on_event) *or result serialization*
 //       (to_json / to_jsonl / json_escape / append_json_escaped /
-//       encode_frame / append_frame / on_artifact / on_series_record) from
-//       inside a range-for over *any* std::unordered_* container is flagged
+//       append_escaped / encode_frame / append_frame / on_artifact /
+//       on_series_record) from inside a range-for over *any*
+//       std::unordered_* container is flagged
 //       regardless of key type — hash order is unspecified for every key,
 //       so the emitted event order or serialized byte stream would vary
 //       across standard libraries and runs.  The byte-identity contract on

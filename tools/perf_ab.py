@@ -11,7 +11,10 @@ its perfbench/ binary there, builds the working tree's perfbench/ next to it
 so that a second call rebuilds only what changed), then runs --pairs pairs of
 `--mode measure` launches, alternating which side goes first.  For every
 end-to-end metric of BENCHMARK.json it prints the parent's and the change's
-median and quartiles, how many pairs the change won, and a verdict:
+median and quartiles, how many pairs the change won, and a verdict.  As in
+perfbench/run.py, each launch's setup_s is the fastest of the measured launch
+and SETUP_LAUNCHES set-up-only launches around it, rotated over the allowed
+CPUs; a single launch's setup_s is too noisy to compare.  Verdicts:
 
   gain        the change won at least 9 of 10 pairs and its median beats the
               parent's by more than the parent's interquartile range;
@@ -35,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BINARY = "injectable_perfbench"
+SETUP_LAUNCHES = 6
 
 
 def fail(message):
@@ -75,16 +79,32 @@ def build(source_root, build_dir):
     return os.path.join(build_dir, BINARY)
 
 
-def measure(binary, args):
+def launch(binary, args, mode, cpu=None):
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed % 2**64),
-           "--seconds", str(args.seconds), "--mode", "measure"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+           "--seconds", str(args.seconds), "--mode", mode]
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=pin)
     if proc.returncode != 0:
         fail(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
     for line in proc.stdout.splitlines():
         if line.startswith("PERFBENCH_RESULT "):
             return json.loads(line[len("PERFBENCH_RESULT "):])
     fail(f"{' '.join(cmd)} printed no result")
+
+
+def measure(binary, args):
+    """One measured launch, its setup_s the fastest of it and the set-up-only launches."""
+    cpus = sorted(os.sched_getaffinity(0))
+
+    def setup_s(i):
+        return launch(binary, args, "setup", cpus[i % len(cpus)])["metrics"]["setup_s"]
+
+    half = SETUP_LAUNCHES // 2
+    setups = [setup_s(i) for i in range(half)]
+    result = launch(binary, args, "measure")
+    setups += [result["metrics"]["setup_s"]] + [setup_s(i) for i in range(half, SETUP_LAUNCHES)]
+    result["metrics"]["setup_s"] = min(setups)
+    return result
 
 
 def quartiles(values):
