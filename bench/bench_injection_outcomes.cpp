@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 
+#include "obs/bus.hpp"
 #include "world/experiment.hpp"
 
 int main() {
@@ -25,9 +26,10 @@ int main() {
                 "(b) corrupt", "(c) master", "no rsp");
 
     for (int delay_us : {0, 10, 20, 30, 40, 60, 90, 120}) {
-        // run_series fans trials out on worker threads; the per-attempt hook
-        // fires concurrently, so accumulate into atomics (the printed totals
-        // are order-independent and stay deterministic).
+        // run_series fans trials out on worker threads; each trial's bus
+        // delivers its attempts on that trial's worker, so accumulate into
+        // atomics (the printed totals are order-independent and stay
+        // deterministic).
         std::atomic<int> ok{0}, corrupt{0}, master_won{0}, silent{0}, total{0};
         ExperimentConfig config;
         config.world.hop_interval = 36;
@@ -39,17 +41,22 @@ int main() {
         config.world.attack.tx_latency_sd = 0;
         config.world.attack.hiccup_prob = 0.0;
         config.world.attack.turnaround_time = 0;
-        config.on_attempt_hook = [&](const AttemptReport& report) {
-            ++total;
-            if (!report.verdict.response_seen) {
-                ++silent;
-            } else if (!report.verdict.timing_ok) {
-                ++master_won;  // slave anchored on the legitimate frame
-            } else if (!report.verdict.flow_ok) {
-                ++corrupt;  // anchored on us, CRC failed
-            } else {
-                ++ok;
-            }
+        config.per_trial_sinks = [&](obs::EventBus& bus, std::uint64_t) {
+            bus.subscribe([&](const obs::Event& event) {
+                const auto* attempt = std::get_if<obs::InjectionAttempt>(&event);
+                if (attempt == nullptr || attempt->report == nullptr) return;
+                const AttemptReport& report = *attempt->report;
+                ++total;
+                if (!report.verdict.response_seen) {
+                    ++silent;
+                } else if (!report.verdict.timing_ok) {
+                    ++master_won;  // slave anchored on the legitimate frame
+                } else if (!report.verdict.flow_ok) {
+                    ++corrupt;  // anchored on us, CRC failed
+                } else {
+                    ++ok;
+                }
+            });
         };
         (void)run_series(config);
         const int n = total.load();

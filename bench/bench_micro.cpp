@@ -124,9 +124,9 @@ BENCHMARK(BM_SchedulerChurn);
 // ---------------------------------------------------------------------------
 // Observability overhead: the medium emits a TxStart + RxDecision pair per
 // frame, so per-event dispatch cost bounds what always-on instrumentation
-// costs a campaign.  Three rungs: a bare bus (emit() short-circuits on
-// active()==false), the lock-free CounterSink, and the full MetricsSink
-// (registry counters + log2 histograms).
+// costs a campaign.  Two rungs: a bare bus (emit() short-circuits on
+// active()==false) and the full MetricsSink (registry counters + log2
+// histograms).
 
 obs::Event make_rx_event() {
     obs::RxDecision rx;
@@ -147,19 +147,6 @@ void BM_ObsEmitNoSinks(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsEmitNoSinks);
-
-void BM_ObsEmitCounterSink(benchmark::State& state) {
-    obs::EventBus bus;
-    obs::CounterSink counters;
-    bus.attach(counters);
-    const obs::Event event = make_rx_event();
-    for (auto _ : state) {
-        bus.emit(event);
-    }
-    benchmark::DoNotOptimize(counters.snapshot().rx_delivered);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsEmitCounterSink);
 
 void BM_ObsEmitMetricsSink(benchmark::State& state) {
     obs::EventBus bus;

@@ -4,8 +4,8 @@
 # table depends on the simulation alone; two workers also exercise the
 # parallel merge.  After a deliberate model change, regenerate a table with
 #   BENCH_JOBS=2 build/bench/<name> > bench/golden/<name>.txt
-foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS CHROME_TRACE_DIR PCAP_DIR
-            METRICS PROF PROGRESS)
+foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS PCAP_DIR METRICS PROF
+            PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)

@@ -4,8 +4,8 @@
 # A declared model-version bump may move any number in bench/golden/; it must
 # never break one of these claims.  OPEN_ROOM is read by bench_experiment3_wall
 # only, whose means are compared with the open-room Exp 3 means.
-foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS CHROME_TRACE_DIR PCAP_DIR
-            METRICS PROF PROGRESS)
+foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS PCAP_DIR METRICS PROF
+            PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)

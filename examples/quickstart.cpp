@@ -9,7 +9,6 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "core/forge.hpp"
 #include "link/trace.hpp"
@@ -29,12 +28,16 @@ int main() {
     world::World world(spec);
 
     // INJECTABLE_TRACE=1 prints every frame on the air, Wireshark-style.
-    std::unique_ptr<link::PacketTrace> trace;
+    obs::ScopedSubscription trace;
     if (std::getenv("INJECTABLE_TRACE")) {
-        trace = std::make_unique<link::PacketTrace>(world.medium);
-        trace->on_record = [](const link::TraceRecord& record) {
-            std::printf("%s\n", link::PacketTrace::format(record).c_str());
-        };
+        trace = obs::ScopedSubscription(world.bus(), [](const obs::Event& event) {
+            const auto* tx = std::get_if<obs::TxStart>(&event);
+            if (tx == nullptr) return;
+            const std::uint32_t aa = ByteReader(tx->bytes).read_u32().value_or(0);
+            const std::string sender(tx->sender);
+            std::printf("%12.3f ms  ch %2u  AA %08x  %-10s  %s\n", to_ms(tx->time), tx->channel,
+                        aa, sender.c_str(), link::describe_frame(tx->bytes).c_str());
+        });
     }
 
     world.bulb.on_change = [&](const gatt::LightbulbProfile::State& s) {

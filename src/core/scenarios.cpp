@@ -1,6 +1,5 @@
 #include "core/scenarios.hpp"
 
-#include "common/log.hpp"
 #include "core/forge.hpp"
 
 namespace injectable {
@@ -209,7 +208,6 @@ void ScenarioB::execute(std::function<void(const Result&)> done, int max_attempt
                                                        EmulatedEndpoint::Upper::kServer,
                                                        &fake_server_);
         endpoint_->resume(next_anchor);
-        BLE_LOG_INFO("scenario B: slave role hijacked after ", attempts, " attempt(s)");
         if (done) done(result);
     };
     session_.inject(std::move(request));
@@ -304,7 +302,6 @@ void ScenarioC::become_master() {
     endpoint_->on_event = [this](const link::ConnectionEventReport& report) {
         if (!result_.success && report.pdus_rx > 0) {
             result_.success = true;
-            BLE_LOG_INFO("scenario C: master role hijacked (slave answers the attacker)");
             if (done_) done_(result_);
         }
     };
@@ -377,8 +374,6 @@ void ScenarioCSlave::become_slave() {
     endpoint_->on_event = [this](const link::ConnectionEventReport& report) {
         if (!result_.success && report.anchor_observed) {
             result_.success = true;
-            BLE_LOG_INFO(
-                "scenario C': slave seat taken via forged update (real slave starved)");
             if (done_) done_(result_);
         }
     };
@@ -487,7 +482,6 @@ void ScenarioD::split_connection() {
     auto check = [this, anchored] {
         if (!result_.success && anchored->first && anchored->second) {
             result_.success = true;
-            BLE_LOG_INFO("scenario D: man-in-the-middle established");
             if (done_) done_(result_);
         }
     };

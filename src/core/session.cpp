@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hpp"
 #include "core/forge.hpp"
 #include "phy/frame.hpp"
 
@@ -418,7 +417,6 @@ void AttackSession::declare_lost() {
         radio_.scheduler().cancel(timer_);
         timer_ = sim::kInvalidEvent;
     }
-    BLE_LOG_DEBUG("attack session: target connection lost");
     if (on_connection_lost) on_connection_lost();
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/log.hpp"
 #include "phy/access_address.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
@@ -73,9 +72,6 @@ void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
             sniffed.params = req->params;
             sniffed.time_reference = frame.end;
             sniffed.from_connect_req = true;
-            BLE_LOG_INFO("sniffer: CONNECT_REQ captured (AA=0x", std::hex,
-                         req->params.access_address, std::dec, ", hop interval ",
-                         req->params.hop_interval, ")");
             if (on_connection) on_connection(sniffed, *req);
         }
         return;
@@ -227,9 +223,6 @@ void ConnectionRecovery::finish(TimePoint anchor) {
     running_ = false;
     radio_.rx_handler = nullptr;
     radio_.stop_listening();
-    BLE_LOG_INFO("recovery: synchronised with existing connection (AA=0x", std::hex, *aa_,
-                 std::dec, ", hop interval ", *hop_interval_, ", increment ",
-                 static_cast<int>(*hop_increment_), ")");
     if (on_recovered) on_recovered(sniffed);
 }
 

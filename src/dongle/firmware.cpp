@@ -1,7 +1,5 @@
 #include "dongle/firmware.hpp"
 
-#include "common/log.hpp"
-
 namespace injectable::dongle {
 
 using ble::ByteReader;

@@ -1,7 +1,5 @@
 #include "host/central.hpp"
 
-#include "common/log.hpp"
-
 namespace ble::host {
 
 Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
@@ -94,7 +92,6 @@ void Central::handle_control(const link::ControlPdu& pdu) {
     // LL_START_ENC_REQ leaves in plaintext; the Connection enables the cipher
     // for everything after it (both directions).
     conn->send_control(link::ControlPdu{link::ControlOpcode::kStartEncReq, {}});
-    BLE_LOG_INFO(config_.name, ": encryption session keys derived (master side)");
 }
 
 }  // namespace ble::host

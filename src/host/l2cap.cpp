@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-
 namespace ble::host {
 
 void L2capChannel::send(std::uint16_t cid, BytesView sdu) {
@@ -26,10 +24,7 @@ void L2capChannel::handle_ll_pdu(const link::DataPdu& pdu) {
     if (pdu.llid == link::Llid::kDataStart) {
         rx_buffer_ = pdu.payload;
     } else if (pdu.llid == link::Llid::kDataContinuation && !pdu.payload.empty()) {
-        if (rx_buffer_.empty()) {
-            BLE_LOG_DEBUG("l2cap: continuation without a start fragment, dropping");
-            return;
-        }
+        if (rx_buffer_.empty()) return;  // continuation without a start fragment: drop
         rx_buffer_.insert(rx_buffer_.end(), pdu.payload.begin(), pdu.payload.end());
     } else {
         return;
@@ -41,8 +36,7 @@ void L2capChannel::handle_ll_pdu(const link::DataPdu& pdu) {
     const std::uint16_t cid = *r.read_u16();
     rx_expected_ = 4u + len;
     if (rx_buffer_.size() < rx_expected_) return;
-    if (rx_buffer_.size() > rx_expected_) {
-        BLE_LOG_DEBUG("l2cap: oversized frame, dropping");
+    if (rx_buffer_.size() > rx_expected_) {  // oversized frame: drop
         rx_buffer_.clear();
         return;
     }

@@ -1,7 +1,5 @@
 #include "host/peripheral.hpp"
 
-#include "common/log.hpp"
-
 namespace ble::host {
 
 Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
@@ -90,7 +88,6 @@ void Peripheral::handle_control(const link::ControlPdu& pdu) {
     material.iv_s = rsp.iv_s;
     conn->set_crypto(std::make_shared<crypto::LinkEncryption>(material));
     conn->send_control(rsp.to_control());
-    BLE_LOG_INFO(config_.name, ": encryption session keys derived (slave side)");
 }
 
 }  // namespace ble::host

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/log.hpp"
 #include "obs/bus.hpp"
 
 namespace ble::ids {
@@ -67,7 +66,6 @@ void InjectionDetector::stop() {
 void InjectionDetector::raise(AlertType type, std::uint16_t event_counter,
                               std::string_view detail) {
     ++alerts_;
-    BLE_LOG_INFO("ids: ", alert_type_name(type), " (event ", event_counter, "): ", detail);
     auto& bus = radio_.medium().bus();
     if (bus.active()) {
         obs::IdsAlert event;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/log.hpp"
 #include "obs/work_counters.hpp"
 #include "phy/frame.hpp"
 #include "phy/spec.hpp"
@@ -706,7 +705,6 @@ void Connection::disconnect(DisconnectReason reason) {
         timer_ = sim::kInvalidEvent;
     }
     radio_.stop_listening();
-    BLE_LOG_DEBUG("connection (", radio_.name(), ") closed: ", disconnect_reason_name(reason));
     emit_conn_event(obs::ConnEvent::Kind::kClosed, disconnect_reason_name(reason));
     if (hooks_.on_disconnected) hooks_.on_disconnected(reason);
 }

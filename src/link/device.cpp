@@ -1,6 +1,5 @@
 #include "link/device.hpp"
 
-#include "common/log.hpp"
 #include "phy/access_address.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
@@ -219,8 +218,6 @@ void LinkLayerDevice::become_slave(const ConnectReqPdu& req, TimePoint connect_r
     cfg.widening_scale = config_.widening_scale;
     connection_ = std::make_unique<Connection>(*this, std::move(cfg), make_effective_hooks());
     connection_->start(connect_req_end);
-    BLE_LOG_INFO(name(), ": connection established as slave (AA=0x", std::hex,
-                 req.params.access_address, std::dec, ")");
     if (on_connection_established) on_connection_established(*connection_);
 }
 
@@ -237,8 +234,6 @@ void LinkLayerDevice::become_master(TimePoint connect_req_end) {
     cfg.widening_scale = config_.widening_scale;
     connection_ = std::make_unique<Connection>(*this, std::move(cfg), make_effective_hooks());
     connection_->start(connect_req_end);
-    BLE_LOG_INFO(name(), ": connection established as master (AA=0x", std::hex,
-                 initiate_params_.access_address, std::dec, ")");
     if (on_connection_established) on_connection_established(*connection_);
 }
 

@@ -9,7 +9,6 @@
 #include "link/pdu.hpp"
 #include "phy/access_address.hpp"
 #include "phy/frame.hpp"
-#include "sim/radio_device.hpp"
 
 namespace ble::link {
 
@@ -107,41 +106,6 @@ std::string describe_frame(BytesView bytes) {
         out += 'B';
     }
     return out;
-}
-
-PacketTrace::PacketTrace(sim::RadioMedium& medium, std::size_t max_records)
-    : max_records_(max_records),
-      subscription_(medium.bus(), [this](const obs::Event& event) {
-          if (const auto* tx = std::get_if<obs::TxStart>(&event)) record_tx(*tx);
-      }) {}
-
-void PacketTrace::record_tx(const obs::TxStart& tx) {
-    TraceRecord record;
-    record.time = tx.time;
-    record.sender = std::string(tx.sender);
-    record.channel = tx.channel;
-    record.air_bytes = tx.bytes.size() + 1;  // + preamble
-    if (tx.bytes.size() >= 4) {
-        record.access_address = static_cast<std::uint32_t>(
-            tx.bytes[0] | (tx.bytes[1] << 8) | (tx.bytes[2] << 16) |
-            (static_cast<std::uint32_t>(tx.bytes[3]) << 24));
-    }
-    record.description = describe_frame(tx.bytes);
-    if (on_record) on_record(record);
-    if (max_records_ == 0) return;
-    if (records_.size() >= max_records_) {
-        records_.pop_front();
-        ++dropped_;
-    }
-    records_.push_back(std::move(record));
-}
-
-std::string PacketTrace::format(const TraceRecord& record) {
-    char buf[224];
-    std::snprintf(buf, sizeof(buf), "%12.3f ms  ch %2u  AA %08x  %-10s  %s",
-                  to_ms(record.time), record.channel, record.access_address,
-                  record.sender.c_str(), record.description.c_str());
-    return buf;
 }
 
 }  // namespace ble::link

@@ -1,73 +1,17 @@
-// PacketTrace: a Wireshark-style decoder for everything crossing the
-// simulated medium — the human-readable sink of the obs::EventBus. Attach it
-// to a RadioMedium and get one line per frame — sender, channel, PDU type,
-// flow-control bits, decoded control opcode — which is how the examples'
-// INJECTABLE_TRACE=1 mode and debugging sessions see the attack unfold.
-//
-// Internally the trace is an obs::EventBus subscriber (it consumes
-// obs::TxStart events) and a drop-oldest ring: once `max_records` is reached
-// the *oldest* record is evicted, so long campaigns keep the tail of the
-// story instead of silently going blind.
+// describe_frame: a Wireshark-style one-line decode of a serialized frame —
+// PDU type, flow-control bits, decoded control opcode and its parameters.
+// The JSONL trace sink stores it as each TxStart's "desc" field, and
+// examples/quickstart's INJECTABLE_TRACE=1 mode prints it per frame.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "obs/bus.hpp"
-#include "sim/medium.hpp"
+#include "common/bytes.hpp"
 
 namespace ble::link {
 
-/// One decoded over-the-air frame.
-struct TraceRecord {
-    TimePoint time = 0;
-    std::string sender;
-    sim::Channel channel = 0;
-    std::uint32_t access_address = 0;
-    /// Human-readable decode, e.g. "ADV_IND (21B)" or
-    /// "DATA sn=1 nesn=0 LL_TERMINATE_IND".
-    std::string description;
-    std::size_t air_bytes = 0;
-};
-
-/// Decodes a serialized frame (AA + PDU + CRC) into the description used by
-/// TraceRecord; exposed for tests and external tooling.
+/// Decodes a serialized frame (AA + PDU + CRC), e.g. "ADV_IND (21B)" or
+/// "DATA sn=1 nesn=0 LL_TERMINATE_IND error=0x13".
 [[nodiscard]] std::string describe_frame(BytesView bytes);
-
-class PacketTrace {
-public:
-    /// Subscribes to the medium's event bus; records every transmission from
-    /// then on, keeping at most the `max_records` most recent (drop-oldest).
-    explicit PacketTrace(sim::RadioMedium& medium, std::size_t max_records = 100'000);
-
-    /// Buffered records, oldest first (a copy: the ring reorders internally).
-    [[nodiscard]] std::vector<TraceRecord> records() const {
-        return {records_.begin(), records_.end()};
-    }
-    [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-    /// Records evicted so far to honour max_records.
-    [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-    void clear() noexcept {
-        records_.clear();
-        dropped_ = 0;
-    }
-
-    /// Optional live sink (e.g. printing); called for every record, including
-    /// ones later evicted from the ring.
-    std::function<void(const TraceRecord&)> on_record;
-
-    /// Formats one record as a fixed-width log line.
-    static std::string format(const TraceRecord& record);
-
-private:
-    void record_tx(const obs::TxStart& tx);
-
-    std::deque<TraceRecord> records_;
-    std::size_t max_records_;
-    std::uint64_t dropped_ = 0;
-    obs::ScopedSubscription subscription_;
-};
 
 }  // namespace ble::link

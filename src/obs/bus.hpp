@@ -8,7 +8,7 @@
 // streams are bit-identical between serial and parallel runs.
 //
 // Two subscriber forms:
-//  * EventSink — a virtual interface for long-lived sinks (counters, traces);
+//  * EventSink — a virtual interface for long-lived sinks (metrics, traces);
 //  * subscribe(fn) — a std::function subscriber returning a token, with
 //    ScopedSubscription as the RAII form.
 // Dispatch order is attachment order (sinks first, then function
@@ -28,14 +28,6 @@ class EventSink {
 public:
     virtual ~EventSink() = default;
     virtual void on_event(const Event& event) = 0;
-    /// Batched fanout: one virtual call for a contiguous run of events.  The
-    /// default forwards to on_event in order, so sinks are batch-transparent;
-    /// hot sinks may override to hoist per-call setup out of the loop.  The
-    /// events, like single dispatch, are valid only for the duration of the
-    /// call.
-    virtual void on_events(const Event* events, std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) on_event(events[i]);
-    }
 };
 
 class EventBus {
@@ -83,26 +75,6 @@ public:
     void dispatch(const Event& event) {
         for (EventSink* sink : sinks_) sink->on_event(event);
         for (const Subscriber& s : subscribers_) s.fn(event);
-    }
-
-    /// Publishes a contiguous run of events with one virtual call per sink
-    /// (sink-major) instead of one per (sink, event) pair — the batched
-    /// fanout the medium uses for multi-receiver capture verdicts.  Every
-    /// observer still sees the events in emission order; only the
-    /// interleaving *across* independent observers changes, which no
-    /// deterministic output depends on (each sink's own stream is what lands
-    /// in traces and metrics).  Function subscribers run after the sinks,
-    /// per event, as in single dispatch.
-    void emit_batch(const Event* events, std::size_t count) {
-        if (count == 0 || !active()) return;
-        if (count == 1) {
-            dispatch(events[0]);
-            return;
-        }
-        for (EventSink* sink : sinks_) sink->on_events(events, count);
-        for (const Subscriber& s : subscribers_) {
-            for (std::size_t i = 0; i < count; ++i) s.fn(events[i]);
-        }
     }
 
 private:

@@ -127,9 +127,8 @@ void print_metrics_summary(const MetricsSnapshot& snapshot, const std::string& l
     }
 }
 
-MetricsSink::MetricsSink(MetricsRegistry& registry, MetricsSinkParams params)
+MetricsSink::MetricsSink(MetricsRegistry& registry)
     : registry_(registry),
-      params_(params),
       events_total_(registry.counter("events_total")),
       tx_frames_(registry.counter("tx_frames")),
       rx_delivered_(registry.counter("rx_delivered")),
@@ -184,7 +183,7 @@ void MetricsSink::on_event(const Event& event) {
             if (e.verdict != RxVerdict::kLostSync) {
                 // Power margin over the sensitivity floor, whole dB, clamped
                 // at zero (a capture below the floor never reaches us).
-                const double margin = e.rssi_dbm - self.params_.sensitivity_dbm;
+                const double margin = e.rssi_dbm - kCaptureMarginFloorDbm;
                 const double rounded = std::floor(margin + 0.5);
                 self.capture_margin_db_.record(
                     rounded <= 0.0 ? 0u : static_cast<std::uint64_t>(rounded));

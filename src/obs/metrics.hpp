@@ -124,11 +124,9 @@ private:
 /// Prints a short human-readable digest (one line per metric) to stdout.
 void print_metrics_summary(const MetricsSnapshot& snapshot, const std::string& label);
 
-struct MetricsSinkParams {
-    /// Receiver sensitivity used for the per-capture power-margin histogram
-    /// (sim::MediumParams default).
-    double sensitivity_dbm = -94.0;
-};
+/// Receiver sensitivity the per-capture power-margin histogram measures
+/// from (the sim::MediumParams default).
+inline constexpr double kCaptureMarginFloorDbm = -94.0;
 
 /// EventSink that feeds the paper's §VII telemetry into a MetricsRegistry:
 /// event counters per kind, the window-width distribution (Eq. 4/5), the
@@ -137,7 +135,7 @@ struct MetricsSinkParams {
 /// injection attempts per connection.
 class MetricsSink : public EventSink {
 public:
-    explicit MetricsSink(MetricsRegistry& registry, MetricsSinkParams params = {});
+    explicit MetricsSink(MetricsRegistry& registry);
 
     void on_event(const Event& event) override;
 
@@ -151,7 +149,6 @@ private:
     void note_time(TimePoint t) noexcept;
 
     MetricsRegistry& registry_;
-    MetricsSinkParams params_;
 
     // Resolved handles (hot path updates only).
     MetricsRegistry::Counter& events_total_;

@@ -148,83 +148,6 @@ void JsonlTraceSink::set_header(std::string_view line) {
     header_size_ = head.size();
 }
 
-namespace {
-constexpr auto relaxed = std::memory_order_relaxed;
-}  // namespace
-
-void CounterSink::on_event(const Event& event) {
-    struct Visitor {
-        CounterSink& self;
-        void operator()(const TxStart&) const { self.tx_frames_.fetch_add(1, relaxed); }
-        void operator()(const RxDecision& e) const {
-            switch (e.verdict) {
-                case RxVerdict::kDelivered: self.rx_delivered_.fetch_add(1, relaxed); break;
-                case RxVerdict::kDeliveredCorrupted:
-                    self.rx_delivered_.fetch_add(1, relaxed);
-                    self.rx_corrupted_.fetch_add(1, relaxed);
-                    break;
-                case RxVerdict::kLostSync: self.rx_lost_sync_.fetch_add(1, relaxed); break;
-            }
-        }
-        void operator()(const ConnEvent& e) const {
-            switch (e.kind) {
-                case ConnEvent::Kind::kOpened: self.conn_opened_.fetch_add(1, relaxed); break;
-                case ConnEvent::Kind::kEventClosed:
-                    self.conn_events_.fetch_add(1, relaxed);
-                    if (!e.anchor_observed) self.anchors_missed_.fetch_add(1, relaxed);
-                    break;
-                case ConnEvent::Kind::kClosed: self.conn_closed_.fetch_add(1, relaxed); break;
-            }
-        }
-        void operator()(const WindowWiden& e) const {
-            if (e.missed) {
-                self.window_misses_.fetch_add(1, relaxed);
-            } else {
-                self.windows_opened_.fetch_add(1, relaxed);
-            }
-        }
-        void operator()(const InjectionAttempt& e) const {
-            self.injection_attempts_.fetch_add(1, relaxed);
-            if (e.heuristic_success) self.injection_wins_.fetch_add(1, relaxed);
-            if (e.ground_truth_known && e.accepted_by_slave) {
-                self.injection_accepted_.fetch_add(1, relaxed);
-            }
-        }
-        void operator()(const IdsAlert&) const { self.ids_alerts_.fetch_add(1, relaxed); }
-        void operator()(const TrialPhase&) const { self.phases_.fetch_add(1, relaxed); }
-    };
-    std::visit(Visitor{*this}, event);
-}
-
-CounterSink::Snapshot CounterSink::snapshot() const noexcept {
-    Snapshot s;
-    s.tx_frames = tx_frames_.load(relaxed);
-    s.rx_delivered = rx_delivered_.load(relaxed);
-    s.rx_corrupted = rx_corrupted_.load(relaxed);
-    s.rx_lost_sync = rx_lost_sync_.load(relaxed);
-    s.conn_opened = conn_opened_.load(relaxed);
-    s.conn_events = conn_events_.load(relaxed);
-    s.conn_closed = conn_closed_.load(relaxed);
-    s.anchors_missed = anchors_missed_.load(relaxed);
-    s.windows_opened = windows_opened_.load(relaxed);
-    s.window_misses = window_misses_.load(relaxed);
-    s.injection_attempts = injection_attempts_.load(relaxed);
-    s.injection_wins = injection_wins_.load(relaxed);
-    s.injection_accepted = injection_accepted_.load(relaxed);
-    s.ids_alerts = ids_alerts_.load(relaxed);
-    s.phases = phases_.load(relaxed);
-    return s;
-}
-
-void CounterSink::reset() noexcept {
-    for (Counter* c : {&tx_frames_, &rx_delivered_, &rx_corrupted_, &rx_lost_sync_,
-                       &conn_opened_, &conn_events_, &conn_closed_, &anchors_missed_,
-                       &windows_opened_, &window_misses_, &injection_attempts_,
-                       &injection_wins_, &injection_accepted_, &ids_alerts_, &phases_}) {
-        c->store(0, relaxed);
-    }
-}
-
 bool trace_compression_available() noexcept {
 #if BLE_OBS_HAS_ZLIB
     return true;

@@ -1,18 +1,12 @@
-// Stock sinks for the observation bus.
+// The JSONL trace sink and the file primitives every result channel shares.
 //
-//  * CounterSink — lock-free per-trial metrics: every counter is a relaxed
-//    atomic, so an aggregator thread may snapshot while the trial's scheduler
-//    thread keeps emitting (the TrialRunner pattern).
-//  * JsonlTraceSink — appends every event as one JSON line to one in-memory
-//    buffer; TrialRunner-style harnesses attach one per trial and flush the
-//    buffer to a file next to the INJECTABLE_JSON records when the trial
-//    fails, keyed by seed, so the trial can be replayed frame-by-frame.
-//
-// The human-readable third sink is link::PacketTrace, which subscribes to the
-// same bus but needs the link layer to decode frames — it lives in ble_link.
+// JsonlTraceSink appends every event as one JSON line to one in-memory
+// buffer; TrialRunner-style harnesses attach one per trial and flush the
+// buffer to a file next to the INJECTABLE_JSON records when the trial fails,
+// keyed by seed, so the trial can be replayed frame-by-frame.  The counters
+// over the same stream live in obs/metrics.hpp (MetricsSink).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -55,40 +49,6 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
 /// either way).  On failure returns an empty vector and sets *error.
 [[nodiscard]] std::vector<std::string> read_jsonl_file(const std::string& path,
                                                        std::string* error = nullptr);
-
-/// Lock-free counters over the event stream.
-class CounterSink : public EventSink {
-public:
-    struct Snapshot {
-        std::uint64_t tx_frames = 0;
-        std::uint64_t rx_delivered = 0;
-        std::uint64_t rx_corrupted = 0;  ///< delivered with corrupted bytes
-        std::uint64_t rx_lost_sync = 0;
-        std::uint64_t conn_opened = 0;
-        std::uint64_t conn_events = 0;
-        std::uint64_t conn_closed = 0;
-        std::uint64_t anchors_missed = 0;  ///< event closed without an anchor
-        std::uint64_t windows_opened = 0;
-        std::uint64_t window_misses = 0;
-        std::uint64_t injection_attempts = 0;
-        std::uint64_t injection_wins = 0;      ///< Eq. 7 verdict: success
-        std::uint64_t injection_accepted = 0;  ///< ground truth: slave took it
-        std::uint64_t ids_alerts = 0;
-        std::uint64_t phases = 0;
-    };
-
-    void on_event(const Event& event) override;
-    [[nodiscard]] Snapshot snapshot() const noexcept;
-    void reset() noexcept;
-
-private:
-    using Counter = std::atomic<std::uint64_t>;
-    Counter tx_frames_{0}, rx_delivered_{0}, rx_corrupted_{0}, rx_lost_sync_{0};
-    Counter conn_opened_{0}, conn_events_{0}, conn_closed_{0}, anchors_missed_{0};
-    Counter windows_opened_{0}, window_misses_{0};
-    Counter injection_attempts_{0}, injection_wins_{0}, injection_accepted_{0};
-    Counter ids_alerts_{0}, phases_{0};
-};
 
 /// Renders every event as one JSON line into a single append-only buffer
 /// (header line first, if set); write_text_file(path, str()) flushes it.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hpp"
 #include "obs/work_counters.hpp"
 #include "sim/radio_device.hpp"
 
@@ -157,12 +156,6 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     return id;
 }
 
-void RadioMedium::flush_rx_batch() {
-    if (rx_batch_.empty()) return;
-    bus_.emit_batch(rx_batch_.data(), rx_batch_.size());
-    rx_batch_.clear();
-}
-
 void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     obs::work::count(obs::work::Site::kMediumDeliver);
     const double signal_dbm = rx_power_dbm(tx, receiver);
@@ -261,16 +254,11 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
         decision.noise_dbm = params_.noise_floor_dbm;
         decision.corrupted_bytes = corrupted_bytes;
         decision.sync_bit_errors = sync_bit_errors;
-        // Buffered, not emitted: runs of lost-sync verdicts (the common case
-        // in a crowded spectrum) fan out in one batched call per sink.  The
-        // batch is flushed before any device handler runs, so every sink
-        // still sees decisions in exactly the unbatched order.
-        rx_batch_.emplace_back(decision);
+        bus_.emit(decision);
     }
     if (lost_sync) {
         // The correlator never matched: nothing is delivered, exactly like a
         // real radio that misses the access address.
-        BLE_LOG_TRACE("medium: ", receiver.name(), " lost sync on tx ", tx.id);
         pool_.release(std::move(bytes));
         return;
     }
@@ -287,7 +275,6 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     rx.rssi_dbm = signal_dbm;
     rx.corrupted_by_medium = corrupted;
     rx.transmission_id = tx.id;
-    flush_rx_batch();  // device code runs next: drain buffered verdicts first
     receiver.on_rx(rx);
     pool_.release(std::move(rx.bytes));  // on_rx sees a const ref; reclaim after
 }
@@ -332,7 +319,6 @@ void RadioMedium::finish_transmission(std::uint64_t tx_id) {
         if (device->listen_state_.locked_tx == tx_id) locked.push_back(device);
     }
     for (RadioDevice* receiver : locked) deliver(tx, *receiver);
-    flush_rx_batch();  // trailing lost-sync verdicts with no on_rx after them
 
     collect_garbage();
     // NOTE: `tx` may be dangling from here on.

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/inline_vec.hpp"
@@ -174,7 +173,6 @@ private:
     void deliver(Transmission& tx, RadioDevice& receiver);
     void insert_listener(RadioDevice& device, Channel channel);
     void remove_listener(RadioDevice& device, Channel channel) noexcept;
-    void flush_rx_batch();
     void collect_garbage();
 
     Scheduler& scheduler_;
@@ -210,11 +208,6 @@ private:
     std::array<InlineVec<Transmission*, 4>, kNumChannels> channel_active_;
     /// Recycles per-delivery payload copies and retired AirFrame payloads.
     BufferPool pool_;
-    /// Capture verdicts awaiting batched fanout; always flushed before any
-    /// device code (on_rx / on_tx_complete) runs, so the views inside the
-    /// buffered events can never dangle and per-sink event order matches
-    /// unbatched dispatch exactly.
-    std::vector<obs::Event> rx_batch_;
 };
 
 }  // namespace ble::sim

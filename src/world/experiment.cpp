@@ -11,7 +11,6 @@
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
-#include "obs/timeline.hpp"
 #include "obs/work_counters.hpp"
 #include "world/replay.hpp"
 
@@ -36,16 +35,6 @@ RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t
     World w(config.world, seed);
     if (config.per_trial_sinks) config.per_trial_sinks(w.bus(), seed);
     w.emit_phase("trial-start");
-
-    // Legacy per-attempt hook, now a bus subscription (kept for the benches'
-    // outcome analysis; destroyed before `w`, so it cannot dangle).
-    obs::ScopedSubscription hook_sub;
-    if (config.on_attempt_hook) {
-        hook_sub = obs::ScopedSubscription(w.bus(), [&config](const obs::Event& event) {
-            const auto* a = std::get_if<obs::InjectionAttempt>(&event);
-            if (a != nullptr && a->report != nullptr) config.on_attempt_hook(*a->report);
-        });
-    }
 
     // Phase 1: sniff the CONNECT_REQ while the connection establishes.
     w.establish_and_sniff(10_s);
@@ -195,9 +184,8 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         std::shared_ptr<obs::JsonlTraceSink> trace;
         std::shared_ptr<obs::MetricsRegistry> registry;
         std::shared_ptr<obs::MetricsSink> metrics;
-        std::shared_ptr<obs::ChannelOccupancySink> occupancy;
         std::shared_ptr<obs::capture::CaptureSink> capture;
-        if (ch.traces || ch.timelines || want_metrics || ch.captures) {
+        if (ch.traces || want_metrics || ch.captures) {
             instrumented_config = config;
             // Each setup retry builds a fresh world (and bus): restart every
             // sink so they hold exactly the surviving world's events.
@@ -211,10 +199,6 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
                     registry = std::make_shared<obs::MetricsRegistry>();
                     metrics = std::make_shared<obs::MetricsSink>(*registry);
                     bus.attach(*metrics);
-                }
-                if (ch.timelines) {
-                    occupancy = std::make_shared<obs::ChannelOccupancySink>();
-                    bus.attach(*occupancy);
                 }
                 if (ch.captures) {
                     capture = std::make_shared<obs::capture::CaptureSink>();
@@ -257,9 +241,6 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         };
         if (trace && (ch.trace_all || !result.success)) {
             emit_artifact(ArtifactKind::kEventTrace, trace->str());
-        }
-        if (occupancy) {
-            emit_artifact(ArtifactKind::kChromeTimeline, occupancy->chrome_trace_json());
         }
         if (capture) {
             emit_artifact(ArtifactKind::kPcapCapture, capture->pcap_bytes());

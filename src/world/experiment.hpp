@@ -52,13 +52,6 @@ struct ExperimentConfig {
     std::optional<ble::Bytes> payload_override;
     ble::link::Llid llid = ble::link::Llid::kDataStart;
 
-    /// Per-attempt tap for outcome-analysis benches.  run_series() executes
-    /// trials on worker threads, so the hook may be invoked concurrently —
-    /// accumulate into atomics (totals are order-independent, keeping the
-    /// bench output deterministic).  Implemented as an obs::EventBus
-    /// subscription over obs::InjectionAttempt events.
-    std::function<void(const AttemptReport&)> on_attempt_hook;
-
     /// Called once per trial *world* (including each setup retry, which
     /// builds a fresh world) right after construction, before any event is
     /// emitted: attach per-trial sinks to the world's isolated bus here.
@@ -128,7 +121,7 @@ struct Stats {
 
 /// Runs the config.runs trials of one series through an explicit
 /// ResultSink; trial i uses seed base_seed + i.  The sink's channels gate
-/// what each trial produces (traces, timelines, metrics, work counters,
+/// what each trial produces (traces, captures, metrics, work counters,
 /// wall-clock timing); artifacts, the series record (always with
 /// SeriesSlice{0, config.runs}) and progress heartbeats are delivered
 /// through the sink.  Reads no environment variables.

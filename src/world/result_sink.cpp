@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
@@ -17,13 +18,18 @@ namespace {
 /// Process-wide on purpose — several sinks may share one output file.
 std::mutex g_record_mutex;
 
+void write_or_throw(const std::string& path, std::string_view content, bool gzip) {
+    if (!ble::obs::write_text_file(path, content, gzip)) {
+        throw std::runtime_error("cannot write " + path);
+    }
+}
+
 ResultChannels channels_for(const SinkPaths& paths) {
     ResultChannels ch;
     ch.series_record = !paths.json_path.empty() || paths.metrics_print;
     ch.metrics = !paths.json_path.empty() || paths.metrics_print || paths.metrics;
     ch.traces = !paths.trace_dir.empty();
     ch.trace_all = paths.trace_all;
-    ch.timelines = !paths.chrome_dir.empty();
     ch.profile = paths.profile;
     ch.progress = paths.progress;
     ch.captures = !paths.pcap_dir.empty();
@@ -44,13 +50,7 @@ void PathsResultSink::on_artifact(const TrialArtifact& artifact) {
             if (paths_.trace_dir.empty()) return;
             const std::string path = paths_.trace_dir + "/" + artifact.stem + ".jsonl" +
                                      (paths_.trace_gzip ? ".gz" : "");
-            ble::obs::write_text_file(path, artifact.content, paths_.trace_gzip);
-            return;
-        }
-        case ArtifactKind::kChromeTimeline: {
-            if (paths_.chrome_dir.empty()) return;
-            ble::obs::write_text_file(paths_.chrome_dir + "/" + artifact.stem + ".trace.json",
-                                      artifact.content);
+            write_or_throw(path, artifact.content, paths_.trace_gzip);
             return;
         }
         case ArtifactKind::kPcapCapture: {
@@ -59,7 +59,7 @@ void PathsResultSink::on_artifact(const TrialArtifact& artifact) {
             // knob compresses every per-trial artifact family.
             const std::string path = paths_.pcap_dir + "/" + artifact.stem + ".pcap" +
                                      (paths_.trace_gzip ? ".gz" : "");
-            ble::obs::write_text_file(path, artifact.content, paths_.trace_gzip);
+            write_or_throw(path, artifact.content, paths_.trace_gzip);
             return;
         }
     }
@@ -75,10 +75,10 @@ void PathsResultSink::on_series_record(const ExperimentConfig& config, const Ser
     std::string line = to_json(config, results, metrics);
     line.push_back('\n');
     const std::lock_guard lock(g_record_mutex);
-    if (FILE* f = std::fopen(paths_.json_path.c_str(), "a")) {
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fclose(f);
-    }
+    FILE* f = std::fopen(paths_.json_path.c_str(), "a");
+    bool ok = f != nullptr && std::fwrite(line.data(), 1, line.size(), f) == line.size();
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    if (!ok) throw std::runtime_error("cannot write " + paths_.json_path);
 }
 
 void PathsResultSink::on_progress(const std::string& label, int done, int total) {
@@ -102,7 +102,6 @@ SinkPaths sink_paths_from_env() {
     paths.trace_all = std::getenv("INJECTABLE_TRACE_ALL") != nullptr;
     paths.trace_gzip = std::getenv("INJECTABLE_TRACE_COMPRESS") != nullptr &&
                        ble::obs::trace_compression_available();
-    if (const char* env = std::getenv("INJECTABLE_CHROME_TRACE_DIR")) paths.chrome_dir = env;
     if (const char* env = std::getenv("INJECTABLE_PCAP_DIR")) paths.pcap_dir = env;
     paths.metrics_print = std::getenv("INJECTABLE_METRICS") != nullptr;
     paths.profile = std::getenv("INJECTABLE_PROF") != nullptr;

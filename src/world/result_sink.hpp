@@ -9,8 +9,8 @@
 //
 //  * ResultChannels — which outputs a run should produce at all (production
 //    gating lives with the owner, not with getenv probes);
-//  * TrialArtifact  — one per-trial by-product (JSONL event trace, Chrome
-//    occupancy timeline, PCAP capture) as bytes + identity;
+//  * TrialArtifact  — one per-trial by-product (JSONL event trace, PCAP
+//    capture) as bytes + identity;
 //  * ResultSink     — the consumer interface: artifacts, the per-series
 //    record (trial results + merged metrics), progress heartbeats.
 //
@@ -45,7 +45,6 @@ struct ResultChannels {
     bool metrics = false;        ///< collect + merge per-trial MetricsSnapshots
     bool traces = false;         ///< per-trial JSONL event traces
     bool trace_all = false;      ///< keep successful-trial traces too
-    bool timelines = false;      ///< Chrome occupancy timelines
     bool profile = false;        ///< work counters (src/obs/work_counters.hpp) in
                                  ///< the metrics snapshot; needs metrics
     bool progress = false;       ///< per-trial heartbeats via on_progress()
@@ -56,11 +55,10 @@ struct ResultChannels {
 };
 
 enum class ArtifactKind : std::uint8_t {
-    kEventTrace = 0,      ///< replayable JSONL (meta header + event lines)
-    kChromeTimeline = 1,  ///< channel-occupancy Chrome trace-event JSON
-    // perfbench hashes these values, so they are never renumbered (2 is
-    // retired).
-    kPcapCapture = 3,     ///< omniscient link-layer PCAP (DESIGN.md §14)
+    kEventTrace = 0,   ///< replayable JSONL (meta header + event lines)
+    // perfbench hashes these values, so they are never renumbered (1 and 2
+    // are retired).
+    kPcapCapture = 3,  ///< omniscient link-layer PCAP (DESIGN.md §14)
 };
 
 /// One per-trial by-product, carried as bytes so a sink can write, hash or keep it.
@@ -119,8 +117,7 @@ public:
 private:
     // Every channel off, wall clock included: results are a pure function
     // of (config, seed).
-    ResultChannels channels_{false, false, false, false, false,
-                             false, false, /*captures=*/false, /*wall_clock=*/false};
+    ResultChannels channels_{.wall_clock = false};
 };
 
 /// Filesystem/console wiring for the classic single-process flow: series
@@ -131,7 +128,6 @@ struct SinkPaths {
     std::string trace_dir;   ///< seed-keyed replayable JSONL traces
     bool trace_all = false;  ///< keep successful-trial traces too
     bool trace_gzip = false; ///< gzip traces on write (when zlib is in)
-    std::string chrome_dir;  ///< Chrome occupancy timelines
     std::string pcap_dir;    ///< seed-keyed omniscient .pcap captures
     bool metrics_print = false;  ///< print the merged metrics summary
     bool metrics = false;        ///< collect metrics even without json/print
@@ -140,6 +136,8 @@ struct SinkPaths {
     bool wall_clock = true;      ///< record RunResult::wall_ms
 };
 
+/// A record or artifact that cannot be written throws std::runtime_error
+/// naming the path (from a worker, the runner rethrows it on the caller).
 class PathsResultSink final : public ResultSink {
 public:
     explicit PathsResultSink(SinkPaths paths);
@@ -168,8 +166,8 @@ private:
 // configuration.
 
 /// Reads the classic INJECTABLE_JSON / _TRACE_DIR / _TRACE_ALL /
-/// _TRACE_COMPRESS / _CHROME_TRACE_DIR / _PCAP_DIR / _METRICS / _PROF /
-/// _PROGRESS variables into a SinkPaths.
+/// _TRACE_COMPRESS / _PCAP_DIR / _METRICS / _PROF / _PROGRESS variables
+/// into a SinkPaths.
 [[nodiscard]] SinkPaths sink_paths_from_env();
 
 /// INJECTABLE_RUNS override for the per-series run count (`runs` unchanged

@@ -1,14 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "link/adv_pdu.hpp"
+#include "link/control_pdu.hpp"
+#include "link/pdu.hpp"
 #include "link/trace.hpp"
 #include "phy/access_address.hpp"
 #include "phy/frame.hpp"
-#include "testbed.hpp"
 
 namespace ble::link {
 namespace {
-
-using test::Testbed;
 
 TEST(DescribeFrameTest, AdvertisingFrames) {
     AdvDataPdu adv;
@@ -136,94 +138,6 @@ TEST(DescribeFrameTest, TruncatedDataPdu) {
     const auto frame = phy::make_air_frame(0xAF9A9CD4, l2cap.serialize(), 0x123456);
     Bytes cut(frame.bytes.begin(), frame.bytes.begin() + 8);
     EXPECT_NE(describe_frame(cut).find("malformed"), std::string::npos);
-}
-
-TEST(PacketTraceTest, RecordsLiveConnection) {
-    Testbed bed(61);
-    link::PacketTrace trace(bed.medium);
-    auto peripheral = bed.make_device("peripheral", {0.0, 0.0});
-    auto central = bed.make_device("central", {1.0, 0.0});
-    Connection* master = nullptr;
-    central->on_connection_established = [&](Connection& c) { master = &c; };
-    peripheral->start_advertising(make_adv_name("dut"));
-    ConnectionParams params;
-    params.hop_interval = 24;
-    central->connect_to(peripheral->address(), params);
-    const TimePoint deadline = bed.scheduler.now() + 3_s;
-    while (bed.scheduler.now() < deadline && master == nullptr) {
-        if (!bed.scheduler.run_one()) break;
-    }
-    ASSERT_NE(master, nullptr);
-    bed.run_for(200_ms);
-
-    // The trace contains the whole story: advertising, the CONNECT_REQ and
-    // connection-event data frames, in time order.
-    int advs = 0, connect_reqs = 0, data = 0;
-    TimePoint last = -1;
-    for (const auto& record : trace.records()) {
-        EXPECT_GE(record.time, last);
-        last = record.time;
-        if (record.description.find("ADV_IND") == 0) ++advs;
-        if (record.description.find("CONNECT_REQ") == 0) ++connect_reqs;
-        if (record.description.find("DATA") == 0) ++data;
-        EXPECT_FALSE(PacketTrace::format(record).empty());
-    }
-    EXPECT_GE(advs, 1);
-    EXPECT_EQ(connect_reqs, 1);
-    EXPECT_GT(data, 10);
-}
-
-TEST(PacketTraceTest, LiveSinkAndCap) {
-    Testbed bed(62);
-    link::PacketTrace trace(bed.medium, /*max_records=*/3);
-    std::vector<TimePoint> all_times;
-    trace.on_record = [&](const TraceRecord& r) { all_times.push_back(r.time); };
-    auto device = bed.make_device("adv", {0.0, 0.0});
-    device->start_advertising(make_adv_name("x"));
-    bed.run_for(1_s);
-
-    // The ring drops the *oldest* records: the buffer holds the 3 most recent
-    // frames, while the live sink saw every one of them.
-    ASSERT_GT(all_times.size(), 3u);
-    const auto records = trace.records();
-    ASSERT_EQ(records.size(), 3u);
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.dropped(), all_times.size() - 3);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(records[i].time, all_times[all_times.size() - 3 + i]);
-    }
-    trace.clear();
-    EXPECT_TRUE(trace.records().empty());
-    EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(PacketTraceTest, UnlimitedWhenCapIsZero) {
-    Testbed bed(63);
-    link::PacketTrace ring(bed.medium, /*max_records=*/0);
-    int sunk = 0;
-    ring.on_record = [&](const TraceRecord&) { ++sunk; };
-    auto device = bed.make_device("adv", {0.0, 0.0});
-    device->start_advertising(make_adv_name("x"));
-    bed.run_for(200_ms);
-    // max_records == 0 means "sink only": nothing is buffered, nothing drops.
-    EXPECT_GT(sunk, 0);
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(PacketTraceTest, DestructionDetachesFromTheBus) {
-    Testbed bed(64);
-    auto device = bed.make_device("adv", {0.0, 0.0});
-    {
-        link::PacketTrace trace(bed.medium);
-        device->start_advertising(make_adv_name("x"));
-        bed.run_for(100_ms);
-        EXPECT_GT(trace.size(), 0u);
-    }
-    // The subscription died with the trace: further traffic must not touch
-    // freed memory (the legacy observer API could dangle here).
-    bed.run_for(100_ms);
-    EXPECT_EQ(bed.medium.bus().subscriber_count(), 0u);
 }
 
 }  // namespace

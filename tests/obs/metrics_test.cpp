@@ -187,6 +187,74 @@ TEST(MetricsSinkTest, MapsEventsToTheTaxonomy) {
     EXPECT_EQ(s.gauges.at("last_attempt").last, 2);
 }
 
+TEST(MetricsSinkTest, CountsEveryEventKind) {
+    // One bus, fifteen events: every alternative, every verdict and
+    // connection-event kind, with and without an anchor.
+    EventBus bus;
+    MetricsRegistry reg;
+    MetricsSink sink(reg);
+    bus.attach(sink);
+
+    TxStart tx;
+    bus.emit(tx);
+    bus.emit(tx);
+
+    RxDecision rx;
+    rx.verdict = RxVerdict::kDelivered;
+    bus.emit(rx);
+    rx.verdict = RxVerdict::kDeliveredCorrupted;
+    bus.emit(rx);
+    rx.verdict = RxVerdict::kLostSync;
+    bus.emit(rx);
+
+    ConnEvent conn;
+    conn.kind = ConnEvent::Kind::kOpened;
+    bus.emit(conn);
+    conn.kind = ConnEvent::Kind::kEventClosed;
+    conn.anchor_observed = false;
+    bus.emit(conn);
+    conn.anchor_observed = true;
+    bus.emit(conn);
+    conn.kind = ConnEvent::Kind::kClosed;
+    bus.emit(conn);
+
+    WindowWiden widen;
+    widen.missed = false;
+    bus.emit(widen);
+    widen.missed = true;
+    bus.emit(widen);
+
+    InjectionAttempt attempt;
+    attempt.heuristic_success = true;
+    attempt.ground_truth_known = true;
+    attempt.accepted_by_slave = true;
+    bus.emit(attempt);
+    attempt.heuristic_success = false;
+    attempt.accepted_by_slave = false;
+    bus.emit(attempt);
+
+    bus.emit(IdsAlert{});
+    bus.emit(TrialPhase{});
+
+    const auto c = reg.snapshot().counters;
+    EXPECT_EQ(c.size(), 15u);  // the whole counter vocabulary, no more
+    EXPECT_EQ(c.at("events_total"), 15u);
+    EXPECT_EQ(c.at("tx_frames"), 2u);
+    EXPECT_EQ(c.at("rx_delivered"), 2u);  // intact + corrupted both delivered
+    EXPECT_EQ(c.at("rx_corrupted"), 1u);
+    EXPECT_EQ(c.at("rx_lost_sync"), 1u);
+    EXPECT_EQ(c.at("conn_opened"), 1u);
+    EXPECT_EQ(c.at("conn_events"), 2u);
+    EXPECT_EQ(c.at("anchors_missed"), 1u);
+    EXPECT_EQ(c.at("conn_closed"), 1u);
+    EXPECT_EQ(c.at("windows_opened"), 1u);
+    EXPECT_EQ(c.at("window_misses"), 1u);
+    EXPECT_EQ(c.at("injection_attempts"), 2u);
+    EXPECT_EQ(c.at("injection_wins"), 1u);
+    EXPECT_EQ(c.at("injection_accepted"), 1u);
+    EXPECT_EQ(c.at("ids_alerts"), 1u);
+}
+
 TEST(MetricsSinkTest, FinalizeIsIdempotent) {
     MetricsRegistry reg;
     MetricsSink sink(reg);

@@ -10,74 +10,6 @@
 namespace ble::obs {
 namespace {
 
-TEST(CounterSinkTest, CountsEveryEventKind) {
-    EventBus bus;
-    CounterSink counters;
-    bus.attach(counters);
-
-    TxStart tx;
-    bus.emit(tx);
-    bus.emit(tx);
-
-    RxDecision rx;
-    rx.verdict = RxVerdict::kDelivered;
-    bus.emit(rx);
-    rx.verdict = RxVerdict::kDeliveredCorrupted;
-    bus.emit(rx);
-    rx.verdict = RxVerdict::kLostSync;
-    bus.emit(rx);
-
-    ConnEvent conn;
-    conn.kind = ConnEvent::Kind::kOpened;
-    bus.emit(conn);
-    conn.kind = ConnEvent::Kind::kEventClosed;
-    conn.anchor_observed = false;
-    bus.emit(conn);
-    conn.anchor_observed = true;
-    bus.emit(conn);
-    conn.kind = ConnEvent::Kind::kClosed;
-    bus.emit(conn);
-
-    WindowWiden widen;
-    widen.missed = false;
-    bus.emit(widen);
-    widen.missed = true;
-    bus.emit(widen);
-
-    InjectionAttempt attempt;
-    attempt.heuristic_success = true;
-    attempt.ground_truth_known = true;
-    attempt.accepted_by_slave = true;
-    bus.emit(attempt);
-    attempt.heuristic_success = false;
-    attempt.accepted_by_slave = false;
-    bus.emit(attempt);
-
-    bus.emit(IdsAlert{});
-    bus.emit(TrialPhase{});
-
-    const auto s = counters.snapshot();
-    EXPECT_EQ(s.tx_frames, 2u);
-    EXPECT_EQ(s.rx_delivered, 2u);  // intact + corrupted both delivered
-    EXPECT_EQ(s.rx_corrupted, 1u);
-    EXPECT_EQ(s.rx_lost_sync, 1u);
-    EXPECT_EQ(s.conn_opened, 1u);
-    EXPECT_EQ(s.conn_events, 2u);
-    EXPECT_EQ(s.anchors_missed, 1u);
-    EXPECT_EQ(s.conn_closed, 1u);
-    EXPECT_EQ(s.windows_opened, 1u);
-    EXPECT_EQ(s.window_misses, 1u);
-    EXPECT_EQ(s.injection_attempts, 2u);
-    EXPECT_EQ(s.injection_wins, 1u);
-    EXPECT_EQ(s.injection_accepted, 1u);
-    EXPECT_EQ(s.ids_alerts, 1u);
-    EXPECT_EQ(s.phases, 1u);
-
-    counters.reset();
-    EXPECT_EQ(counters.snapshot().tx_frames, 0u);
-    EXPECT_EQ(counters.snapshot().injection_attempts, 0u);
-}
-
 TEST(ToJsonlTest, TxStartShape) {
     TxStart tx;
     tx.time = 1500;

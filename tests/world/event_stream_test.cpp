@@ -1,18 +1,19 @@
 // The tentpole guarantee of the obs layer: a trial's event stream is a pure
 // function of (config, seed).  These tests pin it end to end — the same
 // campaign run serially and on a worker pool must produce bit-identical
-// per-trial JSONL streams, and the per-trial trace/counter sinks must see a
-// whole trial's story on an isolated bus.
+// per-trial JSONL streams, and a per-trial sink must see a whole trial's
+// story on an isolated bus.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 
 #include "link/trace.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "world/experiment.hpp"
 
@@ -62,37 +63,48 @@ TEST(EventStreamTest, SerialAndParallelStreamsAreBitIdentical) {
     }
 }
 
-TEST(EventStreamTest, CounterSinkSeesTheWholeTrial) {
+TEST(EventStreamTest, MetricsSinkSeesTheWholeTrial) {
     ExperimentConfig config = small_config();
-    auto counters = std::make_shared<ble::obs::CounterSink>();
-    config.per_trial_sinks = [&counters](ble::obs::EventBus& bus, std::uint64_t) {
-        bus.attach(*counters);
+    ble::obs::MetricsRegistry registry;
+    ble::obs::MetricsSink metrics(registry);
+    config.per_trial_sinks = [&metrics](ble::obs::EventBus& bus, std::uint64_t) {
+        bus.attach(metrics);
     };
     const RunResult result = run_injection_experiment(config, config.base_seed);
     ASSERT_TRUE(result.established);
 
-    const auto s = counters->snapshot();
-    EXPECT_GT(s.tx_frames, 0u);
-    EXPECT_GT(s.rx_delivered, 0u);
-    EXPECT_GE(s.conn_opened, 2u);  // both victims armed their state machines
-    EXPECT_GT(s.conn_events, 0u);
-    EXPECT_GT(s.windows_opened, 0u);
-    EXPECT_GE(s.phases, 3u);  // trial-start, establish, sync, inject, done
-    EXPECT_EQ(s.injection_attempts, static_cast<std::uint64_t>(result.attempts));
+    const auto c = registry.snapshot().counters;
+    EXPECT_GT(c.at("tx_frames"), 0u);
+    EXPECT_GT(c.at("rx_delivered"), 0u);
+    EXPECT_GE(c.at("conn_opened"), 2u);  // both victims armed their state machines
+    EXPECT_GT(c.at("conn_events"), 0u);
+    EXPECT_GT(c.at("windows_opened"), 0u);
+    EXPECT_GT(result.attempts, 0);
+    EXPECT_EQ(c.at("injection_attempts"), static_cast<std::uint64_t>(result.attempts));
 }
 
 TEST(EventStreamTest, AttemptHookRidesTheBus) {
+    // A per-attempt hook is a bus subscription to InjectionAttempt, the same
+    // form bench_injection_outcomes uses.
     ExperimentConfig config = small_config();
     int hook_calls = 0;
     int last_attempt = 0;
-    config.on_attempt_hook = [&](const AttemptReport& report) {
-        ++hook_calls;
-        last_attempt = report.attempt;
+    int last_report_attempt = 0;
+    config.per_trial_sinks = [&](ble::obs::EventBus& bus, std::uint64_t) {
+        bus.subscribe([&](const ble::obs::Event& event) {
+            const auto* attempt = std::get_if<ble::obs::InjectionAttempt>(&event);
+            if (attempt == nullptr) return;
+            ++hook_calls;
+            last_attempt = attempt->attempt;
+            ASSERT_NE(attempt->report, nullptr);
+            last_report_attempt = attempt->report->attempt;
+        });
     };
     const RunResult result = run_injection_experiment(config, config.base_seed);
     ASSERT_TRUE(result.established);
     EXPECT_EQ(hook_calls, result.attempts);
     EXPECT_EQ(last_attempt, result.attempts);
+    EXPECT_EQ(last_report_attempt, result.attempts);
 }
 
 TEST(EventStreamTest, TraceDirWritesPerTrialJsonl) {

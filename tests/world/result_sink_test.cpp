@@ -9,6 +9,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 
 #include "world/experiment.hpp"
 
@@ -173,6 +174,44 @@ TEST(ResultSink, SinkPathsFromEnvReadsTheClassicVariables) {
     EXPECT_FALSE(sink.channels().series_record);
     EXPECT_FALSE(sink.channels().traces);
     EXPECT_TRUE(sink.channels().wall_clock);
+}
+
+/// Runs one trial through a PathsResultSink on `paths` and returns the
+/// message of the write failure it threw ("" when nothing was thrown).
+std::string write_failure(const SinkPaths& paths) {
+    ExperimentConfig config = tiny_config();
+    config.runs = 1;
+    PathsResultSink sink(paths);
+    try {
+        (void)run_series(config, sink);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// A directory that does not exist, so nothing under it can be created.
+std::string missing_dir() { return ::testing::TempDir() + "/result-sink-missing-dir"; }
+
+TEST(ResultSink, UnwritableTraceDirThrowsNamingThePath) {
+    SinkPaths paths;
+    paths.trace_dir = missing_dir();
+    paths.trace_all = true;
+    EXPECT_EQ(write_failure(paths),
+              "cannot write " + missing_dir() + "/sink-test-seed4242.jsonl");
+}
+
+TEST(ResultSink, UnwritablePcapDirThrowsNamingThePath) {
+    SinkPaths paths;
+    paths.pcap_dir = missing_dir();
+    EXPECT_EQ(write_failure(paths),
+              "cannot write " + missing_dir() + "/sink-test-seed4242.pcap");
+}
+
+TEST(ResultSink, UnwritableJsonPathThrowsNamingThePath) {
+    SinkPaths paths;
+    paths.json_path = missing_dir() + "/records.jsonl";
+    EXPECT_EQ(write_failure(paths), "cannot write " + paths.json_path);
 }
 
 }  // namespace

@@ -423,7 +423,7 @@ struct Scanner {
         static const std::set<std::string, std::less<>> kEmitters = {
             // Event emission: the order the bus sees events in becomes the
             // trace, so it must not be hash order.
-            "emit", "emit_batch", "dispatch", "on_event", "on_events",
+            "emit", "dispatch", "on_event",
             // Result serialization: the order values hit the byte stream
             // becomes the record, which must be byte-identical across
             // reruns and worker counts (DESIGN.md §6).

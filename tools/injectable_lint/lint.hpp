@@ -21,7 +21,7 @@
 //       any iteration that reaches RNG draws or event emission breaks
 //       replayability.  Use attach-order vectors / stable-index maps, or
 //       suppress with an order-freedom argument.  Extension: event emission
-//       (emit / emit_batch / dispatch / on_event) *or result serialization*
+//       (emit / dispatch / on_event) *or result serialization*
 //       (to_json / to_jsonl / json_escape / append_json_escaped /
 //       append_escaped / encode_frame / append_frame / on_artifact /
 //       on_series_record) from inside a range-for over *any*
@@ -87,13 +87,12 @@
 //       ABBA deadlock shape — each contributing edge in the cycle is a
 //       finding at its acquisition site.
 //   W1  Wire/enum exhaustiveness: every enumerator of the monitored
-//       wire-protocol enums (WireType, ShardState, RxVerdict, CommandType,
-//       NotificationType, CaptureFormat, VantageKind) must appear as a case
-//       in every switch over that
-//       enum — a `default:` does not excuse a missing enumerator, because
-//       `default` is exactly how a newly added frame type silently falls
-//       through an encode/decode/dispatch site.  Adding a WireType without
-//       handling it everywhere fails lint, not fuzzing.
+//       wire-protocol enums (RxVerdict, CommandType, NotificationType,
+//       CaptureFormat, VantageKind) must appear as a case in every switch
+//       over that enum — a `default:` does not excuse a missing enumerator,
+//       because `default` is exactly how a newly added frame type silently
+//       falls through an encode/decode/dispatch site.  Adding a CommandType
+//       without handling it everywhere fails lint, not fuzzing.
 //
 // Suppression (audited — the reason is mandatory and lands in the JSONL):
 //
@@ -154,9 +153,8 @@ struct Options {
                                              "src/world/trial_runner.cpp"};
     /// Enums whose switches rule W1 holds to exhaustiveness (matched by the
     /// enum's simple name, i.e. the qualifier of the case labels).
-    std::vector<std::string> w1_enums = {"WireType",    "ShardState",       "RxVerdict",
-                                         "CommandType", "NotificationType", "CaptureFormat",
-                                         "VantageKind"};
+    std::vector<std::string> w1_enums = {"RxVerdict", "CommandType", "NotificationType",
+                                         "CaptureFormat", "VantageKind"};
 };
 
 // --- tokenizer (exposed for the self-tests) ---
