@@ -2,12 +2,12 @@
 // (INJECTABLE_JSON series records, metrics snapshots, trace meta headers).
 //
 // Two properties matter more than generality:
-//  * Number tokens are kept verbatim (`raw`), so dump() round-trips %.17g
-//    doubles and 64-bit seeds bit-exactly — re-serializing a nested "meta"
-//    object yields a line parse_trace_meta() reconstructs the identical
-//    config from.
+//  * Number tokens are kept verbatim (`raw`), so the accessors convert the
+//    exact %.17g doubles and 64-bit seeds our writers emitted, and dump()
+//    round-trips them bit-exactly.
 //  * Object members preserve insertion order, so dump() of a value we wrote
-//    reproduces our writers' field order byte for byte.
+//    reproduces our writers' field order byte for byte (the round-trip
+//    oracle of the json tests).
 //
 // No third-party dependency: the container only ships the toolchain, and the
 // grammar we emit is tiny (no comments, no trailing commas needed).

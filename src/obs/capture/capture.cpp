@@ -22,13 +22,6 @@ constexpr std::uint32_t kPcapSnaplen = 0x40000;
 /// DLT_BLUETOOTH_LE_LL_WITH_PHDR.
 constexpr std::uint32_t kLinktypeBleLlWithPhdr = 256;
 
-// btsnoop constants (big-endian container).
-constexpr char kBtsnoopMagic[8] = {'b', 't', 's', 'n', 'o', 'o', 'p', '\0'};
-constexpr std::uint32_t kBtsnoopVersion = 1;
-/// Microseconds between the btsnoop epoch (0 AD) and the Unix epoch; sim-time
-/// zero maps to the Unix epoch so timestamps are sane in viewers.
-constexpr std::int64_t kBtsnoopEpochDeltaUs = 0x00E03AB44A676000LL;
-
 // LE_LL_WITH_PHDR flag bits (the subset we produce).
 constexpr std::uint16_t kFlagDewhitened = 0x0001;
 constexpr std::uint16_t kFlagSignalValid = 0x0002;
@@ -58,18 +51,6 @@ void put_u32le(std::string& out, std::uint32_t v) {
     out.push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
-void put_u32be(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>((v >> 24) & 0xff));
-    out.push_back(static_cast<char>((v >> 16) & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-    out.push_back(static_cast<char>(v & 0xff));
-}
-
-void put_u64be(std::string& out, std::uint64_t v) {
-    put_u32be(out, static_cast<std::uint32_t>(v >> 32));
-    put_u32be(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-}
-
 struct ByteCursor {
     std::string_view data;
     std::size_t pos = 0;
@@ -90,17 +71,6 @@ struct ByteCursor {
     std::uint32_t u32le() {
         const std::uint32_t lo = u16le();
         return lo | (static_cast<std::uint32_t>(u16le()) << 16);
-    }
-    std::uint32_t u32be() {
-        const std::uint32_t hi = u8();
-        const std::uint32_t b1 = u8();
-        const std::uint32_t b2 = u8();
-        const std::uint32_t b3 = u8();
-        return (hi << 24) | (b1 << 16) | (b2 << 8) | b3;
-    }
-    std::uint64_t u64be() {
-        const std::uint64_t hi = u32be();
-        return (hi << 32) | u32be();
     }
 };
 
@@ -147,22 +117,6 @@ RxVerdict verdict_from_name(std::string_view name, bool* ok) {
 }
 
 }  // namespace
-
-const char* capture_format_name(CaptureFormat format) noexcept {
-    switch (format) {
-        case CaptureFormat::kPcap: return "pcap";
-        case CaptureFormat::kBtsnoop: return "btsnoop";
-    }
-    return "?";
-}
-
-const char* capture_format_extension(CaptureFormat format) noexcept {
-    switch (format) {
-        case CaptureFormat::kPcap: return ".pcap";
-        case CaptureFormat::kBtsnoop: return ".btsnoop";
-    }
-    return "";
-}
 
 const char* vantage_kind_name(VantageKind kind) noexcept {
     switch (kind) {
@@ -274,37 +228,8 @@ std::string pcap_bytes(const std::vector<CaptureRecord>& records) {
     return out;
 }
 
-std::string btsnoop_bytes(const std::vector<CaptureRecord>& records) {
-    std::string out;
-    out.reserve(16 + records.size() * 72);
-    out.append(kBtsnoopMagic, sizeof(kBtsnoopMagic));
-    put_u32be(out, kBtsnoopVersion);
-    put_u32be(out, kLinktypeBleLlWithPhdr);
-    for (const CaptureRecord& record : records) {
-        const auto len = static_cast<std::uint32_t>(kPhdrSize + record.bytes.size());
-        put_u32be(out, len);  // orig_len
-        put_u32be(out, len);  // incl_len
-        put_u32be(out, 0);    // flags (direction/type: not meaningful at LL)
-        put_u32be(out, 0);    // cumulative drops
-        const std::int64_t us = (record.time < 0 ? 0 : record.time) / 1000;
-        put_u64be(out, static_cast<std::uint64_t>(kBtsnoopEpochDeltaUs + us));
-        append_phdr(out, record);
-        out.append(reinterpret_cast<const char*>(record.bytes.data()), record.bytes.size());
-    }
-    return out;
-}
-
-std::string capture_bytes(const std::vector<CaptureRecord>& records, CaptureFormat format) {
-    switch (format) {
-        case CaptureFormat::kPcap: return pcap_bytes(records);
-        case CaptureFormat::kBtsnoop: return btsnoop_bytes(records);
-    }
-    return {};
-}
-
-ParsedCapture parse_pcap(std::string_view bytes) {
+ParsedCapture parse_capture(std::string_view bytes) {
     ParsedCapture parsed;
-    parsed.format = CaptureFormat::kPcap;
     ByteCursor c{bytes};
     if (c.remaining() < 24) {
         parsed.error = "truncated pcap header";
@@ -361,74 +286,6 @@ ParsedCapture parse_pcap(std::string_view bytes) {
     }
     parsed.ok = true;
     return parsed;
-}
-
-ParsedCapture parse_btsnoop(std::string_view bytes) {
-    ParsedCapture parsed;
-    parsed.format = CaptureFormat::kBtsnoop;
-    ByteCursor c{bytes};
-    if (c.remaining() < 16 ||
-        std::memcmp(bytes.data(), kBtsnoopMagic, sizeof(kBtsnoopMagic)) != 0) {
-        parsed.error = "not a btsnoop file (bad magic)";
-        return parsed;
-    }
-    c.pos = sizeof(kBtsnoopMagic);
-    if (c.u32be() != kBtsnoopVersion) {
-        parsed.error = "unsupported btsnoop version";
-        return parsed;
-    }
-    if (c.u32be() != kLinktypeBleLlWithPhdr) {
-        parsed.error = "unexpected btsnoop datalink (want 256, LE_LL_WITH_PHDR)";
-        return parsed;
-    }
-    while (c.remaining() > 0) {
-        if (c.remaining() < 24) {
-            parsed.error = "truncated btsnoop record header";
-            return parsed;
-        }
-        const std::uint32_t orig = c.u32be();
-        const std::uint32_t incl = c.u32be();
-        const std::uint32_t flags = c.u32be();
-        const std::uint32_t drops = c.u32be();
-        const std::uint64_t ts = c.u64be();
-        if (incl != orig) {
-            parsed.error = "truncated packet (incl_len != orig_len)";
-            return parsed;
-        }
-        if (flags != 0 || drops != 0) {
-            parsed.error = "unexpected btsnoop record flags or drop count";
-            return parsed;
-        }
-        // Before sim-time zero, or so late that the ns conversion overflows.
-        constexpr auto kEpoch = static_cast<std::uint64_t>(kBtsnoopEpochDeltaUs);
-        if (ts < kEpoch || ts - kEpoch > static_cast<std::uint64_t>(INT64_MAX / 1000)) {
-            parsed.error = "btsnoop timestamp out of range";
-            return parsed;
-        }
-        if (c.remaining() < incl) {
-            parsed.error = "truncated btsnoop packet body";
-            return parsed;
-        }
-        CaptureRecord record;
-        // µs resolution: sub-µs sim-time is truncated on write, so the
-        // re-serialized file is still byte-identical.
-        record.time = static_cast<TimePoint>(ts - kEpoch) * 1000;
-        if (!parse_phdr_packet(bytes.substr(c.pos, incl), record, &parsed.error)) {
-            return parsed;
-        }
-        c.pos += incl;
-        parsed.records.push_back(std::move(record));
-    }
-    parsed.ok = true;
-    return parsed;
-}
-
-ParsedCapture parse_capture(std::string_view bytes) {
-    if (bytes.size() >= sizeof(kBtsnoopMagic) &&
-        std::memcmp(bytes.data(), kBtsnoopMagic, sizeof(kBtsnoopMagic)) == 0) {
-        return parse_btsnoop(bytes);
-    }
-    return parse_pcap(bytes);
 }
 
 CaptureBuilder::CaptureBuilder(VantagePoint vantage) : vantage_(std::move(vantage)) {}

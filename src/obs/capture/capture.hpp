@@ -1,17 +1,13 @@
-// Link-layer capture subsystem: deterministic PCAP / btsnoop export.
+// Link-layer capture subsystem: deterministic PCAP export.
 //
 // The paper validates every attack by sniffing the live connection and
 // opening the capture in standard analysis tooling; this module renders the
 // event stream (TxStart/RxDecision on the per-world EventBus) into the same
-// industry formats so a simulated hijack is inspectable in Wireshark.
+// industry format so a simulated hijack is inspectable in Wireshark.
 //
-// Formats (DESIGN.md §14):
-//  * PCAP, nanosecond magic 0xA1B23C4D, linktype 256
-//    (DLT_BLUETOOTH_LE_LL_WITH_PHDR): each packet is a 10-byte pseudo-header
-//    followed by the on-air frame (AA + PDU + CRC, unwhitened).
-//  * btsnoop: the classic HCI-log framing (big-endian, µs timestamps against
-//    the 0 AD epoch), carrying the identical phdr+frame payload with the
-//    datalink field set to the same linktype value.
+// Format (DESIGN.md §14): PCAP, nanosecond magic 0xA1B23C4D, linktype 256
+// (DLT_BLUETOOTH_LE_LL_WITH_PHDR): each packet is a 10-byte pseudo-header
+// followed by the on-air frame (AA + PDU + CRC, unwhitened).
 //
 // Vantage points: a capture is either *omniscient* (every TxStart on the
 // medium — the god view) or a *device* capture (only frames that device's
@@ -35,18 +31,7 @@
 
 namespace ble::obs::capture {
 
-/// On-disk capture container.  Wire-adjacent (file magic selects the
-/// parser), so injectable_lint rule W1 holds switches over it exhaustive.
-enum class CaptureFormat : std::uint8_t {
-    kPcap = 0,     ///< pcap, ns resolution, linktype 256
-    kBtsnoop = 1,  ///< btsnoop v1, µs resolution, same payload layout
-};
-
-[[nodiscard]] const char* capture_format_name(CaptureFormat format) noexcept;
-/// ".pcap" / ".btsnoop" (no gzip suffix).
-[[nodiscard]] const char* capture_format_extension(CaptureFormat format) noexcept;
-
-/// Who the capture pretends to be.  Also W1-monitored: the kind decides how
+/// Who the capture pretends to be.  W1-monitored: the kind decides how
 /// records are built from the stream, so a missed case is a silent data bug.
 enum class VantageKind : std::uint8_t {
     kOmniscient = 0,  ///< every TxStart on the medium (god view)
@@ -96,25 +81,18 @@ struct CaptureRecord {
 /// `out`).  The reference access address is the frame's own AA.
 void append_phdr(std::string& out, const CaptureRecord& record);
 
-/// Serializes records into a complete capture file image.
+/// Serializes records into a complete pcap file image.
 [[nodiscard]] std::string pcap_bytes(const std::vector<CaptureRecord>& records);
-[[nodiscard]] std::string btsnoop_bytes(const std::vector<CaptureRecord>& records);
-[[nodiscard]] std::string capture_bytes(const std::vector<CaptureRecord>& records,
-                                        CaptureFormat format);
 
-/// In-repo reader: parses a capture file image back into records (used by
+/// In-repo reader: parses a pcap file image back into records (used by
 /// tests and `trace_replay --pcap-diff` for byte-level round-trips; not a
-/// general pcap reader — it accepts exactly what the writers emit).
+/// general pcap reader — it accepts exactly what pcap_bytes emits).
 struct ParsedCapture {
     bool ok = false;
     std::string error;
-    CaptureFormat format = CaptureFormat::kPcap;
     std::vector<CaptureRecord> records;
 };
 
-[[nodiscard]] ParsedCapture parse_pcap(std::string_view bytes);
-[[nodiscard]] ParsedCapture parse_btsnoop(std::string_view bytes);
-/// Detects the format by magic and dispatches.
 [[nodiscard]] ParsedCapture parse_capture(std::string_view bytes);
 
 /// The vantage state machine, shared verbatim by the live CaptureSink and the
@@ -140,9 +118,6 @@ public:
     [[nodiscard]] const VantagePoint& vantage() const noexcept { return vantage_; }
     [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {
         return records_;
-    }
-    [[nodiscard]] std::string bytes(CaptureFormat format) const {
-        return capture_bytes(records_, format);
     }
 
 private:
@@ -170,10 +145,7 @@ public:
     [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {
         return builder_.records();
     }
-    [[nodiscard]] std::string pcap_bytes() const { return builder_.bytes(CaptureFormat::kPcap); }
-    [[nodiscard]] std::string btsnoop_bytes() const {
-        return builder_.bytes(CaptureFormat::kBtsnoop);
-    }
+    [[nodiscard]] std::string pcap_bytes() const { return capture::pcap_bytes(records()); }
 
 private:
     CaptureBuilder builder_;

@@ -94,6 +94,47 @@ std::string MetricsSnapshot::to_json() const {
     return out;
 }
 
+std::optional<MetricsSnapshot> MetricsSnapshot::from_json(const json::Value& value,
+                                                          std::string* error) {
+    MetricsSnapshot snap;
+    if (const json::Value* counters = value.find("counters")) {
+        for (const auto& [name, v] : counters->object) snap.counters[name] = v.as_u64();
+    }
+    if (const json::Value* gauges = value.find("gauges")) {
+        for (const auto& [name, v] : gauges->object) {
+            snap.gauges[name] = {v.u64("n"), v.i64("last"), v.i64("min"), v.i64("max")};
+        }
+    }
+    if (const json::Value* histograms = value.find("histograms")) {
+        for (const auto& [name, v] : histograms->object) {
+            HistogramSnapshot h;
+            h.count = v.u64("n");
+            h.sum = v.u64("sum");
+            h.min = v.u64("min");
+            h.max = v.u64("max");
+            if (const json::Value* buckets = v.find("buckets")) {
+                for (const json::Value& pair : buckets->array) {
+                    if (pair.array.size() != 2) continue;
+                    // to_json writes bit_width indices; any other index
+                    // would index past the bucket array.
+                    const std::int64_t b = pair.array[0].as_i64(-1);
+                    if (b < 0 || b >= kHistogramBuckets) {
+                        if (error != nullptr) {
+                            *error = "histogram '" + name + "' has bucket index " +
+                                     std::to_string(b) + " outside 0.." +
+                                     std::to_string(kHistogramBuckets - 1);
+                        }
+                        return std::nullopt;
+                    }
+                    h.buckets[static_cast<std::size_t>(b)] += pair.array[1].as_u64();
+                }
+            }
+            snap.histograms[name] = h;
+        }
+    }
+    return snap;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot snap;
     for (const auto& [name, counter] : counters_) snap.counters.emplace(name, counter.value());

@@ -23,9 +23,11 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "common/json.hpp"
 #include "obs/bus.hpp"
 
 namespace ble::obs {
@@ -87,6 +89,10 @@ struct MetricsSnapshot {
     /// Compact one-line JSON object; histogram buckets are sparse
     /// [bucket, count] pairs.  Deterministic: sorted keys, integer fields.
     [[nodiscard]] std::string to_json() const;
+    /// Inverse of to_json(); absent sections stay empty.  A bucket index
+    /// outside 0..64 returns nullopt and sets *error naming the histogram.
+    [[nodiscard]] static std::optional<MetricsSnapshot> from_json(const json::Value& value,
+                                                                  std::string* error = nullptr);
     friend bool operator==(const MetricsSnapshot&, const MetricsSnapshot&) = default;
 };
 

@@ -38,9 +38,8 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
 
 /// Reads a whole file into `content` as raw bytes.  Reads gzip-compressed
 /// files transparently when built with zlib (plain files work either way).
-/// The binary counterpart of read_jsonl_file — capture files (.pcap[.gz],
-/// .btsnoop[.gz]) come back through here.  Returns false and sets *error on
-/// failure.
+/// The binary counterpart of read_jsonl_file — capture files (.pcap[.gz])
+/// come back through here.  Returns false and sets *error on failure.
 [[nodiscard]] bool read_binary_file(const std::string& path, std::string& content,
                                     std::string* error = nullptr);
 

@@ -323,6 +323,21 @@ std::string to_json(const ExperimentConfig& config, const std::vector<RunResult>
     return os.str();
 }
 
+RunResult run_result_from_json(const json::Value& trial) {
+    RunResult r;
+    r.seed = trial.u64("seed");
+    r.success = trial.boolean_at("success");
+    r.attempts = static_cast<int>(trial.i64("attempts"));
+    r.established = trial.boolean_at("established");
+    r.sniffed = trial.boolean_at("sniffed");
+    r.session_lost = trial.boolean_at("session_lost");
+    r.victim_disconnected = trial.boolean_at("victim_disconnected");
+    r.heuristic_false_positives = static_cast<int>(trial.i64("heuristic_fp"));
+    r.heuristic_false_negatives = static_cast<int>(trial.i64("heuristic_fn"));
+    r.wall_ms = trial.number("wall_ms");
+    return r;
+}
+
 Stats summarize(const std::vector<RunResult>& results) {
     Stats stats;
     std::vector<double> attempts;

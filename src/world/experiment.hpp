@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "world/result_sink.hpp"
 #include "world/trial_runner.hpp"
@@ -140,6 +141,10 @@ struct Stats {
 [[nodiscard]] std::string to_json(const ExperimentConfig& config,
                                   const std::vector<RunResult>& results,
                                   const ble::obs::MetricsSnapshot* metrics = nullptr);
+
+/// Inverse of one element of to_json()'s "trials" array; absent fields keep
+/// their defaults.  Callers decide what a non-object element means.
+[[nodiscard]] RunResult run_result_from_json(const ble::json::Value& trial);
 
 /// Prints one row of a paper-style results table.
 void print_stats_row(const std::string& label, const Stats& stats);

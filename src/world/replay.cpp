@@ -1,12 +1,11 @@
 #include "world/replay.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/hex.hpp"
 #include "common/json.hpp"
@@ -47,183 +46,6 @@ std::string position_str(ble::sim::Position p) {
     return buf;
 }
 
-// ---------------------------------------------------------------------------
-// A minimal flat-JSON-object parser: the meta line is written by us and holds
-// only string / number / bool values, so this stays self-contained (no
-// third-party JSON dependency in the container).
-
-struct JsonValue {
-    enum class Kind { kString, kNumber, kBool } kind = Kind::kNumber;
-    std::string str;
-    double num = 0.0;
-    long long int_val = 0;
-    std::uint64_t uint_val = 0;
-    bool boolean = false;
-};
-
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct Parser {
-    const char* p;
-    const char* end;
-    std::string error;
-
-    void skip_ws() {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n')) ++p;
-    }
-    bool fail(const std::string& message) {
-        if (error.empty()) error = message;
-        return false;
-    }
-    bool expect(char c) {
-        skip_ws();
-        if (p >= end || *p != c) return fail(std::string("expected '") + c + "'");
-        ++p;
-        return true;
-    }
-    bool parse_string(std::string& out) {
-        if (!expect('"')) return false;
-        out.clear();
-        while (p < end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p >= end) return fail("dangling escape");
-            const char esc = *p++;
-            switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'u': {
-                    if (end - p < 4) return fail("short \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = *p++;
-                        code <<= 4;
-                        if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-                        else return fail("bad \\u escape");
-                    }
-                    // Our writer only emits \u00xx (Latin-1 bytes); decode
-                    // anything else as UTF-8 for robustness.
-                    if (code < 0x100) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xC0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (code >> 12));
-                        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    }
-                    break;
-                }
-                default: return fail("unknown escape");
-            }
-        }
-        if (p >= end) return fail("unterminated string");
-        ++p;  // closing quote
-        return true;
-    }
-    bool parse_value(JsonValue& out) {
-        skip_ws();
-        if (p >= end) return fail("truncated value");
-        if (*p == '"') {
-            out.kind = JsonValue::Kind::kString;
-            return parse_string(out.str);
-        }
-        if (*p == 't' || *p == 'f') {
-            const bool value = *p == 't';
-            const char* word = value ? "true" : "false";
-            const std::size_t len = std::strlen(word);
-            if (static_cast<std::size_t>(end - p) < len || std::strncmp(p, word, len) != 0) {
-                return fail("bad literal");
-            }
-            p += len;
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = value;
-            return true;
-        }
-        if (*p == '{' || *p == '[') return fail("nested values not supported in meta");
-        // Number: capture the raw token, parse as double AND as integers so
-        // 64-bit seeds survive exactly.
-        const char* start = p;
-        while (p < end && *p != ',' && *p != '}' && *p != ' ') ++p;
-        const std::string token(start, p);
-        if (token.empty()) return fail("empty number");
-        out.kind = JsonValue::Kind::kNumber;
-        out.num = std::strtod(token.c_str(), nullptr);
-        out.int_val = std::strtoll(token.c_str(), nullptr, 10);
-        out.uint_val = std::strtoull(token.c_str(), nullptr, 10);
-        return true;
-    }
-    bool parse_object(JsonObject& out) {
-        if (!expect('{')) return false;
-        skip_ws();
-        if (p < end && *p == '}') {
-            ++p;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parse_string(key)) return false;
-            if (!expect(':')) return false;
-            JsonValue value;
-            if (!parse_value(value)) return false;
-            out.emplace(std::move(key), std::move(value));
-            skip_ws();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            return expect('}');
-        }
-    }
-};
-
-struct MetaReader {
-    const JsonObject& obj;
-    std::string missing;
-
-    const JsonValue* find(const char* key) {
-        const auto it = obj.find(key);
-        if (it == obj.end()) {
-            if (missing.empty()) missing = key;
-            return nullptr;
-        }
-        return &it->second;
-    }
-    std::string str(const char* key, std::string fallback = {}) {
-        const JsonValue* v = find(key);
-        return v != nullptr && v->kind == JsonValue::Kind::kString ? v->str
-                                                                   : std::move(fallback);
-    }
-    double number(const char* key, double fallback = 0.0) {
-        const JsonValue* v = find(key);
-        return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->num : fallback;
-    }
-    long long integer(const char* key, long long fallback = 0) {
-        const JsonValue* v = find(key);
-        return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->int_val : fallback;
-    }
-    std::uint64_t u64(const char* key, std::uint64_t fallback = 0) {
-        const JsonValue* v = find(key);
-        return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->uint_val : fallback;
-    }
-    bool boolean(const char* key, bool fallback = false) {
-        const JsonValue* v = find(key);
-        return v != nullptr && v->kind == JsonValue::Kind::kBool ? v->boolean : fallback;
-    }
-};
-
 bool parse_position(const std::string& s, ble::sim::Position& out) {
     char* after = nullptr;
     out.x = std::strtod(s.c_str(), &after);
@@ -231,6 +53,28 @@ bool parse_position(const std::string& s, ble::sim::Position& out) {
     char* after_y = nullptr;
     out.y = std::strtod(after, &after_y);
     return after_y != after;
+}
+
+/// Reads the ';'-separated "ax ay bx by loss_db" wall entries; false when an
+/// entry does not hold exactly five numbers.
+bool parse_walls(const std::string& s, std::vector<ble::sim::Wall>& out) {
+    for (std::size_t pos = 0; pos < s.size();) {
+        std::size_t semi = s.find(';', pos);
+        if (semi == std::string::npos) semi = s.size();
+        const std::string one = s.substr(pos, semi - pos);
+        double field[5];
+        const char* p = one.c_str();
+        for (double& f : field) {
+            char* after = nullptr;
+            f = std::strtod(p, &after);
+            if (after == p) return false;
+            p = after;
+        }
+        if (*p != '\0') return false;
+        out.push_back({{field[0], field[1]}, {field[2], field[3]}, field[4]});
+        pos = semi + 1;
+    }
+    return true;
 }
 
 }  // namespace
@@ -313,45 +157,63 @@ std::string experiment_meta_json(const ExperimentConfig& config, std::uint64_t s
 }
 
 TraceMeta parse_trace_meta(const std::string& line) {
-    TraceMeta meta;
-    Parser parser{line.data(), line.data() + line.size(), {}};
-    JsonObject obj;
-    if (!parser.parse_object(obj)) {
-        meta.error = "meta parse error: " + parser.error;
+    const json::ParseResult parsed = json::parse(line);
+    if (!parsed.ok) {
+        TraceMeta meta;
+        meta.error = "meta parse error: " + parsed.error;
         return meta;
     }
-    MetaReader r{obj, {}};
-    if (r.str("e") != "meta") {
+    return parse_trace_meta(parsed.value);
+}
+
+TraceMeta parse_trace_meta(const json::Value& v) {
+    TraceMeta meta;
+    if (v.string_at("e") != "meta") {
         meta.error = "first trace line is not a meta header";
         return meta;
     }
-    const long long version = r.integer("v", -1);
+    const std::int64_t version = v.i64("v", -1);
     if (version != kTraceMetaVersion) {
         meta.error = "unsupported meta version " + std::to_string(version);
         return meta;
     }
 
-    meta.seed = r.u64("seed");
-    meta.tries = static_cast<int>(r.integer("tries", kSetupRetries));
+    // The header is outside input: a value the simulation cannot run (a
+    // payload or crowd that allocates without bound, an interval that never
+    // advances the clock, a budget that overflows) is rejected here, on the
+    // 64-bit value before it is narrowed, naming the field.
+    const auto bounded = [&v, &meta](const char* key, std::int64_t fallback, std::int64_t lo,
+                                     std::int64_t hi, std::int64_t& out) {
+        out = v.i64(key, fallback);
+        if (out >= lo && out <= hi) return true;
+        meta.error = std::string(key) + " " + std::to_string(out) + " outside " +
+                     std::to_string(lo) + ".." + std::to_string(hi);
+        return false;
+    };
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr std::int64_t kMinHop = ble::link::kMinHopInterval;
+    constexpr std::int64_t kMaxHop = ble::link::kMaxHopInterval;
+    std::int64_t n = 0;
+
+    meta.seed = v.u64("seed");
+    meta.tries = static_cast<int>(v.i64("tries", kSetupRetries));
 
     ExperimentConfig& config = meta.config;
-    config.name = r.str("name", "replay");
+    config.name = v.string_at("name", "replay");
     config.runs = 1;
     config.jobs = 1;
     config.base_seed = meta.seed;
-    config.max_attempts = static_cast<int>(r.integer("max_attempts", config.max_attempts));
-    // The header is outside input: a payload size or hop interval outside
-    // what the Core Spec allows would make the replay allocate without bound
-    // or never advance the clock, so reject it here.
-    const std::uint64_t payload_size = r.u64("ll_payload_size", config.ll_payload_size);
-    if (payload_size > ble::link::kMaxDataPayloadBytes) {
-        meta.error = "ll_payload_size " + std::to_string(payload_size) + " above " +
-                     std::to_string(ble::link::kMaxDataPayloadBytes);
+    // run_injection_experiment budgets 4 * max_attempts + 64 connection
+    // events in an int.
+    if (!bounded("max_attempts", config.max_attempts, 0, (kIntMax - 64) / 4, n)) return meta;
+    config.max_attempts = static_cast<int>(n);
+    if (!bounded("ll_payload_size", static_cast<std::int64_t>(config.ll_payload_size), 0,
+                 ble::link::kMaxDataPayloadBytes, n)) {
         return meta;
     }
-    config.ll_payload_size = static_cast<std::size_t>(payload_size);
-    config.llid = static_cast<ble::link::Llid>(r.integer("llid", static_cast<int>(config.llid)));
-    const std::string payload_hex = r.str("payload_hex");
+    config.ll_payload_size = static_cast<std::size_t>(n);
+    config.llid = static_cast<ble::link::Llid>(v.i64("llid", static_cast<int>(config.llid)));
+    const std::string payload_hex = v.string_at("payload_hex");
     if (!payload_hex.empty()) {
         auto payload = from_hex(payload_hex);
         if (!payload) {
@@ -362,85 +224,79 @@ TraceMeta parse_trace_meta(const std::string& line) {
     }
 
     WorldSpec& w = config.world;
-    const long long hop_interval = r.integer("hop_interval", w.hop_interval);
-    if (hop_interval < ble::link::kMinHopInterval || hop_interval > ble::link::kMaxHopInterval) {
-        meta.error = "hop_interval " + std::to_string(hop_interval) + " outside " +
-                     std::to_string(ble::link::kMinHopInterval) + ".." +
-                     std::to_string(ble::link::kMaxHopInterval);
-        return meta;
-    }
-    w.hop_interval = static_cast<std::uint16_t>(hop_interval);
+    if (!bounded("hop_interval", w.hop_interval, kMinHop, kMaxHop, n)) return meta;
+    w.hop_interval = static_cast<std::uint16_t>(n);
     w.supervision_timeout =
-        static_cast<std::uint16_t>(r.integer("supervision_timeout", w.supervision_timeout));
-    w.use_csa2 = r.boolean("use_csa2", w.use_csa2);
-    w.master_sca_ppm = r.number("master_sca_ppm", w.master_sca_ppm);
-    w.master_clock_ppm = r.number("master_clock_ppm", w.master_clock_ppm);
-    w.slave_sca_ppm = r.number("slave_sca_ppm", w.slave_sca_ppm);
-    w.attacker_sca_ppm = r.number("attacker_sca_ppm", w.attacker_sca_ppm);
-    if (!parse_position(r.str("peripheral_pos", position_str(w.peripheral_pos)),
+        static_cast<std::uint16_t>(v.i64("supervision_timeout", w.supervision_timeout));
+    w.use_csa2 = v.boolean_at("use_csa2", w.use_csa2);
+    w.master_sca_ppm = v.number("master_sca_ppm", w.master_sca_ppm);
+    w.master_clock_ppm = v.number("master_clock_ppm", w.master_clock_ppm);
+    w.slave_sca_ppm = v.number("slave_sca_ppm", w.slave_sca_ppm);
+    w.attacker_sca_ppm = v.number("attacker_sca_ppm", w.attacker_sca_ppm);
+    if (!parse_position(v.string_at("peripheral_pos", position_str(w.peripheral_pos)),
                         w.peripheral_pos) ||
-        !parse_position(r.str("central_pos", position_str(w.central_pos)), w.central_pos) ||
-        !parse_position(r.str("attacker_pos", position_str(w.attacker_pos)), w.attacker_pos)) {
+        !parse_position(v.string_at("central_pos", position_str(w.central_pos)),
+                        w.central_pos) ||
+        !parse_position(v.string_at("attacker_pos", position_str(w.attacker_pos)),
+                        w.attacker_pos)) {
         meta.error = "bad position field";
         return meta;
     }
-    const std::string walls = r.str("walls");
-    std::size_t pos = 0;
-    while (pos < walls.size()) {
-        std::size_t semi = walls.find(';', pos);
-        if (semi == std::string::npos) semi = walls.size();
-        const std::string one = walls.substr(pos, semi - pos);
-        ble::sim::Wall wall;
-        char* q = nullptr;
-        const char* s = one.c_str();
-        wall.a.x = std::strtod(s, &q);
-        wall.a.y = std::strtod(q, &q);
-        wall.b.x = std::strtod(q, &q);
-        wall.b.y = std::strtod(q, &q);
-        wall.loss_db = std::strtod(q, &q);
-        w.walls.push_back(wall);
-        pos = semi + 1;
+    if (!parse_walls(v.string_at("walls"), w.walls)) {
+        meta.error = "bad walls field: an entry does not hold five numbers";
+        return meta;
     }
-    w.fading_sigma_db = r.number("fading_sigma_db", w.fading_sigma_db);
-    w.capture.mid_sir_db = r.number("capture_mid_sir_db", w.capture.mid_sir_db);
-    w.capture.slope_db = r.number("capture_slope_db", w.capture.slope_db);
-    w.capture.phase_spread_db = r.number("capture_phase_spread_db", w.capture.phase_spread_db);
-    w.widening_scale = r.number("widening_scale", w.widening_scale);
-    w.encrypt_link = r.boolean("encrypt_link", w.encrypt_link);
+    w.fading_sigma_db = v.number("fading_sigma_db", w.fading_sigma_db);
+    w.capture.mid_sir_db = v.number("capture_mid_sir_db", w.capture.mid_sir_db);
+    w.capture.slope_db = v.number("capture_slope_db", w.capture.slope_db);
+    w.capture.phase_spread_db = v.number("capture_phase_spread_db", w.capture.phase_spread_db);
+    w.widening_scale = v.number("widening_scale", w.widening_scale);
+    w.encrypt_link = v.boolean_at("encrypt_link", w.encrypt_link);
 
     AttackParams& a = w.attack;
-    a.assumed_slave_sca_ppm = r.number("attack_assumed_slave_sca_ppm", a.assumed_slave_sca_ppm);
-    a.listen_margin = r.integer("attack_listen_margin_ns", a.listen_margin);
-    a.tx_latency_mean = r.integer("attack_tx_latency_mean_ns", a.tx_latency_mean);
-    a.tx_latency_sd = r.integer("attack_tx_latency_sd_ns", a.tx_latency_sd);
-    a.hiccup_prob = r.number("attack_hiccup_prob", a.hiccup_prob);
-    a.hiccup_max = r.integer("attack_hiccup_max_ns", a.hiccup_max);
-    a.turnaround_time = r.integer("attack_turnaround_ns", a.turnaround_time);
+    a.assumed_slave_sca_ppm = v.number("attack_assumed_slave_sca_ppm", a.assumed_slave_sca_ppm);
+    a.listen_margin = v.i64("attack_listen_margin_ns", a.listen_margin);
+    a.tx_latency_mean = v.i64("attack_tx_latency_mean_ns", a.tx_latency_mean);
+    a.tx_latency_sd = v.i64("attack_tx_latency_sd_ns", a.tx_latency_sd);
+    a.hiccup_prob = v.number("attack_hiccup_prob", a.hiccup_prob);
+    a.hiccup_max = v.i64("attack_hiccup_max_ns", a.hiccup_max);
+    a.turnaround_time = v.i64("attack_turnaround_ns", a.turnaround_time);
     a.max_missed_events =
-        static_cast<int>(r.integer("attack_max_missed_events", a.max_missed_events));
-    a.apply_sniffed_updates = r.boolean("attack_apply_sniffed_updates", a.apply_sniffed_updates);
-    a.stop_on_terminate = r.boolean("attack_stop_on_terminate", a.stop_on_terminate);
+        static_cast<int>(v.i64("attack_max_missed_events", a.max_missed_events));
+    a.apply_sniffed_updates =
+        v.boolean_at("attack_apply_sniffed_updates", a.apply_sniffed_updates);
+    a.stop_on_terminate = v.boolean_at("attack_stop_on_terminate", a.stop_on_terminate);
 
     w.master_traffic_every_events = static_cast<int>(
-        r.integer("master_traffic_every_events", w.master_traffic_every_events));
-    w.profile = static_cast<VictimProfile>(r.integer("profile", static_cast<int>(w.profile)));
-    w.peripheral_name = r.str("peripheral_name", w.peripheral_name);
-    w.central_name = r.str("central_name", w.central_name);
-    w.attacker_name = r.str("attacker_name", w.attacker_name);
-    w.gap_device_name = r.str("gap_device_name", w.gap_device_name);
+        v.i64("master_traffic_every_events", w.master_traffic_every_events));
+    w.profile = static_cast<VictimProfile>(v.i64("profile", static_cast<int>(w.profile)));
+    w.peripheral_name = v.string_at("peripheral_name", w.peripheral_name);
+    w.central_name = v.string_at("central_name", w.central_name);
+    w.attacker_name = v.string_at("attacker_name", w.attacker_name);
+    w.gap_device_name = v.string_at("gap_device_name", w.gap_device_name);
 
     // Dense keys are absent from pre-dense (and baseline) headers; the
     // defaults are the empty crowd, so old traces parse unchanged.
     DenseEnvironment& d = w.dense;
-    d.advertisers = static_cast<int>(r.integer("dense_advertisers", d.advertisers));
-    d.scanners = static_cast<int>(r.integer("dense_scanners", d.scanners));
-    d.connections = static_cast<int>(r.integer("dense_connections", d.connections));
-    d.area_radius_m = r.number("dense_area_radius_m", d.area_radius_m);
-    d.adv_interval = r.integer("dense_adv_interval_ns", d.adv_interval);
-    d.min_hop_interval =
-        static_cast<std::uint16_t>(r.integer("dense_min_hop_interval", d.min_hop_interval));
-    d.max_hop_interval =
-        static_cast<std::uint16_t>(r.integer("dense_max_hop_interval", d.max_hop_interval));
+    for (auto [key, count] : {std::pair{"dense_advertisers", &d.advertisers},
+                              std::pair{"dense_scanners", &d.scanners},
+                              std::pair{"dense_connections", &d.connections}}) {
+        if (!bounded(key, *count, 0, kIntMax, n)) return meta;
+        *count = static_cast<int>(n);
+    }
+    d.area_radius_m = v.number("dense_area_radius_m", d.area_radius_m);
+    if (!bounded("dense_adv_interval_ns", d.adv_interval, 1,
+                 std::numeric_limits<std::int64_t>::max(), d.adv_interval)) {
+        return meta;
+    }
+    if (!bounded("dense_min_hop_interval", d.min_hop_interval, kMinHop, kMaxHop, n)) {
+        return meta;
+    }
+    d.min_hop_interval = static_cast<std::uint16_t>(n);
+    // The crowd draws each hop interval from [min, max]: max is bounded
+    // below by the min just read (n).
+    if (!bounded("dense_max_hop_interval", d.max_hop_interval, n, kMaxHop, n)) return meta;
+    d.max_hop_interval = static_cast<std::uint16_t>(n);
 
     meta.valid = true;
     return meta;
@@ -513,23 +369,6 @@ ReplayDiff replay_trace_file(const std::string& path) {
 
 namespace {
 
-/// Parses one element of a series record's "trials" array back into a
-/// RunResult.
-RunResult run_result_from_json(const json::Value& trial) {
-    RunResult r;
-    r.seed = trial.u64("seed");
-    r.success = trial.boolean_at("success");
-    r.attempts = static_cast<int>(trial.i64("attempts"));
-    r.established = trial.boolean_at("established");
-    r.sniffed = trial.boolean_at("sniffed");
-    r.session_lost = trial.boolean_at("session_lost");
-    r.victim_disconnected = trial.boolean_at("victim_disconnected");
-    r.heuristic_false_positives = static_cast<int>(trial.i64("heuristic_fp"));
-    r.heuristic_false_negatives = static_cast<int>(trial.i64("heuristic_fn"));
-    r.wall_ms = trial.number("wall_ms");
-    return r;
-}
-
 /// Name of the first deterministic RunResult field that differs.
 std::string first_differing_field(const RunResult& a, const RunResult& b) {
     if (a.success != b.success) return "success";
@@ -564,10 +403,7 @@ SeriesReplay replay_series_line(const std::string& line, int jobs) {
             "record has no \"meta\" object (written before JSON-driven replay landed?)";
         return replay;
     }
-    // Round-trip through the meta header parser: dump() keeps number tokens
-    // verbatim, so the reconstructed config is bit-identical to the one the
-    // recorder serialized.
-    TraceMeta meta = parse_trace_meta(meta_obj->dump());
+    TraceMeta meta = parse_trace_meta(*meta_obj);
     if (!meta.valid) {
         replay.error = meta.error;
         return replay;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "world/experiment.hpp"
 
 namespace injectable::world {
@@ -40,6 +41,8 @@ struct TraceMeta {
 
 /// Parses a meta header line back into a runnable config.
 [[nodiscard]] TraceMeta parse_trace_meta(const std::string& line);
+/// The same, from an already parsed meta object (a series record's "meta").
+[[nodiscard]] TraceMeta parse_trace_meta(const ble::json::Value& meta);
 
 struct ReplayDiff {
     bool loaded = false;  ///< meta parsed and the replay ran

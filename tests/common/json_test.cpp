@@ -226,7 +226,7 @@ TEST(JsonFuzzTest, MutatedRecordsNeverCrashAndAcceptedInputsRoundTrip) {
         check_round_trip(input);
         if (HasFatalFailure()) return;
         accepted += parse(input).ok ? 1 : 0;
-        // The trace meta header also has its own flat reader.
+        // The trace meta header decodes through the same reader.
         (void)injectable::world::parse_trace_meta(input);
     }
     // Some mutations (a digit for a digit, a letter inside a string) must

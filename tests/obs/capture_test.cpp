@@ -1,5 +1,5 @@
 // Unit tests for the link-layer capture subsystem (DESIGN.md §14): channel
-// mapping, dBm quantization, pseudo-header layout, PCAP/btsnoop round-trips,
+// mapping, dBm quantization, pseudo-header layout, PCAP round-trips,
 // the vantage state machine, and the offline JSONL renderer.
 #include <gtest/gtest.h>
 
@@ -144,11 +144,7 @@ TEST(CapturePhdrTest, LaysOutAllTenBytes) {
     EXPECT_EQ(t[8] & 0x10, 0);
 }
 
-TEST(CaptureFormatTest, NamesAndExtensions) {
-    EXPECT_STREQ(capture_format_name(CaptureFormat::kPcap), "pcap");
-    EXPECT_STREQ(capture_format_name(CaptureFormat::kBtsnoop), "btsnoop");
-    EXPECT_STREQ(capture_format_extension(CaptureFormat::kPcap), ".pcap");
-    EXPECT_STREQ(capture_format_extension(CaptureFormat::kBtsnoop), ".btsnoop");
+TEST(CaptureVantageKindTest, Names) {
     EXPECT_STREQ(vantage_kind_name(VantageKind::kOmniscient), "omniscient");
     EXPECT_STREQ(vantage_kind_name(VantageKind::kDevice), "device");
 }
@@ -157,58 +153,26 @@ TEST(CaptureRoundTripTest, PcapParsesBackAndReserializesIdentically) {
     const std::vector<CaptureRecord> records = sample_records();
     const std::string bytes = pcap_bytes(records);
 
-    const ParsedCapture parsed = parse_pcap(bytes);
+    const ParsedCapture parsed = parse_capture(bytes);
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.format, CaptureFormat::kPcap);
     ASSERT_EQ(parsed.records.size(), records.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(parsed.records[i], records[i]) << "record " << i;
     }
-    EXPECT_EQ(capture_bytes(parsed.records, CaptureFormat::kPcap), bytes);
-
-    // Magic-based dispatch finds the same parser.
-    const ParsedCapture dispatched = parse_capture(bytes);
-    ASSERT_TRUE(dispatched.ok) << dispatched.error;
-    EXPECT_EQ(dispatched.format, CaptureFormat::kPcap);
-}
-
-TEST(CaptureRoundTripTest, BtsnoopTruncatesToMicrosecondsButStaysByteStable) {
-    std::vector<CaptureRecord> records = sample_records();
-    records[1].time = 1'234'567'890'123;  // not a whole µs: truncated on write
-    const std::string bytes = btsnoop_bytes(records);
-
-    const ParsedCapture parsed = parse_btsnoop(bytes);
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.format, CaptureFormat::kBtsnoop);
-    ASSERT_EQ(parsed.records.size(), records.size());
-    EXPECT_EQ(parsed.records[1].time, 1'234'567'890'000);  // µs resolution
-    // Everything but the sub-µs time survives...
-    CaptureRecord expected = records[1];
-    expected.time = 1'234'567'890'000;
-    EXPECT_EQ(parsed.records[1], expected);
-    // ...and re-serializing the parsed records reproduces the exact file.
-    EXPECT_EQ(capture_bytes(parsed.records, CaptureFormat::kBtsnoop), bytes);
-
-    const ParsedCapture dispatched = parse_capture(bytes);
-    ASSERT_TRUE(dispatched.ok) << dispatched.error;
-    EXPECT_EQ(dispatched.format, CaptureFormat::kBtsnoop);
+    EXPECT_EQ(pcap_bytes(parsed.records), bytes);
 }
 
 TEST(CaptureRoundTripTest, RejectsCorruptInputs) {
-    EXPECT_FALSE(parse_pcap("").ok);
-    EXPECT_FALSE(parse_btsnoop("").ok);
+    EXPECT_FALSE(parse_capture("").ok);
     EXPECT_FALSE(parse_capture("not a capture at all").ok);
 
     std::string pcap = pcap_bytes(sample_records());
     // Truncating mid-record is detected, not silently accepted.
-    EXPECT_FALSE(parse_pcap(std::string_view(pcap).substr(0, pcap.size() - 3)).ok);
+    EXPECT_FALSE(parse_capture(std::string_view(pcap).substr(0, pcap.size() - 3)).ok);
     // Corrupting the magic falls out of the ns-pcap fast path.
     std::string bad_magic = pcap;
     bad_magic[0] = 'x';
-    EXPECT_FALSE(parse_pcap(bad_magic).ok);
-
-    std::string snoop = btsnoop_bytes(sample_records());
-    EXPECT_FALSE(parse_btsnoop(std::string_view(snoop).substr(0, snoop.size() - 1)).ok);
+    EXPECT_FALSE(parse_capture(bad_magic).ok);
 }
 
 TEST(CaptureBuilderTest, OmniscientRecordsEveryTxAndIgnoresVerdicts) {

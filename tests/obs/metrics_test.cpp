@@ -2,6 +2,12 @@
 // and the MetricsSink's event-to-metric mapping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "common/json.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace ble::obs {
@@ -105,6 +111,77 @@ TEST(MetricsRegistryTest, SnapshotAndJsonAreDeterministic) {
 
     reg.reset();
     EXPECT_EQ(reg.snapshot().counters.at("zeta"), 0u);
+}
+
+TEST(MetricsSnapshotJsonTest, SeededSnapshotsRoundTripThroughFromJson) {
+    // Random names (any byte, so the escaper is exercised), negative and
+    // extreme gauges, u64-max sums, bucket 0 and bucket 64, empty sections.
+    Rng rng(7400);
+    const auto name = [&rng] {
+        std::string out;
+        for (std::uint64_t n = rng.next_below(6); n > 0; --n) {
+            out.push_back(static_cast<char>(rng.next_below(256)));
+        }
+        return out;
+    };
+    const auto u64 = [&rng] {
+        switch (rng.next_below(4)) {
+            case 0: return std::uint64_t{0};
+            case 1: return std::numeric_limits<std::uint64_t>::max();
+            default: return rng.next_u64() >> rng.next_below(64);
+        }
+    };
+    const auto i64 = [&rng, &u64] {
+        switch (rng.next_below(4)) {
+            case 0: return std::numeric_limits<std::int64_t>::min();
+            case 1: return -static_cast<std::int64_t>(rng.next_below(1000));
+            default: return static_cast<std::int64_t>(u64());
+        }
+    };
+    for (int i = 0; i < 2000; ++i) {
+        MetricsSnapshot s;
+        for (std::uint64_t n = rng.next_below(4); n > 0; --n) s.counters[name()] = u64();
+        for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+            s.gauges[name()] = {u64(), i64(), i64(), i64()};
+        }
+        for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+            HistogramSnapshot& h = s.histograms[name()];
+            h.count = u64();
+            h.sum = u64();
+            h.min = u64();
+            h.max = u64();
+            for (std::uint64_t b = rng.next_below(5); b > 0; --b) {
+                const std::uint64_t bucket = rng.next_below(3) == 0
+                                                 ? rng.next_below(2) * (kHistogramBuckets - 1)
+                                                 : rng.next_below(kHistogramBuckets);
+                h.buckets[bucket] = u64();
+            }
+        }
+        const json::ParseResult parsed = json::parse(s.to_json());
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        const std::optional<MetricsSnapshot> back = MetricsSnapshot::from_json(parsed.value);
+        ASSERT_TRUE(back.has_value()) << s.to_json();
+        EXPECT_EQ(*back, s) << s.to_json();
+    }
+}
+
+TEST(MetricsSnapshotJsonTest, AbsentSectionsAreEmptyAndBucketIndicesAreChecked) {
+    EXPECT_EQ(MetricsSnapshot::from_json(json::parse("{}").value), MetricsSnapshot{});
+    const auto counters_only =
+        MetricsSnapshot::from_json(json::parse(R"({"counters":{"c":7}})").value);
+    ASSERT_TRUE(counters_only.has_value());
+    EXPECT_EQ(counters_only->counters.at("c"), 7u);
+    EXPECT_TRUE(counters_only->gauges.empty());
+    EXPECT_TRUE(counters_only->histograms.empty());
+
+    for (const char* index : {"65", "-1", "\"3\""}) {
+        std::string error;
+        const std::string doc =
+            std::string(R"({"histograms":{"h":{"n":1,"buckets":[[)") + index + ",1]]}}}";
+        EXPECT_FALSE(MetricsSnapshot::from_json(json::parse(doc).value, &error).has_value());
+        EXPECT_NE(error.find("histogram 'h' has bucket index"), std::string::npos) << error;
+        EXPECT_NE(error.find("outside 0..64"), std::string::npos) << error;
+    }
 }
 
 TEST(MetricsRegistryTest, HandlesAreStableAcrossInsertions) {

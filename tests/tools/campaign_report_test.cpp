@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -102,6 +103,22 @@ TEST_F(CampaignFixture, ReportIsDeterministicAndComplete) {
     EXPECT_NE(html.find("report-test-hop25"), std::string::npos);
 }
 
+TEST_F(CampaignFixture, MarkdownReportIsPinned) {
+    // Golden output: the whole markdown report of the fixture campaign,
+    // pinned by size and FNV-1a digest.  Recorded while the report still
+    // decoded records through its own trial and metrics types.
+    const CampaignData campaign = load_campaign({json_path_});
+    const std::string md =
+        render_markdown(campaign, compute_drift(campaign, traces_dir_), true);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const char c : md) {
+        digest ^= static_cast<unsigned char>(c);
+        digest *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(md.size(), 2430u);
+    EXPECT_EQ(digest, 0x195ebbdcf3ed0c06ULL);
+}
+
 TEST_F(CampaignFixture, CheckPassesOnCleanCampaignAndFailsOnTamperedTrace) {
     const CampaignData campaign = load_campaign({json_path_});
     {
@@ -174,13 +191,12 @@ SeriesRecord diff_series(const std::string& name, std::uint64_t seed,
     series.base_seed = seed;
     series.hop_interval = "50";
     for (std::size_t i = 0; i < attempts_on_success.size(); ++i) {
-        TrialRecord trial;
+        RunResult trial;
         trial.seed = seed + i;
         trial.success = attempts_on_success[i] > 0;
         trial.attempts = trial.success ? attempts_on_success[i] : 7;
         series.trials.push_back(trial);
     }
-    series.runs = static_cast<int>(series.trials.size());
     return series;
 }
 

@@ -116,12 +116,10 @@ TEST(CaptureSeriesTest, CapturesAreByteIdenticalAcrossRerunsAndWorkerCounts) {
         EXPECT_NE(key.find("capture-series-seed"), std::string::npos);
         const auto parsed = obs::capture::parse_capture(content);
         ASSERT_TRUE(parsed.ok) << key << ": " << parsed.error;
-        EXPECT_EQ(parsed.format, obs::capture::CaptureFormat::kPcap);
         EXPECT_FALSE(parsed.records.empty()) << key;
         // Reader round-trip: re-serializing the parsed records reproduces the
         // recorded file byte for byte.
-        EXPECT_EQ(obs::capture::capture_bytes(parsed.records, parsed.format), content)
-            << key;
+        EXPECT_EQ(obs::capture::pcap_bytes(parsed.records), content) << key;
     }
     EXPECT_EQ(captures, config.runs);
 }
@@ -233,15 +231,12 @@ std::string random_bytes(Rng& rng, std::size_t n) {
 
 TEST(CaptureGarbageTest, ReaderRejectsOrRoundTripsSeededGarbage) {
     // parse_capture reads outside bytes, so it must survive garbage: random
-    // bytes, truncations and single-byte mutations of a real capture, in both
-    // container formats.  An input it accepts must re-serialize to itself:
-    // the reader takes exactly what the writers emit.
+    // bytes, truncations and single-byte mutations of a real capture.  An
+    // input it accepts must re-serialize to itself: the reader takes exactly
+    // what the writer emits.
     const RealArtifacts real = one_real_trial();
     ASSERT_FALSE(real.pcap.empty());
-    const auto parsed = obs::capture::parse_capture(real.pcap);
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    const std::string btsnoop =
-        obs::capture::capture_bytes(parsed.records, obs::capture::CaptureFormat::kBtsnoop);
+    ASSERT_TRUE(obs::capture::parse_capture(real.pcap).ok);
 
     int accepted = 0;
     int rejected = 0;
@@ -255,7 +250,7 @@ TEST(CaptureGarbageTest, ReaderRejectsOrRoundTripsSeededGarbage) {
             return;
         }
         ++accepted;
-        const std::string again = obs::capture::capture_bytes(result.records, result.format);
+        const std::string again = obs::capture::pcap_bytes(result.records);
         if (again != input && unreproducible++ == 0) {
             const auto at = std::mismatch(input.begin(), input.end(), again.begin(), again.end());
             first_unreproducible = std::to_string(input.size()) + " bytes, differs at offset " +
@@ -263,24 +258,22 @@ TEST(CaptureGarbageTest, ReaderRejectsOrRoundTripsSeededGarbage) {
         }
     };
     Rng rng(7100);
-    for (const std::string& file : {real.pcap, btsnoop}) {
-        const std::size_t header = file == btsnoop ? 16 : 24;
-        // Every cut through the file header and the first records, then a
-        // seeded sample of the rest.
-        for (std::size_t n = 0; n < std::min<std::size_t>(file.size(), 256); ++n) {
-            check(file.substr(0, n));
-        }
-        for (int i = 0; i < 300; ++i) check(file.substr(0, rng.next_below(file.size())));
-        for (int i = 0; i < 3000; ++i) {
-            std::string mutated = file;
-            mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next_below(256));
-            check(mutated);
-        }
-        // Random records behind a valid file header, and random bytes alone.
-        for (int i = 0; i < 400; ++i) {
-            const std::string prefix = i % 2 == 0 ? file.substr(0, header) : std::string();
-            check(prefix + random_bytes(rng, rng.next_below(200)));
-        }
+    const std::string& file = real.pcap;
+    // Every cut through the file header and the first records, then a seeded
+    // sample of the rest.
+    for (std::size_t n = 0; n < std::min<std::size_t>(file.size(), 256); ++n) {
+        check(file.substr(0, n));
+    }
+    for (int i = 0; i < 300; ++i) check(file.substr(0, rng.next_below(file.size())));
+    for (int i = 0; i < 3000; ++i) {
+        std::string mutated = file;
+        mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next_below(256));
+        check(mutated);
+    }
+    // Random records behind the 24-byte file header, and random bytes alone.
+    for (int i = 0; i < 400; ++i) {
+        const std::string prefix = i % 2 == 0 ? file.substr(0, 24) : std::string();
+        check(prefix + random_bytes(rng, rng.next_below(200)));
     }
     EXPECT_EQ(unreproducible, 0) << "first accepted input it cannot reproduce: "
                                  << first_unreproducible;

@@ -6,10 +6,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "link/spec.hpp"
 #include "obs/sinks.hpp"
 #include "world/replay.hpp"
 
@@ -165,6 +168,117 @@ TEST(TraceMetaTest, RejectsValuesOutsideTheCoreSpec) {
         ",\"trials\":[{\"seed\":515}]}");
     EXPECT_FALSE(series.loaded);
     EXPECT_NE(series.error.find("hop_interval"), std::string::npos) << series.error;
+}
+
+/// Checks what parse_trace_meta promises of every config it accepts: no
+/// crowd, interval or budget the replay could not run.
+void expect_runnable(const ExperimentConfig& c, const std::string& input) {
+    const WorldSpec& w = c.world;
+    const DenseEnvironment& d = w.dense;
+    EXPECT_GE(c.max_attempts, 0) << input;
+    EXPECT_LE(4LL * c.max_attempts + 64, std::numeric_limits<int>::max()) << input;
+    EXPECT_LE(c.ll_payload_size, ble::link::kMaxDataPayloadBytes) << input;
+    EXPECT_GE(w.hop_interval, ble::link::kMinHopInterval) << input;
+    EXPECT_LE(w.hop_interval, ble::link::kMaxHopInterval) << input;
+    EXPECT_GE(d.advertisers, 0) << input;
+    EXPECT_GE(d.scanners, 0) << input;
+    EXPECT_GE(d.connections, 0) << input;
+    EXPECT_GT(d.adv_interval, 0) << input;
+    EXPECT_GE(d.min_hop_interval, ble::link::kMinHopInterval) << input;
+    EXPECT_LE(d.min_hop_interval, d.max_hop_interval) << input;
+    EXPECT_LE(d.max_hop_interval, ble::link::kMaxHopInterval) << input;
+}
+
+TEST(TraceMetaTest, SeededGarbageOnTheMetaLineIsRejectedOrRunnable) {
+    // The header run_series records for a crowded config with a wall, so
+    // every field the parser reads is present.  Parse only: a mutated
+    // config is never replayed.
+    ExperimentConfig config = small_config();
+    config.payload_override = ble::Bytes{0x01, 0x02};
+    config.world.walls.push_back({{0.5, 1.5}, {2.5, 3.5}, 6.25});
+    config.world.dense = WorldSpec::office().dense;
+    const std::string recorded = experiment_meta_json(config, 515, 3);
+    ASSERT_TRUE(parse_trace_meta(recorded).valid);
+
+    int accepted = 0;
+    int rejected = 0;
+    const auto check = [&](const std::string& input) {
+        TraceMeta meta;
+        EXPECT_NO_THROW(meta = parse_trace_meta(input)) << input;
+        if (!meta.valid) {
+            EXPECT_FALSE(meta.error.empty()) << input;
+            ++rejected;
+            return;
+        }
+        ++accepted;
+        expect_runnable(meta.config, input);
+    };
+
+    // Each numeric field set to the edges of int, uint32 and int64.
+    int numeric_fields = 0;
+    for (std::size_t at = recorded.find("\":"); at != std::string::npos;
+         at = recorded.find("\":", at + 1)) {
+        const std::size_t value = at + 2;
+        const char c = recorded[value];
+        if (c != '-' && (c < '0' || c > '9')) continue;
+        ++numeric_fields;
+        const std::size_t end = recorded.find_first_of(",}", value);
+        for (const char* edge :
+             {"-1", "0", "2147483648", "4294967295", "9223372036854775808"}) {
+            check(recorded.substr(0, value) + edge + recorded.substr(end));
+        }
+    }
+    EXPECT_GT(numeric_fields, 30);
+
+    // Every truncation, then seeded byte flips.
+    for (std::size_t n = 0; n < recorded.size(); ++n) check(recorded.substr(0, n));
+    ble::Rng rng(7300);
+    for (int i = 0; i < 4000; ++i) {
+        std::string mutated = recorded;
+        for (std::uint64_t flips = 1 + rng.next_below(3); flips > 0; --flips) {
+            mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next_below(256));
+        }
+        check(mutated);
+    }
+    EXPECT_GT(accepted, 100);
+    EXPECT_GT(rejected, 100);
+}
+
+TEST(ReplayTest, MetaHeadersThatWouldHangOrAbortAreRejected) {
+    // Left unchecked, each header spins the replay forever, aborts it with
+    // an uncaught exception, silently drops a wall or overflows the attempt
+    // budget.  Each must be an error that names its field.
+    const std::string good = experiment_meta_json(small_config(), 515, 3);
+    const std::string head = good.substr(0, good.size() - 1);
+    std::string max_attempts = good;
+    const std::string key = "\"max_attempts\":60";
+    ASSERT_NE(max_attempts.find(key), std::string::npos);
+    max_attempts.replace(max_attempts.find(key), key.size(), "\"max_attempts\":536870896");
+    const std::string crowd = head + R"(,"dense_connections":1)";
+    const std::pair<std::string, const char*> probes[] = {
+        {crowd + R"(,"dense_min_hop_interval":0,"dense_max_hop_interval":0})",
+         "dense_min_hop_interval"},
+        {crowd + R"(,"dense_min_hop_interval":48,"dense_max_hop_interval":24})",
+         "dense_max_hop_interval"},
+        {head + R"(,"dense_advertisers":1,"dense_adv_interval_ns":-1000000000})",
+         "dense_adv_interval_ns"},
+        {head + R"(,"dense_advertisers":-1})", "dense_advertisers"},
+        {head + R"(,"dense_scanners":2147483648})", "dense_scanners"},
+        {head + R"(,"walls":"x"})", "walls"},
+        {head + R"(,"walls":"1 2 3 4 5;1 2 3 4"})", "walls"},
+        {max_attempts, "max_attempts"},
+    };
+    for (const auto& [line, field] : probes) {
+        const TraceMeta meta = parse_trace_meta(line);
+        ASSERT_FALSE(meta.valid) << line;
+        EXPECT_NE(meta.error.find(field), std::string::npos) << meta.error;
+        const ReplayDiff diff = replay_trace_lines({line, "{\"e\":\"x\"}"});
+        EXPECT_FALSE(diff.loaded) << line;
+        EXPECT_EQ(diff.error, meta.error);
+    }
+    // The largest budget that still fits is accepted.
+    max_attempts.replace(max_attempts.find("536870896"), 9, "536870895");
+    EXPECT_TRUE(parse_trace_meta(max_attempts).valid);
 }
 
 TEST(ReplayTest, UnmodifiedTraceReplaysWithZeroDivergences) {

@@ -4,9 +4,12 @@
 // traces involved.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "world/experiment.hpp"
 #include "world/replay.hpp"
 
@@ -21,6 +24,32 @@ ExperimentConfig small_config() {
     config.base_seed = 2200;
     config.jobs = 1;
     return config;
+}
+
+TEST(SeriesReplay, EveryRunResultFieldRoundTripsThroughTheRecord) {
+    // One trial per field, each differing from the default in that field
+    // alone, so a field decoded into the wrong member cannot cancel out.
+    std::vector<RunResult> trials(10);
+    trials[0].seed = std::numeric_limits<std::uint64_t>::max();
+    trials[1].success = true;
+    trials[2].attempts = 1234;
+    trials[3].sniffed = true;
+    trials[4].established = true;
+    trials[5].session_lost = true;
+    trials[6].victim_disconnected = true;
+    trials[7].heuristic_false_positives = 3;
+    trials[8].heuristic_false_negatives = -4;
+    trials[9].wall_ms = 12.5;  // exact in the record's %g
+    const ble::json::ParseResult parsed = ble::json::parse(to_json(small_config(), trials));
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const ble::json::Value* array = parsed.value.find("trials");
+    ASSERT_NE(array, nullptr);
+    ASSERT_EQ(array->array.size(), trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+        const RunResult back = run_result_from_json(array->array[i]);
+        EXPECT_EQ(back, trials[i]) << "trial " << i;
+        EXPECT_EQ(back.wall_ms, trials[i].wall_ms) << "trial " << i;
+    }
 }
 
 TEST(SeriesReplay, RoundTripsFromTheJsonRecord) {

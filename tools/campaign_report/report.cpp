@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 
 #include "common/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
-#include "world/experiment.hpp"
 
 namespace injectable::report {
 
@@ -59,62 +58,7 @@ void html_escape(std::string& out, std::string_view s) {
     }
 }
 
-bool parse_trial(const json::Value& v, TrialRecord& out) {
-    if (v.kind != json::Value::Kind::kObject) return false;
-    out.seed = v.u64("seed", 0);
-    out.success = v.boolean_at("success", false);
-    out.attempts = static_cast<int>(v.i64("attempts", 0));
-    out.established = v.boolean_at("established", false);
-    out.sniffed = v.boolean_at("sniffed", false);
-    out.session_lost = v.boolean_at("session_lost", false);
-    out.victim_disconnected = v.boolean_at("victim_disconnected", false);
-    return true;
-}
-
-bool parse_metrics(const json::Value& metrics, SeriesRecord& out, std::string& error) {
-    if (const json::Value* counters = metrics.find("counters")) {
-        for (const auto& [name, v] : counters->object) out.counters[name] = v.as_u64(0);
-    }
-    if (const json::Value* gauges = metrics.find("gauges")) {
-        for (const auto& [name, v] : gauges->object) {
-            GaugeRecord g;
-            g.n = v.u64("n", 0);
-            g.last = v.i64("last", 0);
-            g.min = v.i64("min", 0);
-            g.max = v.i64("max", 0);
-            out.gauges[name] = g;
-        }
-    }
-    if (const json::Value* hists = metrics.find("histograms")) {
-        for (const auto& [name, v] : hists->object) {
-            HistRecord h;
-            h.n = v.u64("n", 0);
-            h.sum = v.u64("sum", 0);
-            h.min = v.u64("min", 0);
-            h.max = v.u64("max", 0);
-            if (const json::Value* buckets = v.find("buckets")) {
-                for (const json::Value& pair : buckets->array) {
-                    if (pair.array.size() != 2) continue;
-                    const std::int64_t b = pair.array[0].as_i64(-1);
-                    // MetricsSnapshot writes bit_width indices, 0..64; any
-                    // other index would make bucket_range() shift out of range.
-                    if (b < 0 || b >= ble::obs::kHistogramBuckets) {
-                        error = "histogram '" + name + "' has bucket index " +
-                                std::to_string(b) + " outside 0.." +
-                                std::to_string(ble::obs::kHistogramBuckets - 1);
-                        return false;
-                    }
-                    h.buckets[static_cast<int>(b)] += pair.array[1].as_u64(0);
-                }
-            }
-            out.histograms[name] = std::move(h);
-        }
-    }
-    return true;
-}
-
-bool parse_series_line(const std::string& line, const std::string& source,
-                       SeriesRecord& out, std::string& error) {
+bool parse_series_line(const std::string& line, SeriesRecord& out, std::string& error) {
     const json::ParseResult parsed = json::parse(line);
     if (!parsed.ok) {
         error = "bad JSON: " + parsed.error;
@@ -127,21 +71,24 @@ bool parse_series_line(const std::string& line, const std::string& source,
     }
     out.name = root.string_at("experiment", "?");
     out.base_seed = root.u64("base_seed", 0);
-    out.runs = static_cast<int>(root.i64("runs", 0));
     out.jobs = static_cast<int>(root.i64("jobs", 0));
     if (const json::Value* hop = root.find("hop_interval")) out.hop_interval = hop->raw;
-    out.source = source;
     const json::Value* trials = root.find("trials");
     if (trials == nullptr || trials->kind != json::Value::Kind::kArray) {
         error = "series record has no \"trials\" array";
         return false;
     }
+    // The report renders what it can: a non-object trial entry is skipped.
     for (const json::Value& t : trials->array) {
-        TrialRecord trial;
-        if (parse_trial(t, trial)) out.trials.push_back(trial);
+        if (t.is_object()) out.trials.push_back(world::run_result_from_json(t));
     }
-    const json::Value* metrics = root.find("metrics");
-    return metrics == nullptr || parse_metrics(*metrics, out, error);
+    if (const json::Value* metrics = root.find("metrics")) {
+        std::optional<ble::obs::MetricsSnapshot> snapshot =
+            ble::obs::MetricsSnapshot::from_json(*metrics, &error);
+        if (!snapshot) return false;
+        out.metrics = std::move(*snapshot);
+    }
+    return true;
 }
 
 std::uint64_t total_trials(const CampaignData& campaign) {
@@ -153,7 +100,7 @@ std::uint64_t total_trials(const CampaignData& campaign) {
 std::uint64_t total_successes(const CampaignData& campaign) {
     std::uint64_t n = 0;
     for (const SeriesRecord& s : campaign.series) {
-        for (const TrialRecord& t : s.trials) n += t.success ? 1 : 0;
+        for (const world::RunResult& t : s.trials) n += t.success ? 1 : 0;
     }
     return n;
 }
@@ -167,17 +114,17 @@ int attempts_percentile(std::vector<int> attempts, int pct) {
     return attempts[rank == 0 ? 0 : rank - 1];
 }
 
-std::string render_histogram(const std::string& name, const HistRecord& hist) {
+std::string render_histogram(const std::string& name, const ble::obs::HistogramSnapshot& hist) {
     std::string out = "### `" + name + "`\n\n";
-    out += "samples " + u64_str(hist.n) + ", sum " + u64_str(hist.sum);
-    if (hist.n > 0) {
+    out += "samples " + u64_str(hist.count) + ", sum " + u64_str(hist.sum);
+    if (hist.count > 0) {
         out += ", min " + u64_str(hist.min) + ", max " + u64_str(hist.max) + ", mean " +
-               fixed1(static_cast<double>(hist.sum) / static_cast<double>(hist.n));
+               fixed1(hist.mean());
     }
     out += "\n\n```\n";
-    std::uint64_t max_count = 0;
-    for (const auto& [b, count] : hist.buckets) max_count = std::max(max_count, count);
-    for (const auto& [b, count] : hist.buckets) {
+    const std::uint64_t max_count = *std::max_element(hist.buckets.begin(), hist.buckets.end());
+    for (int b = 0; b < ble::obs::kHistogramBuckets; ++b) {
+        const std::uint64_t count = hist.buckets[static_cast<std::size_t>(b)];
         if (count == 0) continue;
         char line[128];
         std::snprintf(line, sizeof(line), "%22s  %8" PRIu64 "  ", bucket_range(b).c_str(),
@@ -190,6 +137,16 @@ std::string render_histogram(const std::string& name, const HistRecord& hist) {
     return out;
 }
 
+/// Every series' histograms merged by name, in name order.
+std::map<std::string, ble::obs::HistogramSnapshot> merged_histograms(
+    const CampaignData& campaign) {
+    std::map<std::string, ble::obs::HistogramSnapshot> hists;
+    for (const SeriesRecord& s : campaign.series) {
+        for (const auto& [name, h] : s.metrics.histograms) hists[name].merge(h);
+    }
+    return hists;
+}
+
 /// The drift/series/counters tables are shared between renderers as
 /// markdown; the HTML page embeds them via a tiny md-table-to-html pass.
 std::string series_table(const CampaignData& campaign) {
@@ -199,7 +156,7 @@ std::string series_table(const CampaignData& campaign) {
     for (const SeriesRecord& s : campaign.series) {
         std::vector<int> attempts;
         std::uint64_t wins = 0;
-        for (const TrialRecord& t : s.trials) {
+        for (const world::RunResult& t : s.trials) {
             attempts.push_back(t.attempts);
             wins += t.success ? 1 : 0;
         }
@@ -219,7 +176,7 @@ std::string series_table(const CampaignData& campaign) {
 std::string counters_table(const CampaignData& campaign) {
     std::map<std::string, std::uint64_t> totals;
     for (const SeriesRecord& s : campaign.series) {
-        for (const auto& [name, value] : s.counters) totals[name] += value;
+        for (const auto& [name, value] : s.metrics.counters) totals[name] += value;
     }
     std::string out = "| counter | total |\n|---|---|\n";
     for (const auto& [name, value] : totals) {
@@ -278,16 +235,6 @@ std::string md_table_to_html(const std::string& md) {
 
 }  // namespace
 
-void HistRecord::merge(const HistRecord& other) {
-    if (other.n > 0) {
-        min = n == 0 ? other.min : std::min(min, other.min);
-        max = n == 0 ? other.max : std::max(max, other.max);
-    }
-    n += other.n;
-    sum += other.sum;
-    for (const auto& [b, count] : other.buckets) buckets[b] += count;
-}
-
 CampaignData load_campaign(const std::vector<std::string>& json_paths) {
     CampaignData campaign;
     for (const std::string& path : json_paths) {
@@ -301,11 +248,11 @@ CampaignData load_campaign(const std::vector<std::string>& json_paths) {
         for (std::size_t n = 0; n < lines.size(); ++n) {
             SeriesRecord series;
             std::string parse_error;
-            const std::string source = path + ":" + std::to_string(n + 1);
-            if (parse_series_line(lines[n], source, series, parse_error)) {
+            if (parse_series_line(lines[n], series, parse_error)) {
                 campaign.series.push_back(std::move(series));
             } else {
-                campaign.errors.push_back(source + ": " + parse_error);
+                campaign.errors.push_back(path + ":" + std::to_string(n + 1) + ": " +
+                                          parse_error);
             }
         }
     }
@@ -320,11 +267,12 @@ std::vector<DriftRow> compute_drift(const CampaignData& campaign,
         DriftRow row;
         row.series = series.name;
         row.trials = static_cast<int>(series.trials.size());
-        const auto events_total = series.counters.find("events_total");
-        row.expected_events = events_total == series.counters.end() ? 0 : events_total->second;
+        const auto& counters = series.metrics.counters;
+        const auto events_total = counters.find("events_total");
+        row.expected_events = events_total == counters.end() ? 0 : events_total->second;
         const std::string stem_base =
             traces_dir + "/" + world::sanitize_experiment_name(series.name) + "-seed";
-        for (const TrialRecord& trial : series.trials) {
+        for (const world::RunResult& trial : series.trials) {
             const std::string stem = stem_base + u64_str(trial.seed) + ".jsonl";
             std::string error;
             std::vector<std::string> lines = ble::obs::read_jsonl_file(stem, &error);
@@ -357,14 +305,11 @@ std::string render_markdown(const CampaignData& campaign, const std::vector<Drif
     out += "## Outcome counters\n\n" + counters_table(campaign) + "\n";
 
     // Merged histograms across every series, deterministic name order.
-    std::map<std::string, HistRecord> hists;
-    for (const SeriesRecord& s : campaign.series) {
-        for (const auto& [name, h] : s.histograms) hists[name].merge(h);
-    }
+    const auto hists = merged_histograms(campaign);
     if (!hists.empty()) {
         out += "## Histograms (log2 buckets, merged across series)\n\n";
         for (const auto& [name, h] : hists) {
-            if (h.n == 0) continue;
+            if (h.count == 0) continue;
             out += render_histogram(name, h);
         }
     }
@@ -404,15 +349,12 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
     out += "<h2>Series</h2>\n" + md_table_to_html(series_table(campaign));
     out += "\n<h2>Outcome counters</h2>\n" + md_table_to_html(counters_table(campaign));
 
-    std::map<std::string, HistRecord> hists;
-    for (const SeriesRecord& s : campaign.series) {
-        for (const auto& [name, h] : s.histograms) hists[name].merge(h);
-    }
+    const auto hists = merged_histograms(campaign);
     if (!hists.empty()) {
         out += "<h2>Histograms (log2 buckets, merged across series)</h2>\n<pre>";
         std::string text;
         for (const auto& [name, h] : hists) {
-            if (h.n == 0) continue;
+            if (h.count == 0) continue;
             text += render_histogram(name, h);
         }
         html_escape(out, text);
@@ -465,7 +407,7 @@ OutcomeSummary summarize_outcomes(const SeriesRecord& series) {
     OutcomeSummary summary;
     summary.trials = static_cast<int>(series.trials.size());
     std::vector<int> attempts;
-    for (const TrialRecord& trial : series.trials) {
+    for (const world::RunResult& trial : series.trials) {
         if (!trial.success) continue;
         summary.successes++;
         attempts.push_back(trial.attempts);

@@ -19,55 +19,24 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "world/experiment.hpp"
+
 namespace injectable::report {
 
-/// Deterministic outcome fields of one recorded trial (wall_ms is parsed
-/// away: it would break report reproducibility).
-struct TrialRecord {
-    std::uint64_t seed = 0;
-    bool success = false;
-    int attempts = 0;
-    bool established = false;
-    bool sniffed = false;
-    bool session_lost = false;
-    bool victim_disconnected = false;
-};
-
-struct GaugeRecord {
-    std::uint64_t n = 0;
-    std::int64_t last = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-};
-
-/// Sparse log2 histogram as serialized by MetricsSnapshot::to_json
-/// (bucket index == std::bit_width of the sample).
-struct HistRecord {
-    std::uint64_t n = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;  ///< valid iff n > 0
-    std::uint64_t max = 0;  ///< valid iff n > 0
-    std::map<int, std::uint64_t> buckets;
-
-    void merge(const HistRecord& other);
-};
-
-/// One INJECTABLE_JSON line: a series of trials over one config.
+/// One INJECTABLE_JSON line: a series of trials over one config, decoded
+/// through the recorder's own types (wall_ms is decoded but never rendered:
+/// it would break report reproducibility).
 struct SeriesRecord {
     std::string name;
     std::uint64_t base_seed = 0;
-    int runs = 0;
     int jobs = 0;
     std::string hop_interval;  ///< raw JSON number token (exact round-trip)
-    std::string source;        ///< "path:line" the record came from
-    std::vector<TrialRecord> trials;
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, GaugeRecord> gauges;
-    std::map<std::string, HistRecord> histograms;
+    std::vector<world::RunResult> trials;
+    ble::obs::MetricsSnapshot metrics;
 };
 
 struct CampaignData {

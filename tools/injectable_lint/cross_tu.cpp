@@ -5,7 +5,6 @@
 #include "injectable_lint/lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -372,32 +371,6 @@ std::string include_graph_dot(const std::vector<FileSummary>& files) {
     return out;
 }
 
-namespace {
-
-void append_json_string_field(std::string& out, std::string_view s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
-}  // namespace
-
 std::string suppressions_jsonl(const std::vector<FileSummary>& files) {
     struct Row {
         std::string file;
@@ -418,12 +391,12 @@ std::string suppressions_jsonl(const std::vector<FileSummary>& files) {
     std::string out;
     for (const Row& r : rows) {
         out += "{\"rule\":";
-        append_json_string_field(out, r.rule);
+        append_json_string(out, r.rule);
         out += ",\"file\":";
-        append_json_string_field(out, r.file);
+        append_json_string(out, r.file);
         out += ",\"line\":" + std::to_string(r.line);
         out += ",\"reason\":";
-        append_json_string_field(out, r.reason);
+        append_json_string(out, r.reason);
         out += "}\n";
     }
     return out;

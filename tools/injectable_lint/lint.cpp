@@ -1233,8 +1233,6 @@ int unsuppressed_count(const std::vector<Finding>& findings) noexcept {
     return n;
 }
 
-namespace {
-
 void append_json_string(std::string& out, std::string_view s) {
     out += '"';
     for (const char c : s) {
@@ -1256,8 +1254,6 @@ void append_json_string(std::string& out, std::string_view s) {
     }
     out += '"';
 }
-
-}  // namespace
 
 std::string to_jsonl(const std::vector<Finding>& findings) {
     std::string out;

@@ -88,7 +88,7 @@
 //       finding at its acquisition site.
 //   W1  Wire/enum exhaustiveness: every enumerator of the monitored
 //       wire-protocol enums (RxVerdict, CommandType, NotificationType,
-//       CaptureFormat, VantageKind) must appear as a case in every switch
+//       VantageKind) must appear as a case in every switch
 //       over that enum — a `default:` does not excuse a missing enumerator,
 //       because `default` is exactly how a newly added frame type silently
 //       falls through an encode/decode/dispatch site.  Adding a CommandType
@@ -154,7 +154,7 @@ struct Options {
     /// Enums whose switches rule W1 holds to exhaustiveness (matched by the
     /// enum's simple name, i.e. the qualifier of the case labels).
     std::vector<std::string> w1_enums = {"RxVerdict", "CommandType", "NotificationType",
-                                         "CaptureFormat", "VantageKind"};
+                                         "VantageKind"};
 };
 
 // --- tokenizer (exposed for the self-tests) ---
@@ -310,6 +310,10 @@ int scan_paths(const std::vector<std::string>& roots, std::vector<Finding>& find
 // --- reporting ---
 
 [[nodiscard]] int unsuppressed_count(const std::vector<Finding>& findings) noexcept;
+
+/// Appends `s` as a quoted JSON string literal: the one escaper behind
+/// to_jsonl and suppressions_jsonl.
+void append_json_string(std::string& out, std::string_view s);
 
 /// One JSON object per finding, one per line (stable field order).
 [[nodiscard]] std::string to_jsonl(const std::vector<Finding>& findings);

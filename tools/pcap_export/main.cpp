@@ -1,4 +1,4 @@
-// pcap_export: render recorded traces into PCAP / btsnoop capture files.
+// pcap_export: render recorded traces into PCAP capture files.
 //
 // Every JSONL trace written by run_series (INJECTABLE_TRACE_DIR) carries the
 // full TxStart/RxDecision stream, which is everything the capture subsystem
@@ -7,8 +7,8 @@
 // to what a live CaptureSink at the same vantage would have written:
 //
 //   pcap_export [options] <trace.jsonl[.gz]>...
-//       render each trace into a capture file next to it (or under
-//       --out-dir), at the chosen vantage and format.
+//       render each trace into a .pcap file next to it (or under
+//       --out-dir), at the chosen vantage.
 //
 //   pcap_export --from-json [options] <results.jsonl>...
 //       re-run every series recorded in INJECTABLE_JSON files (config + seed
@@ -17,7 +17,6 @@
 //       every trial — no stored traces needed.  Omniscient vantage only.
 //
 // Options:
-//   --format pcap|btsnoop    output container (default pcap)
 //   --vantage omniscient|<device>
 //                            omniscient = every frame on the medium (default);
 //                            any other value names a device whose radio's
@@ -48,7 +47,6 @@ namespace capture = ble::obs::capture;
 namespace world = injectable::world;
 
 struct Options {
-    capture::CaptureFormat format = capture::CaptureFormat::kPcap;
     capture::VantagePoint vantage;  // omniscient by default
     bool gzip = false;
     bool from_json = false;
@@ -62,7 +60,6 @@ void print_usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [options] <trace.jsonl[.gz]>...\n"
                  "       %s --from-json [options] <results.jsonl>...\n"
-                 "  --format pcap|btsnoop   output container (default pcap)\n"
                  "  --vantage omniscient|<device>\n"
                  "                          capture vantage point (default omniscient)\n"
                  "  --gzip                  gzip outputs (adds .gz; needs zlib)\n"
@@ -85,18 +82,7 @@ bool parse_options(int argc, char** argv, Options& options) {
             slot = argv[++i];
             return true;
         };
-        if (std::strcmp(arg, "--format") == 0) {
-            std::string value;
-            if (!value_of(value)) return false;
-            if (value == "pcap") {
-                options.format = capture::CaptureFormat::kPcap;
-            } else if (value == "btsnoop") {
-                options.format = capture::CaptureFormat::kBtsnoop;
-            } else {
-                std::fprintf(stderr, "%s: unknown format '%s'\n", argv[0], value.c_str());
-                return false;
-            }
-        } else if (std::strcmp(arg, "--vantage") == 0) {
+        if (std::strcmp(arg, "--vantage") == 0) {
             std::string value;
             if (!value_of(value)) return false;
             if (value == "omniscient") {
@@ -178,8 +164,7 @@ std::string output_path(const Options& options, const std::string& input) {
     if (options.vantage.kind == capture::VantageKind::kDevice) {
         name += "." + options.vantage.device;
     }
-    name += capture::capture_format_extension(options.format);
-    if (options.gzip) name += ".gz";
+    name += options.gzip ? ".pcap.gz" : ".pcap";
     return dir + "/" + name;
 }
 
@@ -202,9 +187,8 @@ int run_traces(const Options& options, const char* argv0) {
             ++errors;
             continue;
         }
-        const std::string bytes = capture::capture_bytes(records, options.format);
         const std::string out = output_path(options, input);
-        if (!ble::obs::write_text_file(out, bytes, options.gzip)) {
+        if (!ble::obs::write_text_file(out, capture::pcap_bytes(records), options.gzip)) {
             std::fprintf(stderr, "ERROR %s: cannot write %s\n", argv0, out.c_str());
             ++errors;
             continue;
@@ -234,22 +218,9 @@ public:
 
     void on_artifact(const world::TrialArtifact& artifact) override {
         if (artifact.kind != world::ArtifactKind::kPcapCapture) return;
-        // The harness emits pcap images; btsnoop output re-frames the records
-        // through the in-repo reader (same payloads, different container).
-        std::string bytes = artifact.content;
-        if (options_.format == capture::CaptureFormat::kBtsnoop) {
-            const capture::ParsedCapture parsed = capture::parse_capture(bytes);
-            if (!parsed.ok) {
-                const std::lock_guard lock(mutex_);
-                errors_.push_back(artifact.stem + ": " + parsed.error);
-                return;
-            }
-            bytes = capture::btsnoop_bytes(parsed.records);
-        }
-        std::string path = dir() + "/" + artifact.stem;
-        path += capture::capture_format_extension(options_.format);
-        if (options_.gzip) path += ".gz";
-        const bool ok = ble::obs::write_text_file(path, bytes, options_.gzip);
+        const std::string path =
+            dir() + "/" + artifact.stem + (options_.gzip ? ".pcap.gz" : ".pcap");
+        const bool ok = ble::obs::write_text_file(path, artifact.content, options_.gzip);
         const std::lock_guard lock(mutex_);
         if (ok) {
             ++exported_;
@@ -305,7 +276,7 @@ int run_from_json(const Options& options) {
                 fail("record has no \"meta\" object");
                 continue;
             }
-            world::TraceMeta trace_meta = world::parse_trace_meta(meta->dump());
+            world::TraceMeta trace_meta = world::parse_trace_meta(*meta);
             if (!trace_meta.valid) {
                 fail(trace_meta.error);
                 continue;

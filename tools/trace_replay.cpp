@@ -25,15 +25,14 @@
 //            fields are diffed — no stored traces needed.  Same exit codes
 //            as --diff.
 //
-//   trace_replay --pcap-diff <trace.jsonl[.gz]> <capture.{pcap,btsnoop}[.gz]>
+//   trace_replay --pcap-diff <trace.jsonl[.gz]> <capture.pcap[.gz]>
 //            render the trace offline through the capture subsystem
-//            (omniscient vantage, format taken from the recorded capture's
-//            magic) and byte-compare against the recorded capture — the
-//            capture counterpart of --diff: a live CaptureSink and the
-//            offline exporter must agree bit for bit.  Also round-trips the
-//            recorded file through the in-repo reader (parse + re-serialize
-//            must reproduce the input).  Exits 0 identical, 1 divergent,
-//            2 on usage / I/O errors.
+//            (omniscient vantage) and byte-compare against the recorded
+//            capture — the capture counterpart of --diff: a live
+//            CaptureSink and the offline exporter must agree bit for bit.
+//            Also round-trips the recorded file through the in-repo reader
+//            (parse + re-serialize must reproduce the input).  Exits 0
+//            identical, 1 divergent, 2 on usage / I/O errors.
 //
 // Reads gzip-compressed traces transparently when built with zlib.
 #include <algorithm>
@@ -53,7 +52,7 @@ void print_usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--diff] [--stats] [--quiet] <trace.jsonl[.gz]>...\n"
                  "       %s --from-json [--quiet] <results.jsonl>...\n"
-                 "       %s --pcap-diff [--quiet] <trace.jsonl[.gz]> <capture>\n"
+                 "       %s --pcap-diff [--quiet] <trace.jsonl[.gz]> <capture.pcap[.gz]>\n"
                  "  --diff       replay each trace (seed + config from its meta header)\n"
                  "               and diff the recorded event stream against the fresh\n"
                  "               one (the default mode)\n"
@@ -63,8 +62,8 @@ void print_usage(const char* argv0) {
                  "               (config + seed list from each line's meta) and diff the\n"
                  "               deterministic per-trial outcomes, without stored traces\n"
                  "  --pcap-diff  render the trace offline through the capture subsystem\n"
-                 "               and byte-compare against the recorded .pcap/.btsnoop\n"
-                 "               capture (omniscient vantage)\n"
+                 "               and byte-compare against the recorded .pcap capture\n"
+                 "               (omniscient vantage)\n"
                  "  --quiet      suppress per-trace/per-series OK lines\n",
                  argv0, argv0, argv0);
 }
@@ -178,15 +177,13 @@ int run_pcap_diff(const std::string& trace_path, const std::string& capture_path
         return 2;
     }
 
-    // The recorded file's magic picks the format the offline render targets.
     const capture::ParsedCapture parsed = capture::parse_capture(recorded);
     if (!parsed.ok) {
         std::fprintf(stderr, "ERROR %s: %s\n", capture_path.c_str(), parsed.error.c_str());
         return 2;
     }
     // Reader fidelity first: parse + re-serialize must reproduce the file.
-    const std::string reserialized = capture::capture_bytes(parsed.records, parsed.format);
-    if (reserialized != recorded) {
+    if (capture::pcap_bytes(parsed.records) != recorded) {
         std::printf("DIFF %s: capture does not survive a parse/re-serialize round trip\n",
                     capture_path.c_str());
         return 1;
@@ -199,8 +196,7 @@ int run_pcap_diff(const std::string& trace_path, const std::string& capture_path
         std::fprintf(stderr, "ERROR %s: %s\n", trace_path.c_str(), error.c_str());
         return 2;
     }
-    const std::string rendered = capture::capture_bytes(records, parsed.format);
-    if (rendered != recorded) {
+    if (capture::pcap_bytes(records) != recorded) {
         // Name the first divergent frame, not just the first byte: record
         // diffs read much better than offsets.
         std::size_t frame = 0;
@@ -213,9 +209,8 @@ int run_pcap_diff(const std::string& trace_path, const std::string& capture_path
         return 1;
     }
     if (!quiet) {
-        std::printf("OK   %s vs %s: %zu frames, %s render byte-identical\n", trace_path.c_str(),
-                    capture_path.c_str(), records.size(),
-                    capture::capture_format_name(parsed.format));
+        std::printf("OK   %s vs %s: %zu frames, pcap render byte-identical\n",
+                    trace_path.c_str(), capture_path.c_str(), records.size());
     }
     return 0;
 }
