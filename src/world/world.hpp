@@ -199,50 +199,4 @@ private:
     int traffic_beat_ = 0;
 };
 
-/// Fluent convenience over WorldSpec for the fields call sites most often
-/// vary; everything else is reachable through spec().
-class WorldBuilder {
-public:
-    WorldBuilder() = default;
-    explicit WorldBuilder(WorldSpec base) : spec_(std::move(base)) {}
-
-    WorldBuilder& seed(std::uint64_t v) { spec_.seed = v; return *this; }
-    WorldBuilder& hop_interval(std::uint16_t v) { spec_.hop_interval = v; return *this; }
-    WorldBuilder& use_csa2(bool v) { spec_.use_csa2 = v; return *this; }
-    WorldBuilder& fading_sigma_db(double v) { spec_.fading_sigma_db = v; return *this; }
-    WorldBuilder& traffic_every_events(int v) {
-        spec_.master_traffic_every_events = v;
-        return *this;
-    }
-    WorldBuilder& encrypt_link(bool v) { spec_.encrypt_link = v; return *this; }
-    WorldBuilder& profile(VictimProfile v) { spec_.profile = v; return *this; }
-    WorldBuilder& peripheral_name(std::string v) {
-        spec_.peripheral_name = std::move(v);
-        return *this;
-    }
-    WorldBuilder& gap_device_name(std::string v) {
-        spec_.gap_device_name = std::move(v);
-        return *this;
-    }
-    WorldBuilder& attacker_pos(ble::sim::Position v) { spec_.attacker_pos = v; return *this; }
-    WorldBuilder& central_pos(ble::sim::Position v) { spec_.central_pos = v; return *this; }
-    WorldBuilder& wall(ble::sim::Wall v) {
-        spec_.walls.push_back(v);
-        return *this;
-    }
-
-    [[nodiscard]] WorldSpec& spec() noexcept { return spec_; }
-    [[nodiscard]] const WorldSpec& spec() const noexcept { return spec_; }
-
-    [[nodiscard]] std::unique_ptr<World> build() const {
-        return std::make_unique<World>(spec_);
-    }
-    [[nodiscard]] std::unique_ptr<World> build(std::uint64_t seed) const {
-        return std::make_unique<World>(spec_, seed);
-    }
-
-private:
-    WorldSpec spec_{};
-};
-
 }  // namespace injectable::world

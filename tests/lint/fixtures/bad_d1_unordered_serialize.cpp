@@ -1,18 +1,18 @@
-// lint-fixture-path: src/campaign/record_writer.cpp
+// lint-fixture-path: src/world/record_writer.cpp
 //
 // D1-serializer fixture: result serialization from inside iteration over a
 // std::unordered_* container.  Nothing here emits an event — the values go
 // straight into a JSON record and a wire frame — but the failure mode is
 // the same as for emission: hash order is unspecified, so the serialized
-// byte stream varies across standard libraries, hash seeds and runs, and a
-// campaign leader can never merge it bit-identically to a single-process
-// run.  The extension must flag all three loops.
+// byte stream varies across standard libraries, hash seeds and runs, and no
+// rerun or worker count reproduces the record byte for byte.  The extension
+// must flag all three loops.
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
-namespace injectable::campaign {
+namespace injectable::world {
 
 struct Outcome {
     std::uint64_t seed = 0;
@@ -59,4 +59,4 @@ std::string RecordWriter::dump_frames() const {
     return out;
 }
 
-}  // namespace injectable::campaign
+}  // namespace injectable::world

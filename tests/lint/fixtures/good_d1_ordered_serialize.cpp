@@ -1,4 +1,4 @@
-// lint-fixture-path: src/campaign/record_writer.cpp
+// lint-fixture-path: src/world/record_writer.cpp
 //
 // The compliant counterpart to bad_d1_unordered_serialize.cpp: records are
 // serialized out of trial-index order (a vector) and an ordered map, so the
@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-namespace injectable::campaign {
+namespace injectable::world {
 
 struct Outcome {
     std::uint64_t seed = 0;
@@ -68,4 +68,4 @@ std::size_t RecordWriter::live_count() const {
     return n;
 }
 
-}  // namespace injectable::campaign
+}  // namespace injectable::world

@@ -1,19 +1,20 @@
-// lint-fixture-path: src/campaign/good_layering.cpp
+// lint-fixture-path: src/world/good_layering.cpp
 //
-// Compliant layering: the campaign layer (rank 8) depending down on common
-// (rank 0), obs (rank 1) and world (rank 7).  Same-rank includes are fine
+// Compliant layering: the world layer (rank 7) depending down on common
+// (rank 0), obs (rank 1) and core (rank 6).  Same-rank includes are fine
 // too.  Fully clean.
 #include <string>
 
-#include "campaign/wire.hpp"
 #include "common/rng.hpp"
-#include "obs/telemetry.hpp"
+#include "core/session.hpp"
+#include "ids/detector.hpp"
+#include "obs/metrics.hpp"
 #include "world/result_sink.hpp"
 
-namespace ble::campaign {
+namespace injectable::world {
 
 struct GoodLayering {
     std::string note = "dependencies point down the layer order";
 };
 
-}  // namespace ble::campaign
+}  // namespace injectable::world

@@ -1,15 +1,15 @@
-// lint-fixture-path: src/world/good_layering_suppressed.cpp
+// lint-fixture-path: src/core/good_layering_suppressed.cpp
 //
-// An audited upward include: world (rank 7) reading a campaign (rank 8)
+// An audited upward include: core (rank 6) reading a world (rank 7)
 // header.  The allow(L1) carries the migration argument, so the finding
 // surfaces suppressed and nothing unsuppressed remains.
-// injectable-lint: allow(L1) -- fixture: transitional edge, tracked for removal in the shard-plan extraction
-#include "campaign/plan.hpp"
+// injectable-lint: allow(L1) -- fixture: transitional edge, tracked for removal in the spec extraction
+#include "world/world.hpp"
 
-namespace ble::world {
+namespace ble::core {
 
-struct PlanPreview {
-    int shard_count = 0;
+struct SpecPreview {
+    int hop_interval = 0;
 };
 
-}  // namespace ble::world
+}  // namespace ble::core

@@ -150,40 +150,5 @@ TEST(WorldTest, LightbulbProfileInstalledWithScratchAttribute) {
     EXPECT_EQ(empty.scratch_handle, 0);
 }
 
-TEST(WorldBuilderTest, FluentFieldsReachTheSpec) {
-    const auto world = WorldBuilder()
-                           .seed(7)
-                           .hop_interval(48)
-                           .use_csa2(true)
-                           .fading_sigma_db(3.5)
-                           .traffic_every_events(0)
-                           .peripheral_name("keyfob")
-                           .attacker_pos({4.0, 0.0})
-                           .wall({{1.0, -1.0}, {1.0, 1.0}, 3.0})
-                           .build();
-    EXPECT_EQ(world->spec.seed, 7u);
-    EXPECT_EQ(world->spec.hop_interval, 48);
-    EXPECT_TRUE(world->spec.use_csa2);
-    EXPECT_DOUBLE_EQ(world->spec.fading_sigma_db, 3.5);
-    EXPECT_EQ(world->spec.master_traffic_every_events, 0);
-    EXPECT_EQ(world->spec.peripheral_name, "keyfob");
-    EXPECT_DOUBLE_EQ(world->spec.attacker_pos.x, 4.0);
-    ASSERT_EQ(world->spec.walls.size(), 1u);
-    EXPECT_NE(world->peripheral, nullptr);
-    EXPECT_NE(world->attacker, nullptr);
-}
-
-TEST(WorldBuilderTest, BuildWithSeedOverridesSpecSeed) {
-    WorldBuilder builder;
-    builder.seed(1);
-    const auto a = builder.build(1234);
-    const auto b = builder.build(1234);
-    a->begin_connection();
-    b->begin_connection();
-    a->run_for(2_s);
-    b->run_for(2_s);
-    EXPECT_EQ(a->central->connected(), b->central->connected());
-}
-
 }  // namespace
 }  // namespace injectable::world

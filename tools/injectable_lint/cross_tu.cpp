@@ -1,6 +1,5 @@
-// Phase 2 (DESIGN.md §13): whole-program rules over merged FileSummary
-// records — architecture layering (L1), cross-TU lock order (C2) and
-// wire-enum exhaustiveness (W1) — plus the deterministic include-graph DOT
+// Phase 2 (DESIGN.md §8): the whole-program architecture-layering rule (L1)
+// over merged FileSummary records, plus the deterministic include-graph DOT
 // and the audited-suppression inventory that CI uploads as artifacts.
 #include "injectable_lint/lint.hpp"
 
@@ -51,12 +50,8 @@ int family_rank(std::string_view family) noexcept {
     if (family == "host") return 5;
     if (family == "core") return 6;
     if (family == "ids" || family == "dongle" || family == "world") return 7;
-    if (family == "campaign") return 8;
-    if (family == "tools" || family == "injectable_lint" || family == "campaign_report" ||
-        family == "campaign_ctl" || family == "trace_replay") {
-        return 9;
-    }
-    if (family == "bench" || family == "examples" || family == "tests") return 10;
+    if (family == "tools" || family == "injectable_lint" || family == "campaign_report") return 8;
+    if (family == "bench" || family == "examples" || family == "tests") return 9;
     return -1;
 }
 
@@ -205,98 +200,6 @@ void rule_l1(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
     }
 }
 
-/// C2 — cross-TU lock order.  Mutex identity is the variable name (merged
-/// across TUs: a `cache_mutex` is one lock everywhere it appears);
-/// an acquisition edge whose inner mutex can reach back to its outer mutex
-/// through the merged graph closes an ABBA cycle.
-void rule_c2(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
-    std::map<std::string, std::set<std::string>> adj;
-    for (const FileSummary& f : files) {
-        for (const LockEdge& e : f.lock_edges) adj[e.outer].insert(e.inner);
-    }
-    const auto reaches = [&](const std::string& from, const std::string& to) {
-        if (from == to) return true;
-        std::set<std::string> seen{from};
-        std::vector<const std::string*> frontier{&from};
-        while (!frontier.empty()) {
-            const std::string* v = frontier.back();
-            frontier.pop_back();
-            const auto it = adj.find(*v);
-            if (it == adj.end()) continue;
-            for (const std::string& w : it->second) {
-                if (w == to) return true;
-                if (seen.insert(w).second) frontier.push_back(&w);
-            }
-        }
-        return false;
-    };
-    for (const FileSummary& f : files) {
-        for (const LockEdge& e : f.lock_edges) {
-            if (!reaches(e.inner, e.outer)) continue;
-            out.push_back(
-                {Rule::kC2, f.path, e.line,
-                 e.outer == e.inner
-                     ? "lock-order cycle: guard over '" + e.inner +
-                           "' acquired while '" + e.outer +
-                           "' is already held — recursive acquisition deadlocks a "
-                           "non-recursive mutex"
-                     : "lock-order cycle: acquiring '" + e.inner + "' while holding '" +
-                           e.outer +
-                           "' closes a cycle in the cross-TU lock-order graph (ABBA "
-                           "deadlock shape); pick one global order for these mutexes "
-                           "or merge the critical sections",
-                 false,
-                 {}});
-        }
-    }
-}
-
-/// W1 — wire/enum exhaustiveness over the monitored enums.
-void rule_w1(const std::vector<FileSummary>& files, const Options& options,
-             std::vector<Finding>& out) {
-    const std::set<std::string> monitored(options.w1_enums.begin(), options.w1_enums.end());
-    // Merged enumerator lists, first-definition order (the order the wire
-    // header declares is the order findings report missing cases in).
-    std::map<std::string, std::vector<std::string>> enumerators;
-    for (const FileSummary& f : files) {
-        for (const EnumDef& e : f.enums) {
-            if (monitored.count(e.name) == 0) continue;
-            std::vector<std::string>& merged = enumerators[e.name];
-            for (const std::string& en : e.enumerators) {
-                if (std::find(merged.begin(), merged.end(), en) == merged.end())
-                    merged.push_back(en);
-            }
-        }
-    }
-    for (const FileSummary& f : files) {
-        for (const SwitchShape& sw : f.switches) {
-            const auto it = enumerators.find(sw.enum_name);
-            if (it == enumerators.end()) continue;
-            const std::set<std::string> present(sw.cases.begin(), sw.cases.end());
-            std::string missing;
-            for (const std::string& en : it->second) {
-                if (present.count(en) != 0) continue;
-                if (!missing.empty()) missing += ", ";
-                missing += en;
-            }
-            if (missing.empty()) continue;
-            out.push_back({Rule::kW1, f.path, sw.line,
-                           "switch over " + sw.enum_name + " is missing enumerator" +
-                               (missing.find(',') == std::string::npos ? "" : "s") + " " +
-                               missing +
-                               (sw.has_default
-                                    ? " (a default: does not excuse them — that is "
-                                      "exactly how a new frame type silently falls "
-                                      "through a dispatch site)"
-                                    : "") +
-                               "; handle every case or allow(W1) with an argument for "
-                               "why this site is a deliberate subset",
-                           false,
-                           {}});
-        }
-    }
-}
-
 }  // namespace
 
 int layer_rank(std::string_view logical_path) noexcept {
@@ -313,19 +216,15 @@ const char* layer_name(int rank) noexcept {
         case 5: return "host";
         case 6: return "core";
         case 7: return "ids/dongle/world";
-        case 8: return "campaign";
-        case 9: return "tools";
-        case 10: return "bench/examples/tests";
+        case 8: return "tools";
+        case 9: return "bench/examples/tests";
         default: return "?";
     }
 }
 
-void run_cross_tu_rules(const std::vector<FileSummary>& files, const Options& options,
-                        std::vector<Finding>& findings) {
+void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Finding>& findings) {
     std::vector<Finding> fresh;
     rule_l1(files, fresh);
-    rule_c2(files, fresh);
-    rule_w1(files, options, fresh);
     const SuppressionIndex suppressions(files);
     for (Finding& f : fresh) suppressions.apply(f);
     findings.insert(findings.end(), std::make_move_iterator(fresh.begin()),

@@ -39,10 +39,7 @@ const char* rule_name(Rule rule) noexcept {
         case Rule::kD4: return "D4";
         case Rule::kE1: return "E1";
         case Rule::kS1: return "S1";
-        case Rule::kC1: return "C1";
-        case Rule::kC2: return "C2";
         case Rule::kL1: return "L1";
-        case Rule::kW1: return "W1";
         case Rule::kBadSuppression: return "lint-suppression";
     }
     return "?";
@@ -226,10 +223,7 @@ std::optional<Rule> parse_rule_name(std::string_view name) {
     if (name == "D4") return Rule::kD4;
     if (name == "E1") return Rule::kE1;
     if (name == "S1") return Rule::kS1;
-    if (name == "C1") return Rule::kC1;
-    if (name == "C2") return Rule::kC2;
     if (name == "L1") return Rule::kL1;
-    if (name == "W1") return Rule::kW1;
     return std::nullopt;
 }
 
@@ -313,6 +307,16 @@ bool path_contains(const std::string& path, std::string_view needle) {
     return path.find(needle) != std::string::npos;
 }
 
+/// Path (substring match) where rule D2 never fires: the seeded rng
+/// primitives themselves.  Every other clock read needs an audited allow(D2)
+/// suppression, so the whole-tree suppression inventory lists each one.
+constexpr std::string_view kD2Allowlist = "src/common/rng.";
+
+/// Paths (substring match) where rule E1 never fires: the edge wiring that
+/// owns the INJECTABLE_* / BENCH_JOBS environment contract.
+constexpr std::string_view kE1Allowlist[] = {"src/world/result_sink.cpp",
+                                             "src/world/trial_runner.cpp"};
+
 /// Numeric value of a pp-number's leading digits (hex or decimal, digit
 /// separators stripped, suffixes ignored).  nullopt for floating literals.
 std::optional<std::uint64_t> literal_value(std::string_view text) {
@@ -346,21 +350,10 @@ bool has_time_suffix(std::string_view text) {
            text.ends_with("_s");
 }
 
-/// Mutex type names (the simple identifier, `std::` qualification and
-/// member-access contexts are checked at the use site).
-const std::set<std::string, std::less<>>& mutex_type_names() {
-    static const std::set<std::string, std::less<>> kTypes = {
-        "mutex",        "timed_mutex",  "recursive_mutex", "recursive_timed_mutex",
-        "shared_mutex", "shared_timed_mutex"};
-    return kTypes;
-}
-
 struct Scanner {
     const std::string& file;
     const std::vector<Token>& toks;
     std::vector<Finding>& findings;
-    /// Lines carrying a `// guards: <state>` comment (C1 mutex-member doc).
-    const std::set<int>* guards_lines = nullptr;
 
     void emit(Rule rule, int line, std::string message) {
         findings.push_back({rule, file, line, std::move(message), false, {}});
@@ -758,288 +751,12 @@ struct Scanner {
         }
     }
 
-    // C1: concurrency discipline.  Three shapes:
-    //   (a) .detach() — a detached thread outlives every join point and
-    //       races process teardown; every thread here is joined;
-    //   (b) bare .lock()/.unlock() on a declared mutex — any early return or
-    //       exception between the pair leaks the lock (RAII guards only);
-    //   (c) a mutex *member* without a `// guards: <state>` comment — what a
-    //       mutex protects is tribal knowledge the next refactor loses.
-    void rule_c1() {
-        // Pass 1: names declared with a mutex type (members, locals,
-        // globals, reference bindings) — the receivers shape (b) checks —
-        // plus member-declaration sites for shape (c).  Member detection
-        // tracks scope kinds: a `{` opening after class/struct/union (with
-        // no intervening parens) is a class scope; declarations there at
-        // paren depth zero are members.
-        std::set<std::string> mutex_vars;
-        std::vector<char> scopes = {'n'};  // file scope behaves like a namespace
-        char pending = 0;
-        int paren_depth = 0;
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            const Token& t = toks[i];
-            if (t.kind == TokenKind::kPunct) {
-                if (t.text == "(") { ++paren_depth; pending = 0; }
-                else if (t.text == ")") { if (paren_depth > 0) --paren_depth; }
-                else if (t.text == "<") pending = 0;  // template-parameter `class T`
-                else if (t.text == ";") pending = 0;
-                else if (t.text == "{") {
-                    scopes.push_back(pending != 0 ? pending : 'b');
-                    pending = 0;
-                } else if (t.text == "}") {
-                    if (scopes.size() > 1) scopes.pop_back();
-                }
-                continue;
-            }
-            if (t.kind != TokenKind::kIdentifier) continue;
-            if (t.text == "class" || t.text == "struct" || t.text == "union") {
-                pending = 'c';
-                continue;
-            }
-            if (t.text == "namespace") { pending = 'n'; continue; }
-            if (t.text == "enum") { pending = 'e'; continue; }
-            if (mutex_type_names().count(t.text) == 0) continue;
-            const bool member_access =
-                i > 0 && toks[i - 1].kind == TokenKind::kPunct &&
-                (toks[i - 1].text == "." || toks[i - 1].text == "->");
-            if (member_access) continue;
-            // Declaration shape: mutex-type token, optional &/*, a name, and
-            // a declaration terminator.  `lock_guard<std::mutex>` fails the
-            // name test (next token is `>`), function parameters fail the
-            // paren-depth test for membership but still register the name.
-            std::size_t j = i + 1;
-            while (punct_at(j, "&") || punct_at(j, "*")) ++j;
-            const Token* name = at(j);
-            if (name == nullptr || name->kind != TokenKind::kIdentifier) continue;
-            const bool terminated = punct_at(j + 1, ";") || punct_at(j + 1, "=") ||
-                                    punct_at(j + 1, "{") || punct_at(j + 1, ",") ||
-                                    punct_at(j + 1, ")");
-            if (!terminated) continue;
-            mutex_vars.insert(name->text);
-            if (scopes.back() == 'c' && paren_depth == 0 && guards_lines != nullptr &&
-                guards_lines->count(t.line) == 0 && guards_lines->count(t.line - 1) == 0) {
-                emit(Rule::kC1, t.line,
-                     "mutex member '" + name->text +
-                         "' does not document what it protects: add a `// guards: "
-                         "<state>` comment on the declaration (or the line above), or "
-                         "allow(C1) with an argument");
-            }
-        }
-        // Pass 2: detach() calls and bare lock()/unlock() on declared
-        // mutexes (weak_ptr::lock() receivers are not in mutex_vars).
-        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-            const Token& t = toks[i];
-            if (t.kind != TokenKind::kIdentifier) continue;
-            const bool member_call = i > 0 && toks[i - 1].kind == TokenKind::kPunct &&
-                                     (toks[i - 1].text == "." || toks[i - 1].text == "->");
-            if (!member_call || !punct_at(i + 1, "(") || !punct_at(i + 2, ")")) continue;
-            if (t.text == "detach") {
-                emit(Rule::kC1, t.line,
-                     "detach() call: a detached thread outlives every join point and "
-                     "races teardown; keep the std::thread joinable and join it, or "
-                     "allow(C1) with a lifetime argument");
-                continue;
-            }
-            if ((t.text == "lock" || t.text == "unlock") && i >= 2 &&
-                toks[i - 2].kind == TokenKind::kIdentifier &&
-                mutex_vars.count(toks[i - 2].text) > 0) {
-                emit(Rule::kC1, t.line,
-                     "bare " + t.text + "() on mutex '" + toks[i - 2].text +
-                         "': an early return or exception between lock/unlock leaks "
-                         "the lock; use std::lock_guard / std::unique_lock, or "
-                         "allow(C1) with an argument");
-            }
-        }
-    }
 };
-
-/// Collects named enum definitions: `enum [class|struct] Name [: base] {
-/// enumerator [= init], ... }`.
-std::vector<EnumDef> collect_enums(const std::vector<Token>& toks) {
-    std::vector<EnumDef> out;
-    const auto punct_at = [&](std::size_t i, std::string_view p) {
-        return i < toks.size() && toks[i].kind == TokenKind::kPunct && toks[i].text == p;
-    };
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].kind != TokenKind::kIdentifier || toks[i].text != "enum") continue;
-        std::size_t j = i + 1;
-        if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier &&
-            (toks[j].text == "class" || toks[j].text == "struct")) {
-            ++j;
-        }
-        if (j >= toks.size() || toks[j].kind != TokenKind::kIdentifier) continue;
-        EnumDef def;
-        def.name = toks[j].text;
-        def.line = toks[j].line;
-        ++j;
-        while (j < toks.size() && !punct_at(j, "{") && !punct_at(j, ";")) ++j;
-        if (!punct_at(j, "{")) continue;  // opaque declaration
-        ++j;
-        while (j < toks.size() && !punct_at(j, "}")) {
-            if (toks[j].kind != TokenKind::kIdentifier) break;  // malformed
-            def.enumerators.push_back(toks[j].text);
-            ++j;
-            int paren = 0;  // initializers may contain parenthesised casts
-            while (j < toks.size()) {
-                if (punct_at(j, "(")) ++paren;
-                else if (punct_at(j, ")")) --paren;
-                else if (paren == 0 && (punct_at(j, ",") || punct_at(j, "}"))) break;
-                ++j;
-            }
-            if (punct_at(j, ",")) ++j;
-        }
-        if (!def.enumerators.empty()) out.push_back(std::move(def));
-        i = j;
-    }
-    return out;
-}
-
-/// Parses one switch starting at `i` (toks[i] == "switch"), appending its
-/// shape and recursing into nested switches.  Returns the index just past
-/// the switch body.
-std::size_t parse_switch(const std::vector<Token>& toks, std::size_t i,
-                         std::vector<SwitchShape>& out) {
-    const auto punct_at = [&](std::size_t k, std::string_view p) {
-        return k < toks.size() && toks[k].kind == TokenKind::kPunct && toks[k].text == p;
-    };
-    SwitchShape shape;
-    shape.line = toks[i].line;
-    std::size_t j = i + 1;
-    if (!punct_at(j, "(")) return j;
-    int depth = 0;
-    for (; j < toks.size(); ++j) {
-        if (punct_at(j, "(")) ++depth;
-        else if (punct_at(j, ")") && --depth == 0) break;
-    }
-    ++j;
-    if (!punct_at(j, "{")) return j;  // unbraced switch body: nothing to check
-    const std::size_t body_begin = j;
-    int braces = 0;
-    for (j = body_begin; j < toks.size(); ++j) {
-        if (punct_at(j, "{")) { ++braces; continue; }
-        if (punct_at(j, "}")) {
-            if (--braces == 0) { ++j; break; }
-            continue;
-        }
-        if (toks[j].kind != TokenKind::kIdentifier) continue;
-        if (toks[j].text == "switch" && punct_at(j + 1, "(")) {
-            // Nested switch: recurse, then compensate for the loop's brace
-            // accounting by resuming just after the nested body.
-            j = parse_switch(toks, j, out) - 1;
-            continue;
-        }
-        if (toks[j].text == "default" && punct_at(j + 1, ":")) {
-            shape.has_default = true;
-            continue;
-        }
-        if (toks[j].text != "case") continue;
-        std::vector<std::string> ids;
-        std::size_t k = j + 1;
-        while (k < toks.size() &&
-               (toks[k].kind == TokenKind::kIdentifier ||
-                (toks[k].kind == TokenKind::kPunct && toks[k].text == "::"))) {
-            if (toks[k].kind == TokenKind::kIdentifier) ids.push_back(toks[k].text);
-            ++k;
-        }
-        if (!ids.empty()) {
-            shape.cases.push_back(ids.back());
-            if (shape.enum_name.empty() && ids.size() >= 2)
-                shape.enum_name = ids[ids.size() - 2];
-        }
-        j = k - 1;
-    }
-    out.push_back(std::move(shape));
-    return j;
-}
-
-std::vector<SwitchShape> collect_switches(const std::vector<Token>& toks) {
-    std::vector<SwitchShape> out;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].kind == TokenKind::kIdentifier && toks[i].text == "switch" &&
-            i + 1 < toks.size() && toks[i + 1].kind == TokenKind::kPunct &&
-            toks[i + 1].text == "(") {
-            i = parse_switch(toks, i, out) - 1;
-        }
-    }
-    // parse_switch appends post-order (nested first); report in source order.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const SwitchShape& a, const SwitchShape& b) { return a.line < b.line; });
-    return out;
-}
-
-/// Collects nested RAII guard acquisitions: while a guard over mutex A is
-/// live in an enclosing scope, constructing a guard over mutex B records the
-/// lock-order edge A → B.  scoped_lock's own argument list is acquired
-/// atomically (std::lock), so no edges form between its members.
-std::vector<LockEdge> collect_lock_edges(const std::vector<Token>& toks) {
-    static const std::set<std::string, std::less<>> kGuardTypes = {
-        "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
-    static const std::set<std::string, std::less<>> kLockTags = {
-        "defer_lock", "adopt_lock", "try_to_lock"};
-    const auto punct_at = [&](std::size_t i, std::string_view p) {
-        return i < toks.size() && toks[i].kind == TokenKind::kPunct && toks[i].text == p;
-    };
-    std::vector<LockEdge> edges;
-    struct Held {
-        std::string name;
-        int depth;
-    };
-    std::vector<Held> held;
-    int depth = 0;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.kind == TokenKind::kPunct) {
-            if (t.text == "{") ++depth;
-            else if (t.text == "}") {
-                --depth;
-                while (!held.empty() && held.back().depth > depth) held.pop_back();
-            }
-            continue;
-        }
-        if (t.kind != TokenKind::kIdentifier || kGuardTypes.count(t.text) == 0) continue;
-        std::size_t j = i + 1;
-        if (punct_at(j, "<")) {
-            int angle = 1;
-            for (++j; j < toks.size() && angle > 0; ++j) {
-                if (punct_at(j, "<")) ++angle;
-                else if (punct_at(j, ">")) --angle;
-            }
-        }
-        if (j >= toks.size() || toks[j].kind != TokenKind::kIdentifier) continue;
-        const int line = toks[j].line;
-        if (!punct_at(j + 1, "(")) continue;
-        // Split the constructor arguments at top-level commas; each plain
-        // identifier chain names a mutex (its last component).
-        std::vector<std::string> acquired;
-        int paren = 1;
-        std::string last_ident;
-        for (j += 2; j < toks.size() && paren > 0; ++j) {
-            if (punct_at(j, "(")) ++paren;
-            else if (punct_at(j, ")")) {
-                if (--paren == 0) break;
-            } else if (paren == 1 && punct_at(j, ",")) {
-                if (!last_ident.empty() && kLockTags.count(last_ident) == 0)
-                    acquired.push_back(last_ident);
-                last_ident.clear();
-            } else if (toks[j].kind == TokenKind::kIdentifier) {
-                last_ident = toks[j].text;
-            }
-        }
-        if (!last_ident.empty() && kLockTags.count(last_ident) == 0)
-            acquired.push_back(last_ident);
-        for (const Held& h : held) {
-            for (const std::string& m : acquired) edges.push_back({h.name, m, line});
-        }
-        for (const std::string& m : acquired) held.push_back({m, depth});
-        i = j;
-    }
-    return edges;
-}
 
 }  // namespace
 
 FileSummary summarize_source(const std::string& file, const std::string& logical_path,
-                             std::string_view source, const Options& options) {
+                             std::string_view source) {
     FileSummary out;
     out.path = file;
     out.logical = logical_path;
@@ -1047,36 +764,21 @@ FileSummary summarize_source(const std::string& file, const std::string& logical
     TokenStream stream = tokenize(source);
     const auto suppressions = collect_suppressions(stream.comments, file, findings);
 
-    // Lines whose comment documents a mutex member (`// guards: <state>`),
-    // consumed by C1's member-documentation check.
-    std::set<int> guards_lines;
-    for (const Comment& comment : stream.comments) {
-        if (comment.text.find("guards:") != std::string::npos)
-            guards_lines.insert(comment.line);
-    }
-
-    Scanner scanner{file, stream.tokens, findings, &guards_lines};
+    Scanner scanner{file, stream.tokens, findings};
     scanner.rule_d1();
     scanner.rule_d1_unordered_emit();
     scanner.rule_d4();
-    scanner.rule_c1();
 
-    bool d2_allowlisted = false;
-    for (const std::string& allowed : options.d2_allowlist) {
-        if (path_contains(logical_path, allowed)) d2_allowlisted = true;
-    }
-    if (!d2_allowlisted) scanner.rule_d2();
+    if (!path_contains(logical_path, kD2Allowlist)) scanner.rule_d2();
 
     if (path_contains(logical_path, "src/obs/") || path_contains(logical_path, "src/world/"))
         scanner.rule_d3();
 
-    if (path_contains(logical_path, "src/")) {
-        bool e1_allowlisted = false;
-        for (const std::string& allowed : options.e1_allowlist) {
-            if (path_contains(logical_path, allowed)) e1_allowlisted = true;
-        }
-        if (!e1_allowlisted) scanner.rule_e1();
+    bool e1_allowlisted = false;
+    for (const std::string_view allowed : kE1Allowlist) {
+        if (path_contains(logical_path, allowed)) e1_allowlisted = true;
     }
+    if (path_contains(logical_path, "src/") && !e1_allowlisted) scanner.rule_e1();
     if (path_contains(logical_path, "src/phy/") || path_contains(logical_path, "src/link/"))
         scanner.rule_s1();
 
@@ -1097,18 +799,10 @@ FileSummary summarize_source(const std::string& file, const std::string& logical
 
     // Cross-TU raw material (phase 2 input).
     out.includes = std::move(stream.includes);
-    out.enums = collect_enums(stream.tokens);
-    out.switches = collect_switches(stream.tokens);
-    out.lock_edges = collect_lock_edges(stream.tokens);
     for (const auto& [line, sup] : suppressions) {
         for (const Rule rule : sup.rules) out.suppressions.push_back({rule, line, sup.reason});
     }
     return out;
-}
-
-std::vector<Finding> scan_source(const std::string& file, const std::string& logical_path,
-                                 std::string_view source, const Options& options) {
-    return summarize_source(file, logical_path, source, options).findings;
 }
 
 namespace {
@@ -1135,18 +829,7 @@ std::string fixture_logical_path(const std::string& path, std::string_view sourc
 
 }  // namespace
 
-bool scan_file(const std::string& path, std::vector<Finding>& findings,
-               const Options& options) {
-    std::string source;
-    if (!read_file(path, source)) return false;
-    auto file_findings =
-        scan_source(path, fixture_logical_path(path, source), source, options);
-    findings.insert(findings.end(), std::make_move_iterator(file_findings.begin()),
-                    std::make_move_iterator(file_findings.end()));
-    return true;
-}
-
-Analysis analyze_paths(const std::vector<std::string>& roots, const Options& options) {
+Analysis analyze_paths(const std::vector<std::string>& roots) {
     namespace fs = std::filesystem;
     static const std::set<std::string, std::less<>> kExtensions = {".cpp", ".cc",  ".cxx",
                                                                    ".hpp", ".h",   ".hh"};
@@ -1198,7 +881,7 @@ Analysis analyze_paths(const std::vector<std::string>& roots, const Options& opt
             return analysis;
         }
         analysis.files.push_back(
-            summarize_source(file, fixture_logical_path(file, source), source, options));
+            summarize_source(file, fixture_logical_path(file, source), source));
         ++analysis.files_scanned;
     }
 
@@ -1207,22 +890,13 @@ Analysis analyze_paths(const std::vector<std::string>& roots, const Options& opt
         analysis.findings.insert(analysis.findings.end(), s.findings.begin(),
                                  s.findings.end());
     }
-    run_cross_tu_rules(analysis.files, options, analysis.findings);
+    run_cross_tu_rules(analysis.files, analysis.findings);
     std::stable_sort(analysis.findings.begin(), analysis.findings.end(),
                      [](const Finding& a, const Finding& b) {
                          if (a.file != b.file) return a.file < b.file;
                          return a.line < b.line;
                      });
     return analysis;
-}
-
-int scan_paths(const std::vector<std::string>& roots, std::vector<Finding>& findings,
-               const Options& options) {
-    Analysis analysis = analyze_paths(roots, options);
-    if (analysis.files_scanned < 0) return -1;
-    findings.insert(findings.end(), std::make_move_iterator(analysis.findings.begin()),
-                    std::make_move_iterator(analysis.findings.end()));
-    return analysis.files_scanned;
 }
 
 int unsuppressed_count(const std::vector<Finding>& findings) noexcept {

@@ -1,5 +1,5 @@
 // injectable-lint: project-specific determinism & spec-invariant static
-// analysis (DESIGN.md §8, §13).
+// analysis (DESIGN.md §8).
 //
 // The reproduction's core contract is bit-identical determinism for any
 // worker count: a trial is a pure function of (config, seed).  PR 3's
@@ -8,11 +8,10 @@
 // unordered_map.  This linter catches that whole bug class (and its
 // relatives) statically, before a single trial runs.
 //
-// The analysis runs in two phases (DESIGN.md §13): phase 1 lexes every
-// translation unit into a FileSummary (per-TU findings plus the raw material
-// the whole-program rules need: include directives, enum definitions, switch
-// shapes, lock-acquisition nesting, suppression directives); phase 2 merges
-// the summaries and runs the cross-TU rules over the whole program.
+// The analysis runs in two phases: phase 1 lexes every translation unit
+// into a FileSummary (per-TU findings plus the raw material the
+// whole-program rule needs: include directives and suppression directives);
+// phase 2 merges the summaries and runs L1 over the whole program.
 //
 // Per-translation-unit rules:
 //
@@ -62,44 +61,25 @@
 //       static_assert.  Literals inside constexpr declarations,
 //       static_asserts and enum definitions are exempt — that is where the
 //       named constants live.
-//   C1  Concurrency discipline: std::thread::detach() (a detached thread
-//       outlives every join point and races teardown), bare mutex
-//       .lock()/.unlock() calls outside RAII guards (an early return or
-//       exception between them deadlocks the next locker), and mutex
-//       *members* that do not document what they protect with a
-//       `// guards: <state>` comment on the declaration (or the line above)
-//       are all findings.
 //
-// Whole-program rules (phase 2, over merged summaries):
+// Whole-program rule (phase 2, over merged summaries):
 //
 //   L1  Architecture layering: the project include graph must respect the
 //       declared layer order
 //         common → obs → phy/sim → link/crypto → att/gatt → host → core →
-//         ids/dongle/world → campaign → tools → bench/examples/tests
+//         ids/dongle/world → tools → bench/examples/tests
 //       An include edge from a lower layer into a higher one is a finding at
 //       the offending #include line, and any include cycle is a finding.
 //       The directory-level graph is exported as a deterministic DOT
 //       artifact (include_graph_dot) for CI.
-//   C2  Cross-TU lock order: every nested RAII guard acquisition (a guard
-//       constructed while another is live in an enclosing scope) contributes
-//       an edge outer-mutex → inner-mutex, merged across translation units
-//       by mutex name.  A cycle in the merged order graph is the classic
-//       ABBA deadlock shape — each contributing edge in the cycle is a
-//       finding at its acquisition site.
-//   W1  Wire/enum exhaustiveness: every enumerator of the monitored
-//       wire-protocol enums (RxVerdict, CommandType, NotificationType,
-//       VantageKind) must appear as a case in every switch
-//       over that enum — a `default:` does not excuse a missing enumerator,
-//       because `default` is exactly how a newly added frame type silently
-//       falls through an encode/decode/dispatch site.  Adding a CommandType
-//       without handling it everywhere fails lint, not fuzzing.
 //
-// Suppression (audited — the reason is mandatory and lands in the JSONL):
+// Enum exhaustiveness is the compiler's job (-Werror=switch in the top-level
+// CMakeLists.txt) and lock discipline is checked at run time by the CI TSan
+// job.
 //
-//   // injectable-lint: allow(D1) -- memo is lookup-only, never iterated
-//
-// on the offending line or the line directly above.  A malformed directive
-// (unknown rule, missing "-- reason") is itself a finding.
+// Suppressions are audited: the directive grammar is in DESIGN.md §8, the
+// reason is mandatory and lands in the JSONL, and a malformed directive
+// (unknown rule, missing reason) is itself a finding.
 //
 // The scanner is deliberately lightweight: a real C++ tokenizer (comments,
 // string/char literals, raw strings, pp-numbers, #include directives) but no
@@ -109,7 +89,6 @@
 // whole tree.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,10 +102,7 @@ enum class Rule {
     kD4,              ///< discarded scheduler handle (fire-and-forget event)
     kE1,              ///< environment read outside the edge-wiring allowlist
     kS1,              ///< bare spec magic number in phy/link
-    kC1,              ///< concurrency discipline (detach / bare lock / undocumented mutex)
-    kC2,              ///< cross-TU lock-order cycle
     kL1,              ///< architecture layering violation / include cycle
-    kW1,              ///< non-exhaustive switch over a wire-protocol enum
     kBadSuppression,  ///< malformed injectable-lint directive
 };
 
@@ -139,22 +115,6 @@ struct Finding {
     std::string message;
     bool suppressed = false;
     std::string suppress_reason;  ///< audited reason (valid iff suppressed)
-};
-
-struct Options {
-    /// Paths (substring match) where rule D2 never fires: the seeded rng
-    /// primitives themselves.  Every other clock read, src/common/time.hpp
-    /// included, needs an audited allow(D2) suppression, so the whole-tree
-    /// suppression inventory lists each one.
-    std::vector<std::string> d2_allowlist = {"src/common/rng."};
-    /// Paths (substring match) where rule E1 never fires: the edge wiring
-    /// that owns the INJECTABLE_* / BENCH_JOBS environment contract.
-    std::vector<std::string> e1_allowlist = {"src/world/result_sink.cpp",
-                                             "src/world/trial_runner.cpp"};
-    /// Enums whose switches rule W1 holds to exhaustiveness (matched by the
-    /// enum's simple name, i.e. the qualifier of the case labels).
-    std::vector<std::string> w1_enums = {"RxVerdict", "CommandType", "NotificationType",
-                                         "VantageKind"};
 };
 
 // --- tokenizer (exposed for the self-tests) ---
@@ -197,30 +157,6 @@ struct TokenStream {
 
 // --- phase-1 summaries ---
 
-/// A named enum definition (enum / enum class / enum struct).
-struct EnumDef {
-    std::string name;  ///< simple name (the case-label qualifier)
-    std::vector<std::string> enumerators;
-    int line = 1;
-};
-
-/// One switch statement's shape: which enum its qualified case labels name,
-/// and which enumerators appear.
-struct SwitchShape {
-    std::string enum_name;  ///< qualifier of the case labels ("" if unqualified)
-    std::vector<std::string> cases;
-    bool has_default = false;
-    int line = 1;
-};
-
-/// One nested guard acquisition: `outer` was held (RAII guard live in an
-/// enclosing scope) when a guard over `inner` was constructed at `line`.
-struct LockEdge {
-    std::string outer;
-    std::string inner;
-    int line = 1;
-};
-
 /// One parsed allow() directive (the audited suppression inventory).
 struct SuppressionRecord {
     Rule rule = Rule::kD1;
@@ -234,18 +170,18 @@ struct FileSummary {
     std::string logical;  ///< layer-driving path (fixture header may differ)
     std::vector<Finding> findings;  ///< per-TU findings, suppressions applied
     std::vector<IncludeDirective> includes;
-    std::vector<EnumDef> enums;
-    std::vector<SwitchShape> switches;
-    std::vector<LockEdge> lock_edges;
     std::vector<SuppressionRecord> suppressions;
 };
 
 /// Phase 1 over one TU: tokenize, run the per-TU rules, collect the
-/// cross-TU raw material.
+/// cross-TU raw material.  `logical_path` drives rule applicability (which
+/// directory family the file belongs to) and may differ from the reported
+/// `file` path — fixtures use a `// lint-fixture-path:` first line to
+/// impersonate a tree location.  Findings include suppressed ones (they
+/// carry the audited reason into the JSONL).
 [[nodiscard]] FileSummary summarize_source(const std::string& file,
                                            const std::string& logical_path,
-                                           std::string_view source,
-                                           const Options& options = {});
+                                           std::string_view source);
 
 // --- phase 2: whole-program analysis ---
 
@@ -261,16 +197,17 @@ struct Analysis {
 [[nodiscard]] int layer_rank(std::string_view logical_path) noexcept;
 [[nodiscard]] const char* layer_name(int rank) noexcept;
 
-/// Runs the cross-TU rules (L1, C2, W1) over merged summaries, appending
-/// findings (with each file's suppressions applied).  Exposed for tests.
-void run_cross_tu_rules(const std::vector<FileSummary>& files,
-                        const Options& options, std::vector<Finding>& findings);
+/// Runs the cross-TU rule (L1) over merged summaries, appending findings
+/// (with each file's suppressions applied).
+void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Finding>& findings);
 
-/// Full two-phase run: phase 1 over every source file under
-/// `roots`, then phase 2 over the merged summaries.  files_scanned is -1 if
-/// any root is missing.
-[[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots,
-                                     const Options& options = {});
+/// Full two-phase run: phase 1 over every *.cpp/*.hpp/*.h/*.cc under
+/// `roots` (files are accepted directly too), in sorted path order, then
+/// phase 2 over the merged summaries.  Overlapping roots (or a file plus its
+/// parent directory) are deduplicated by canonical path, so each file is
+/// scanned and reported exactly once.  files_scanned is -1 if any root is
+/// missing.
+[[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots);
 
 /// Deterministic DOT rendering of the directory-level include graph, layer
 /// ranks as clusters, upward edges highlighted.
@@ -279,33 +216,6 @@ void run_cross_tu_rules(const std::vector<FileSummary>& files,
 /// The audited allow() inventory as stable JSONL (rule, file, line, reason),
 /// sorted by (file, line, rule) — the CI suppression artifact.
 [[nodiscard]] std::string suppressions_jsonl(const std::vector<FileSummary>& files);
-
-// --- single-TU scanning (kept for the self-tests and simple callers) ---
-
-/// Scans one translation unit.  `logical_path` drives rule applicability
-/// (which directory family the file belongs to) and may differ from the
-/// reported `file` path — fixtures use a `// lint-fixture-path:` first line
-/// to impersonate a tree location.  Returns all findings, suppressed ones
-/// included (they carry the audited reason into the JSONL).  Cross-TU rules
-/// need merged summaries and do not run here.
-[[nodiscard]] std::vector<Finding> scan_source(const std::string& file,
-                                               const std::string& logical_path,
-                                               std::string_view source,
-                                               const Options& options = {});
-
-/// Reads and scans a file from disk, honouring a `// lint-fixture-path:`
-/// header.  Returns false only when the file cannot be read.
-bool scan_file(const std::string& path, std::vector<Finding>& findings,
-               const Options& options = {});
-
-/// Recursively scans every *.cpp/*.hpp/*.h/*.cc under `roots` (files are
-/// accepted directly too), in sorted path order for deterministic output.
-/// Overlapping roots (or a file plus its parent directory) are deduplicated
-/// by canonical path, so each file is scanned and reported exactly once.
-/// Runs both phases (per-TU and cross-TU rules).  Returns the number of
-/// files scanned, or -1 if any root is missing.
-int scan_paths(const std::vector<std::string>& roots, std::vector<Finding>& findings,
-               const Options& options = {});
 
 // --- reporting ---
 

@@ -1,6 +1,6 @@
 // injectable_lint CLI: two-phase static analysis over source trees —
-// per-TU determinism & spec-invariant rules plus whole-program layering /
-// lock-order / wire-exhaustiveness rules (see lint.hpp, DESIGN.md §8 §13).
+// per-TU determinism & spec-invariant rules plus the whole-program layering
+// rule (see lint.hpp, DESIGN.md §8).
 //
 //   injectable_lint [--jsonl FILE] [--graph-dot FILE] [--suppressions]
 //                   [--quiet] <path>...
@@ -30,11 +30,8 @@ void print_usage(const char* argv0) {
                  "    D4  discarded [[nodiscard]] scheduler handles\n"
                  "    E1  getenv outside the edge-wiring allowlist\n"
                  "    S1  bare spec magic numbers in src/phy, src/link\n"
-                 "    C1  thread detach / bare mutex lock / undocumented mutex member\n"
-                 "  and whole-program rules over the merged per-file summaries:\n"
+                 "  and one whole-program rule over the merged per-file summaries:\n"
                  "    L1  architecture layering (upward includes, include cycles)\n"
-                 "    C2  cross-TU lock-order cycles (ABBA deadlock shape)\n"
-                 "    W1  non-exhaustive switches over wire-protocol enums\n"
                  "  Suppress a finding with an audited comment on (or above)\n"
                  "  the line:  // injectable-lint: allow(D1) -- <reason>\n"
                  "  --jsonl FILE     also write findings as JSONL (suppressed\n"
