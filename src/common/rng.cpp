@@ -20,15 +20,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     for (auto& word : s_) word = splitmix64(x);
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-    if (bound == 0) return 0;
-    // Rejection sampling over the largest multiple of `bound`.
-    const std::uint64_t limit = bound * (~0ULL / bound);
-    std::uint64_t v = next_u64();
-    while (v >= limit) v = next_u64();
-    return v % bound;
-}
-
 double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * next_double(); }
 
 double Rng::normal(double mean, double stddev) noexcept {

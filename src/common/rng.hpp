@@ -33,7 +33,14 @@ public:
     }
 
     /// Uniform in [0, bound) without modulo bias (rejection sampling).
-    std::uint64_t next_below(std::uint64_t bound) noexcept;
+    std::uint64_t next_below(std::uint64_t bound) noexcept {
+        if (bound == 0) return 0;
+        // Rejection sampling over the largest multiple of `bound`.
+        const std::uint64_t limit = bound * (~0ULL / bound);
+        std::uint64_t v = next_u64();
+        while (v >= limit) v = next_u64();
+        return v % bound;
+    }
 
     /// Uniform double in [0, 1): 53 high-quality bits.
     double next_double() noexcept { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
@@ -46,6 +53,17 @@ public:
     double normal(double mean, double stddev) noexcept;
 
     bool chance(double probability) noexcept { return next_double() < probability; }
+
+    /// chance() as an integer compare: `(next_u64() >> 11) <
+    /// chance_threshold(p)` is exactly `next_double() < p` for every p, NaN
+    /// and values outside [0, 1] included: m·2^-53 < p iff m < ⌈p·2^53⌉.
+    [[nodiscard]] static constexpr std::uint64_t chance_threshold(double probability) noexcept {
+        if (!(probability > 0.0)) return 0;
+        if (probability >= 1.0) return std::uint64_t{1} << 53;
+        const double scaled = probability * 0x1.0p53;  // exact: a power-of-two scale
+        const auto whole = static_cast<std::uint64_t>(scaled);
+        return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+    }
 
     /// Derive an independent child stream (for per-device RNGs).
     Rng fork() noexcept;

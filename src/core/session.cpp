@@ -341,7 +341,7 @@ void AttackSession::begin_inject_event() {
     timer_ = guarded_at(tx_at, [this, pdu] {
         if (!running_ || lost_) return;
         timer_ = sim::kInvalidEvent;
-        auto frame = phy::make_air_frame(params_.access_address, pdu.serialize(),
+        auto frame = phy::make_air_frame(params_.access_address, pdu.header(), pdu.payload,
                                          params_.crc_init);
         observation_.tx_start = radio_.now();
         observation_.tx_duration = frame.duration();

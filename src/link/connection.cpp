@@ -169,19 +169,20 @@ bool Connection::is_start_enc_req(const DataPdu& pdu) noexcept {
 }
 
 void Connection::transmit_pdu(const DataPdu& pdu) {
-    last_tx_pdu_ = pdu;
-    DataPdu wire = pdu;
+    last_tx_md_ = pdu.md;
     // LL_START_ENC_REQ is defined to travel in plaintext even after the
     // cipher is armed (it is the arming signal) — this also keeps its
     // retransmissions parseable by a peer that has not switched yet.
-    if (encrypted_ && crypto_ && !wire.payload.empty() && !is_start_enc_req(wire)) {
+    std::optional<DataPdu> ciphered;
+    if (encrypted_ && crypto_ && !pdu.payload.empty() && !is_start_enc_req(pdu)) {
         // AAD is the first header byte with SN/NESN/MD masked (Vol 6 Part E).
-        const std::uint8_t aad = static_cast<std::uint8_t>(wire.llid) & 0b11;
-        wire.payload = crypto_->encrypt(aad, wire.payload, config_.role == Role::kMaster);
+        const std::uint8_t aad = static_cast<std::uint8_t>(pdu.llid) & 0b11;
+        ciphered = DataPdu{pdu.llid, pdu.nesn, pdu.sn, pdu.md,
+                           crypto_->encrypt(aad, pdu.payload, config_.role == Role::kMaster)};
     }
-    const Bytes bytes = wire.serialize();
-    radio_.transmit(channel_, phy::make_air_frame(config_.params.access_address, bytes,
-                                                  config_.params.crc_init));
+    const DataPdu& wire = ciphered ? *ciphered : pdu;
+    radio_.transmit(channel_, phy::make_air_frame(config_.params.access_address, wire.header(),
+                                                  wire.payload, config_.params.crc_init));
     ++report_.pdus_tx;
 
     // LL_START_ENC_REQ flips the cipher on for every subsequent PDU in both
@@ -384,7 +385,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     // the frame we just sent (data queued after that frame left the antenna
     // must wait for the next event — the slave has already stopped
     // listening).
-    const bool more = peer_md_ || last_tx_pdu_.md;
+    const bool more = peer_md_ || last_tx_md_;
     const TimePoint budget_end = anchor_ + config_.params.interval() - kEventCloseMargin;
     const TimePoint exchange_end =
         frame.end + kTifs + max_frame_air_time() + kTifs + max_frame_air_time();

@@ -260,7 +260,7 @@ private:
     ConnectionEventReport report_{};
     bool peer_md_ = false;
     TimePoint last_rx_end_ = 0;
-    DataPdu last_tx_pdu_{};
+    bool last_tx_md_ = false;  // the MD bit of the last PDU we sent
 
     // Pending procedures (applied at their instant).
     std::optional<ConnectionUpdateInd> pending_update_;

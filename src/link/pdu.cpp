@@ -9,14 +9,17 @@ constexpr std::uint8_t kSnBit = 1u << 3;
 constexpr std::uint8_t kMdBit = 1u << 4;
 }  // namespace
 
-Bytes DataPdu::serialize() const {
-    ByteWriter w(2 + payload.size());
+std::array<std::uint8_t, 2> DataPdu::header() const noexcept {
     std::uint8_t flags = static_cast<std::uint8_t>(llid) & kLlidMask;
     if (nesn) flags |= kNesnBit;
     if (sn) flags |= kSnBit;
     if (md) flags |= kMdBit;
-    w.write_u8(flags);
-    w.write_u8(static_cast<std::uint8_t>(payload.size()));
+    return {flags, static_cast<std::uint8_t>(payload.size())};
+}
+
+Bytes DataPdu::serialize() const {
+    ByteWriter w(2 + payload.size());
+    w.write_bytes(header());
     w.write_bytes(payload);
     return w.take();
 }

@@ -4,6 +4,7 @@
 // in the first byte of every data-channel PDU.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -32,6 +33,8 @@ struct DataPdu {
     }
     [[nodiscard]] bool is_control() const noexcept { return llid == Llid::kControl; }
 
+    /// The 2 header bytes: LLID, NESN, SN and MD, then the payload length.
+    [[nodiscard]] std::array<std::uint8_t, 2> header() const noexcept;
     /// Serializes header (2 bytes) + payload.
     [[nodiscard]] Bytes serialize() const;
     /// Parses a PDU; nullopt on truncation or header/length mismatch.

@@ -9,12 +9,13 @@ bool RawFrame::crc_ok(std::uint32_t crc_init) const noexcept {
     return crc24(pdu, crc_init) == crc;
 }
 
-sim::AirFrame make_air_frame(std::uint32_t access_address, BytesView pdu,
+sim::AirFrame make_air_frame(std::uint32_t access_address, BytesView head, BytesView body,
                              std::uint32_t crc_init, Mode mode) {
-    ByteWriter w(kAccessAddressBytes + pdu.size() + kCrcBytes);
+    ByteWriter w(kAccessAddressBytes + head.size() + body.size() + kCrcBytes);
     w.write_u32(access_address);
-    w.write_bytes(pdu);
-    w.write_u24(crc24(pdu, crc_init));
+    w.write_bytes(head);
+    w.write_bytes(body);
+    w.write_u24(crc24(BytesView(w.bytes()).subspan(kAccessAddressBytes), crc_init));
 
     sim::AirFrame frame;
     frame.bytes = w.take();
@@ -33,7 +34,8 @@ std::optional<RawFrame> split_frame(BytesView bytes) noexcept {
     out.access_address = *r.read_u32();
     const std::size_t pdu_len = kPduHeaderBytes + bytes[kAccessAddressBytes + 1];
     if (r.remaining() != pdu_len + kCrcBytes) return std::nullopt;
-    out.pdu = *r.read_bytes(pdu_len);
+    out.pdu = bytes.subspan(kAccessAddressBytes, pdu_len);
+    r.skip(pdu_len);
     out.crc = *r.read_u24();
     return out;
 }

@@ -11,7 +11,108 @@ namespace ble::sim {
 namespace {
 double dbm_to_mw(double dbm) noexcept { return std::pow(10.0, dbm / 10.0); }
 double mw_to_dbm(double mw) noexcept { return 10.0 * std::log10(mw); }
+
+/// The bytes [first, last) of a frame that one interferer overlaps.
+struct OverlapRun {
+    std::size_t first, last;
+    double power_mw;
+};
 }  // namespace
+
+LotteryOutcome capture_lottery(const AirFrame& frame, TimePoint start,
+                               std::span<const Interference> interferers, double signal_dbm,
+                               double noise_mw, double noise_dbm, const CaptureModel& capture,
+                               Rng& rng, Bytes& bytes) {
+    bytes.assign(frame.bytes.begin(), frame.bytes.end());
+    const auto n = static_cast<std::int64_t>(bytes.size());
+
+    // Byte i is on air over [body + i·bt, body + (i+1)·bt), and an interferer
+    // overlaps it when it starts before the byte ends and ends after the byte
+    // starts: for i >= ⌊(start − body)/bt⌋ and i < ⌈(end − body)/bt⌉.  The
+    // runs stay in id order, which fixes the order of the phase draws and of
+    // the interference sums.
+    const TimePoint body = start + frame.preamble_time;
+    const Duration bt = frame.byte_time;
+    InlineVec<OverlapRun, 4> runs;
+    for (const Interference& intf : interferers) {
+        const Duration from = intf.start - body;
+        const Duration to = intf.end - body;
+        const auto first = std::clamp<std::int64_t>(from / bt - (from % bt < 0), 0, n);
+        const auto last = std::clamp<std::int64_t>(to / bt + (to % bt > 0), 0, n);
+        if (first < last) {
+            runs.push_back({static_cast<std::size_t>(first), static_cast<std::size_t>(last),
+                            intf.power_mw});
+        }
+    }
+
+    // A local copy that never has its address taken (every Rng call below
+    // is inline), so its state stays in registers across the byte writes.
+    Rng local = rng;
+    LotteryOutcome outcome;
+    auto corrupt = [&](std::size_t i) {
+        // Flip a random bit: the CRC then fails naturally downstream.
+        bytes[i] ^= static_cast<std::uint8_t>(1u << local.next_below(8));
+        ++outcome.corrupted_bytes;
+        if (i < frame.sync_bytes) ++outcome.sync_bit_errors;
+    };
+
+    // A byte no interferer overlaps sees only the noise floor and the
+    // neutral phase: one probability for the delivery, compared with the
+    // draws as an integer threshold, and only evaluated once a draw falls
+    // below the cheap bound.
+    const double snr_db = signal_dbm - noise_dbm;
+    std::uint64_t noise_threshold = Rng::chance_threshold(capture.neutral_phase_bound(snr_db));
+    bool noise_threshold_exact = false;
+
+    for (std::size_t i = 0; i < bytes.size();) {
+        // The segment from byte i ends where an interferer starts or stops
+        // overlapping; its interference sum adds their powers in id order.
+        std::size_t end = bytes.size();
+        int overlapping = 0;
+        double interference_mw = noise_mw;
+        for (const OverlapRun& run : runs) {
+            if (run.first > i) {
+                end = std::min(end, run.first);
+            } else if (run.last > i) {
+                end = std::min(end, run.last);
+                interference_mw += run.power_mw;
+                ++overlapping;
+            }
+        }
+
+        if (overlapping == 0) {
+            for (; i < end; ++i) {
+                const std::uint64_t draw = local.next_u64() >> 11;  // next_double()'s bits
+                if (draw >= noise_threshold) continue;
+                if (!noise_threshold_exact) {
+                    noise_threshold_exact = true;
+                    noise_threshold =
+                        Rng::chance_threshold(capture.byte_corruption_prob(snr_db, 0.5));
+                    if (draw >= noise_threshold) continue;
+                }
+                corrupt(i);
+            }
+            continue;
+        }
+
+        // The carrier-phase alignment between two unsynchronised transmitters
+        // rotates with their frequency offset (paper §V-D: survival "depends
+        // on the phase difference between the injected and legitimate
+        // signals"), with a coherence time on the order of a byte — so the
+        // phase lottery is drawn per byte, which is what makes longer
+        // overlaps deadlier.  One phase per overlapping interferer, in id
+        // order; the last one counts.
+        const double sir_db = signal_dbm - mw_to_dbm(interference_mw);
+        const CaptureModel::CorruptionBand band = capture.corruption_band(sir_db);
+        for (; i < end; ++i) {
+            for (int k = 1; k < overlapping; ++k) local.next_u64();
+            const double phase = local.next_double();
+            if (capture.byte_corrupted(local.next_double(), sir_db, phase, band)) corrupt(i);
+        }
+    }
+    rng = local;
+    return outcome;
+}
 
 RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
                          CaptureModel capture, MediumParams params)
@@ -118,6 +219,7 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     stored.channel = channel;
     stored.start = scheduler_.now();
     stored.end = stored.start + frame.duration();
+    max_duration_ = std::max(max_duration_, stored.end - stored.start);
     stored.frame = std::move(frame);
     // Ids are monotonic, so appending keeps the per-channel view id-ordered.
     channel_active_[channel].push_back(&stored);
@@ -160,87 +262,33 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     obs::work::count(obs::work::Site::kMediumDeliver);
     const double signal_dbm = rx_power_dbm(tx, receiver);
 
-    // Collect interferers overlapping this frame at this receiver. The
-    // carrier-phase alignment between two unsynchronised transmitters rotates
-    // with their frequency offset (paper §V-D: survival "depends on the phase
-    // difference between the injected and legitimate signals"), with a
-    // coherence time on the order of a byte — so the phase lottery is drawn
-    // *per byte* below, which is what makes longer overlaps deadlier.
+    // Collect interferers overlapping this frame at this receiver.
     // channel_active_ is id-ordered, which fixes the FP accumulation order
-    // and the order of the fading draws; ids follow start times, so the
-    // first record starting after this frame ends the scan.
-    struct Interferer {
-        const Transmission* tx;
-        double power_mw;
-        bool overlapping;  ///< overlaps the current byte
-    };
-    InlineVec<Interferer, 4> interferers;
-    for (Transmission* other : channel_active_[tx.channel]) {
+    // and the order of the fading draws.  Ids follow start times, so the
+    // scan starts at the first record that can still be on air (none lasts
+    // longer than max_duration_) and stops at the first that starts after
+    // this frame ends.
+    const auto& on_channel = channel_active_[tx.channel];
+    const auto first = std::lower_bound(
+        on_channel.begin(), on_channel.end(), tx.start - max_duration_,
+        [](const Transmission* record, TimePoint from) { return record->start < from; });
+    InlineVec<Interference, 4> interferers;
+    for (auto it = first; it != on_channel.end(); ++it) {
+        Transmission* other = *it;
         if (other->start >= tx.end) break;
         if (other->id == tx.id || other->end <= tx.start) continue;
         if (other->sender == &receiver) continue;  // own TX handled by half-duplex
         interferers.push_back(
-            Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver)), false});
+            Interference{other->start, other->end, dbm_to_mw(rx_power_dbm(*other, receiver))});
     }
-    // A byte no interferer overlaps sees only the noise floor and the
-    // neutral phase, so its corruption probability is the same for the
-    // whole delivery.  It still takes its own chance() draw below.
-    const double p_noise_only = capture_.byte_corruption_prob(signal_dbm - noise_dbm_, 0.5);
-
-    // The current overlap segment: a run of bytes that the same interferers
-    // overlap shares one interference sum (accumulated in id order, so the
-    // same double a per-byte sum gives), one SIR and one phase band.
-    double segment_sir_db = 0.0;
-    CaptureModel::CorruptionBand segment_band;
-
-    Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
-    bool corrupted = false;
-    int corrupted_bytes = 0;
-    int sync_bit_errors = 0;
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        const TimePoint byte_start =
-            tx.start + tx.frame.preamble_time + static_cast<Duration>(i) * tx.frame.byte_time;
-        const TimePoint byte_end = byte_start + tx.frame.byte_time;
-
-        double phase = 0.5;
-        bool overlapped = false;
-        bool new_segment = false;
-        for (auto& intf : interferers) {
-            const bool overlaps = intf.tx->start < byte_end && intf.tx->end > byte_start;
-            new_segment |= overlaps != intf.overlapping;
-            intf.overlapping = overlaps;
-            if (overlaps) {
-                phase = rng_.next_double();  // per-byte carrier-phase lottery
-                overlapped = true;
-            }
-        }
-        bool hit = false;
-        if (!overlapped) {
-            hit = rng_.chance(p_noise_only);
-        } else {
-            if (new_segment) {
-                double interference_mw = noise_mw_;
-                for (const auto& intf : interferers) {
-                    if (intf.overlapping) interference_mw += intf.power_mw;
-                }
-                segment_sir_db = signal_dbm - mw_to_dbm(interference_mw);
-                segment_band = capture_.corruption_band(segment_sir_db);
-            }
-            hit = capture_.byte_corrupted(rng_.next_double(), segment_sir_db, phase,
-                                          segment_band);
-        }
-        if (hit) {
-            // Flip a random bit: the CRC then fails naturally downstream.
-            bytes[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
-            corrupted = true;
-            ++corrupted_bytes;
-            if (i < tx.frame.sync_bytes) ++sync_bit_errors;
-        }
-    }
+    const LotteryOutcome lottery =
+        capture_lottery(tx.frame, tx.start, {interferers.begin(), interferers.size()},
+                        signal_dbm, noise_mw_, noise_dbm_, capture_, rng_, rx_bytes_);
 
     receiver.listen_state_.locked_tx = 0;  // receiver returns to idle listening
 
-    const bool lost_sync = sync_bit_errors > params_.max_sync_bit_errors;
+    const bool corrupted = lottery.corrupted_bytes > 0;
+    const bool lost_sync = lottery.sync_bit_errors > params_.max_sync_bit_errors;
     if (bus_.active()) {
         obs::RxDecision decision;
         decision.time = tx.end;
@@ -252,23 +300,19 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
                                          : obs::RxVerdict::kDelivered;
         decision.rssi_dbm = signal_dbm;
         decision.noise_dbm = params_.noise_floor_dbm;
-        decision.corrupted_bytes = corrupted_bytes;
-        decision.sync_bit_errors = sync_bit_errors;
+        decision.corrupted_bytes = lottery.corrupted_bytes;
+        decision.sync_bit_errors = lottery.sync_bit_errors;
         bus_.emit(decision);
     }
-    if (lost_sync) {
-        // The correlator never matched: nothing is delivered, exactly like a
-        // real radio that misses the access address.
-        pool_.release(std::move(bytes));
-        return;
-    }
+    // The correlator never matched: nothing is delivered, exactly like a
+    // real radio that misses the access address.
+    if (lost_sync) return;
     // A tolerated near-miss correlation outputs the *matched* sync word.
-    for (std::size_t i = 0; i < tx.frame.sync_bytes && i < bytes.size(); ++i) {
-        bytes[i] = tx.frame.bytes[i];
-    }
+    std::copy_n(tx.frame.bytes.begin(), std::min(tx.frame.sync_bytes, rx_bytes_.size()),
+                rx_bytes_.begin());
 
     RxFrame rx;
-    rx.bytes = std::move(bytes);
+    rx.bytes = std::move(rx_bytes_);
     rx.start = tx.start;
     rx.end = tx.end;
     rx.channel = tx.channel;
@@ -276,13 +320,13 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     rx.corrupted_by_medium = corrupted;
     rx.transmission_id = tx.id;
     receiver.on_rx(rx);
-    pool_.release(std::move(rx.bytes));  // on_rx sees a const ref; reclaim after
+    rx_bytes_ = std::move(rx.bytes);  // on_rx sees a const ref; keep the buffer
 }
 
 void RadioMedium::collect_garbage() {
     // Keep records around briefly so frames that overlapped them can still
-    // account for their interference, then reclaim map entry, per-channel
-    // slot, and payload buffer together.
+    // account for their interference, then reclaim map entry and per-channel
+    // slot together.
     // Records are in start order and a record that started at or after the
     // horizon also ends after it, so the walk stops there.
     const TimePoint now = scheduler_.now();
@@ -291,7 +335,6 @@ void RadioMedium::collect_garbage() {
         Transmission& tx = it->second;
         if (tx.end <= now && tx.end < horizon) {
             channel_active_[tx.channel].erase_value(&tx);
-            pool_.release(std::move(tx.frame.bytes));
             it = active_.erase(it);
         } else {
             ++it;

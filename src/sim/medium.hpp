@@ -9,12 +9,14 @@
 //    race even when the legitimate master transmits moments later.
 //  * When the locked transmission ends, every byte that overlapped another
 //    transmission (or sits near the noise floor) is corrupted with a
-//    probability from CaptureModel.  Each byte takes its own draws; the SIR
-//    and the probability's phase band are computed once per overlap segment
-//    (a run of bytes that the same interferers overlap).  A corrupted sync
-//    header (preamble / access address region) suppresses delivery entirely;
-//    corruption later in the frame is delivered as-is and caught by the link
-//    layer's CRC — the paper's outcome (b).
+//    probability from CaptureModel.  Each byte takes its own draws, but
+//    capture_lottery walks the frame one overlap segment at a time (a run of
+//    bytes that the same interferers overlap), with the SIR and the phase
+//    band computed once per segment and noise-only draws compared with an
+//    integer threshold.  A corrupted sync header (preamble /
+//    access address region) suppresses delivery entirely; corruption later
+//    in the frame is delivered as-is and caught by the link layer's CRC —
+//    the paper's outcome (b).
 //  * Devices are half-duplex: transmitting suspends listening.
 #pragma once
 
@@ -22,10 +24,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/inline_vec.hpp"
-#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "obs/bus.hpp"
@@ -49,7 +51,7 @@ struct AirFrame {
     Bytes bytes;
     /// Airtime of the preamble preceding bytes[0] (8 µs for LE 1M).
     Duration preamble_time = 8_us;
-    /// Airtime of one byte (8 µs for LE 1M).
+    /// Airtime of one byte (8 µs for LE 1M); positive.
     Duration byte_time = 8_us;
     /// Corruption within the first `sync_bytes` of `bytes` (plus the
     /// preamble) prevents receiver sync: the frame is silently lost.
@@ -92,6 +94,29 @@ struct ListenState {
     /// order (and therefore traces) bit-stable.
     std::uint64_t attach_order = 0;
 };
+
+/// An interferer as the capture lottery sees it.
+struct Interference {
+    TimePoint start = 0;
+    TimePoint end = 0;
+    double power_mw = 0.0;  ///< at the receiver
+};
+
+/// What the capture lottery did to one delivery.
+struct LotteryOutcome {
+    int corrupted_bytes = 0;
+    int sync_bit_errors = 0;  ///< corrupted bytes among the first sync_bytes
+};
+
+/// The capture lottery of one delivery: sets `bytes` to `frame.bytes` (on
+/// air from `start`) and flips a random bit in each byte it corrupts.  Per
+/// byte it draws one phase per overlapping interferer, in the id order of
+/// `interferers`, then `u`, then a bit index on a hit: the draws and verdicts
+/// of a byte-at-a-time walk.  `noise_dbm` is `noise_mw` converted back.
+LotteryOutcome capture_lottery(const AirFrame& frame, TimePoint start,
+                               std::span<const Interference> interferers, double signal_dbm,
+                               double noise_mw, double noise_dbm, const CaptureModel& capture,
+                               Rng& rng, Bytes& bytes);
 
 struct MediumParams {
     double noise_floor_dbm = -100.0;
@@ -137,9 +162,6 @@ public:
     [[nodiscard]] const ListenerList& listeners_on(Channel channel) const noexcept {
         return listeners_[channel];
     }
-
-    /// The payload-buffer freelist (delivery copies + retired frames; tests).
-    [[nodiscard]] const BufferPool& frame_pool() const noexcept { return pool_; }
 
     /// The per-world observation stream.  The medium emits obs::TxStart for
     /// every transmission and obs::RxDecision for every capture verdict; the
@@ -188,6 +210,9 @@ private:
     obs::EventBus bus_;
 
     std::uint64_t next_tx_id_ = 1;
+    /// The longest airtime transmitted so far: a record that started more
+    /// than this before a frame cannot overlap it.
+    Duration max_duration_ = 0;
     std::uint64_t next_attach_order_ = 1;
     /// Per-channel interest lists, sorted by ListenState::attach_order: the
     /// attached devices filtered to (active, channel), in attach order.
@@ -206,8 +231,8 @@ private:
     /// touches co-channel transmissions only and stops at the first one that
     /// starts at or after the frame's end.  Map node addresses are stable.
     std::array<InlineVec<Transmission*, 4>, kNumChannels> channel_active_;
-    /// Recycles per-delivery payload copies and retired AirFrame payloads.
-    BufferPool pool_;
+    /// The per-receiver copy of a delivered frame, reused by every delivery.
+    Bytes rx_bytes_;
 };
 
 }  // namespace ble::sim

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -114,6 +116,36 @@ TEST(RngTest, ChanceExtremes) {
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
     }
+}
+
+TEST(RngTest, ChanceThresholdIsChanceAsAnInteger) {
+    // `(next_u64() >> 11) < chance_threshold(p)` must be `next_double() < p` for
+    // every draw: check the draws next to the threshold for probabilities on
+    // and one ulp off multiples of 2^-53, random ones, and the edge values.
+    std::vector<double> probabilities = {0.0,  -0.0, -1.0,      1.0,       2.0,
+                                         0.5,  1e-300, 0x1.0p-53, 0x1.8p-53, 0x1.0p-60,
+                                         NAN,  INFINITY, -INFINITY};
+    Rng rng(2021);
+    for (int i = 0; i < 2000; ++i) {
+        const double on_grid = static_cast<double>(rng.next_u64() >> 11) * 0x1.0p-53;
+        const double random = rng.next_double();
+        for (const double p : {on_grid, random}) {
+            probabilities.insert(probabilities.end(),
+                                 {p, std::nextafter(p, 0.0), std::nextafter(p, 1.0)});
+        }
+    }
+    long checked = 0;
+    for (const double p : probabilities) {
+        const std::uint64_t threshold = Rng::chance_threshold(p);
+        ASSERT_LE(threshold, std::uint64_t{1} << 53) << "p " << p;
+        for (const std::uint64_t m : {threshold - 1, threshold, threshold + 1}) {
+            if (m >= std::uint64_t{1} << 53) continue;  // no draw yields it
+            ++checked;
+            EXPECT_EQ(m < threshold, static_cast<double>(m) * 0x1.0p-53 < p)
+                << std::hexfloat << "p " << p << " m " << m;
+        }
+    }
+    EXPECT_GT(checked, 20000);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ TEST(FrameTest, RoundTripThroughSplit) {
     const auto raw = split_frame(frame.bytes);
     ASSERT_TRUE(raw.has_value());
     EXPECT_EQ(raw->access_address, 0xAF9A9CD4u);
-    EXPECT_EQ(raw->pdu, pdu);
+    EXPECT_EQ(Bytes(raw->pdu.begin(), raw->pdu.end()), pdu);
     EXPECT_TRUE(raw->crc_ok(0x555555));
 }
 
@@ -67,7 +67,7 @@ TEST(FrameTest, EmptyPduFrame) {
     EXPECT_EQ(frame.duration(), 80_us);  // 10 bytes at LE 1M
     const auto raw = split_frame(frame.bytes);
     ASSERT_TRUE(raw.has_value());
-    EXPECT_TRUE(raw->pdu == pdu);
+    EXPECT_TRUE(Bytes(raw->pdu.begin(), raw->pdu.end()) == pdu);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -386,17 +387,131 @@ TEST_F(MediumFixture, TransmitterLeavesItsChannelInterestList) {
     EXPECT_TRUE(a->received.empty());
 }
 
-TEST_F(MediumFixture, FramePoolRecyclesDeliveryBuffers) {
-    auto tx = make("tx", {0, 0});
-    auto rx = make("rx", {1, 0});
-    for (int i = 0; i < 4; ++i) {
-        rx->listen(7);
-        tx->transmit(7, test_frame());
-        scheduler.run_for(10_ms);  // frame + GC horizon
+/// The byte-at-a-time reference for capture_lottery: every byte re-tests
+/// every interferer against its own airtime, draws a phase per overlapping
+/// interferer (the last counts), then `u`, and decides with the exact
+/// formula.
+LotteryOutcome reference_lottery(const AirFrame& frame, TimePoint start,
+                                 const std::vector<Interference>& interferers,
+                                 double signal_dbm, double noise_mw, double noise_dbm,
+                                 const CaptureModel& capture, Rng& rng, Bytes& bytes) {
+    bytes = frame.bytes;
+    LotteryOutcome out;
+    const double p_noise_only = capture.byte_corruption_prob(signal_dbm - noise_dbm, 0.5);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const TimePoint byte_start =
+            start + frame.preamble_time + static_cast<Duration>(i) * frame.byte_time;
+        const TimePoint byte_end = byte_start + frame.byte_time;
+        double phase = 0.5;
+        double interference_mw = noise_mw;
+        bool overlapped = false;
+        for (const Interference& intf : interferers) {
+            if (intf.start < byte_end && intf.end > byte_start) {
+                phase = rng.next_double();
+                interference_mw += intf.power_mw;
+                overlapped = true;
+            }
+        }
+        bool hit = false;
+        if (!overlapped) {
+            hit = rng.chance(p_noise_only);
+        } else {
+            const double sir_db = signal_dbm - 10.0 * std::log10(interference_mw);
+            hit = rng.next_double() < capture.byte_corruption_prob(sir_db, phase);
+        }
+        if (hit) {
+            bytes[i] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+            ++out.corrupted_bytes;
+            if (i < frame.sync_bytes) ++out.sync_bit_errors;
+        }
     }
-    EXPECT_EQ(rx->received.size(), 4u);
-    // Delivery copies (and GC'd payloads) land back in the freelist.
-    EXPECT_GE(medium.frame_pool().pooled(), 1u);
+    return out;
+}
+
+/// A time relative to a frame's bytes: before the frame, inside the
+/// preamble, on a byte boundary, mid-byte, at the frame's end or after it.
+TimePoint layout_time(Rng& rng, TimePoint start, const AirFrame& frame) {
+    const TimePoint body = start + frame.preamble_time;
+    const auto n = static_cast<Duration>(frame.bytes.size());
+    const auto byte_at = [&](Duration i) { return body + i * frame.byte_time; };
+    switch (rng.next_below(6)) {
+        case 0: return start - 1 - static_cast<Duration>(rng.next_below(50'000));
+        case 1: return start + static_cast<Duration>(rng.next_below(
+                                   static_cast<std::uint64_t>(frame.preamble_time) + 1));
+        case 2: return byte_at(static_cast<Duration>(rng.next_below(n + 1)));
+        case 3:
+            return byte_at(static_cast<Duration>(rng.next_below(n))) + 1 +
+                   static_cast<Duration>(
+                       rng.next_below(static_cast<std::uint64_t>(frame.byte_time - 1)));
+        case 4: return byte_at(n);
+        default: return byte_at(n) + 1 + static_cast<Duration>(rng.next_below(50'000));
+    }
+}
+
+TEST(CaptureLottery, SegmentWalkMatchesTheByteAtATimeReference) {
+    // Seeded differential test: random frames (5-260 B, LE 1M / 2M / coded
+    // and odd byte times), 0-4 interferers starting and ending before the
+    // frame, in the preamble, on byte boundaries, mid-byte and after the
+    // frame, SNR and SIR from -40 to +80 dB, and capture parameters off the
+    // defaults.  Both lotteries start from the same generator state and must
+    // leave the same bytes, counts and generator state.
+    std::vector<CaptureParams> params(4);
+    params[1].phase_spread_db = 0.0;
+    params[2].phase_spread_db = -3.0;  // inverted band: every overlapped draw is exact
+    params[3].slope_db = 0.5;
+    const double noise_mw = 1e-10;
+    const double noise_dbm = 10.0 * std::log10(noise_mw);
+    const Duration byte_times[] = {8_us, 4_us, 64_us, 7'919};
+    Rng layout(424242);
+    long overlapped_hits = 0;
+    long noise_hits = 0;
+    long lost_sync = 0;
+    long interfered = 0;
+    for (int trial = 0; trial < 100'000; ++trial) {
+        const CaptureModel capture(params[trial % params.size()]);
+        AirFrame frame;
+        frame.bytes.resize(5 + layout.next_below(256));
+        for (auto& b : frame.bytes) b = static_cast<std::uint8_t>(layout.next_below(256));
+        frame.byte_time = byte_times[layout.next_below(4)];
+        frame.preamble_time = frame.byte_time * (layout.next_below(2) == 0 ? 1 : 10);
+        frame.sync_bytes = 4;
+        const TimePoint start = 1_ms;
+        const double signal_dbm = noise_dbm + layout.uniform(-40.0, 80.0);
+        std::vector<Interference> interferers(layout.next_below(5));
+        for (Interference& intf : interferers) {
+            intf.start = layout_time(layout, start, frame);
+            intf.end = layout_time(layout, start, frame);
+            if (intf.end < intf.start) std::swap(intf.start, intf.end);
+            const double sir_db = layout.uniform(-40.0, 80.0);
+            intf.power_mw = std::pow(10.0, (signal_dbm - sir_db) / 10.0);
+        }
+        interfered += interferers.empty() ? 0 : 1;
+
+        Rng segment_rng(layout.next_u64());
+        Rng reference_rng = segment_rng;
+        Bytes segment_bytes;
+        Bytes reference_bytes;
+        const LotteryOutcome got =
+            capture_lottery(frame, start, interferers, signal_dbm, noise_mw, noise_dbm, capture,
+                            segment_rng, segment_bytes);
+        const LotteryOutcome want =
+            reference_lottery(frame, start, interferers, signal_dbm, noise_mw, noise_dbm,
+                              capture, reference_rng, reference_bytes);
+        ASSERT_EQ(segment_bytes, reference_bytes) << "layout " << trial;
+        ASSERT_EQ(got.corrupted_bytes, want.corrupted_bytes) << "layout " << trial;
+        ASSERT_EQ(got.sync_bit_errors, want.sync_bit_errors) << "layout " << trial;
+        ASSERT_EQ(segment_rng.next_u64(), reference_rng.next_u64()) << "layout " << trial;
+        ASSERT_EQ(segment_rng.next_u64(), reference_rng.next_u64()) << "layout " << trial;
+
+        lost_sync += want.sync_bit_errors > 2 ? 1 : 0;
+        if (want.corrupted_bytes > 0) (interferers.empty() ? noise_hits : overlapped_hits) += 1;
+    }
+    // The layouts reach every path: corruption with and without
+    // interferers, and lost sync.
+    EXPECT_GT(interfered, 70'000);
+    EXPECT_GT(overlapped_hits, 30'000);
+    EXPECT_GT(noise_hits, 3'000);
+    EXPECT_GT(lost_sync, 10'000);
 }
 
 // One serial log of everything every receiver heard, bit-exact: receiver
