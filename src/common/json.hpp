@@ -43,7 +43,6 @@ public:
     [[nodiscard]] std::int64_t as_i64(std::int64_t fallback = 0) const noexcept;
     [[nodiscard]] double as_double(double fallback = 0.0) const noexcept;
     [[nodiscard]] bool as_bool(bool fallback = false) const noexcept;
-    [[nodiscard]] const std::string& as_string() const noexcept { return str; }
 
     // Keyed conveniences over find() for object values.
     [[nodiscard]] std::uint64_t u64(std::string_view key, std::uint64_t fallback = 0) const;

@@ -73,7 +73,7 @@ void AttackSession::start() {
 
 void AttackSession::stop() {
     running_ = false;
-    alive_ = std::make_shared<char>(0);  // invalidates all pending callbacks
+    guard_.reset();  // invalidates all pending callbacks
     if (timer_ != sim::kInvalidEvent) {
         radio_.scheduler().cancel(timer_);
         timer_ = sim::kInvalidEvent;
@@ -140,12 +140,12 @@ void AttackSession::begin_observe_event() {
     const TimePoint close_at =
         predicted_anchor_ + std::max<Duration>(params_.interval() - kEventTailGuard, 2_ms);
 
-    guarded_at(listen_from, [this] {
+    guard_.at(listen_from, [this] {
         if (running_ && mode_ == Mode::kObserve && !radio_.transmitting()) {
             radio_.listen(channel_);
         }
     });
-    timer_ = guarded_at(close_at, [this] { close_observe_event(); });
+    timer_ = guard_.at(close_at, [this] { close_observe_event(); });
 }
 
 void AttackSession::handle_rx(const sim::RxFrame& frame) {
@@ -153,7 +153,7 @@ void AttackSession::handle_rx(const sim::RxFrame& frame) {
     const auto raw = phy::split_frame(frame.bytes);
     if (!raw || raw->access_address != params_.access_address) return;
     const bool crc_ok = raw->crc_ok(params_.crc_init);
-    const auto pdu = link::DataPdu::parse(raw->pdu);
+    const link::DataPdu* pdu = link::DataPdu::parse(raw->pdu, rx_pdu_) ? &rx_pdu_ : nullptr;
 
     if (mode_ == Mode::kInject) {
         if (!awaiting_response_) return;
@@ -203,17 +203,18 @@ void AttackSession::handle_rx(const sim::RxFrame& frame) {
     }
     ++frames_this_event_;
 
-    SniffedPacket packet;
-    packet.sender =
-        is_master_frame ? SniffedPacket::Sender::kMaster : SniffedPacket::Sender::kSlave;
-    packet.crc_ok = crc_ok;
-    packet.start = frame.start;
-    packet.end = frame.end;
-    packet.channel = frame.channel;
-    packet.event_counter = event_counter_;
-    if (pdu) packet.pdu = *pdu;
-
-    if (on_packet) on_packet(packet);
+    if (on_packet) {
+        SniffedPacket packet;
+        packet.sender =
+            is_master_frame ? SniffedPacket::Sender::kMaster : SniffedPacket::Sender::kSlave;
+        packet.crc_ok = crc_ok;
+        packet.start = frame.start;
+        packet.end = frame.end;
+        packet.channel = frame.channel;
+        packet.event_counter = event_counter_;
+        if (pdu) packet.pdu = *pdu;
+        on_packet(packet);
+    }
 
     if (is_master_frame) {
         if (!anchored_this_event_) {
@@ -325,11 +326,10 @@ void AttackSession::begin_inject_event() {
                 static_cast<Duration>(radio_.rng().uniform(0.0, 100e3));
     }
     const auto [sn_a, nesn_a] = forged_sequence_bits(slave_bits_->first, slave_bits_->second);
-    link::DataPdu pdu;
-    pdu.llid = request_->llid;
-    pdu.payload = request_->payload;
-    pdu.sn = sn_a;
-    pdu.nesn = nesn_a;
+    inject_pdu_.llid = request_->llid;
+    inject_pdu_.payload = request_->payload;
+    inject_pdu_.sn = sn_a;
+    inject_pdu_.nesn = nesn_a;
 
     slave_bits_fresh_ = false;  // consumed by this attempt
     ++attempts_;
@@ -338,14 +338,14 @@ void AttackSession::begin_inject_event() {
     observation_.sn_a = sn_a;
     observation_.nesn_a = nesn_a;
 
-    timer_ = guarded_at(tx_at, [this, pdu] {
+    timer_ = guard_.at(tx_at, [this] {
         if (!running_ || lost_) return;
         timer_ = sim::kInvalidEvent;
-        auto frame = phy::make_air_frame(params_.access_address, pdu.header(), pdu.payload,
-                                         params_.crc_init);
+        phy::make_air_frame(tx_frame_, params_.access_address, inject_pdu_.header(),
+                            inject_pdu_.payload, params_.crc_init);
         observation_.tx_start = radio_.now();
-        observation_.tx_duration = frame.duration();
-        radio_.transmit(channel_, std::move(frame));
+        observation_.tx_duration = tx_frame_.duration();
+        radio_.transmit(channel_, tx_frame_);
     });
 }
 
@@ -354,10 +354,10 @@ void AttackSession::handle_tx_complete() {
     // Turn around and listen for the slave's response (Eq. 7 inputs).
     awaiting_response_ = true;
     radio_.listen(channel_);
-    timer_ = guarded_at(radio_.now() + kTifs + kMaxFrameAir + kRxGuard, [this] {
+    timer_ = guard_.at(radio_.now() + kTifs + kMaxFrameAir + kRxGuard, [this] {
         if (!awaiting_response_) return;
         if (radio_.receiving()) {
-            timer_ = guarded_at(radio_.now() + kMaxFrameAir, [this] {
+            timer_ = guard_.at(radio_.now() + kMaxFrameAir, [this] {
                 if (!awaiting_response_) return;
                 awaiting_response_ = false;
                 radio_.stop_listening();

@@ -157,9 +157,6 @@ public:
     /// Counter of the next connection event the session will process.
     [[nodiscard]] std::uint16_t event_counter() const noexcept { return event_counter_; }
     [[nodiscard]] ble::TimePoint last_anchor() const noexcept { return anchor_; }
-    [[nodiscard]] ble::TimePoint predicted_next_anchor() const noexcept {
-        return predicted_anchor_;
-    }
     /// Eq. 5 widening the attacker assumes for the next event.
     [[nodiscard]] ble::Duration estimated_widening() const noexcept;
     /// SN/NESN of the most recent slave (resp. master) frame, once seen.
@@ -205,7 +202,8 @@ private:
     ble::TimePoint predicted_anchor_ = 0;
     int missed_events_ = 0;
     ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    /// Every callback goes through this guard; stop() resets it.
+    ble::sim::CallbackGuard guard_{radio_.scheduler()};
 
     // Flow-control knowledge (Eq. 6 inputs).
     std::optional<std::pair<bool, bool>> slave_bits_;
@@ -228,15 +226,12 @@ private:
     InjectionObservation observation_;
     bool awaiting_response_ = false;
 
-    /// Schedules `fn`, dropped if this session is gone by then; the guard
-    /// wraps `fn` itself, so the callback lives inline in the event node.
-    template <typename F>
-    ble::sim::EventId guarded_at(ble::TimePoint t, F&& fn) {
-        return radio_.scheduler().schedule_at(
-            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
-                if (alive.lock()) fn();
-            });
-    }
+    // Frame-path buffers, reused by every frame so that their capacity
+    // carries over: the forged PDU of the pending attempt, its air frame,
+    // and the last received PDU.
+    ble::link::DataPdu inject_pdu_;
+    ble::sim::AirFrame tx_frame_;
+    ble::link::DataPdu rx_pdu_;
 };
 
 }  // namespace injectable

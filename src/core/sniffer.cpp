@@ -36,7 +36,7 @@ void AdvSniffer::stop() {
     if (!running_) return;  // idempotent: a later stop (e.g. the destructor)
                             // must not clobber handlers rebound by others
     running_ = false;
-    alive_ = std::make_shared<char>(0);
+    guard_.reset();
     if (timer_ != sim::kInvalidEvent) {
         radio_.scheduler().cancel(timer_);
         timer_ = sim::kInvalidEvent;
@@ -47,13 +47,12 @@ void AdvSniffer::stop() {
 
 void AdvSniffer::rearm_home_channel() {
     if (timer_ != sim::kInvalidEvent) radio_.scheduler().cancel(timer_);
-    timer_ = radio_.scheduler().schedule_after(
-        kFollowTimeout, [alive = std::weak_ptr<char>(alive_), this] {
-            if (!alive.lock() || !running_) return;
-            channel_index_ = 0;
-            radio_.listen(kAdvChannels[0]);
-            rearm_home_channel();
-        });
+    timer_ = guard_.after(kFollowTimeout, [this] {
+        if (!running_) return;
+        channel_index_ = 0;
+        radio_.listen(kAdvChannels[0]);
+        rearm_home_channel();
+    });
 }
 
 void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
@@ -85,13 +84,10 @@ void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
         // it is the packet we are hunting.
         channel_index_ = (channel_index_ + 1) % 3;
         const sim::Channel next = kAdvChannels[channel_index_];
-        // injectable-lint: allow(D4) -- weak-ptr alive guard inside the lambda
-        (void)radio_.scheduler().schedule_at(
-            frame.end + kTifs + 20_us,
-            [alive = std::weak_ptr<char>(alive_), this, next] {
-                if (!alive.lock() || !running_) return;
-                if (!radio_.receiving()) radio_.listen(next);
-            });
+        guard_.at(frame.end + kTifs + 20_us, [this, next] {
+            if (!running_) return;
+            if (!radio_.receiving()) radio_.listen(next);
+        });
         rearm_home_channel();
     }
 }

@@ -47,7 +47,8 @@ private:
     bool running_ = false;
     std::uint8_t channel_index_ = 0;  // 0..2 -> 37..39
     ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    /// Every callback goes through this guard; stop() resets it.
+    ble::sim::CallbackGuard guard_{radio_.scheduler()};
 };
 
 /// Parameter recovery for an already-established connection. Limitations

@@ -43,8 +43,6 @@ public:
         return std::make_unique<Csa1>(*this);
     }
 
-    [[nodiscard]] std::uint8_t last_unmapped() const noexcept { return last_unmapped_; }
-
 private:
     std::uint8_t hop_;
     ChannelMap map_;

@@ -113,7 +113,7 @@ void Connection::start(TimePoint t_ref) {
     if (config_.role == Role::kMaster) {
         // The master owns the window: it transmits at the window start.
         const TimePoint tx_at = t_ref + radio_.sleep_clock().to_global(offset);
-        timer_ = guarded_at(tx_at, [this] { master_event_begin(); });
+        timer_ = guard_.at(tx_at, [this] { master_event_begin(); });
     } else {
         predicted_anchor_ = t_ref + radio_.sleep_clock().to_global(offset);
         const Duration widening = static_cast<Duration>(
@@ -134,7 +134,7 @@ void Connection::resume(TimePoint next_anchor) {
     emit_conn_event(obs::ConnEvent::Kind::kOpened);
 
     if (config_.role == Role::kMaster) {
-        timer_ = guarded_at(next_anchor, [this] { master_event_begin(); });
+        timer_ = guard_.at(next_anchor, [this] { master_event_begin(); });
     } else {
         predicted_anchor_ = next_anchor;
         const Duration widening = base_widening(1);
@@ -144,18 +144,18 @@ void Connection::resume(TimePoint next_anchor) {
 
 // --- transmit path ---
 
-DataPdu Connection::build_next_pdu() {
-    DataPdu pdu;
-    if (in_flight_) {
-        pdu.llid = in_flight_->llid;  // retransmission keeps its SN
-        pdu.payload = in_flight_->payload;
-    } else if (!tx_queue_.empty()) {
+const DataPdu& Connection::build_next_pdu() {
+    DataPdu& pdu = tx_pdu_;
+    if (!in_flight_ && !tx_queue_.empty()) {
         in_flight_ = std::move(tx_queue_.front());
         tx_queue_.pop_front();
-        pdu.llid = in_flight_->llid;
+    }
+    if (in_flight_) {
+        pdu.llid = in_flight_->llid;  // a retransmission keeps its SN
         pdu.payload = in_flight_->payload;
     } else {
         pdu.llid = Llid::kDataContinuation;  // empty PDU
+        pdu.payload.clear();
     }
     pdu.sn = sn_;
     pdu.nesn = nesn_;
@@ -181,8 +181,9 @@ void Connection::transmit_pdu(const DataPdu& pdu) {
                            crypto_->encrypt(aad, pdu.payload, config_.role == Role::kMaster)};
     }
     const DataPdu& wire = ciphered ? *ciphered : pdu;
-    radio_.transmit(channel_, phy::make_air_frame(config_.params.access_address, wire.header(),
-                                                  wire.payload, config_.params.crc_init));
+    phy::make_air_frame(tx_frame_, config_.params.access_address, wire.header(), wire.payload,
+                        config_.params.crc_init);
+    radio_.transmit(channel_, tx_frame_);
     ++report_.pdus_tx;
 
     // LL_START_ENC_REQ flips the cipher on for every subsequent PDU in both
@@ -270,16 +271,16 @@ void Connection::slave_open_window(TimePoint window_start, Duration window_len,
         bus.emit(event);
     }
 
-    guarded_at(listen_from, [this] {
+    guard_.at(listen_from, [this] {
         if (state_ == State::kSlaveWaitAnchor && !closed_) radio_.listen(channel_);
     });
 
     // The anchor frame must *start* by listen_until; if the radio is locked on
     // a frame at that moment, wait for it to finish instead of aborting.
-    timer_ = guarded_at(listen_until + kRxGuard, [this] {
+    timer_ = guard_.at(listen_until + kRxGuard, [this] {
         if (closed_ || state_ != State::kSlaveWaitAnchor) return;
         if (radio_.medium().active_transmissions() > 0 && radio_.receiving()) {
-            timer_ = guarded_after(
+            timer_ = guard_.after(
                 max_frame_air_time(), [this] { slave_window_timeout(); });
             return;
         }
@@ -318,7 +319,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     if (!raw || raw->access_address != config_.params.access_address) return;
 
     const bool crc_ok = raw->crc_ok(config_.params.crc_init);
-    auto pdu = DataPdu::parse(raw->pdu);
+    const bool parsed = DataPdu::parse(raw->pdu, rx_pdu_);
 
     if (config_.role == Role::kSlave) {
         if (state_ != State::kSlaveWaitAnchor) return;
@@ -340,8 +341,8 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
             report_.anchor_observed = true;
         }
 
-        if (pdu && crc_ok) {
-            process_frame(*pdu, true, frame.start, frame.end);
+        if (parsed && crc_ok) {
+            process_frame(rx_pdu_, true, frame.start, frame.end);
         } else {
             ++report_.pdus_rx;
             ++report_.crc_errors;
@@ -357,7 +358,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
         const Duration jitter = static_cast<Duration>(
             radio_.rng().uniform(-static_cast<double>(kActiveClockJitter),
                                  static_cast<double>(kActiveClockJitter)));
-        guarded_at(frame.end + kTifs + jitter, [this] {
+        guard_.at(frame.end + kTifs + jitter, [this] {
             if (closed_ || state_ != State::kSlaveTxRsp) return;
             transmit_pdu(build_next_pdu());
         });
@@ -371,8 +372,8 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
         timer_ = sim::kInvalidEvent;
     }
     radio_.stop_listening();
-    if (pdu && crc_ok) {
-        process_frame(*pdu, true, frame.start, frame.end);
+    if (parsed && crc_ok) {
+        process_frame(rx_pdu_, true, frame.start, frame.end);
     } else {
         ++report_.pdus_rx;
         ++report_.crc_errors;
@@ -390,7 +391,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     const TimePoint exchange_end =
         frame.end + kTifs + max_frame_air_time() + kTifs + max_frame_air_time();
     if (more && exchange_end < budget_end) {
-        guarded_at(frame.end + kTifs, [this] {
+        guard_.at(frame.end + kTifs, [this] {
             if (!closed_ && state_ == State::kMasterTxAnchor) master_continue_exchange();
         });
         state_ = State::kMasterTxAnchor;
@@ -410,18 +411,21 @@ void Connection::process_frame(const DataPdu& pdu, bool crc_ok, TimePoint /*rx_s
     }
     peer_md_ = pdu.md;
 
-    DataPdu effective = pdu;
-    if (encrypted_ && crypto_ && !effective.payload.empty() && !is_start_enc_req(effective)) {
-        const std::uint8_t aad = static_cast<std::uint8_t>(effective.llid) & 0b11;
-        auto plain =
-            crypto_->decrypt(aad, effective.payload, config_.role == Role::kSlave);
+    // Upper layers see the plaintext: a decrypted copy on an encrypted link,
+    // the received PDU itself otherwise.
+    const DataPdu* effective = &pdu;
+    DataPdu decrypted;
+    if (encrypted_ && crypto_ && !pdu.payload.empty() && !is_start_enc_req(pdu)) {
+        const std::uint8_t aad = static_cast<std::uint8_t>(pdu.llid) & 0b11;
+        auto plain = crypto_->decrypt(aad, pdu.payload, config_.role == Role::kSlave);
         if (!plain) {
             // MIC failure: terminate immediately (spec) — the paper's DoS
             // outcome when injecting into an encrypted connection.
             disconnect(DisconnectReason::kMicFailure);
             return;
         }
-        effective.payload = std::move(*plain);
+        decrypted = DataPdu{pdu.llid, pdu.nesn, pdu.sn, pdu.md, std::move(*plain)};
+        effective = &decrypted;
     }
 
     // Acknowledgement: the peer's NESN differing from our SN acks our last PDU.
@@ -442,13 +446,13 @@ void Connection::process_frame(const DataPdu& pdu, bool crc_ok, TimePoint /*rx_s
     if (pdu.sn == nesn_) {
         nesn_ = !nesn_;
         last_valid_rx_ = rx_end;
-        if (effective.llid == Llid::kControl) {
-            if (auto control = ControlPdu::parse(effective.payload)) {
+        if (effective->llid == Llid::kControl) {
+            if (auto control = ControlPdu::parse(effective->payload)) {
                 handle_control(*control);
                 if (hooks_.on_control) hooks_.on_control(*control);
             }
-        } else if (!effective.is_empty()) {
-            if (hooks_.on_data) hooks_.on_data(effective);
+        } else if (!effective->is_empty()) {
+            if (hooks_.on_data) hooks_.on_data(*effective);
         }
     }
 }
@@ -558,12 +562,12 @@ void Connection::handle_tx_complete() {
         }
         state_ = State::kMasterWaitRsp;
         radio_.listen(channel_);
-        timer_ = guarded_after(
+        timer_ = guard_.after(
             kTifs + max_frame_air_time() + kRxGuard, [this] {
                 if (closed_ || state_ != State::kMasterWaitRsp) return;
                 if (radio_.receiving()) {
                     // Response started near the deadline: let it finish.
-                    timer_ = guarded_after(
+                    timer_ = guard_.after(
                         max_frame_air_time(), [this] {
                             if (!closed_ && state_ == State::kMasterWaitRsp) {
                                 radio_.stop_listening();
@@ -591,7 +595,7 @@ void Connection::handle_tx_complete() {
         // its next frame, expected T_IFS after our response.
         state_ = State::kSlaveWaitAnchor;  // reuse the wait-with-timeout path
         radio_.listen(channel_);
-        timer_ = guarded_after(
+        timer_ = guard_.after(
             kTifs + max_frame_air_time() + kRxGuard, [this] {
                 if (closed_ || state_ != State::kSlaveWaitAnchor) return;
                 radio_.stop_listening();
@@ -673,7 +677,7 @@ void Connection::schedule_next_event() {
 
     if (config_.role == Role::kMaster) {
         const TimePoint next = anchor_ + radio_.sleep_clock().to_global(delay);
-        timer_ = guarded_at(next, [this] { master_event_begin(); });
+        timer_ = guard_.at(next, [this] { master_event_begin(); });
         return;
     }
 

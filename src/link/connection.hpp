@@ -152,8 +152,6 @@ public:
     bool start_channel_map_update(ChannelMap map, std::uint16_t instant_delta = 6);
 
     void set_crypto(std::shared_ptr<LinkCrypto> crypto) { crypto_ = std::move(crypto); }
-    /// Turns encryption on/off for subsequent PDUs (after LL_START_ENC).
-    void set_encryption_enabled(bool enabled) noexcept { encrypted_ = enabled; }
     [[nodiscard]] bool encryption_enabled() const noexcept { return encrypted_; }
 
     // --- observers ---
@@ -164,8 +162,6 @@ public:
     [[nodiscard]] bool nesn() const noexcept { return nesn_; }
     [[nodiscard]] bool closed() const noexcept { return closed_; }
     [[nodiscard]] TimePoint last_anchor() const noexcept { return anchor_; }
-    [[nodiscard]] bool anchor_ever_observed() const noexcept { return anchor_valid_; }
-    [[nodiscard]] std::size_t tx_queue_depth() const noexcept { return tx_queue_.size(); }
 
 private:
     enum class State : std::uint8_t {
@@ -189,7 +185,8 @@ private:
 
     // PDU plumbing.
     static bool is_start_enc_req(const DataPdu& pdu) noexcept;
-    DataPdu build_next_pdu();
+    /// Fills tx_pdu_ with the next PDU to send and returns it.
+    const DataPdu& build_next_pdu();
     void transmit_pdu(const DataPdu& pdu);
     void process_frame(const DataPdu& pdu, bool crc_ok, TimePoint rx_start, TimePoint rx_end);
     void handle_control(const ControlPdu& pdu);
@@ -203,28 +200,13 @@ private:
     /// the radio's medium); `reason` is only used for Kind::kClosed.
     void emit_conn_event(obs::ConnEvent::Kind kind, std::string_view reason = {});
 
-    /// Schedules `fn` but silently drops it if this Connection has been
-    /// destroyed or closed by then — every internal timer goes through these,
-    /// so tearing down a device mid-event can never fire a dangling callback.
-    /// The guard wraps `fn` itself, so the whole callback lives inline in
-    /// the scheduler's event node.
-    template <typename F>
-    sim::EventId guarded_at(TimePoint t, F&& fn) {
-        return radio_.scheduler().schedule_at(
-            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
-                if (alive.lock()) fn();
-            });
-    }
-    template <typename F>
-    sim::EventId guarded_after(Duration d, F&& fn) {
-        return guarded_at(radio_.scheduler().now() + d, std::forward<F>(fn));
-    }
-
     sim::RadioDevice& radio_;
     ConnectionConfig config_;
     ConnectionHooks hooks_;
     std::shared_ptr<LinkCrypto> crypto_;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    /// Every internal timer goes through this guard, so tearing down a
+    /// device mid-event can never fire a dangling callback.
+    sim::CallbackGuard guard_{radio_.scheduler()};
 
     State state_ = State::kIdle;
     bool closed_ = false;
@@ -261,6 +243,12 @@ private:
     bool peer_md_ = false;
     TimePoint last_rx_end_ = 0;
     bool last_tx_md_ = false;  // the MD bit of the last PDU we sent
+
+    // Frame-path buffers, reused by every frame so that their capacity
+    // carries over and a steady exchange allocates nothing.
+    DataPdu tx_pdu_;
+    sim::AirFrame tx_frame_;
+    DataPdu rx_pdu_;
 
     // Pending procedures (applied at their instant).
     std::optional<ConnectionUpdateInd> pending_update_;

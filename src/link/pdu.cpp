@@ -24,19 +24,18 @@ Bytes DataPdu::serialize() const {
     return w.take();
 }
 
-std::optional<DataPdu> DataPdu::parse(BytesView pdu) noexcept {
-    if (pdu.size() < 2) return std::nullopt;
+bool DataPdu::parse(BytesView pdu, DataPdu& out) noexcept {
+    if (pdu.size() < 2) return false;
     const std::uint8_t flags = pdu[0];
     const std::uint8_t length = pdu[1];
-    if (pdu.size() != static_cast<std::size_t>(length) + 2) return std::nullopt;
-    DataPdu out;
+    if (pdu.size() != static_cast<std::size_t>(length) + 2) return false;
     out.llid = static_cast<Llid>(flags & kLlidMask);
-    if (out.llid == Llid::kReserved) return std::nullopt;
+    if (out.llid == Llid::kReserved) return false;
     out.nesn = (flags & kNesnBit) != 0;
     out.sn = (flags & kSnBit) != 0;
     out.md = (flags & kMdBit) != 0;
     out.payload.assign(pdu.begin() + 2, pdu.end());
-    return out;
+    return true;
 }
 
 Bytes AdvPdu::serialize() const {

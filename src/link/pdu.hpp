@@ -37,8 +37,15 @@ struct DataPdu {
     [[nodiscard]] std::array<std::uint8_t, 2> header() const noexcept;
     /// Serializes header (2 bytes) + payload.
     [[nodiscard]] Bytes serialize() const;
-    /// Parses a PDU; nullopt on truncation or header/length mismatch.
-    static std::optional<DataPdu> parse(BytesView pdu) noexcept;
+    /// Parses a PDU into `out`, reusing its payload buffer; false (and `out`
+    /// unspecified) on truncation or header/length mismatch.
+    static bool parse(BytesView pdu, DataPdu& out) noexcept;
+    /// By-value form of the parser above; nullopt where it returns false.
+    static std::optional<DataPdu> parse(BytesView pdu) noexcept {
+        DataPdu out;
+        if (!parse(pdu, out)) return std::nullopt;
+        return out;
+    }
 
     static DataPdu empty(bool nesn, bool sn) {
         DataPdu p;

@@ -27,11 +27,38 @@ constexpr std::array<std::uint32_t, 256> kTable = [] {
     }
     return table;
 }();
+
+/// Bytes consumed per step of the sliced loop.
+constexpr std::size_t kStride = 8;
+
+/// kSliced[k][i]: the state after byte i and then k zero bytes, from a zero
+/// state.  The CRC is linear, so a stride's new state is the XOR of each
+/// byte's contribution through the bytes after it, and the incoming 24-bit
+/// state is shifted out within three bytes, so it enters only through the
+/// stride's first three.
+constexpr std::array<std::array<std::uint32_t, 256>, kStride> kSliced = [] {
+    std::array<std::array<std::uint32_t, 256>, kStride> tables{};
+    tables[0] = kTable;
+    for (std::size_t k = 1; k < kStride; ++k) {
+        for (std::size_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ kTable[prev & 0xFF];
+        }
+    }
+    return tables;
+}();
 }  // namespace
 
 std::uint32_t crc24(BytesView pdu, std::uint32_t init) noexcept {
     std::uint32_t state = init & k24Bits;
-    for (std::uint8_t byte : pdu) state = (state >> 8) ^ kTable[(state ^ byte) & 0xFF];
+    const std::uint8_t* p = pdu.data();
+    std::size_t left = pdu.size();
+    for (; left >= kStride; left -= kStride, p += kStride) {
+        state = kSliced[7][(state ^ p[0]) & 0xFF] ^ kSliced[6][((state >> 8) ^ p[1]) & 0xFF] ^
+                kSliced[5][(state >> 16) ^ p[2]] ^ kSliced[4][p[3]] ^ kSliced[3][p[4]] ^
+                kSliced[2][p[5]] ^ kSliced[1][p[6]] ^ kSliced[0][p[7]];
+    }
+    for (; left > 0; --left, ++p) state = (state >> 8) ^ kTable[(state ^ *p) & 0xFF];
     return state;
 }
 

@@ -23,17 +23,19 @@ struct RawFrame {
     [[nodiscard]] bool crc_ok(std::uint32_t crc_init) const noexcept;
 };
 
-/// Builds an on-air frame: computes the CRC over the PDU with `crc_init` and
-/// lays out AA | PDU | CRC with the PHY mode's timing.  The PDU is `head`
-/// followed by `body`, so a PDU held as header and payload is laid out in
-/// the frame's one buffer with no serialized temporary.
-[[nodiscard]] sim::AirFrame make_air_frame(std::uint32_t access_address, BytesView head,
-                                           BytesView body, std::uint32_t crc_init,
-                                           Mode mode = Mode::kLe1M);
+/// Builds an on-air frame in `frame`: computes the CRC over the PDU with
+/// `crc_init` and lays out AA | PDU | CRC with the PHY mode's timing.  The
+/// PDU is `head` followed by `body`, so a PDU held as header and payload is
+/// laid out in the frame's one buffer with no serialized temporary, and a
+/// frame the caller reuses keeps its buffer's capacity.
+void make_air_frame(sim::AirFrame& frame, std::uint32_t access_address, BytesView head,
+                    BytesView body, std::uint32_t crc_init, Mode mode = Mode::kLe1M);
 [[nodiscard]] inline sim::AirFrame make_air_frame(std::uint32_t access_address, BytesView pdu,
                                                   std::uint32_t crc_init,
                                                   Mode mode = Mode::kLe1M) {
-    return make_air_frame(access_address, pdu, {}, crc_init, mode);
+    sim::AirFrame frame;
+    make_air_frame(frame, access_address, pdu, {}, crc_init, mode);
+    return frame;
 }
 
 /// Splits received bytes back into AA | PDU | CRC using the length field in

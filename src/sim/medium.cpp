@@ -133,8 +133,8 @@ void RadioMedium::detach(RadioDevice& device) noexcept {
     if (device.listen_state_.active) remove_listener(device, device.listen_state_.channel);
     // Any in-flight transmission keeps a sender pointer only for exclusion
     // checks; clear it so a device destroyed mid-frame cannot dangle.
-    for (auto& [id, tx] : active_) {
-        if (tx.sender == &device) tx.sender = nullptr;
+    for (const auto& tx : active_) {
+        if (tx->sender == &device) tx->sender = nullptr;
     }
 }
 
@@ -191,36 +191,58 @@ void RadioMedium::stop_listening(RadioDevice& device) noexcept {
     state.locked_tx = 0;
 }
 
-double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) {
+double RadioMedium::mean_loss_db(const RadioDevice& sender, RadioDevice& receiver) {
+    const std::uint64_t key = sender.listen_state_.attach_order;
+    ListenState::MeanLoss& memo =
+        receiver.listen_state_.mean_loss[key % ListenState::kMeanLossSlots];
+    if (memo.sender != key) {
+        memo = {key, path_loss_.mean_loss_db(sender.position(), receiver.position())};
+    }
+    return memo.db;
+}
+
+double RadioMedium::draw_rx_power(Transmission& tx, RadioDevice& receiver) {
+    // One fading draw per (frame, receiver): channel hopping decorrelates
+    // consecutive frames, so each frame sees a fresh fade on the memoized
+    // mean.
+    const double loss = tx.sender == nullptr ? 200.0
+                                             : mean_loss_db(*tx.sender, receiver) +
+                                                   path_loss_.fading_db(rng_);
+    const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
+    tx.rx_power_dbm.push_back(RxPower{receiver.listen_state_.attach_order, power});
+    return power;
+}
+
+double RadioMedium::rx_power_dbm(Transmission& tx, RadioDevice& receiver) {
     const std::uint64_t key = receiver.listen_state_.attach_order;
     for (const RxPower& memo : tx.rx_power_dbm) {
         if (memo.receiver == key) return memo.dbm;
     }
-    // One fading draw per (frame, receiver): channel hopping decorrelates
-    // consecutive frames, so each frame sees a fresh fade.
-    const double loss =
-        tx.sender == nullptr
-            ? 200.0
-            : path_loss_.sample_loss_db(tx.sender->position(), receiver.position(), rng_);
-    const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
-    tx.rx_power_dbm.push_back(RxPower{key, power});
-    return power;
+    return draw_rx_power(tx, receiver);
 }
 
-std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFrame frame) {
+std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel,
+                                    const AirFrame& frame) {
     // Half-duplex: transmitting suspends any reception in progress.
     stop_listening(device);
     device.transmitting_ = true;
 
+    if (spare_.empty()) {
+        active_.push_back(std::make_unique<Transmission>());
+    } else {
+        active_.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+    }
+    Transmission& stored = *active_.back();
     const std::uint64_t id = next_tx_id_++;
-    Transmission& stored = active_.try_emplace(id).first->second;
     stored.id = id;
     stored.sender = &device;
     stored.channel = channel;
     stored.start = scheduler_.now();
     stored.end = stored.start + frame.duration();
     max_duration_ = std::max(max_duration_, stored.end - stored.start);
-    stored.frame = std::move(frame);
+    stored.frame = frame;
+    stored.rx_power_dbm.clear();
     // Ids are monotonic, so appending keeps the per-channel view id-ordered.
     channel_active_[channel].push_back(&stored);
 
@@ -240,12 +262,13 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     // enough. Listeners already locked on an earlier frame, or that started
     // listening mid-frame, cannot sync (no preamble for them) — the frame
     // only interferes.  The interest list walks this channel's listeners in
-    // attach order, which fixes the order of the fading draws.
+    // attach order, which fixes the order of the fading draws; each appears
+    // once, so its power is drawn with no memo lookup.
     for (RadioDevice* d : listeners_[channel]) {
         if (d == &device) continue;
         ListenState& state = d->listen_state_;
         if (state.locked_tx != 0 || d->transmitting()) continue;
-        if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
+        if (draw_rx_power(stored, *d) >= params_.sensitivity_dbm) {
             state.locked_tx = id;
         }
     }
@@ -325,29 +348,37 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
 
 void RadioMedium::collect_garbage() {
     // Keep records around briefly so frames that overlapped them can still
-    // account for their interference, then reclaim map entry and per-channel
-    // slot together.
+    // account for their interference, then move each reclaimed record and
+    // its per-channel slot out together, keeping the rest in id order.
     // Records are in start order and a record that started at or after the
     // horizon also ends after it, so the walk stops there.
     const TimePoint now = scheduler_.now();
     const TimePoint horizon = now - 10_ms;
-    for (auto it = active_.begin(); it != active_.end() && it->second.start < horizon;) {
-        Transmission& tx = it->second;
+    auto kept = active_.begin();
+    auto it = active_.begin();
+    for (; it != active_.end() && (*it)->start < horizon; ++it) {
+        Transmission& tx = **it;
         if (tx.end <= now && tx.end < horizon) {
             channel_active_[tx.channel].erase_value(&tx);
-            it = active_.erase(it);
+            spare_.push_back(std::move(*it));
         } else {
-            ++it;
+            if (kept != it) *kept = std::move(*it);
+            ++kept;
         }
     }
+    active_.erase(kept, it);
 }
 
 void RadioMedium::finish_transmission(std::uint64_t tx_id) {
     // Deliberately unspanned: trivial bookkeeping whose time reads naturally
     // as sim.dispatch self-time; medium.transmit/deliver carry the profile.
-    auto it = active_.find(tx_id);
-    if (it == active_.end()) return;
-    Transmission& tx = it->second;
+    const auto it = std::lower_bound(
+        active_.begin(), active_.end(), tx_id,
+        [](const std::unique_ptr<Transmission>& record, std::uint64_t id) {
+            return record->id < id;
+        });
+    if (it == active_.end() || (*it)->id != tx_id) return;
+    Transmission& tx = **it;
 
     RadioDevice* sender = tx.sender;
 
@@ -364,7 +395,7 @@ void RadioMedium::finish_transmission(std::uint64_t tx_id) {
     for (RadioDevice* receiver : locked) deliver(tx, *receiver);
 
     collect_garbage();
-    // NOTE: `tx` may be dangling from here on.
+    // NOTE: `tx` may be a reclaimed record from here on.
 
     if (sender != nullptr) {
         sender->transmitting_ = false;

@@ -22,9 +22,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/inline_vec.hpp"
@@ -93,6 +93,20 @@ struct ListenState {
     /// are always walked in attach order — the property that keeps RNG draw
     /// order (and therefore traces) bit-stable.
     std::uint64_t attach_order = 0;
+    /// Mean path loss from recent senders to this receiver, direct-mapped by
+    /// the sender's attach order (0 = empty slot).  Positions and walls
+    /// cannot change once a medium exists and attach orders are never
+    /// reused, so an entry never goes stale.  A receiver in the paper's
+    /// worlds hears its peer, the attacker and little else: four slots leave
+    /// only each pair's first lookup to miss (hit share 99% on far_race, 92%
+    /// on exp1_setup).  A stadium_crowd receiver hears a crowd and gains
+    /// nothing: 2% of lookups hit, 6% with 64 slots.
+    struct MeanLoss {
+        std::uint64_t sender = 0;
+        double db = 0.0;
+    };
+    static constexpr std::size_t kMeanLossSlots = 4;
+    std::array<MeanLoss, kMeanLossSlots> mean_loss{};
 };
 
 /// An interferer as the capture lottery sees it.
@@ -143,9 +157,9 @@ public:
     void start_listening(RadioDevice& device, Channel channel);
     void stop_listening(RadioDevice& device) noexcept;
     [[nodiscard]] bool is_receiving(const RadioDevice& device) const noexcept;
-    std::uint64_t transmit(RadioDevice& device, Channel channel, AirFrame frame);
+    /// Copies `frame` into a recycled record, so a caller may reuse it.
+    std::uint64_t transmit(RadioDevice& device, Channel channel, const AirFrame& frame);
 
-    [[nodiscard]] PathLossModel& path_loss() noexcept { return path_loss_; }
     [[nodiscard]] const MediumParams& params() const noexcept { return params_; }
     [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }
 
@@ -176,6 +190,9 @@ private:
         std::uint64_t receiver;
         double dbm;
     };
+    /// One transmission's record.  Records are recycled: transmit refills a
+    /// reclaimed one, whose frame buffer and rx-power memo keep their
+    /// capacity, so steady traffic allocates nothing.
     struct Transmission {
         std::uint64_t id = 0;
         RadioDevice* sender = nullptr;
@@ -183,14 +200,19 @@ private:
         TimePoint start = 0;
         TimePoint end = 0;
         AirFrame frame;
-        /// Memoized received power per receiver (one fading draw per pair).
-        /// A frame reaches a handful of co-channel receivers, so a linear
-        /// scan of an inline array beats hashing; it allocates only past
-        /// four receivers.
+        /// Memoized received power per receiver (one fading draw per pair),
+        /// cleared when the record is reused.  A frame reaches a handful of
+        /// co-channel receivers, so a linear scan of an inline array beats
+        /// hashing; it allocates only past four receivers.
         InlineVec<RxPower, 4> rx_power_dbm;
     };
 
-    double rx_power_dbm(Transmission& tx, const RadioDevice& receiver);
+    /// Draws the power of `tx` at `receiver` and appends it to the memo.
+    double draw_rx_power(Transmission& tx, RadioDevice& receiver);
+    /// The memoized power of `tx` at `receiver`, drawn on first use.
+    double rx_power_dbm(Transmission& tx, RadioDevice& receiver);
+    /// Mean path loss from `sender` to `receiver`, memoized per receiver.
+    double mean_loss_db(const RadioDevice& sender, RadioDevice& receiver);
     void finish_transmission(std::uint64_t tx_id);
     void deliver(Transmission& tx, RadioDevice& receiver);
     void insert_listener(RadioDevice& device, Channel channel);
@@ -220,16 +242,18 @@ private:
     /// listen_state_ is {active, channel == c}; locked_tx != 0 implies
     /// membership (locks are only granted to and cleared with listeners).
     std::array<ListenerList, kNumChannels> listeners_;
-    /// Ordered by transmission id (== start order) so interference sums —
-    /// FP additions, order-sensitive — accumulate identically on every run
-    /// and platform, and so garbage collection can stop at the first record
-    /// too young to drop.  A handful of frames are in flight at once, so the
-    /// O(log n) lookup is irrelevant.
-    std::map<std::uint64_t, Transmission> active_;
+    /// In-flight records and finished ones kept for interference, ordered
+    /// by transmission id (== start order) so interference sums — FP
+    /// additions, order-sensitive — accumulate identically on every run and
+    /// platform, and so garbage collection can stop at the first record too
+    /// young to drop.  Records are heap blocks that never move while in use.
+    std::vector<std::unique_ptr<Transmission>> active_;
+    /// Records garbage collection reclaimed, reused last-in first-out.
+    std::vector<std::unique_ptr<Transmission>> spare_;
     /// Per-channel view of `active_` in the same id order (append-only in id
     /// order; erasure preserves relative order), so interference collection
     /// touches co-channel transmissions only and stops at the first one that
-    /// starts at or after the frame's end.  Map node addresses are stable.
+    /// starts at or after the frame's end.
     std::array<InlineVec<Transmission*, 4>, kNumChannels> channel_active_;
     /// The per-receiver copy of a delivered frame, reused by every delivery.
     Bytes rx_bytes_;

@@ -51,8 +51,4 @@ double PathLossModel::mean_loss_db(Position tx, Position rx) const noexcept {
     return loss;
 }
 
-double PathLossModel::sample_loss_db(Position tx, Position rx, Rng& rng) const noexcept {
-    return mean_loss_db(tx, rx) + rng.normal(0.0, params_.fading_sigma_db);
-}
-
 }  // namespace ble::sim

@@ -52,8 +52,10 @@ public:
     /// Deterministic mean loss (path + every wall crossed), in dB.
     [[nodiscard]] double mean_loss_db(Position tx, Position rx) const noexcept;
 
-    /// Mean loss plus a fresh fading draw.
-    [[nodiscard]] double sample_loss_db(Position tx, Position rx, Rng& rng) const noexcept;
+    /// One fresh fading draw, in dB; a frame's loss is the mean plus this.
+    [[nodiscard]] double fading_db(Rng& rng) const noexcept {
+        return rng.normal(0.0, params_.fading_sigma_db);
+    }
 
     [[nodiscard]] const PathLossParams& params() const noexcept { return params_; }
 

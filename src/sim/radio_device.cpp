@@ -14,8 +14,8 @@ RadioDevice::RadioDevice(Scheduler& scheduler, RadioMedium& medium, Rng rng,
 
 RadioDevice::~RadioDevice() { medium_.detach(*this); }
 
-std::uint64_t RadioDevice::transmit(Channel channel, AirFrame frame) {
-    return medium_.transmit(*this, channel, std::move(frame));
+std::uint64_t RadioDevice::transmit(Channel channel, const AirFrame& frame) {
+    return medium_.transmit(*this, channel, frame);
 }
 
 }  // namespace ble::sim

@@ -37,15 +37,15 @@ public:
 
     void listen(Channel channel) { medium_.start_listening(*this, channel); }
     void stop_listening() noexcept { medium_.stop_listening(*this); }
-    /// Returns the medium's transmission id (useful to tests).
-    std::uint64_t transmit(Channel channel, AirFrame frame);
+    /// Returns the medium's transmission id (useful to tests).  The medium
+    /// copies `frame`, so the caller may reuse it.
+    std::uint64_t transmit(Channel channel, const AirFrame& frame);
     [[nodiscard]] bool transmitting() const noexcept { return transmitting_; }
     /// True while locked onto an in-flight frame (sync achieved, end pending).
     [[nodiscard]] bool receiving() const noexcept { return medium_.is_receiving(*this); }
 
     [[nodiscard]] const std::string& name() const noexcept { return config_.name; }
     [[nodiscard]] Position position() const noexcept { return config_.position; }
-    void set_position(Position p) noexcept { config_.position = p; }
     [[nodiscard]] double tx_power_dbm() const noexcept { return config_.tx_power_dbm; }
 
     [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }

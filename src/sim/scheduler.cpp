@@ -190,4 +190,22 @@ std::size_t Scheduler::storage_entries() const noexcept {
     return total;
 }
 
+CallbackGuard::CallbackGuard(Scheduler& scheduler) : scheduler_(scheduler) {
+    auto& free_slots = scheduler_.free_guard_slots_;
+    if (free_slots.empty()) {
+        slot_ = static_cast<std::uint32_t>(scheduler_.guard_generations_.size());
+        scheduler_.guard_generations_.push_back(0);
+    } else {
+        slot_ = free_slots.back();
+        free_slots.pop_back();
+    }
+}
+
+CallbackGuard::~CallbackGuard() {
+    // The bump also covers the slot's next holder: its callbacks carry the
+    // bumped generation or a later one, never one still pending from here.
+    reset();
+    scheduler_.free_guard_slots_.push_back(slot_);
+}
+
 }  // namespace ble::sim

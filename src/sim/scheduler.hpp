@@ -96,11 +96,12 @@ public:
     std::size_t run_all(std::size_t max_events = 100'000'000);
 
     /// Callback bytes stored inside an event node.  Every callback src/
-    /// schedules fits; the largest is AttackSession's guarded injection
-    /// lambda at 56 B, and the node's alignment pads 56 to 64 anyway.
+    /// schedules fits, and CallbackGuard asserts it for every guarded one.
     static constexpr std::size_t kInlineBytes = 64;
 
 private:
+    friend class CallbackGuard;
+
     /// Bucket width 2^20 ns (~1.05 ms), one connection event at the paper's
     /// shortest practical interval, so a connection's worth of traffic lands
     /// in one or two buckets and the drain cursor rarely skips.
@@ -204,6 +205,50 @@ private:
     std::vector<std::unique_ptr<EventNode[]>> chunks_;
     EventNode* free_ = nullptr;
     std::size_t free_count_ = 0;
+
+    /// CallbackGuard slots: the current generation of each, and the slots
+    /// no guard holds.  Both only grow to the peak number of live guards.
+    std::vector<std::uint32_t> guard_generations_;
+    std::vector<std::uint32_t> free_guard_slots_;
+};
+
+/// Drops the pending callbacks of an owner that has been reset or destroyed.
+/// A guarded callback carries the guard's slot and the slot's generation at
+/// scheduling time, and runs only if the generation still matches; reset()
+/// and destruction bump it.  The generations live in the scheduler, which
+/// outlives every guard and runs all of a world's callbacks on one thread,
+/// so the check is a plain load: no atomic refcount and no heap block per
+/// owner, where a shared_ptr alive token needs both.
+class CallbackGuard {
+public:
+    explicit CallbackGuard(Scheduler& scheduler);
+    ~CallbackGuard();
+    CallbackGuard(const CallbackGuard&) = delete;
+    CallbackGuard& operator=(const CallbackGuard&) = delete;
+
+    /// Every callback scheduled through this guard so far becomes a no-op.
+    void reset() noexcept { ++scheduler_.guard_generations_[slot_]; }
+
+    /// Schedules `fn` at `t`, dropped if reset() or the destructor ran first.
+    template <typename F>
+    EventId at(TimePoint t, F&& fn) {
+        auto guarded = [scheduler = &scheduler_, slot = slot_,
+                        generation = scheduler_.guard_generations_[slot_],
+                        fn = std::forward<F>(fn)] {
+            if (scheduler->guard_generations_[slot] == generation) fn();
+        };
+        static_assert(Scheduler::kFitsInline<decltype(guarded)>,
+                      "a guarded callback must fit the scheduler's inline storage");
+        return scheduler_.schedule_at(t, std::move(guarded));
+    }
+    template <typename F>
+    EventId after(Duration d, F&& fn) {
+        return at(scheduler_.now() + d, std::forward<F>(fn));
+    }
+
+private:
+    Scheduler& scheduler_;
+    std::uint32_t slot_;
 };
 
 }  // namespace ble::sim

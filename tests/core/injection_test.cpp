@@ -226,5 +226,45 @@ TEST(InjectionTest, WorksAgainstRecoveredConnection) {
     EXPECT_FALSE(world.bulb.state().powered);
 }
 
+TEST(InjectionTest, StoppedSessionRunsNoPendingCallback) {
+    AttackWorld world;
+    const auto sniffed = world.establish_and_sniff();
+    ASSERT_TRUE(sniffed.has_value());
+
+    auto session = std::make_unique<AttackSession>(*world.attacker, *sniffed);
+    int frames = 0;
+    session->on_packet = [&](const SniffedPacket&) { ++frames; };
+    session->start();
+    world.run_for(300_ms);
+    ASSERT_GT(frames, 0);
+
+    // Stop and destroy the session just after an observed event closes: the
+    // next event's listen callback is scheduled, and stop() cannot cancel it
+    // (it keeps no handle to it); only the guard keeps it from running.
+    sim::EventId stop = sim::kInvalidEvent;
+    session->on_event_advanced = [&](std::uint16_t) {
+        stop = world.scheduler.schedule_after(100_us, [&] {
+            session->stop();
+            session.reset();
+        });
+    };
+    ASSERT_TRUE(run_until(world, 1_s, [&] { return session == nullptr; }));
+    ASSERT_NE(stop, sim::kInvalidEvent);
+
+    int attacker_frames = 0;
+    obs::ScopedSubscription sub(world.bus(), [&](const obs::Event& event) {
+        if (const auto* tx = std::get_if<obs::TxStart>(&event)) {
+            attacker_frames += tx->sender == world.attacker->name() ? 1 : 0;
+        }
+    });
+    world.run_for(500_ms);
+    EXPECT_EQ(attacker_frames, 0);
+    for (sim::Channel c = 0; c < sim::kNumChannels; ++c) {
+        for (const sim::RadioDevice* d : world.medium.listeners_on(c)) {
+            EXPECT_NE(d, world.attacker.get()) << "attacker listening on channel " << int(c);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace injectable

@@ -103,5 +103,47 @@ TEST(ConnectionRecoveryTest, PhasesProgressInOrder) {
               (std::vector<std::string>{"aa", "crc", "interval", "hop"}));
 }
 
+TEST(AdvSnifferTest, StoppedSnifferRunsNoPendingCallback) {
+    AttackWorld world;
+    auto sniffer = std::make_unique<AdvSniffer>(*world.attacker);
+    const auto listening_on = [&](sim::Channel channel) {
+        for (const sim::RadioDevice* d : world.medium.listeners_on(channel)) {
+            if (d == world.attacker.get()) return true;
+        }
+        return false;
+    };
+
+    // Right after an ADV_IND on 37 the sniffer has scheduled its hop to 38.
+    // The first time, stop and restart it there: the stale hop must not move
+    // the restarted sniffer off channel 37.  The second time, destroy it
+    // there: the hop must not run on the dead sniffer.
+    int adv_ind_on_37 = 0;
+    sim::EventId pending = sim::kInvalidEvent;
+    TimePoint restarted_at = -1;
+    sniffer->on_advertisement = [&](const link::AdvPdu& pdu, TimePoint, std::uint8_t channel) {
+        if (pdu.type != link::AdvPduType::kAdvInd || channel != 37) return;
+        if (++adv_ind_on_37 == 1) {
+            pending = world.scheduler.schedule_after(0, [&] {
+                sniffer->stop();
+                sniffer->start();
+                restarted_at = world.scheduler.now();
+            });
+        } else if (adv_ind_on_37 == 2) {
+            pending = world.scheduler.schedule_after(0, [&] { sniffer.reset(); });
+        }
+    };
+    sniffer->start();
+    world.peripheral->start();
+    ASSERT_TRUE(world.run_until(1_s, [&] { return restarted_at >= 0; }));
+    world.scheduler.run_until(restarted_at + 1_ms);
+    EXPECT_TRUE(listening_on(37));
+    EXPECT_FALSE(listening_on(38));
+
+    ASSERT_TRUE(world.run_until(1_s, [&] { return sniffer == nullptr; }));
+    ASSERT_NE(pending, sim::kInvalidEvent);
+    world.run_for(500_ms);
+    for (sim::Channel c = 37; c <= 39; ++c) EXPECT_FALSE(listening_on(c));
+}
+
 }  // namespace
 }  // namespace injectable

@@ -1,0 +1,171 @@
+// Steady-state heap traffic of the race's frame path: once a link has run for
+// a while, a connection event allocates nothing — neither for the victims
+// exchanging empty PDUs nor for an attacker following and injecting into
+// their link.  This executable replaces the global operator new to count
+// calls, so it is built on its own.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <new>
+#include <optional>
+#include <vector>
+
+#include "core/attacker_radio.hpp"
+#include "core/session.hpp"
+#include "core/sniffer.hpp"
+#include "link/adv_pdu.hpp"
+#include "link/device.hpp"
+#include "sim/world.hpp"
+
+namespace {
+bool g_counting = false;
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+    if (g_counting) ++g_allocations;
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace injectable {
+namespace {
+
+using namespace ble;  // NOLINT: time literals
+
+/// Heap allocations made while `body` runs.
+template <typename F>
+std::size_t allocations_during(F&& body) {
+    g_allocations = 0;
+    g_counting = true;
+    body();
+    g_counting = false;
+    return g_allocations;
+}
+
+/// A master/slave pair on a fading-free medium, and an attacker radio that
+/// sniffs their CONNECT_REQ.
+struct VictimLink : sim::RadioWorld {
+    std::unique_ptr<link::LinkLayerDevice> peripheral;
+    std::unique_ptr<link::LinkLayerDevice> central;
+    std::unique_ptr<AttackerRadio> attacker;
+    link::Connection* master = nullptr;
+    link::Connection* slave = nullptr;
+    std::optional<SniffedConnection> sniffed;
+    int master_events = 0;
+
+    VictimLink() : RadioWorld(quiet_rf(), 11) {
+        peripheral = make_device("peripheral", {0.0, 0.0});
+        central = make_device("central", {2.0, 0.0});
+        sim::RadioDeviceConfig radio;
+        radio.name = "attacker";
+        radio.position = {1.0, 1.7};
+        attacker = std::make_unique<AttackerRadio>(scheduler, medium, rng.fork(), radio);
+
+        link::ConnectionHooks master_hooks;
+        master_hooks.on_event_closed = [this](const link::ConnectionEventReport&) {
+            ++master_events;
+        };
+        central->set_connection_hooks(std::move(master_hooks));
+        central->on_connection_established = [this](link::Connection& c) { master = &c; };
+        peripheral->on_connection_established = [this](link::Connection& c) { slave = &c; };
+
+        AdvSniffer sniffer(*attacker);
+        sniffer.on_connection = [this](const SniffedConnection& conn,
+                                       const link::ConnectReqPdu&) { sniffed = conn; };
+        sniffer.start();
+        link::ConnectionParams params;
+        params.hop_interval = 36;
+        peripheral->start_advertising(link::make_adv_name("bulb"));
+        central->connect_to(peripheral->address(), params);
+        run_until(2_s, [this] { return master && slave && sniffed; });
+        sniffer.stop();
+    }
+
+    static sim::RadioWorldSpec quiet_rf() {
+        sim::RadioWorldSpec spec;
+        spec.path_loss.fading_sigma_db = 0.0;
+        return spec;
+    }
+
+    std::unique_ptr<link::LinkLayerDevice> make_device(const char* name, sim::Position pos) {
+        link::LinkLayerDeviceConfig cfg;
+        cfg.radio.name = name;
+        cfg.radio.position = pos;
+        cfg.address = link::DeviceAddress::random_static(rng);
+        return std::make_unique<link::LinkLayerDevice>(scheduler, medium, rng.fork(),
+                                                       std::move(cfg));
+    }
+
+    /// Runs until the master has closed `events` more connection events.
+    void run_events(int events) {
+        const int target = master_events + events;
+        run_until(10_s, [&] { return master_events >= target; });
+    }
+};
+
+constexpr int kWarmupEvents = 50;
+constexpr int kMeasuredEvents = 200;
+
+TEST(SteadyStateAllocations, EmptyPduExchangeAllocatesNothing) {
+    VictimLink world;
+    ASSERT_TRUE(world.master && world.slave);
+    world.run_events(kWarmupEvents);
+
+    const int before = world.master_events;
+    const std::size_t allocations =
+        allocations_during([&] { world.run_events(kMeasuredEvents); });
+    EXPECT_GE(world.master_events - before, kMeasuredEvents);
+    EXPECT_FALSE(world.master->closed());
+    EXPECT_EQ(allocations, 0u) << "over " << world.master_events - before << " events";
+}
+
+TEST(SteadyStateAllocations, FollowingAndInjectingAllocatesNothing) {
+    VictimLink world;
+    ASSERT_TRUE(world.master && world.slave && world.sniffed);
+    AttackSession session(*world.attacker, *world.sniffed);
+    session.start();
+
+    // Every request is built before the measured window, so re-arming from
+    // the completion handler moves a payload in instead of allocating one.
+    std::vector<AttackSession::InjectionRequest> requests(kMeasuredEvents);
+    std::size_t next = 0;
+    int attempts = 0;
+    int successes = 0;
+    std::function<void(bool, int)> rearm = [&](bool success, int used) {
+        successes += success ? 1 : 0;
+        attempts += used;
+        if (next < requests.size()) session.inject(std::move(requests[next++]));
+    };
+    for (auto& request : requests) {
+        request.llid = link::Llid::kDataStart;
+        request.payload = Bytes{0x05, 0x00, 0x04, 0x00, 0x12, 0x03, 0x00, 0x01};
+        request.max_attempts = 4;
+        request.done = [&](bool success, int used) { rearm(success, used); };
+    }
+    session.inject(std::move(requests[next++]));
+    world.run_events(kWarmupEvents);
+    ASSERT_GT(attempts, 0);
+
+    const int attempts_before = attempts;
+    const int successes_before = successes;
+    const std::size_t allocations =
+        allocations_during([&] { world.run_events(kMeasuredEvents); });
+    EXPECT_GE(attempts - attempts_before, kMeasuredEvents / 4);
+    EXPECT_GT(successes - successes_before, 0);
+    EXPECT_FALSE(session.lost());
+    EXPECT_EQ(allocations, 0u) << "over " << attempts - attempts_before << " attempts, "
+                               << successes - successes_before << " injected";
+}
+
+}  // namespace
+}  // namespace injectable

@@ -284,5 +284,61 @@ TEST(ConnectionTest, WindowWideningGrowsWithMissedEvents) {
                 3 * to_us(one - kWindowWideningConstant), 0.01);
 }
 
+/// A radio that owns its Connection and can drop it from inside its own
+/// receive path, in the middle of a connection event.
+struct OwningRadio : sim::RadioDevice {
+    using sim::RadioDevice::RadioDevice;
+    std::unique_ptr<Connection> connection;
+    bool drop_after_rx = false;
+    int frames_sent = 0;
+
+    void on_rx(const sim::RxFrame& frame) override {
+        if (!connection) return;
+        connection->handle_rx(frame);
+        if (drop_after_rx) connection.reset();
+    }
+    void on_tx_complete() override {
+        ++frames_sent;
+        if (connection) connection->handle_tx_complete();
+    }
+};
+
+TEST(ConnectionTest, DestroyedMidEventRunsNoPendingCallback) {
+    Testbed bed;
+    const ConnectionParams params = [] {
+        ConnectionParams p = fast_params();
+        p.access_address = 0xAF9A9CD4;
+        p.crc_init = 0x123456;
+        return p;
+    }();
+    auto make = [&](const char* name, sim::Position pos, Role role) {
+        sim::RadioDeviceConfig radio;
+        radio.name = name;
+        radio.position = pos;
+        auto device =
+            std::make_unique<OwningRadio>(bed.scheduler, bed.medium, bed.rng.fork(), radio);
+        ConnectionConfig cfg;
+        cfg.role = role;
+        cfg.params = params;
+        device->connection = std::make_unique<Connection>(*device, std::move(cfg),
+                                                          ConnectionHooks{});
+        device->connection->start(bed.scheduler.now());
+        return device;
+    };
+    auto master = make("master", {0.0, 0.0}, Role::kMaster);
+    auto slave = make("slave", {1.0, 0.0}, Role::kSlave);
+    bed.run_for(10 * params.interval());
+    ASSERT_GT(slave->frames_sent, 5);  // the link runs
+
+    // The slave's Connection goes away right after it heard an anchor: its
+    // response and its next timers are still pending, and must never run.
+    slave->drop_after_rx = true;
+    const int sent = slave->frames_sent;
+    bed.run_for(10 * params.interval());
+    EXPECT_EQ(slave->connection, nullptr);
+    EXPECT_EQ(slave->frames_sent, sent);
+    EXPECT_GT(master->frames_sent, sent);  // the master kept calling
+}
+
 }  // namespace
 }  // namespace ble::link

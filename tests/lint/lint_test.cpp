@@ -5,7 +5,12 @@
 // fixture must scan clean (the linter stays quiet on compliant code).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -352,6 +357,51 @@ TEST(RuleE1, SuppressionIsAuditedLikeEveryOtherRule) {
     const auto findings = scan_snippet("src/core/t.cpp", src);
     EXPECT_EQ(count_rule(findings, Rule::kE1, /*suppressed=*/true), 1);
     EXPECT_EQ(unsuppressed_count(findings), 0);
+}
+
+TEST(RuleE1, ScopedByTheTreePathNotByTheCheckoutName) {
+    // Two checkouts, one whose name ends in "src" inside a directory named
+    // src and one named src itself: the E1 fixture placed under a checkout's
+    // examples/ must stay clean and under its src/world/ must give the
+    // fixture's own findings, whether the checkout, its two subtrees or the
+    // two files are the scanned roots.
+    namespace fs = std::filesystem;
+    const fs::path scratch =
+        fs::path(::testing::TempDir()) / ("lint-scope-" + std::to_string(::getpid()));
+    fs::remove_all(scratch);
+    std::ifstream in(fixture("bad_e1_env_read.cpp"));
+    std::string source((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    source.erase(0, source.find('\n') + 1);  // drop the lint-fixture-path header
+    const int expected = count_rule(scan_fixture("bad_e1_env_read.cpp"), Rule::kE1);
+    ASSERT_GT(expected, 0);
+
+    for (const fs::path& checkout : {scratch / "src" / "asan-src", scratch / "work" / "src"}) {
+        const fs::path examples = checkout / "examples";
+        const fs::path world = checkout / "src" / "world";
+        for (const fs::path& dir : {examples, world}) {
+            fs::create_directories(dir);
+            std::ofstream(dir / "env_reader.cpp") << source;
+        }
+        std::ofstream(checkout / "src" / "CMakeLists.txt");  // what marks a checkout
+
+        const std::vector<std::vector<std::string>> root_sets = {
+            {checkout.string()},
+            {(checkout / "src").string(), examples.string() + "/"},
+            {(examples / "env_reader.cpp").string(), (world / "env_reader.cpp").string()}};
+        for (const auto& roots : root_sets) {
+            const Analysis analysis = analyze_paths(roots);
+            ASSERT_EQ(analysis.files_scanned, 2) << roots.front();
+            int in_examples = 0;
+            int in_src = 0;
+            for (const Finding& f : analysis.findings) {
+                if (f.rule != Rule::kE1) continue;
+                ++(f.file.find("/examples/") != std::string::npos ? in_examples : in_src);
+            }
+            EXPECT_EQ(in_examples, 0) << roots.front();
+            EXPECT_EQ(in_src, expected) << roots.front();
+        }
+    }
+    fs::remove_all(scratch);
 }
 
 TEST(RuleD2, MemberAccessIsExempt) {

@@ -80,6 +80,18 @@ TEST(Crc24Test, MatchesBitSerialReference) {
         ASSERT_EQ(crc24(pdu, init), reference_crc24(pdu, init))
             << "trial " << trial << ", " << pdu.size() << " bytes, init " << init;
     }
+    // Every length from 0 to 300 bytes, each from offsets 0-7 of a buffer:
+    // every tail length of an 8-byte stride, at every alignment.
+    Bytes buffer(300 + 7);
+    for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_below(256));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 300; ++length) {
+            const BytesView pdu = BytesView(buffer).subspan(offset, length);
+            const auto init = static_cast<std::uint32_t>(rng.next_below(1u << 24));
+            ASSERT_EQ(crc24(pdu, init), reference_crc24(pdu, init))
+                << "offset " << offset << ", " << length << " bytes, init " << init;
+        }
+    }
 }
 
 // Property: reverse(crc(init, pdu)) == init — this equivalence is exactly

@@ -375,6 +375,44 @@ TEST_F(MediumFixture, RecycledReceiverAddressGetsItsOwnRxPower) {
     EXPECT_EQ(slot->received[0].bytes, Bytes(16, 0x5A));
 }
 
+TEST(MediumRecords, ReusedRecordCarriesNoStaleRxPowerOrBytes) {
+    // Frames 20 ms apart: garbage collection reclaims each finished record
+    // 10 ms after it ends, and the next transmission reuses it.  Each frame
+    // is shorter than the one whose record it takes, and fading gives every
+    // (frame, receiver) pair its own power: a stale memo entry would repeat
+    // an earlier frame's RSSI, a stale buffer would lengthen the frame.
+    Scheduler scheduler;
+    RadioMedium medium(scheduler, Rng(5));
+    RadioDeviceConfig cfg;
+    cfg.name = "tx";
+    ProbeDevice tx(scheduler, medium, Rng(7), cfg);
+    cfg.name = "rx";
+    cfg.position = {1, 0};
+    ProbeDevice rx(scheduler, medium, Rng(8), cfg);
+    rx.listen(7);
+
+    constexpr int kFrames = 8;
+    for (int k = 0; k < kFrames; ++k) {
+        (void)scheduler.schedule_at(k * 20_ms, [&, k] {
+            rx.listen(7);
+            tx.transmit(7, test_frame(static_cast<std::size_t>(80 - 8 * k),
+                                      static_cast<std::uint8_t>(k)));
+        });
+    }
+    scheduler.run_all();
+    ASSERT_EQ(rx.received.size(), static_cast<std::size_t>(kFrames));
+    for (int k = 0; k < kFrames; ++k) {
+        const RxFrame& frame = rx.received[static_cast<std::size_t>(k)];
+        const auto length = static_cast<std::size_t>(80 - 8 * k);
+        EXPECT_EQ(frame.bytes, Bytes(length, static_cast<std::uint8_t>(k))) << "frame " << k;
+        EXPECT_EQ(frame.end - frame.start, 8_us + static_cast<Duration>(length) * 8_us);
+        for (int j = 0; j < k; ++j) {
+            EXPECT_NE(frame.rssi_dbm, rx.received[static_cast<std::size_t>(j)].rssi_dbm)
+                << "frame " << k << " repeats the power of frame " << j;
+        }
+    }
+}
+
 TEST_F(MediumFixture, TransmitterLeavesItsChannelInterestList) {
     // Half-duplex: transmit() drops the sender's own listen before the lock
     // walk, so a transmitter never sits in its channel's interest list.

@@ -52,7 +52,7 @@ TEST(PathLossTest, FadingHasConfiguredSigma) {
     double sum = 0, sq = 0;
     constexpr int kN = 20'000;
     for (int i = 0; i < kN; ++i) {
-        const double v = model.sample_loss_db({0, 0}, {2, 0}, rng);
+        const double v = model.mean_loss_db({0, 0}, {2, 0}) + model.fading_db(rng);
         sum += v;
         sq += v * v;
     }

@@ -322,5 +322,49 @@ TEST(SchedulerTest, PendingEventsAreDestroyedOnceWithTheScheduler) {
     EXPECT_EQ(live, 0);
 }
 
+TEST(CallbackGuardTest, ResetDropsPendingCallbacksOnly) {
+    Scheduler s;
+    CallbackGuard guard(s);
+    std::vector<int> fired;
+    guard.at(10, [&] { fired.push_back(1); });
+    guard.after(20, [&] { fired.push_back(2); });
+    guard.reset();
+    guard.at(30, [&] { fired.push_back(3); });
+    s.run_all();
+    EXPECT_EQ(fired, (std::vector<int>{3}));
+}
+
+TEST(CallbackGuardTest, DestroyedGuardDropsItsCallbacksAndItsSlotStartsClean) {
+    Scheduler s;
+    std::vector<int> fired;
+    {
+        CallbackGuard gone(s);
+        gone.at(10, [&] { fired.push_back(1); });
+    }
+    // The next guard takes the freed slot; the first guard's callback must
+    // still be dropped, and the new one's must run.
+    CallbackGuard reused(s);
+    reused.at(20, [&] { fired.push_back(2); });
+    CallbackGuard other(s);
+    other.at(5, [&] { fired.push_back(3); });
+    s.run_all();
+    EXPECT_EQ(fired, (std::vector<int>{3, 2}));
+}
+
+TEST(CallbackGuardTest, GuardedCallbackCanCancelAndRescheduleThroughItsGuard) {
+    Scheduler s;
+    CallbackGuard guard(s);
+    int runs = 0;
+    EventId pending = guard.at(50, [&] { runs += 100; });
+    guard.at(10, [&] {
+        ++runs;
+        s.cancel(pending);
+        guard.after(5, [&] { ++runs; });
+    });
+    s.run_all();
+    EXPECT_EQ(runs, 2);
+    EXPECT_TRUE(s.empty());
+}
+
 }  // namespace
 }  // namespace ble::sim

@@ -88,5 +88,36 @@ TEST(SleepClockTest, DistinctSeedsDistinctDrift) {
     EXPECT_NE(a.current_ppm(), b.current_ppm());
 }
 
+TEST(SleepClockTest, ToGlobalRoundsHalfAwayFromZeroLikeLlround) {
+    // to_global scales by the rate it has just stepped to (current_ppm()
+    // afterwards) and rounds like std::llround, halfway cases included.
+    SleepClockParams params;
+    params.sca_ppm = 500.0;
+    params.walk_step_ppm = 50.0;
+    SleepClock clock(params, Rng(3));
+    Rng pick(4);
+    for (int i = 0; i < 200'000; ++i) {
+        // Mostly short intervals, where every fraction occurs, then long ones.
+        const auto local = static_cast<Duration>(
+            i % 2 == 0 ? pick.next_below(4'000'000) : pick.next_below(std::uint64_t{1} << 44));
+        const Duration global = clock.to_global(local);
+        const double scaled =
+            static_cast<double>(local) * (1.0 + clock.current_ppm() * 1e-6);
+        ASSERT_EQ(global, static_cast<Duration>(std::llround(scaled)))
+            << "local " << local << ", rate " << clock.current_ppm();
+    }
+    // Exact halves: at a fixed rate of 2^-20 the scale is exactly 1 + 2^-20,
+    // so 2^19 and 3 * 2^19 land on .5 and must round up.
+    SleepClockParams fixed;
+    fixed.sca_ppm = 1e6;
+    fixed.walk_step_ppm = 0.0;
+    fixed.reversion = 0.0;
+    fixed.initial_ppm = 1e6 / 1048576.0;
+    SleepClock exact(fixed, Rng(5));
+    EXPECT_EQ(exact.to_global(524288), 524289);    // 524288.5
+    EXPECT_EQ(exact.to_global(1572864), 1572866);  // 1572865.5
+    EXPECT_EQ(exact.to_global(524287), 524287);    // just below .5
+}
+
 }  // namespace
 }  // namespace ble::sim

@@ -303,16 +303,23 @@ std::map<int, Suppression> collect_suppressions(const std::vector<Comment>& comm
     return by_line;
 }
 
+/// True if `needle`, a path fragment that starts with a directory name,
+/// occurs in `path` at the start of a component: "src/" matches
+/// "src/phy/crc.cpp" and "repo/src/phy/crc.cpp", never "asan-src/examples".
 bool path_contains(const std::string& path, std::string_view needle) {
-    return path.find(needle) != std::string::npos;
+    for (std::size_t pos = path.find(needle); pos != std::string::npos;
+         pos = path.find(needle, pos + 1)) {
+        if (pos == 0 || path[pos - 1] == '/') return true;
+    }
+    return false;
 }
 
-/// Path (substring match) where rule D2 never fires: the seeded rng
+/// Path (component match) where rule D2 never fires: the seeded rng
 /// primitives themselves.  Every other clock read needs an audited allow(D2)
 /// suppression, so the whole-tree suppression inventory lists each one.
 constexpr std::string_view kD2Allowlist = "src/common/rng.";
 
-/// Paths (substring match) where rule E1 never fires: the edge wiring that
+/// Paths (component match) where rule E1 never fires: the edge wiring that
 /// owns the INJECTABLE_* / BENCH_JOBS environment contract.
 constexpr std::string_view kE1Allowlist[] = {"src/world/result_sink.cpp",
                                              "src/world/trial_runner.cpp"};
@@ -816,6 +823,25 @@ bool read_file(const std::string& path, std::string& out) {
     return true;
 }
 
+/// The path that scopes the rules: relative to the checkout `file` sits in,
+/// its nearest ancestor directory holding src/CMakeLists.txt, so
+/// `<checkout>/src/phy/crc.cpp` is `src/phy/crc.cpp` whatever the checkout
+/// and the directories above it are called, and however the root naming it
+/// was spelt.  A file outside any checkout keeps its path as given.
+std::string tree_path(const std::filesystem::path& file) {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::path absolute = fs::absolute(file, ec).lexically_normal();
+    if (!ec) {
+        for (fs::path dir = absolute.parent_path(); dir.has_relative_path();
+             dir = dir.parent_path()) {
+            if (fs::is_regular_file(dir / "src" / "CMakeLists.txt", ec))
+                return absolute.lexically_relative(dir).generic_string();
+        }
+    }
+    return file.lexically_normal().generic_string();
+}
+
 /// Fixtures impersonate a tree location for rule applicability while findings
 /// keep reporting the real path.
 std::string fixture_logical_path(const std::string& path, std::string_view source) {
@@ -881,7 +907,7 @@ Analysis analyze_paths(const std::vector<std::string>& roots) {
             return analysis;
         }
         analysis.files.push_back(
-            summarize_source(file, fixture_logical_path(file, source), source));
+            summarize_source(file, fixture_logical_path(tree_path(file), source), source));
         ++analysis.files_scanned;
     }
 

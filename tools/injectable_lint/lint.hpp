@@ -205,8 +205,11 @@ void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Findi
 /// `roots` (files are accepted directly too), in sorted path order, then
 /// phase 2 over the merged summaries.  Overlapping roots (or a file plus its
 /// parent directory) are deduplicated by canonical path, so each file is
-/// scanned and reported exactly once.  files_scanned is -1 if any root is
-/// missing.
+/// scanned and reported exactly once.  Rules are scoped by each file's path
+/// relative to the checkout it sits in (the nearest ancestor holding
+/// src/CMakeLists.txt), so `<checkout>/src/...` is `src/...` whatever the
+/// checkout is called and however the root was spelt; a file outside any
+/// checkout by the path as given.  files_scanned is -1 if any root is missing.
 [[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots);
 
 /// Deterministic DOT rendering of the directory-level include graph, layer
