@@ -236,14 +236,14 @@ void BM_InjectionTrialTraced(benchmark::State& state) {
     config.max_attempts = 200;
     std::shared_ptr<obs::JsonlTraceSink> trace;
     config.per_trial_sinks = [&trace](obs::EventBus& bus, std::uint64_t) {
-        trace = std::make_shared<obs::JsonlTraceSink>(link::describe_frame);
+        trace = std::make_shared<obs::JsonlTraceSink>(link::append_frame_description);
         bus.attach(*trace);
     };
     std::uint64_t seed = 7000;
     for (auto _ : state) {
         const auto result = injectable::world::run_injection_experiment(config, seed++);
         benchmark::DoNotOptimize(result.attempts);
-        const std::string text = trace->str();
+        const std::string text(trace->str());
         benchmark::DoNotOptimize(text.size());
     }
     state.SetItemsProcessed(state.iterations());

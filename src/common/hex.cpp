@@ -20,12 +20,17 @@ std::string to_hex(BytesView data) {
 }
 
 void append_hex(std::string& out, BytesView data) {
-    std::size_t at = out.size();
+    const std::size_t at = out.size();
     out.resize(at + 2 * data.size());
-    for (auto b : data) {
-        out[at++] = kDigits[b >> 4];
-        out[at++] = kDigits[b & 0xF];
+    write_hex(out.data() + at, data);
+}
+
+char* write_hex(char* p, BytesView data) noexcept {
+    for (const auto b : data) {
+        *p++ = kDigits[b >> 4];
+        *p++ = kDigits[b & 0xF];
     }
+    return p;
 }
 
 std::optional<Bytes> from_hex(const std::string& hex) {

@@ -1,8 +1,13 @@
 #include "common/json.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/hex.hpp"
 
 namespace ble::json {
 
@@ -303,35 +308,77 @@ ParseResult parse(std::string_view text) {
     return result;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-    const char* p = s.data();
-    const char* const end = p + s.size();
-    while (p != end) {
-        const char* const run = p;
-        while (p != end && static_cast<unsigned char>(*p) >= 0x20 &&
-               static_cast<unsigned char>(*p) < 0x7f && *p != '"' && *p != '\\') {
-            ++p;
+bool exact_tenths(double x, std::uint64_t& tenths) noexcept {
+    // x = m * 2^e with an integer m < 2^53, so 10x = 10m * 2^e, and 10m fits
+    // in 57 bits: the product and its rounding are exact integer steps.
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const auto biased = static_cast<int>((bits >> 52) & 0x7FF);
+    if (biased >= 1023 + 56) return false;  // |x| >= 2^56, inf or NaN
+    const std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t scaled = 10 * (biased == 0 ? fraction : fraction | std::uint64_t{1} << 52);
+    const int exponent = (biased == 0 ? 1 : biased) - 1075;
+    if (exponent >= 0) {
+        tenths = scaled << exponent;  // below 10 * 2^56 < 2^60
+        return true;
+    }
+    // Past 57 bits of shift 10|x| < 1/2 rounds to 0, as a 63-bit shift does.
+    const int shift = std::min(-exponent, 63);
+    const std::uint64_t whole = scaled >> shift;
+    const std::uint64_t rest = scaled & ((std::uint64_t{1} << shift) - 1);
+    const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+    tenths = whole + (rest > half || (rest == half && (whole & 1) != 0) ? 1 : 0);
+    return true;
+}
+
+char* write_fixed1(char* p, double value) noexcept {
+    std::uint64_t tenths = 0;
+    if (!exact_tenths(value, tenths)) {
+        return std::to_chars(p, p + kFixed1Chars, value, std::chars_format::fixed, 1).ptr;
+    }
+    // printf keeps the sign of a value that rounds to zero: -0.04 is "-0.0".
+    if (std::signbit(value)) *p++ = '-';
+    p = std::to_chars(p, p + kIntChars, tenths / 10).ptr;
+    *p++ = '.';
+    *p++ = static_cast<char>('0' + tenths % 10);
+    return p;
+}
+
+char* write_escaped(char* p, std::string_view s) noexcept {
+    const char* in = s.data();
+    const char* const end = in + s.size();
+    while (in != end) {
+        const char* const run = in;
+        while (in != end && static_cast<unsigned char>(*in) >= 0x20 &&
+               static_cast<unsigned char>(*in) < 0x7f && *in != '"' && *in != '\\') {
+            ++in;
         }
-        out.append(run, static_cast<std::size_t>(p - run));
-        if (p == end) break;
-        const auto u = static_cast<unsigned char>(*p++);
+        std::memcpy(p, run, static_cast<std::size_t>(in - run));
+        p += in - run;
+        if (in == end) break;
+        const auto u = static_cast<unsigned char>(*in++);
+        *p++ = '\\';
         switch (u) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default: {
+            case '"': *p++ = '"'; break;
+            case '\\': *p++ = '\\'; break;
+            case '\n': *p++ = 'n'; break;
+            case '\t': *p++ = 't'; break;
+            case '\r': *p++ = 'r'; break;
+            case '\b': *p++ = 'b'; break;
+            case '\f': *p++ = 'f'; break;
+            default:
                 // Remaining control bytes, DEL and non-ASCII: \u00xx reads
                 // each byte as Latin-1 and always round-trips.
-                constexpr char kHex[] = "0123456789abcdef";
-                const char escaped[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xF]};
-                out.append(escaped, sizeof escaped);
-            }
+                std::memcpy(p, "u00", 3);
+                p = write_hex(p + 3, BytesView(&u, 1));
         }
     }
+    return p;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+    const std::size_t at = out.size();
+    out.resize(at + kEscapedCharsPerByte * s.size());
+    out.resize(static_cast<std::size_t>(write_escaped(out.data() + at, s) - out.data()));
 }
 
 std::string escape(std::string_view s) {
@@ -351,9 +398,8 @@ void append_u64(std::string& out, std::uint64_t value) {
 }
 
 void append_fixed1(std::string& out, double value) {
-    // Wide enough for DBL_MAX: 309 integer digits, sign, ".d".
-    char buf[320];
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, 1).ptr);
+    char buf[kFixed1Chars];
+    out.append(buf, write_fixed1(buf, value));
 }
 
 void append_key(std::string& out, std::string_view key) {

@@ -70,9 +70,22 @@ struct ParseResult {
 
 // ---------------------------------------------------------------------------
 // The one writer behind every JSONL record we emit (trace events, trace meta
-// headers, metrics, series records).  Everything appends to `out`; numbers go
-// through std::to_chars, which [charconv.to.chars] defines as printf's
-// conversion in the C locale, so the bytes equal "%lld", "%llu" and "%.1f".
+// headers, metrics, series records).  Its bytes equal printf's "%lld",
+// "%llu" and "%.1f" in the C locale; tests/common/json_writer_test.cpp holds
+// each conversion to printf over a million seeded cases.
+
+/// |x| × 10 rounded half to even, exactly, from x's binary value: the digits
+/// "%.1f" prints, read as one integer (-0.25 gives 2, printed "-0.2").  False
+/// for NaN, ±inf and |x| >= 2^56, which go to std::to_chars.
+[[nodiscard]] bool exact_tenths(double x, std::uint64_t& tenths) noexcept;
+
+// Raw-cursor writers of append_fixed1's and append_escaped's bytes: each
+// writes at `p`, which must have room for the bound, and returns the end.
+inline constexpr std::size_t kIntChars = 20;            ///< any long long (std::to_chars)
+inline constexpr std::size_t kFixed1Chars = 320;        ///< DBL_MAX: 309 digits, sign, ".d"
+inline constexpr std::size_t kEscapedCharsPerByte = 6;  ///< "\u00xx"
+char* write_fixed1(char* p, double value) noexcept;
+char* write_escaped(char* p, std::string_view s) noexcept;
 
 /// Appends `s` as the body of a JSON string literal (no surrounding quotes):
 /// quotes/backslashes and the short control escapes (\n \t \r \b \f) are

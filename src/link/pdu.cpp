@@ -25,6 +25,12 @@ Bytes DataPdu::serialize() const {
 }
 
 bool DataPdu::parse(BytesView pdu, DataPdu& out) noexcept {
+    if (!parse_header(pdu, out)) return false;
+    out.payload.assign(pdu.begin() + 2, pdu.end());
+    return true;
+}
+
+bool DataPdu::parse_header(BytesView pdu, DataPdu& out) noexcept {
     if (pdu.size() < 2) return false;
     const std::uint8_t flags = pdu[0];
     const std::uint8_t length = pdu[1];
@@ -34,7 +40,6 @@ bool DataPdu::parse(BytesView pdu, DataPdu& out) noexcept {
     out.nesn = (flags & kNesnBit) != 0;
     out.sn = (flags & kSnBit) != 0;
     out.md = (flags & kMdBit) != 0;
-    out.payload.assign(pdu.begin() + 2, pdu.end());
     return true;
 }
 

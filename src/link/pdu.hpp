@@ -40,6 +40,9 @@ struct DataPdu {
     /// Parses a PDU into `out`, reusing its payload buffer; false (and `out`
     /// unspecified) on truncation or header/length mismatch.
     static bool parse(BytesView pdu, DataPdu& out) noexcept;
+    /// The same checks, reading only the header fields: `out.payload` is left
+    /// untouched, so a reader that views the payload in place copies nothing.
+    static bool parse_header(BytesView pdu, DataPdu& out) noexcept;
     /// By-value form of the parser above; nullopt where it returns false.
     static std::optional<DataPdu> parse(BytesView pdu) noexcept {
         DataPdu out;

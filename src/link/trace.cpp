@@ -67,45 +67,54 @@ void append_control_detail(std::string& out, const ControlPdu& control) {
 }
 }  // namespace
 
-std::string describe_frame(BytesView bytes) {
+void append_frame_description(std::string& out, BytesView bytes) {
     const auto raw = phy::split_frame(bytes);
-    if (!raw) return "malformed (" + std::to_string(bytes.size()) + "B)";
+    if (!raw) {
+        out += "malformed (" + std::to_string(bytes.size()) + "B)";
+        return;
+    }
 
     if (raw->access_address == phy::kAdvertisingAccessAddress) {
         const auto pdu = AdvPdu::parse(raw->pdu);
-        if (!pdu) return "ADV malformed";
+        if (!pdu) {
+            out += "ADV malformed";
+            return;
+        }
         std::string extra;
         if (pdu->type == AdvPduType::kConnectReq) extra = connect_req_detail(*pdu);
         char buf[160];
         std::snprintf(buf, sizeof(buf), "%s (%zuB)%s%s", adv_type_name(pdu->type),
                       pdu->payload.size(), pdu->ch_sel ? " ChSel" : "", extra.c_str());
-        return buf;
+        out += buf;
+        return;
     }
 
-    // Data PDUs are most of every trace: append straight into the line.
-    const auto pdu = DataPdu::parse(raw->pdu);
-    if (!pdu) return "DATA malformed";
-    std::string out;
-    out.reserve(64);
-    out += pdu->sn ? "DATA sn=1" : "DATA sn=0";
-    out += pdu->nesn ? " nesn=1" : " nesn=0";
-    if (pdu->md) out += " MD";
-    if (pdu->is_control()) {
-        if (const auto control = ControlPdu::parse(pdu->payload)) {
+    // Data PDUs are most of every trace: the header is read in place and
+    // the payload stays a view into the frame.
+    DataPdu header;
+    if (!DataPdu::parse_header(raw->pdu, header)) {
+        out += "DATA malformed";
+        return;
+    }
+    const BytesView payload = raw->pdu.subspan(2);
+    out += header.sn ? "DATA sn=1" : "DATA sn=0";
+    out += header.nesn ? " nesn=1" : " nesn=0";
+    if (header.md) out += " MD";
+    if (header.is_control()) {
+        if (const auto control = ControlPdu::parse(payload)) {
             out += ' ';
             out += control_opcode_name(control->opcode);
             append_control_detail(out, *control);
         } else {
             out += " LL control (empty)";
         }
-    } else if (pdu->is_empty()) {
+    } else if (header.llid == Llid::kDataContinuation && payload.empty()) {
         out += " empty PDU";
     } else {
-        out += pdu->llid == Llid::kDataStart ? " L2CAP start " : " L2CAP cont ";
-        json::append_u64(out, pdu->payload.size());
+        out += header.llid == Llid::kDataStart ? " L2CAP start " : " L2CAP cont ";
+        json::append_u64(out, payload.size());
         out += 'B';
     }
-    return out;
 }
 
 }  // namespace ble::link

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/hex.hpp"
 #include "common/json.hpp"
@@ -147,37 +144,18 @@ std::uint8_t logical_channel_from_rf(std::uint8_t rf) noexcept {
 }
 
 std::int8_t quantize_dbm(double dbm) noexcept {
-    // A capture stream repeats a handful of power figures (each device's TX
-    // power, the world noise floor), and the snprintf below dominates the
-    // capture sink's per-frame cost — a tiny exact-bits memo of this pure
-    // function removes it from the hot path (BM_PcapSinkFrame).
-    struct Memo {
-        std::uint64_t bits = 0;
-        std::int8_t value = 0;
-        bool used = false;
-    };
-    thread_local Memo memo[4] = {};
-    thread_local unsigned next_slot = 0;
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(dbm));
-    std::memcpy(&bits, &dbm, sizeof(bits));
-    for (const Memo& entry : memo) {
-        if (entry.used && entry.bits == bits) return entry.value;
-    }
-    // Round-trip through the exact "%.1f" text form the JSONL trace stores,
-    // so live events and re-parsed trace lines quantize identically (a raw
-    // lround() would disagree near x.x5 boundaries after the 1-decimal
-    // rounding the trace applies).
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", dbm);
-    const double quantized = std::strtod(buf, nullptr);
+    // A trace stores dBm as the "%.1f" text of the exact tenths q, which
+    // strtod reads back as the double nearest ±q/10: the IEEE quotient
+    // ±q / 10.0 while q < 2^53, and far outside int8 (clamped) above.  NaN,
+    // ±inf and |x| >= 2^56 print as themselves and reach lround unchanged.
+    std::uint64_t tenths = 0;
+    const double quantized = json::exact_tenths(dbm, tenths)
+                                 ? std::copysign(static_cast<double>(tenths) / 10.0, dbm)
+                                 : dbm;
     long rounded = std::lround(quantized);
     if (rounded < -128) rounded = -128;
     if (rounded > 127) rounded = 127;
-    const auto value = static_cast<std::int8_t>(rounded);
-    memo[next_slot] = {bits, value, true};
-    next_slot = (next_slot + 1) % 4;
-    return value;
+    return static_cast<std::int8_t>(rounded);
 }
 
 void append_phdr(std::string& out, const CaptureRecord& record) {

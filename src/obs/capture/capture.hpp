@@ -71,10 +71,10 @@ struct CaptureRecord {
 /// Inverse mapping (RF 0-39 -> logical); out-of-range values pass through.
 [[nodiscard]] std::uint8_t logical_channel_from_rf(std::uint8_t rf) noexcept;
 
-/// Quantizes a dBm double to the pseudo-header's int8.  Goes through the
-/// JSONL "%.1f" text form first, so a value rendered to a trace file and
-/// parsed back quantizes to the *identical* byte the live sink wrote —
-/// the offline exporter's bit-identity depends on this.
+/// Quantizes a dBm double to the pseudo-header's int8.  Rounds the same
+/// exact tenths the JSONL "%.1f" text form holds, so a value rendered to a
+/// trace file and parsed back quantizes to the *identical* byte the live
+/// sink wrote — the offline exporter's bit-identity depends on this.
 [[nodiscard]] std::int8_t quantize_dbm(double dbm) noexcept;
 
 /// The 10-byte LE_LL_WITH_PHDR pseudo-header for one record (appended to

@@ -1,6 +1,10 @@
 #include "obs/sinks.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/hex.hpp"
 #include "common/json.hpp"
@@ -21,131 +25,170 @@ const char* rx_verdict_name(RxVerdict verdict) noexcept {
 }
 
 const char* event_kind_name(const Event& event) noexcept {
-    struct Visitor {
-        const char* operator()(const TxStart&) const { return "tx"; }
-        const char* operator()(const RxDecision&) const { return "rx"; }
-        const char* operator()(const ConnEvent&) const { return "conn"; }
-        const char* operator()(const WindowWiden&) const { return "widen"; }
-        const char* operator()(const InjectionAttempt&) const { return "attempt"; }
-        const char* operator()(const IdsAlert&) const { return "ids"; }
-        const char* operator()(const TrialPhase&) const { return "phase"; }
-    };
-    return std::visit(Visitor{}, event);
+    static constexpr const char* kNames[] = {"tx",      "rx",  "conn", "widen",
+                                             "attempt", "ids", "phase"};
+    static_assert(std::size(kNames) == std::variant_size_v<Event>);
+    return kNames[event.index()];
 }
 
 namespace {
-
-// dBm figures serialize at one decimal (append_fixed1) — the exact
-// quantization the capture subsystem's phdr uses, so offline trace-to-pcap
-// rendering is bit-identical to the live sink (obs::capture::quantize_dbm
-// round-trips this form).
-using json::append_bool;
-using json::append_fixed1;
-using json::append_int;
-using json::append_str;
-
-struct JsonVisitor {
-    std::string& out;
-    const FrameDescriber& describe;
-
-    void operator()(const TxStart& e) const {
-        append_int(out, "tx_id", static_cast<long long>(e.tx_id));
-        append_int(out, "ch", e.channel);
-        append_str(out, "sender", e.sender);
-        append_int(out, "dur_ns", e.duration);
-        append_fixed1(out, "tx_dbm", e.tx_power_dbm);
-        json::append_key(out, "hex");
-        out += '"';
-        append_hex(out, e.bytes);
-        out += '"';
-        if (describe) append_str(out, "desc", describe(e.bytes));
-    }
-    void operator()(const RxDecision& e) const {
-        append_int(out, "tx_id", static_cast<long long>(e.tx_id));
-        append_int(out, "ch", e.channel);
-        append_str(out, "receiver", e.receiver);
-        append_str(out, "verdict", rx_verdict_name(e.verdict));
-        append_fixed1(out, "rssi_dbm", e.rssi_dbm);
-        append_fixed1(out, "noise_dbm", e.noise_dbm);
-        append_int(out, "corrupted_bytes", e.corrupted_bytes);
-        append_int(out, "sync_bit_errors", e.sync_bit_errors);
-    }
-    void operator()(const ConnEvent& e) const {
-        const char* kind = e.kind == ConnEvent::Kind::kOpened       ? "opened"
-                           : e.kind == ConnEvent::Kind::kEventClosed ? "event"
-                                                                     : "closed";
-        append_str(out, "kind", kind);
-        append_str(out, "device", e.device);
-        append_str(out, "role", e.role == 0 ? "master" : "slave");
-        append_int(out, "event_counter", e.event_counter);
-        append_int(out, "ch", e.channel);
-        if (e.kind == ConnEvent::Kind::kEventClosed) {
-            append_bool(out, "anchor", e.anchor_observed);
-            append_int(out, "rx", e.pdus_rx);
-            append_int(out, "tx", e.pdus_tx);
-            append_int(out, "crc_errors", e.crc_errors);
-        }
-        if (e.kind == ConnEvent::Kind::kClosed) append_str(out, "reason", e.reason);
-    }
-    void operator()(const WindowWiden& e) const {
-        append_str(out, "device", e.device);
-        append_int(out, "event_counter", e.event_counter);
-        append_int(out, "ch", e.channel);
-        append_int(out, "widening_ns", e.widening);
-        append_int(out, "window_ns", e.window);
-        append_bool(out, "missed", e.missed);
-    }
-    void operator()(const InjectionAttempt& e) const {
-        append_int(out, "attempt", e.attempt);
-        append_int(out, "event_counter", e.event_counter);
-        append_int(out, "ch", e.channel);
-        append_bool(out, "heuristic_success", e.heuristic_success);
-        if (e.ground_truth_known) append_bool(out, "accepted", e.accepted_by_slave);
-    }
-    void operator()(const IdsAlert& e) const {
-        append_int(out, "type", e.type);
-        append_str(out, "name", e.type_name);
-        append_int(out, "event_counter", e.event_counter);
-        append_str(out, "detail", e.detail);
-    }
-    void operator()(const TrialPhase& e) const {
-        append_int(out, "seed", static_cast<long long>(e.seed));
-        append_str(out, "phase", e.phase);
-        if (!e.detail.empty()) append_str(out, "detail", e.detail);
-    }
-};
 
 TimePoint event_time(const Event& event) noexcept {
     return std::visit([](const auto& e) { return e.time; }, event);
 }
 
-/// Appends one event's line (without the newline) to `out`.
-void append_jsonl(std::string& out, const Event& event, const FrameDescriber& describe) {
-    out += "{\"e\":\"";
-    out += event_kind_name(event);
-    out += '"';
-    append_int(out, "t_ns", event_time(event));
-    std::visit(JsonVisitor{out, describe}, event);
-    out += '}';
-}
+/// Writes one event's line through a raw cursor into the zero-filled room past
+/// a trace, which grows geometrically: a line makes room for all its scalars
+/// at once and each name or frame for its longest rendering.  dBm figures are
+/// capture::quantize_dbm's exact tenths, so offline pcap rendering matches live.
+class Line {
+public:
+    /// Keys, kind and fixed names (under 140 chars), six integers, two dBm.
+    static constexpr std::size_t kScalarChars =
+        256 + 6 * json::kIntChars + 2 * json::kFixed1Chars;
+
+    Line(std::string& text, std::size_t size, FrameDescriber describe, std::string& description)
+        : text_(text), describe_(describe), description_(description), p_(text.data() + size) {
+        room(0);
+    }
+    /// The trace's size after the line.  Aborts past the room: a bound undercounts.
+    [[nodiscard]] std::size_t end() const noexcept {
+        const auto size = static_cast<std::size_t>(p_ - text_.data());
+        if (size > text_.size()) std::abort();
+        return size;
+    }
+
+    void lit(std::string_view text) noexcept {
+        std::memcpy(p_, text.data(), text.size());
+        p_ += text.size();
+    }
+    void num(std::string_view key, long long value) noexcept {
+        lit(key);
+        p_ = std::to_chars(p_, p_ + json::kIntChars, value).ptr;  // digit pairs
+    }
+    void fixed1(std::string_view key, double value) noexcept {
+        lit(key);
+        p_ = json::write_fixed1(p_, value);
+    }
+    void boolean(std::string_view key, bool value) noexcept {
+        lit(key);
+        lit(value ? "true" : "false");
+    }
+    void str(std::string_view key, std::string_view value) {
+        room(json::kEscapedCharsPerByte * value.size());
+        lit(key);
+        *p_++ = '"';
+        p_ = json::write_escaped(p_, value);
+        *p_++ = '"';
+    }
+
+    void operator()(const TxStart& e) {
+        num(",\"tx_id\":", static_cast<long long>(e.tx_id));
+        num(",\"ch\":", e.channel);
+        str(",\"sender\":", e.sender);
+        num(",\"dur_ns\":", e.duration);
+        fixed1(",\"tx_dbm\":", e.tx_power_dbm);
+        room(2 * e.bytes.size());
+        lit(",\"hex\":\"");
+        p_ = write_hex(p_, e.bytes);
+        lit("\"");
+        if (describe_ == nullptr) return;
+        description_.clear();
+        describe_(description_, e.bytes);
+        str(",\"desc\":", description_);
+    }
+    void operator()(const RxDecision& e) {
+        num(",\"tx_id\":", static_cast<long long>(e.tx_id));
+        num(",\"ch\":", e.channel);
+        str(",\"receiver\":", e.receiver);
+        str(",\"verdict\":", rx_verdict_name(e.verdict));
+        fixed1(",\"rssi_dbm\":", e.rssi_dbm);
+        fixed1(",\"noise_dbm\":", e.noise_dbm);
+        num(",\"corrupted_bytes\":", e.corrupted_bytes);
+        num(",\"sync_bit_errors\":", e.sync_bit_errors);
+    }
+    void operator()(const ConnEvent& e) {
+        const char* kind = e.kind == ConnEvent::Kind::kOpened       ? "opened"
+                           : e.kind == ConnEvent::Kind::kEventClosed ? "event"
+                                                                     : "closed";
+        str(",\"kind\":", kind);
+        str(",\"device\":", e.device);
+        str(",\"role\":", e.role == 0 ? "master" : "slave");
+        num(",\"event_counter\":", e.event_counter);
+        num(",\"ch\":", e.channel);
+        if (e.kind == ConnEvent::Kind::kEventClosed) {
+            boolean(",\"anchor\":", e.anchor_observed);
+            num(",\"rx\":", e.pdus_rx);
+            num(",\"tx\":", e.pdus_tx);
+            num(",\"crc_errors\":", e.crc_errors);
+        }
+        if (e.kind == ConnEvent::Kind::kClosed) str(",\"reason\":", e.reason);
+    }
+    void operator()(const WindowWiden& e) {
+        str(",\"device\":", e.device);
+        num(",\"event_counter\":", e.event_counter);
+        num(",\"ch\":", e.channel);
+        num(",\"widening_ns\":", e.widening);
+        num(",\"window_ns\":", e.window);
+        boolean(",\"missed\":", e.missed);
+    }
+    void operator()(const InjectionAttempt& e) {
+        num(",\"attempt\":", e.attempt);
+        num(",\"event_counter\":", e.event_counter);
+        num(",\"ch\":", e.channel);
+        boolean(",\"heuristic_success\":", e.heuristic_success);
+        if (e.ground_truth_known) boolean(",\"accepted\":", e.accepted_by_slave);
+    }
+    void operator()(const IdsAlert& e) {
+        num(",\"type\":", e.type);
+        str(",\"name\":", e.type_name);
+        num(",\"event_counter\":", e.event_counter);
+        str(",\"detail\":", e.detail);
+    }
+    void operator()(const TrialPhase& e) {
+        num(",\"seed\":", static_cast<long long>(e.seed));
+        str(",\"phase\":", e.phase);
+        if (!e.detail.empty()) str(",\"detail\":", e.detail);
+    }
+
+private:
+    /// Room past the cursor for `chars` plus a whole line's scalars.
+    void room(std::size_t chars) {
+        const auto at = static_cast<std::size_t>(p_ - text_.data());
+        if (text_.size() < at + chars + kScalarChars) {
+            text_.resize(std::max(at + chars + kScalarChars, 2 * text_.size()));
+            p_ = text_.data() + at;
+        }
+    }
+
+    std::string& text_;
+    FrameDescriber describe_;
+    std::string& description_;  ///< reused buffer for describe_'s output
+    char* p_;
+};
 
 }  // namespace
 
-std::string to_jsonl(const Event& event, const FrameDescriber& describe) {
-    std::string out;
-    append_jsonl(out, event, describe);
-    return out;
-}
-
 void JsonlTraceSink::on_event(const Event& event) {
-    append_jsonl(text_, event, describe_);
-    text_ += '\n';
+    Line line(text_, size_, describe_, description_);
+    line.str("{\"e\":", event_kind_name(event));
+    line.num(",\"t_ns\":", event_time(event));
+    std::visit(line, event);
+    line.lit("}\n");
+    size_ = line.end();
 }
 
 void JsonlTraceSink::set_header(std::string_view line) {
     const std::string head = line.empty() ? std::string() : std::string(line) + '\n';
     text_.replace(0, header_size_, head);
+    size_ = size_ - header_size_ + head.size();
     header_size_ = head.size();
+}
+
+std::string JsonlTraceSink::take() {
+    std::string out = std::move(text_.erase(size_));
+    clear();
+    return out;
 }
 
 bool trace_compression_available() noexcept {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,13 +16,10 @@
 
 namespace ble::obs {
 
-/// Optional frame decoder injected by higher layers (link::describe_frame
-/// has exactly this signature); keeps ble_obs free of link-layer knowledge.
-using FrameDescriber = std::function<std::string(BytesView)>;
-
-/// Serializes one event as a compact single-line JSON object (no trailing
-/// newline).  With a describer, TxStart lines carry a decoded "desc" field.
-[[nodiscard]] std::string to_jsonl(const Event& event, const FrameDescriber& describe = {});
+/// Optional frame decoder injected by higher layers, which keeps ble_obs free
+/// of link-layer knowledge: appends a frame's one-line description (a TxStart
+/// line's "desc" field) to `out`, as link::append_frame_description does.
+using FrameDescriber = void (*)(std::string& out, BytesView frame);
 
 /// True when ble_obs was built with zlib: gzip-compressed trace writing (and
 /// transparent .gz reading) is available.
@@ -49,11 +45,12 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
 [[nodiscard]] std::vector<std::string> read_jsonl_file(const std::string& path,
                                                        std::string* error = nullptr);
 
-/// Renders every event as one JSON line into a single append-only buffer
-/// (header line first, if set); write_text_file(path, str()) flushes it.
+/// Renders every event as one JSON line, in one pass through a raw cursor,
+/// into a single buffer (header line first, if set); write_text_file(path,
+/// str()) flushes it, and take() hands it over uncopied.
 class JsonlTraceSink : public EventSink {
 public:
-    explicit JsonlTraceSink(FrameDescriber describe = {}) : describe_(std::move(describe)) {}
+    explicit JsonlTraceSink(FrameDescriber describe = nullptr) : describe_(describe) {}
 
     void on_event(const Event& event) override;
 
@@ -62,20 +59,23 @@ public:
     void set_header(std::string_view line);
 
     /// The event lines, each terminated by '\n', without the header.
-    [[nodiscard]] std::string_view events() const noexcept {
-        return std::string_view(text_).substr(header_size_);
-    }
+    [[nodiscard]] std::string_view events() const noexcept { return str().substr(header_size_); }
     /// The whole trace as written to disk: the header line, then the events.
-    [[nodiscard]] const std::string& str() const noexcept { return text_; }
+    [[nodiscard]] std::string_view str() const noexcept { return {text_.data(), size_}; }
+    /// Moves the whole trace out and leaves the sink empty.
+    [[nodiscard]] std::string take();
     void clear() noexcept {
         text_.clear();
+        size_ = 0;
         header_size_ = 0;
     }
 
 private:
-    FrameDescriber describe_;
-    std::string text_;
-    std::size_t header_size_ = 0;  ///< bytes of text_ the header line takes, '\n' included
+    FrameDescriber describe_ = nullptr;
+    std::string text_;             ///< the trace in [0, size_), then zero-filled room
+    std::size_t size_ = 0;
+    std::size_t header_size_ = 0;  ///< bytes the header line takes, '\n' included
+    std::string description_;      ///< the describer's output for the current frame
 };
 
 }  // namespace ble::obs

@@ -191,7 +191,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             // sink so they hold exactly the surviving world's events.
             instrumented_config.per_trial_sinks = [&](obs::EventBus& bus, std::uint64_t seed) {
                 if (ch.traces) {
-                    trace = std::make_shared<obs::JsonlTraceSink>(link::describe_frame);
+                    trace = std::make_shared<obs::JsonlTraceSink>(link::append_frame_description);
                     trace->set_header(experiment_meta_json(config, base_seed, kSetupRetries));
                     bus.attach(*trace);
                 }
@@ -240,7 +240,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             sink.on_artifact(artifact);
         };
         if (trace && (ch.trace_all || !result.success)) {
-            emit_artifact(ArtifactKind::kEventTrace, trace->str());
+            emit_artifact(ArtifactKind::kEventTrace, trace->take());
         }
         if (capture) {
             emit_artifact(ArtifactKind::kPcapCapture, capture->pcap_bytes());

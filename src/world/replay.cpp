@@ -322,7 +322,7 @@ ReplayDiff replay_trace_lines(const std::vector<std::string>& lines) {
     ExperimentConfig config = std::move(meta.config);
     std::shared_ptr<obs::JsonlTraceSink> trace;
     config.per_trial_sinks = [&trace](obs::EventBus& bus, std::uint64_t) {
-        trace = std::make_shared<obs::JsonlTraceSink>(link::describe_frame);
+        trace = std::make_shared<obs::JsonlTraceSink>(link::append_frame_description);
         bus.attach(*trace);
     };
     (void)run_injection_experiment_with_retry(config, meta.seed, meta.tries);

@@ -1,8 +1,9 @@
 // Steady-state heap traffic of the race's frame path: once a link has run for
 // a while, a connection event allocates nothing — neither for the victims
-// exchanging empty PDUs nor for an attacker following and injecting into
-// their link.  This executable replaces the global operator new to count
-// calls, so it is built on its own.
+// exchanging empty PDUs, nor with a trace and metrics sink observing them,
+// nor for an attacker following and injecting into their link.  This
+// executable replaces the global operator new to count calls, so it is built
+// on its own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +18,9 @@
 #include "core/sniffer.hpp"
 #include "link/adv_pdu.hpp"
 #include "link/device.hpp"
+#include "link/trace.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -127,6 +131,31 @@ TEST(SteadyStateAllocations, EmptyPduExchangeAllocatesNothing) {
     EXPECT_GE(world.master_events - before, kMeasuredEvents);
     EXPECT_FALSE(world.master->closed());
     EXPECT_EQ(allocations, 0u) << "over " << world.master_events - before << " events";
+}
+
+TEST(SteadyStateAllocations, TracedExchangeAllocatesNothing) {
+    VictimLink world;
+    ASSERT_TRUE(world.master && world.slave);
+    // Frames are described as in run_series.  The trace buffer grows over a
+    // warm-up twice as long as the measured window, and clear() keeps it.
+    obs::JsonlTraceSink trace(link::append_frame_description);
+    obs::MetricsRegistry registry;
+    obs::MetricsSink metrics(registry);
+    world.bus().attach(trace);
+    world.bus().attach(metrics);
+    world.run_events(kWarmupEvents + 2 * kMeasuredEvents);
+    const std::size_t warmed_bytes = trace.str().size();
+    trace.clear();
+
+    const int before = world.master_events;
+    const std::size_t allocations =
+        allocations_during([&] { world.run_events(kMeasuredEvents); });
+    EXPECT_GE(world.master_events - before, kMeasuredEvents);
+    EXPECT_GT(trace.str().size(), 0u);
+    EXPECT_LT(trace.str().size(), warmed_bytes);
+    EXPECT_EQ(allocations, 0u) << "over " << world.master_events - before << " events";
+    world.bus().detach(metrics);
+    world.bus().detach(trace);
 }
 
 TEST(SteadyStateAllocations, FollowingAndInjectingAllocatesNothing) {

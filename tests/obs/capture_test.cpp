@@ -3,12 +3,14 @@
 // the vantage state machine, and the offline JSONL renderer.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/sinks.hpp"
 
@@ -81,22 +83,39 @@ TEST(CaptureChannelMapTest, LogicalToRfRoundTrips) {
 TEST(CaptureQuantizeTest, MatchesTheJsonlTextRoundTrip) {
     // quantize_dbm must agree with "what the JSONL trace stores at %.1f,
     // parsed back and rounded" — the offline exporter's bit-identity hinges
-    // on it.  Sweep far more than the 4-entry memo holds, twice, so both the
-    // miss path and the hit path are exercised and must agree.
-    std::vector<double> values;
-    for (double v = -128.55; v <= 10.0; v += 1.37) values.push_back(v);
-    values.insert(values.end(), {-93.25, -93.35, -0.05, 0.05, 0.0, -63.4999});
-    for (int pass = 0; pass < 2; ++pass) {
-        for (const double v : values) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.1f", v);
-            long expected = std::lround(std::strtod(buf, nullptr));
-            if (expected < -128) expected = -128;
-            if (expected > 127) expected = 127;
-            EXPECT_EQ(quantize_dbm(v), static_cast<std::int8_t>(expected))
-                << "pass " << pass << " value " << v;
+    // on it.  Every one-decimal tie k/20 on [-200, 200] dBm and one ulp
+    // either side, the values that round to the int8 ends, then seeded bit
+    // patterns: huge, tiny, NaN payloads and infinities included.
+    std::vector<double> values = {-93.25, -93.35, -0.05, 0.05, 0.0, -0.0, -63.4999,
+                                  -128.5, -128.49999999999997, 127.5, 127.49999999999999,
+                                  1e300, -1e300, INFINITY, -INFINITY, NAN, -NAN};
+    for (int k = -4000; k <= 4000; ++k) {
+        const double v = k / 20.0;
+        values.push_back(v);
+        values.push_back(std::nextafter(v, -INFINITY));
+        values.push_back(std::nextafter(v, INFINITY));
+    }
+    Rng rng(0x9da7'0dbe);
+    for (int i = 0; i < 250'000; ++i) {
+        const std::uint64_t bits = rng.next_u64();
+        // Half any bit pattern, half on [-200, 200] dBm.
+        values.push_back(bits % 2 == 0 ? std::bit_cast<double>(rng.next_u64())
+                                       : rng.uniform(-200.0, 200.0));
+    }
+    int mismatches = 0;
+    for (const double v : values) {
+        char buf[400];
+        std::snprintf(buf, sizeof(buf), "%.1f", v);
+        long expected = std::lround(std::strtod(buf, nullptr));
+        if (expected < -128) expected = -128;
+        if (expected > 127) expected = 127;
+        if (quantize_dbm(v) != static_cast<std::int8_t>(expected) && ++mismatches <= 10) {
+            ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v) << " ("
+                          << buf << "): " << int{quantize_dbm(v)} << " != " << std::dec
+                          << expected;
         }
     }
+    EXPECT_EQ(mismatches, 0);
     EXPECT_EQ(quantize_dbm(-1000.0), -128);  // clamped to int8
     EXPECT_EQ(quantize_dbm(1000.0), 127);
 }

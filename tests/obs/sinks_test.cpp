@@ -10,6 +10,16 @@
 namespace ble::obs {
 namespace {
 
+/// One event's line as a JsonlTraceSink writes it, without the newline.
+std::string to_jsonl(const Event& event, FrameDescriber describe = nullptr) {
+    JsonlTraceSink sink(describe);
+    sink.on_event(event);
+    std::string line = sink.take();
+    EXPECT_TRUE(sink.str().empty());
+    line.pop_back();
+    return line;
+}
+
 TEST(ToJsonlTest, TxStartShape) {
     TxStart tx;
     tx.time = 1500;
@@ -29,8 +39,9 @@ TEST(ToJsonlTest, TxStartShape) {
     EXPECT_EQ(line.find("\"desc\""), std::string::npos);  // no describer attached
     EXPECT_EQ(line.back(), '}');
 
-    const std::string described = to_jsonl(
-        Event(tx), [](BytesView b) { return "frame:" + std::to_string(b.size()); });
+    const std::string described = to_jsonl(Event(tx), [](std::string& out, BytesView b) {
+        out += "frame:" + std::to_string(b.size());
+    });
     EXPECT_NE(described.find("\"desc\":\"frame:4\""), std::string::npos);
 }
 

@@ -33,20 +33,16 @@ ExperimentConfig small_config() {
 /// stream as JSONL keyed by the trial world's seed (setup retries get their
 /// own worlds, hence their own keys).
 std::map<std::uint64_t, std::string> capture_streams(ExperimentConfig config, int jobs) {
-    std::map<std::uint64_t, std::string> streams;
+    std::map<std::uint64_t, ble::obs::JsonlTraceSink> sinks;
     std::mutex mutex;
     config.jobs = jobs;
-    config.per_trial_sinks = [&streams, &mutex](ble::obs::EventBus& bus,
-                                                std::uint64_t seed) {
-        bus.subscribe([&streams, &mutex, seed](const ble::obs::Event& event) {
-            const std::string line = ble::obs::to_jsonl(event, ble::link::describe_frame);
-            const std::lock_guard lock(mutex);
-            std::string& stream = streams[seed];
-            stream += line;
-            stream += '\n';
-        });
+    config.per_trial_sinks = [&sinks, &mutex](ble::obs::EventBus& bus, std::uint64_t seed) {
+        const std::lock_guard lock(mutex);
+        bus.attach(sinks.try_emplace(seed, ble::link::append_frame_description).first->second);
     };
     (void)run_series(config);
+    std::map<std::uint64_t, std::string> streams;
+    for (auto& [seed, sink] : sinks) streams[seed] = sink.take();
     return streams;
 }
 

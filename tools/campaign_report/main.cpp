@@ -1,15 +1,12 @@
 // campaign_report CLI: fold a campaign's INJECTABLE_JSON records (plus,
 // optionally, its trace directory) into one self-contained report.
 //
-//   campaign_report [--traces DIR] [--md FILE] [--html FILE] [--check]
-//                   <results.jsonl[.gz]>...
+//   campaign_report [--traces DIR] [--md FILE] [--check] <results.jsonl[.gz]>...
 //   campaign_report --diff <A.jsonl[.gz]> <B.jsonl[.gz]> [--md FILE]
 //
 //   --traces DIR     also check recorded-vs-expected event counts against
 //                    the per-trial traces under DIR (INJECTABLE_TRACE_DIR)
-//   --md FILE        write the markdown report to FILE (default: stdout
-//                    when neither --md nor --html is given)
-//   --html FILE      write the self-contained HTML report to FILE
+//   --md FILE        write the markdown report to FILE (default: stdout)
 //   --check          gate mode: exit 1 when the campaign is empty, any
 //                    input line is unparsable, or any complete trace set
 //                    disagrees with its series' events_total counter
@@ -29,13 +26,12 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--traces DIR] [--md FILE] [--html FILE]\n"
-                 "       %*s [--check] <results.jsonl[.gz]>...\n"
+                 "usage: %s [--traces DIR] [--md FILE] [--check] <results.jsonl[.gz]>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
                  "  per-series tables, counters, log2 histograms and (with\n"
                  "  --traces) event-count drift.\n",
-                 argv0, static_cast<int>(std::strlen(argv0)), "");
+                 argv0);
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -52,7 +48,6 @@ int main(int argc, char** argv) {
 
     std::string traces_dir;
     std::string md_path;
-    std::string html_path;
     bool check = false;
     bool diff = false;
     std::vector<std::string> json_paths;
@@ -75,12 +70,6 @@ int main(int argc, char** argv) {
             const char* v = value_of("--md");
             if (v == nullptr) return 2;
             md_path = v;
-            continue;
-        }
-        if (std::strcmp(arg, "--html") == 0) {
-            const char* v = value_of("--html");
-            if (v == nullptr) return 2;
-            html_path = v;
             continue;
         }
         if (std::strcmp(arg, "--check") == 0) {
@@ -134,18 +123,11 @@ int main(int argc, char** argv) {
     const std::vector<DriftRow> drift = compute_drift(campaign, traces_dir);
     const bool have_traces = !traces_dir.empty();
 
-    if (!md_path.empty() || html_path.empty()) {
-        const std::string md = render_markdown(campaign, drift, have_traces);
-        if (md_path.empty()) {
-            if (!check) std::fputs(md.c_str(), stdout);
-        } else if (!write_file(md_path, md)) {
-            std::fprintf(stderr, "%s: cannot write %s\n", argv[0], md_path.c_str());
-            return 2;
-        }
-    }
-    if (!html_path.empty() &&
-        !write_file(html_path, render_html(campaign, drift, have_traces))) {
-        std::fprintf(stderr, "%s: cannot write %s\n", argv[0], html_path.c_str());
+    const std::string md = render_markdown(campaign, drift, have_traces);
+    if (md_path.empty()) {
+        if (!check) std::fputs(md.c_str(), stdout);
+    } else if (!write_file(md_path, md)) {
+        std::fprintf(stderr, "%s: cannot write %s\n", argv[0], md_path.c_str());
         return 2;
     }
 

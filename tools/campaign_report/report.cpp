@@ -46,18 +46,6 @@ std::string bucket_range(int b) {
     return u64_str(lo) + ".." + u64_str(hi);
 }
 
-void html_escape(std::string& out, std::string_view s) {
-    for (const char c : s) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            default: out += c;
-        }
-    }
-}
-
 bool parse_series_line(const std::string& line, SeriesRecord& out, std::string& error) {
     const json::ParseResult parsed = json::parse(line);
     if (!parsed.ok) {
@@ -147,8 +135,7 @@ std::map<std::string, ble::obs::HistogramSnapshot> merged_histograms(
     return hists;
 }
 
-/// The drift/series/counters tables are shared between renderers as
-/// markdown; the HTML page embeds them via a tiny md-table-to-html pass.
+/// The report's markdown tables.
 std::string series_table(const CampaignData& campaign) {
     std::string out =
         "| series | base seed | trials | jobs | hop interval | success | attempts p50 | "
@@ -196,40 +183,6 @@ std::string drift_table(const std::vector<DriftRow>& drift) {
                                : "n/a (incomplete trace set)") +
                " |\n";
     }
-    return out;
-}
-
-/// Minimal markdown-table → HTML-table conversion for the tables above (all
-/// generated here, so the dialect is fixed: header row, separator, data).
-std::string md_table_to_html(const std::string& md) {
-    std::string out = "<table>";
-    std::size_t start = 0;
-    int row = 0;
-    while (start < md.size()) {
-        std::size_t end = md.find('\n', start);
-        if (end == std::string::npos) end = md.size();
-        const std::string_view line(md.data() + start, end - start);
-        start = end + 1;
-        if (line.size() < 2 || line.front() != '|') continue;
-        if (line.find("|---") == 0) continue;  // separator row
-        const char* tag = row == 0 ? "th" : "td";
-        out += "<tr>";
-        std::string_view rest = line.substr(1);  // leading '|'
-        while (!rest.empty()) {
-            const std::size_t bar_at = rest.find('|');
-            if (bar_at == std::string_view::npos) break;
-            std::string_view cell = rest.substr(0, bar_at);
-            while (!cell.empty() && cell.front() == ' ') cell.remove_prefix(1);
-            while (!cell.empty() && cell.back() == ' ') cell.remove_suffix(1);
-            out += std::string("<") + tag + ">";
-            html_escape(out, cell);
-            out += std::string("</") + tag + ">";
-            rest.remove_prefix(bar_at + 1);
-        }
-        out += "</tr>";
-        ++row;
-    }
-    out += "</table>";
     return out;
 }
 
@@ -320,51 +273,6 @@ std::string render_markdown(const CampaignData& campaign, const std::vector<Drif
                "drift.\n\n" +
                drift_table(drift) + "\n";
     }
-    return out;
-}
-
-std::string render_html(const CampaignData& campaign, const std::vector<DriftRow>& drift,
-                        bool have_traces) {
-    std::string out =
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-        "<title>Campaign report</title>\n<style>\n"
-        "body{font-family:system-ui,sans-serif;margin:2em;max-width:72em}\n"
-        "table{border-collapse:collapse;margin:1em 0}\n"
-        "th,td{border:1px solid #ccc;padding:0.25em 0.6em;text-align:left;"
-        "font-variant-numeric:tabular-nums}\n"
-        "th{background:#f0f0f0}\npre{background:#f7f7f7;padding:0.8em;overflow-x:auto}\n"
-        "</style></head><body>\n<h1>Campaign report</h1>\n<p>";
-    out += u64_str(campaign.series.size()) + " series, " + u64_str(total_trials(campaign)) +
-           " trials, " + pct_str(total_successes(campaign), total_trials(campaign)) +
-           " overall injection success.</p>\n";
-    if (!campaign.errors.empty()) {
-        out += "<h2>Input problems</h2>\n<ul>\n";
-        for (const std::string& e : campaign.errors) {
-            out += "<li>";
-            html_escape(out, e);
-            out += "</li>\n";
-        }
-        out += "</ul>\n";
-    }
-    out += "<h2>Series</h2>\n" + md_table_to_html(series_table(campaign));
-    out += "\n<h2>Outcome counters</h2>\n" + md_table_to_html(counters_table(campaign));
-
-    const auto hists = merged_histograms(campaign);
-    if (!hists.empty()) {
-        out += "<h2>Histograms (log2 buckets, merged across series)</h2>\n<pre>";
-        std::string text;
-        for (const auto& [name, h] : hists) {
-            if (h.count == 0) continue;
-            text += render_histogram(name, h);
-        }
-        html_escape(out, text);
-        out += "</pre>\n";
-    }
-
-    if (have_traces) {
-        out += "<h2>Event-count drift</h2>\n" + md_table_to_html(drift_table(drift)) + "\n";
-    }
-    out += "</body></html>\n";
     return out;
 }
 

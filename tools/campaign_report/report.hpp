@@ -4,7 +4,7 @@
 // INJECTABLE_JSON series records — each line an experiment config, its
 // per-trial outcomes and the merged MetricsSnapshot — plus, optionally, the
 // per-trial JSONL traces from INJECTABLE_TRACE_DIR.  This library folds all
-// of it into a single markdown (and HTML) document:
+// of it into a single markdown document:
 //
 //   * per-series outcome tables (success rate, attempt quartiles),
 //   * aggregate counters (the prof.span.* work counters of INJECTABLE_PROF=1
@@ -77,11 +77,6 @@ struct DriftRow {
 [[nodiscard]] std::string render_markdown(const CampaignData& campaign,
                                           const std::vector<DriftRow>& drift,
                                           bool have_traces);
-
-/// Same content as one self-contained HTML page (inline CSS, no external
-/// assets).
-[[nodiscard]] std::string render_html(const CampaignData& campaign,
-                                      const std::vector<DriftRow>& drift, bool have_traces);
 
 struct CheckResult {
     bool ok = true;
