@@ -164,8 +164,9 @@ BENCHMARK(BM_ObsEmitMetricsSink);
 
 void BM_PcapSinkFrame(benchmark::State& state) {
     // Per-frame cost of the omniscient capture sink (DESIGN.md §14): one
-    // TxStart append — record construction plus the frame-byte copy.  This is
-    // the marginal cost INJECTABLE_PCAP_DIR adds to every on-air frame.
+    // TxStart written into the pcap image — record header, pseudo-header and
+    // frame bytes.  This is the marginal cost INJECTABLE_PCAP_DIR adds to
+    // every on-air frame.
     obs::EventBus bus;
     obs::capture::CaptureSink sink;
     bus.attach(sink);
@@ -182,7 +183,7 @@ void BM_PcapSinkFrame(benchmark::State& state) {
         tx.tx_id = tx_id++;
         bus.emit(obs::Event(tx));
     }
-    benchmark::DoNotOptimize(sink.records().size());
+    benchmark::DoNotOptimize(sink.pcap().size());
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PcapSinkFrame);
@@ -204,7 +205,7 @@ BENCHMARK(BM_InjectionTrialBaseline);
 
 void BM_CaptureOmniscientTrial(benchmark::State& state) {
     // The identical trial with an omniscient CaptureSink attached and the
-    // pcap image serialized per trial — what the captures channel
+    // pcap image copied out per trial — what the captures channel
     // (INJECTABLE_PCAP_DIR) costs end to end.  Acceptance budget: within 3%
     // of BM_InjectionTrialBaseline; both land in BENCH_micro.json so CI can
     // diff the ratio across PRs.
@@ -220,7 +221,7 @@ void BM_CaptureOmniscientTrial(benchmark::State& state) {
     for (auto _ : state) {
         const auto result = injectable::world::run_injection_experiment(config, seed++);
         benchmark::DoNotOptimize(result.attempts);
-        const std::string pcap = sink->pcap_bytes();
+        const std::string pcap = sink->pcap();
         benchmark::DoNotOptimize(pcap.size());
     }
     state.SetItemsProcessed(state.iterations());
@@ -315,7 +316,8 @@ void BM_DenseWorldMediumWalk(benchmark::State& state) {
     crowd.reserve(n + 1);
     for (std::size_t i = 0; i <= n; ++i) {
         sim::RadioDeviceConfig cfg;
-        cfg.name = "d" + std::to_string(i);
+        cfg.name = "d";
+        cfg.name += std::to_string(i);
         cfg.position = {static_cast<double>(i % 32), static_cast<double>(i / 32)};
         crowd.push_back(std::make_unique<IdleDevice>(scheduler, medium, Rng(i), cfg));
     }
@@ -396,7 +398,8 @@ void BM_MediumListenChurn(benchmark::State& state) {
     std::vector<std::unique_ptr<BenchIdleDevice>> devs;
     for (int i = 0; i < 3; ++i) {
         sim::RadioDeviceConfig cfg;
-        cfg.name = "d" + std::to_string(i);
+        cfg.name = "d";
+        cfg.name += std::to_string(i);
         cfg.position = {static_cast<double>(i), 0.0};
         devs.push_back(std::make_unique<BenchIdleDevice>(scheduler, medium, Rng(i), cfg));
     }
@@ -418,7 +421,8 @@ void BM_MediumDeliverSmallWorld(benchmark::State& state) {
     std::vector<std::unique_ptr<BenchIdleDevice>> devs;
     for (int i = 0; i < 3; ++i) {
         sim::RadioDeviceConfig cfg;
-        cfg.name = "d" + std::to_string(i);
+        cfg.name = "d";
+        cfg.name += std::to_string(i);
         cfg.position = {static_cast<double>(i), 0.0};
         devs.push_back(std::make_unique<BenchIdleDevice>(scheduler, medium, Rng(i), cfg));
     }
@@ -468,7 +472,8 @@ void BM_MediumDeliverObserved(benchmark::State& state) {
     std::vector<std::unique_ptr<BenchIdleDevice>> devs;
     for (int i = 0; i < 3; ++i) {
         sim::RadioDeviceConfig cfg;
-        cfg.name = "d" + std::to_string(i);
+        cfg.name = "d";
+        cfg.name += std::to_string(i);
         cfg.position = {static_cast<double>(i), 0.0};
         devs.push_back(std::make_unique<BenchIdleDevice>(scheduler, medium, Rng(i), cfg));
     }

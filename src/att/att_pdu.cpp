@@ -1,5 +1,7 @@
 #include "att/att_pdu.hpp"
 
+#include <algorithm>
+
 namespace ble::att {
 
 const char* opcode_name(Opcode opcode) noexcept {
@@ -34,12 +36,23 @@ Bytes AttPdu::serialize() const {
     return w.take();
 }
 
-std::optional<AttPdu> AttPdu::parse(BytesView data) noexcept {
+std::optional<AttView> AttView::parse(BytesView data) noexcept {
     if (data.empty()) return std::nullopt;
-    AttPdu out;
-    out.opcode = static_cast<Opcode>(data[0]);
-    out.params.assign(data.begin() + 1, data.end());
-    return out;
+    return AttView{static_cast<Opcode>(data[0]), data.subspan(1)};
+}
+
+std::optional<AttPdu> AttPdu::parse(BytesView data) noexcept {
+    const auto view = AttView::parse(data);
+    if (!view) return std::nullopt;
+    return AttPdu{view->opcode, Bytes(view->params.begin(), view->params.end())};
+}
+
+void write_handle_pdu(Bytes& out, Opcode opcode, std::uint16_t handle, BytesView value) {
+    out.resize(3 + value.size());
+    out[0] = static_cast<std::uint8_t>(opcode);
+    out[1] = static_cast<std::uint8_t>(handle & 0xFF);
+    out[2] = static_cast<std::uint8_t>(handle >> 8);
+    std::copy(value.begin(), value.end(), out.begin() + 3);
 }
 
 AttPdu make_error_rsp(Opcode request, std::uint16_t handle, ErrorCode error) {
@@ -50,7 +63,7 @@ AttPdu make_error_rsp(Opcode request, std::uint16_t handle, ErrorCode error) {
     return AttPdu{Opcode::kErrorRsp, w.take()};
 }
 
-std::optional<ErrorRsp> ErrorRsp::parse(const AttPdu& pdu) noexcept {
+std::optional<ErrorRsp> ErrorRsp::parse(AttView pdu) noexcept {
     if (pdu.opcode != Opcode::kErrorRsp || pdu.params.size() != 4) return std::nullopt;
     ByteReader r(pdu.params);
     ErrorRsp out;
@@ -76,7 +89,6 @@ AttPdu make_handle_value(Opcode opcode, std::uint16_t handle, BytesView value) {
 }  // namespace
 
 AttPdu make_exchange_mtu_req(std::uint16_t mtu) { return make_u16(Opcode::kExchangeMtuReq, mtu); }
-AttPdu make_exchange_mtu_rsp(std::uint16_t mtu) { return make_u16(Opcode::kExchangeMtuRsp, mtu); }
 
 AttPdu make_read_req(std::uint16_t handle) { return make_u16(Opcode::kReadReq, handle); }
 
@@ -87,8 +99,6 @@ AttPdu make_read_rsp(BytesView value) {
 AttPdu make_write_req(std::uint16_t handle, BytesView value) {
     return make_handle_value(Opcode::kWriteReq, handle, value);
 }
-
-AttPdu make_write_rsp() { return AttPdu{Opcode::kWriteRsp, {}}; }
 
 AttPdu make_write_cmd(std::uint16_t handle, BytesView value) {
     return make_handle_value(Opcode::kWriteCmd, handle, value);
@@ -102,15 +112,10 @@ AttPdu make_indication(std::uint16_t handle, BytesView value) {
     return make_handle_value(Opcode::kHandleValueIndication, handle, value);
 }
 
-AttPdu make_confirmation() { return AttPdu{Opcode::kHandleValueConfirmation, {}}; }
-
-std::optional<HandleValue> HandleValue::parse(const AttPdu& pdu) noexcept {
+std::optional<HandleValue> HandleValue::parse(AttView pdu) noexcept {
     if (pdu.params.size() < 2) return std::nullopt;
-    ByteReader r(pdu.params);
-    HandleValue out;
-    out.handle = *r.read_u16();
-    out.value = r.read_rest();
-    return out;
+    return HandleValue{static_cast<std::uint16_t>(pdu.params[0] | (pdu.params[1] << 8)),
+                       pdu.params.subspan(2)};
 }
 
 AttPdu make_find_information_req(std::uint16_t start, std::uint16_t end) {
@@ -139,7 +144,7 @@ AttPdu make_read_by_group_type_req(std::uint16_t start, std::uint16_t end, const
     return make_range_type(Opcode::kReadByGroupTypeReq, start, end, type);
 }
 
-std::optional<RangeRequest> RangeRequest::parse(const AttPdu& pdu) noexcept {
+std::optional<RangeRequest> RangeRequest::parse(AttView pdu) noexcept {
     if (pdu.params.size() < 4) return std::nullopt;
     ByteReader r(pdu.params);
     RangeRequest out;

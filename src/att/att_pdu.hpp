@@ -46,14 +46,31 @@ enum class ErrorCode : std::uint8_t {
     kInvalidAttributeValueLength = 0x0D,
 };
 
-/// Generic ATT PDU: opcode + parameters. Typed helpers below.
+/// A PDU read in place: the opcode and a view of the parameters after it.
+/// What the stack parses a received SDU into; valid while the SDU's bytes are.
+struct AttView {
+    Opcode opcode{};
+    BytesView params;
+
+    static std::optional<AttView> parse(BytesView data) noexcept;
+};
+
+/// Generic ATT PDU that owns its parameters, for building PDUs and holding
+/// them past the SDU they arrived in. Typed helpers below.
 struct AttPdu {
     Opcode opcode{};
     Bytes params;
 
+    /// Implicit, so that every parser taking an AttView takes an AttPdu too.
+    operator AttView() const noexcept { return {opcode, params}; }
     [[nodiscard]] Bytes serialize() const;
     static std::optional<AttPdu> parse(BytesView data) noexcept;
 };
+
+/// Writes the wire form opcode | handle | value (a Read or Write Request, a
+/// Write Command, a Notification or an Indication) into `out`, reusing its
+/// storage: the allocation-free counterpart of the make_* builders below.
+void write_handle_pdu(Bytes& out, Opcode opcode, std::uint16_t handle, BytesView value = {});
 
 // --- typed builders/parsers for the PDUs the stack and attacks use ---
 
@@ -62,28 +79,25 @@ struct ErrorRsp {
     Opcode request{};
     std::uint16_t handle = 0;
     ErrorCode error{};
-    static std::optional<ErrorRsp> parse(const AttPdu& pdu) noexcept;
+    static std::optional<ErrorRsp> parse(AttView pdu) noexcept;
 };
 
 [[nodiscard]] AttPdu make_exchange_mtu_req(std::uint16_t mtu);
-[[nodiscard]] AttPdu make_exchange_mtu_rsp(std::uint16_t mtu);
 
 [[nodiscard]] AttPdu make_read_req(std::uint16_t handle);
 [[nodiscard]] AttPdu make_read_rsp(BytesView value);
 
 [[nodiscard]] AttPdu make_write_req(std::uint16_t handle, BytesView value);
-[[nodiscard]] AttPdu make_write_rsp();
 [[nodiscard]] AttPdu make_write_cmd(std::uint16_t handle, BytesView value);
 
 [[nodiscard]] AttPdu make_notification(std::uint16_t handle, BytesView value);
 [[nodiscard]] AttPdu make_indication(std::uint16_t handle, BytesView value);
-[[nodiscard]] AttPdu make_confirmation();
 
 struct HandleValue {
     std::uint16_t handle = 0;
-    Bytes value;
+    BytesView value;  ///< a view into the parsed PDU
     /// Parses ReadReq / WriteReq / WriteCmd / Notification / Indication.
-    static std::optional<HandleValue> parse(const AttPdu& pdu) noexcept;
+    static std::optional<HandleValue> parse(AttView pdu) noexcept;
 };
 
 [[nodiscard]] AttPdu make_find_information_req(std::uint16_t start, std::uint16_t end);
@@ -96,7 +110,7 @@ struct RangeRequest {
     std::uint16_t start = 0;
     std::uint16_t end = 0;
     std::optional<Uuid> type;  // set for *ByType / *ByGroupType
-    static std::optional<RangeRequest> parse(const AttPdu& pdu) noexcept;
+    static std::optional<RangeRequest> parse(AttView pdu) noexcept;
 };
 
 }  // namespace ble::att

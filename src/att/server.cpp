@@ -13,6 +13,21 @@ bool is_service_declaration(const Uuid& type) noexcept {
     return type == Uuid::from16(kPrimaryServiceUuid) ||
            type == Uuid::from16(kSecondaryServiceUuid);
 }
+
+/// Writes an Error Response into `out`; true, so a handler can return it.
+bool write_error(Bytes& out, Opcode request, std::uint16_t handle, ErrorCode error) {
+    out.assign({static_cast<std::uint8_t>(Opcode::kErrorRsp),
+                static_cast<std::uint8_t>(request), static_cast<std::uint8_t>(handle & 0xFF),
+                static_cast<std::uint8_t>(handle >> 8), static_cast<std::uint8_t>(error)});
+    return true;
+}
+
+/// Writes `opcode | format | entries` into `out`, for the discovery responses.
+bool write_list(Bytes& out, Opcode opcode, std::size_t format, const ByteWriter& entries) {
+    out.assign({static_cast<std::uint8_t>(opcode), static_cast<std::uint8_t>(format)});
+    out.insert(out.end(), entries.bytes().begin(), entries.bytes().end());
+    return true;
+}
 }  // namespace
 
 std::uint16_t AttServer::add(Attribute attribute) {
@@ -39,78 +54,87 @@ const Attribute* AttServer::find_by_type(std::uint16_t start, std::uint16_t end,
     return nullptr;
 }
 
-std::optional<AttPdu> AttServer::handle_pdu(const AttPdu& request) {
+bool AttServer::respond(AttView request, Bytes& response) {
     switch (request.opcode) {
         case Opcode::kExchangeMtuReq:
-            return make_exchange_mtu_rsp(mtu_);
+            // Opcode | u16, the layout of a handle PDU.
+            write_handle_pdu(response, Opcode::kExchangeMtuRsp, mtu_);
+            return true;
         case Opcode::kReadReq:
-            return handle_read(request);
+            return handle_read(request, response);
         case Opcode::kWriteReq:
-            return handle_write(request, /*is_command=*/false);
+            return handle_write(request, /*is_command=*/false, response);
         case Opcode::kWriteCmd:
-            return handle_write(request, /*is_command=*/true);
+            return handle_write(request, /*is_command=*/true, response);
         case Opcode::kFindInformationReq:
-            return handle_find_information(request);
+            return handle_find_information(request, response);
         case Opcode::kReadByTypeReq:
-            return handle_read_by_type(request);
+            return handle_read_by_type(request, response);
         case Opcode::kReadByGroupTypeReq:
-            return handle_read_by_group_type(request);
+            return handle_read_by_group_type(request, response);
         case Opcode::kHandleValueConfirmation:
-            return std::nullopt;
+            return false;
         default:
             // Commands (odd bit 6 set) are silently dropped; requests get an
             // error so the client is not left hanging.
-            if ((static_cast<std::uint8_t>(request.opcode) & 0x40) != 0) return std::nullopt;
-            return make_error_rsp(request.opcode, 0, ErrorCode::kRequestNotSupported);
+            if ((static_cast<std::uint8_t>(request.opcode) & 0x40) != 0) return false;
+            return write_error(response, request.opcode, 0, ErrorCode::kRequestNotSupported);
     }
 }
 
-std::optional<AttPdu> AttServer::handle_read(const AttPdu& request) {
+std::optional<AttPdu> AttServer::handle_pdu(AttView request) {
+    Bytes response;
+    if (!respond(request, response)) return std::nullopt;
+    return AttPdu::parse(response);
+}
+
+bool AttServer::handle_read(AttView request, Bytes& out) {
     const auto hv = HandleValue::parse(request);
-    if (!hv) return make_error_rsp(request.opcode, 0, ErrorCode::kInvalidPdu);
-    Attribute* attr = find(hv->handle);
+    if (!hv) return write_error(out, request.opcode, 0, ErrorCode::kInvalidPdu);
+    const Attribute* attr = find(hv->handle);
     if (attr == nullptr) {
-        return make_error_rsp(request.opcode, hv->handle, ErrorCode::kInvalidHandle);
+        return write_error(out, request.opcode, hv->handle, ErrorCode::kInvalidHandle);
     }
     if (!attr->readable) {
-        return make_error_rsp(request.opcode, hv->handle, ErrorCode::kReadNotPermitted);
+        return write_error(out, request.opcode, hv->handle, ErrorCode::kReadNotPermitted);
     }
-    const Bytes value = attr->on_read ? attr->on_read() : attr->value;
+    Bytes dynamic;
+    BytesView value = attr->value;
+    if (attr->on_read) {
+        dynamic = attr->on_read();
+        value = dynamic;
+    }
     // Truncate to MTU - 1 like a real server.
-    const std::size_t n = std::min<std::size_t>(value.size(), mtu_ - 1u);
-    return make_read_rsp(BytesView(value.data(), n));
+    value = value.first(std::min<std::size_t>(value.size(), mtu_ - 1u));
+    out.resize(1 + value.size());
+    out[0] = static_cast<std::uint8_t>(Opcode::kReadRsp);
+    std::copy(value.begin(), value.end(), out.begin() + 1);
+    return true;
 }
 
-std::optional<AttPdu> AttServer::handle_write(const AttPdu& request, bool is_command) {
+bool AttServer::handle_write(AttView request, bool is_command, Bytes& out) {
+    // A command is never answered, not even with an error.
+    const auto refuse = [&](std::uint16_t handle, ErrorCode error) {
+        return !is_command && write_error(out, request.opcode, handle, error);
+    };
     const auto hv = HandleValue::parse(request);
-    if (!hv) {
-        if (is_command) return std::nullopt;
-        return make_error_rsp(request.opcode, 0, ErrorCode::kInvalidPdu);
-    }
+    if (!hv) return refuse(0, ErrorCode::kInvalidPdu);
     Attribute* attr = find(hv->handle);
-    if (attr == nullptr) {
-        if (is_command) return std::nullopt;
-        return make_error_rsp(request.opcode, hv->handle, ErrorCode::kInvalidHandle);
-    }
-    if (!attr->writable) {
-        if (is_command) return std::nullopt;
-        return make_error_rsp(request.opcode, hv->handle, ErrorCode::kWriteNotPermitted);
-    }
+    if (attr == nullptr) return refuse(hv->handle, ErrorCode::kInvalidHandle);
+    if (!attr->writable) return refuse(hv->handle, ErrorCode::kWriteNotPermitted);
     if (attr->on_write) {
-        if (const auto error = attr->on_write(hv->value)) {
-            if (is_command) return std::nullopt;
-            return make_error_rsp(request.opcode, hv->handle, *error);
-        }
+        if (const auto error = attr->on_write(hv->value)) return refuse(hv->handle, *error);
     }
-    attr->value = hv->value;
-    if (is_command) return std::nullopt;
-    return make_write_rsp();
+    attr->value.assign(hv->value.begin(), hv->value.end());
+    if (is_command) return false;
+    out.assign(1, static_cast<std::uint8_t>(Opcode::kWriteRsp));
+    return true;
 }
 
-std::optional<AttPdu> AttServer::handle_find_information(const AttPdu& request) {
+bool AttServer::handle_find_information(AttView request, Bytes& out) {
     const auto range = RangeRequest::parse(request);
     if (!range || range->start == 0 || range->start > range->end) {
-        return make_error_rsp(request.opcode, 0, ErrorCode::kInvalidPdu);
+        return write_error(out, request.opcode, 0, ErrorCode::kInvalidPdu);
     }
     // Format 1 (16-bit UUIDs) or 2 (128-bit); all entries in one response
     // must share a format.
@@ -126,18 +150,15 @@ std::optional<AttPdu> AttServer::handle_find_information(const AttPdu& request) 
         attr.type.write_to(w);
     }
     if (!fmt16) {
-        return make_error_rsp(request.opcode, range->start, ErrorCode::kAttributeNotFound);
+        return write_error(out, request.opcode, range->start, ErrorCode::kAttributeNotFound);
     }
-    ByteWriter out;
-    out.write_u8(*fmt16 ? 0x01 : 0x02);
-    out.write_bytes(w.bytes());
-    return AttPdu{Opcode::kFindInformationRsp, out.take()};
+    return write_list(out, Opcode::kFindInformationRsp, *fmt16 ? 0x01 : 0x02, w);
 }
 
-std::optional<AttPdu> AttServer::handle_read_by_type(const AttPdu& request) {
+bool AttServer::handle_read_by_type(AttView request, Bytes& out) {
     const auto range = RangeRequest::parse(request);
     if (!range || !range->type || range->start == 0 || range->start > range->end) {
-        return make_error_rsp(request.opcode, 0, ErrorCode::kInvalidPdu);
+        return write_error(out, request.opcode, 0, ErrorCode::kInvalidPdu);
     }
     ByteWriter w;
     std::optional<std::size_t> entry_len;
@@ -153,22 +174,18 @@ std::optional<AttPdu> AttServer::handle_read_by_type(const AttPdu& request) {
         w.write_bytes(value);
     }
     if (!entry_len) {
-        return make_error_rsp(request.opcode, range->start, ErrorCode::kAttributeNotFound);
+        return write_error(out, request.opcode, range->start, ErrorCode::kAttributeNotFound);
     }
-    ByteWriter out;
-    out.write_u8(static_cast<std::uint8_t>(*entry_len));
-    out.write_bytes(w.bytes());
-    return AttPdu{Opcode::kReadByTypeRsp, out.take()};
+    return write_list(out, Opcode::kReadByTypeRsp, *entry_len, w);
 }
 
-std::optional<AttPdu> AttServer::handle_read_by_group_type(const AttPdu& request) {
+bool AttServer::handle_read_by_group_type(AttView request, Bytes& out) {
     const auto range = RangeRequest::parse(request);
     if (!range || !range->type || range->start == 0 || range->start > range->end) {
-        return make_error_rsp(request.opcode, 0, ErrorCode::kInvalidPdu);
+        return write_error(out, request.opcode, 0, ErrorCode::kInvalidPdu);
     }
     if (!is_service_declaration(*range->type)) {
-        return make_error_rsp(request.opcode, range->start,
-                              ErrorCode::kRequestNotSupported);
+        return write_error(out, request.opcode, range->start, ErrorCode::kRequestNotSupported);
     }
     ByteWriter w;
     std::optional<std::size_t> entry_len;
@@ -193,12 +210,9 @@ std::optional<AttPdu> AttServer::handle_read_by_group_type(const AttPdu& request
         w.write_bytes(attr.value);
     }
     if (!entry_len) {
-        return make_error_rsp(request.opcode, range->start, ErrorCode::kAttributeNotFound);
+        return write_error(out, request.opcode, range->start, ErrorCode::kAttributeNotFound);
     }
-    ByteWriter out;
-    out.write_u8(static_cast<std::uint8_t>(*entry_len));
-    out.write_bytes(w.bytes());
-    return AttPdu{Opcode::kReadByGroupTypeRsp, out.take()};
+    return write_list(out, Opcode::kReadByGroupTypeRsp, *entry_len, w);
 }
 
 }  // namespace ble::att

@@ -39,19 +39,25 @@ public:
     [[nodiscard]] const Attribute* find_by_type(std::uint16_t start, std::uint16_t end,
                                                 const Uuid& type) const noexcept;
 
-    /// Processes one client PDU. Returns the response PDU, or nullopt when
-    /// the PDU needs no response (Write Command, Confirmation, unknown
-    /// commands).
-    std::optional<AttPdu> handle_pdu(const AttPdu& request);
+    /// Processes one client PDU and writes the response's wire form (opcode
+    /// first) into `response`, reusing its storage.  Returns false, leaving
+    /// `response` unspecified, when the PDU needs no response (Write Command,
+    /// Confirmation, unknown commands).  A read or write of a stored value
+    /// allocates nothing once `response` has grown to the MTU.
+    bool respond(AttView request, Bytes& response);
+
+    /// respond() returning the response as an owning PDU (nullopt for none).
+    std::optional<AttPdu> handle_pdu(AttView request);
 
     [[nodiscard]] std::uint16_t mtu() const noexcept { return mtu_; }
 
 private:
-    std::optional<AttPdu> handle_read(const AttPdu& request);
-    std::optional<AttPdu> handle_write(const AttPdu& request, bool is_command);
-    std::optional<AttPdu> handle_find_information(const AttPdu& request);
-    std::optional<AttPdu> handle_read_by_type(const AttPdu& request);
-    std::optional<AttPdu> handle_read_by_group_type(const AttPdu& request);
+    // Each writes the response into `out`; false means there is none.
+    bool handle_read(AttView request, Bytes& out);
+    bool handle_write(AttView request, bool is_command, Bytes& out);
+    bool handle_find_information(AttView request, Bytes& out);
+    bool handle_read_by_type(AttView request, Bytes& out);
+    bool handle_read_by_group_type(AttView request, Bytes& out);
 
     std::vector<Attribute> db_;
     std::uint16_t mtu_ = 23;

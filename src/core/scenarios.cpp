@@ -25,27 +25,23 @@ EmulatedEndpoint::EmulatedEndpoint(AttackerRadio& radio, link::ConnectionConfig 
                                                      std::move(hooks));
 
     if (upper_ == Upper::kClient) {
-        client_ = std::make_unique<att::AttClient>([this](const att::AttPdu& pdu) {
-            if (l2cap_) l2cap_->send(host::kAttCid, pdu.serialize());
+        client_ = std::make_unique<att::AttClient>([this](BytesView pdu) {
+            if (l2cap_) l2cap_->send(host::kAttCid, pdu);
         });
     }
 
     l2cap_ = std::make_unique<host::L2capChannel>(
         27,
-        [this](link::Llid llid, Bytes fragment) {
-            connection_->send_data(llid, std::move(fragment));
-        },
-        [this](std::uint16_t cid, const Bytes& sdu) {
-            if (on_sdu) on_sdu(cid, sdu);
+        [this](link::Llid llid, BytesView fragment) { connection_->send_data(llid, fragment); },
+        [this](std::uint16_t cid, BytesView sdu) {
+            if (on_sdu) on_sdu(cid, Bytes(sdu.begin(), sdu.end()));
             if (cid != host::kAttCid) return;
-            const auto pdu = att::AttPdu::parse(sdu);
+            const auto pdu = att::AttView::parse(sdu);
             if (!pdu) return;
             switch (upper_) {
                 case Upper::kServer:
-                    if (server_ != nullptr) {
-                        if (const auto rsp = server_->handle_pdu(*pdu)) {
-                            l2cap_->send(host::kAttCid, rsp->serialize());
-                        }
+                    if (server_ != nullptr && server_->respond(*pdu, att_tx_)) {
+                        l2cap_->send(host::kAttCid, att_tx_);
                     }
                     break;
                 case Upper::kClient:
@@ -70,7 +66,8 @@ void EmulatedEndpoint::resume(TimePoint next_anchor) { connection_->resume(next_
 void EmulatedEndpoint::send_sdu(std::uint16_t cid, BytesView sdu) { l2cap_->send(cid, sdu); }
 
 void EmulatedEndpoint::notify(std::uint16_t handle, BytesView value) {
-    l2cap_->send(host::kAttCid, att::make_notification(handle, value).serialize());
+    att::write_handle_pdu(att_tx_, att::Opcode::kHandleValueNotification, handle, value);
+    l2cap_->send(host::kAttCid, att_tx_);
 }
 
 // --- Scenario A ---

@@ -66,6 +66,7 @@ private:
     std::unique_ptr<ble::att::AttClient> client_;
     std::unique_ptr<ble::link::Connection> connection_;
     std::unique_ptr<ble::host::L2capChannel> l2cap_;
+    ble::Bytes att_tx_;  ///< wire form of the PDU being sent
 };
 
 /// Scenario A.

@@ -5,9 +5,18 @@ namespace ble::host {
 Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
                  CentralConfig config)
     : config_(std::move(config)),
-      att_client_([this](const att::AttPdu& pdu) {
-          if (l2cap_) l2cap_->send(kAttCid, pdu.serialize());
+      att_client_([this](BytesView pdu) {
+          if (connected_) l2cap_.send(kAttCid, pdu);
       }),
+      l2cap_(
+          27,
+          [this](link::Llid llid, BytesView fragment) {
+              if (link::Connection* conn = connection()) conn->send_data(llid, fragment);
+          },
+          [this](std::uint16_t cid, BytesView sdu) {
+              if (cid != kAttCid) return;
+              if (const auto pdu = att::AttView::parse(sdu)) att_client_.handle_pdu(*pdu);
+          }),
       rng_(rng) {
     link::LinkLayerDeviceConfig dev_cfg;
     dev_cfg.radio = config_.radio;
@@ -24,7 +33,7 @@ Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
 void Central::wire_hooks() {
     link::ConnectionHooks hooks;
     hooks.on_data = [this](const link::DataPdu& pdu) {
-        if (l2cap_) l2cap_->handle_ll_pdu(pdu);
+        if (connected_) l2cap_.handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
     hooks.on_disconnected = [this](link::DisconnectReason reason) {
@@ -37,17 +46,8 @@ void Central::wire_hooks() {
     };
     device_->set_connection_hooks(std::move(hooks));
 
-    device_->on_connection_established = [this](link::Connection& conn) {
+    device_->on_connection_established = [this](link::Connection&) {
         connected_ = true;
-        l2cap_ = std::make_unique<L2capChannel>(
-            27,
-            [&conn](link::Llid llid, Bytes fragment) {
-                conn.send_data(llid, std::move(fragment));
-            },
-            [this](std::uint16_t cid, const Bytes& sdu) {
-                if (cid != kAttCid) return;
-                if (const auto pdu = att::AttPdu::parse(sdu)) att_client_.handle_pdu(*pdu);
-            });
         if (on_connected) on_connected();
     };
 }

@@ -53,7 +53,7 @@ private:
     CentralConfig config_;
     std::unique_ptr<link::LinkLayerDevice> device_;
     att::AttClient att_client_;
-    std::unique_ptr<L2capChannel> l2cap_;
+    L2capChannel l2cap_;  ///< carries ATT over the current connection
     bool connected_ = false;
     Rng rng_;
 

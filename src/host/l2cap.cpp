@@ -5,18 +5,19 @@
 namespace ble::host {
 
 void L2capChannel::send(std::uint16_t cid, BytesView sdu) {
-    ByteWriter w(4 + sdu.size());
-    w.write_u16(static_cast<std::uint16_t>(sdu.size()));
-    w.write_u16(cid);
-    w.write_bytes(sdu);
-    const Bytes frame = w.take();
+    const auto len = static_cast<std::uint16_t>(sdu.size());
+    tx_frame_.resize(4 + sdu.size());
+    tx_frame_[0] = static_cast<std::uint8_t>(len & 0xFF);
+    tx_frame_[1] = static_cast<std::uint8_t>(len >> 8);
+    tx_frame_[2] = static_cast<std::uint8_t>(cid & 0xFF);
+    tx_frame_[3] = static_cast<std::uint8_t>(cid >> 8);
+    std::copy(sdu.begin(), sdu.end(), tx_frame_.begin() + 4);
 
+    const BytesView frame(tx_frame_);
     for (std::size_t off = 0; off < frame.size(); off += max_ll_payload_) {
         const std::size_t n = std::min(max_ll_payload_, frame.size() - off);
-        Bytes fragment(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                       frame.begin() + static_cast<std::ptrdiff_t>(off + n));
         send_(off == 0 ? link::Llid::kDataStart : link::Llid::kDataContinuation,
-              std::move(fragment));
+              frame.subspan(off, n));
     }
 }
 
@@ -34,15 +35,17 @@ void L2capChannel::handle_ll_pdu(const link::DataPdu& pdu) {
     ByteReader r(rx_buffer_);
     const std::uint16_t len = *r.read_u16();
     const std::uint16_t cid = *r.read_u16();
-    rx_expected_ = 4u + len;
-    if (rx_buffer_.size() < rx_expected_) return;
-    if (rx_buffer_.size() > rx_expected_) {  // oversized frame: drop
+    const std::size_t expected = 4u + len;
+    if (rx_buffer_.size() < expected) return;
+    if (rx_buffer_.size() > expected) {  // oversized frame: drop
         rx_buffer_.clear();
         return;
     }
-    const Bytes sdu(rx_buffer_.begin() + 4, rx_buffer_.end());
+    // Deliver from the other buffer, so that the channel is idle (and touched
+    // no more) while the upper layer runs.
+    rx_sdu_.swap(rx_buffer_);
     rx_buffer_.clear();
-    deliver_(cid, sdu);
+    deliver_(cid, BytesView(rx_sdu_).subspan(4));
 }
 
 }  // namespace ble::host

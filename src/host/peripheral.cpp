@@ -4,7 +4,16 @@ namespace ble::host {
 
 Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
                        PeripheralConfig config)
-    : config_(std::move(config)), rng_(rng) {
+    : config_(std::move(config)),
+      l2cap_(
+          27,
+          [this](link::Llid llid, BytesView fragment) {
+              if (link::Connection* conn = connection()) conn->send_data(llid, fragment);
+          },
+          [this](std::uint16_t cid, BytesView sdu) {
+              if (cid == kAttCid) handle_att_sdu(sdu);
+          }),
+      rng_(rng) {
     link::LinkLayerDeviceConfig dev_cfg;
     dev_cfg.radio = config_.radio;
     dev_cfg.radio.name = config_.name;
@@ -20,7 +29,7 @@ Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng 
 void Peripheral::wire_hooks() {
     link::ConnectionHooks hooks;
     hooks.on_data = [this](const link::DataPdu& pdu) {
-        if (l2cap_) l2cap_->handle_ll_pdu(pdu);
+        if (connected_) l2cap_.handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
     hooks.on_disconnected = [this](link::DisconnectReason reason) {
@@ -33,34 +42,23 @@ void Peripheral::wire_hooks() {
     };
     device_->set_connection_hooks(std::move(hooks));
 
-    device_->on_connection_established = [this](link::Connection& conn) {
+    device_->on_connection_established = [this](link::Connection&) {
         connected_ = true;
-        l2cap_ = std::make_unique<L2capChannel>(
-            27,
-            [&conn](link::Llid llid, Bytes fragment) {
-                conn.send_data(llid, std::move(fragment));
-            },
-            [this](std::uint16_t cid, const Bytes& sdu) {
-                if (cid == kAttCid) handle_att_sdu(sdu);
-            });
         if (on_connected) on_connected();
     };
 }
 
 void Peripheral::start() { device_->start_advertising(link::make_adv_name(config_.name)); }
 
-void Peripheral::handle_att_sdu(const Bytes& sdu) {
-    const auto pdu = att::AttPdu::parse(sdu);
-    if (!pdu) return;
-    const auto response = att_server_.handle_pdu(*pdu);
-    if (response && l2cap_) {
-        l2cap_->send(kAttCid, response->serialize());
-    }
+void Peripheral::handle_att_sdu(BytesView sdu) {
+    const auto pdu = att::AttView::parse(sdu);
+    if (pdu && att_server_.respond(*pdu, att_tx_) && connected_) l2cap_.send(kAttCid, att_tx_);
 }
 
 void Peripheral::notify(std::uint16_t handle, BytesView value) {
-    if (!connected_ || !l2cap_) return;
-    l2cap_->send(kAttCid, att::make_notification(handle, value).serialize());
+    if (!connected_) return;
+    att::write_handle_pdu(att_tx_, att::Opcode::kHandleValueNotification, handle, value);
+    l2cap_.send(kAttCid, att_tx_);
 }
 
 void Peripheral::handle_control(const link::ControlPdu& pdu) {

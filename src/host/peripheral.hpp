@@ -55,13 +55,14 @@ public:
 
 private:
     void wire_hooks();
-    void handle_att_sdu(const Bytes& sdu);
+    void handle_att_sdu(BytesView sdu);
     void handle_control(const link::ControlPdu& pdu);
 
     PeripheralConfig config_;
     std::unique_ptr<link::LinkLayerDevice> device_;
     att::AttServer att_server_;
-    std::unique_ptr<L2capChannel> l2cap_;
+    L2capChannel l2cap_;  ///< carries ATT over the current connection
+    Bytes att_tx_;        ///< wire form of the PDU being sent
     std::optional<crypto::Aes128Key> ltk_;
     bool connected_ = false;
     Rng rng_;

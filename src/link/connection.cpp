@@ -146,20 +146,18 @@ void Connection::resume(TimePoint next_anchor) {
 
 const DataPdu& Connection::build_next_pdu() {
     DataPdu& pdu = tx_pdu_;
-    if (!in_flight_ && !tx_queue_.empty()) {
-        in_flight_ = std::move(tx_queue_.front());
-        tx_queue_.pop_front();
-    }
+    in_flight_ = !tx_queue_.empty();
     if (in_flight_) {
-        pdu.llid = in_flight_->llid;  // a retransmission keeps its SN
-        pdu.payload = in_flight_->payload;
+        const PendingTx& tx = tx_queue_.front();
+        pdu.llid = tx.llid;  // a retransmission keeps its SN
+        pdu.payload = tx.payload;
     } else {
         pdu.llid = Llid::kDataContinuation;  // empty PDU
         pdu.payload.clear();
     }
     pdu.sn = sn_;
     pdu.nesn = nesn_;
-    pdu.md = !tx_queue_.empty();
+    pdu.md = tx_queue_.size() > 1;
     return pdu;
 }
 
@@ -193,9 +191,11 @@ void Connection::transmit_pdu(const DataPdu& pdu) {
     }
 }
 
-void Connection::send_data(Llid llid, Bytes payload) {
+void Connection::send_data(Llid llid, BytesView payload) {
     if (closed_) return;
-    tx_queue_.push_back(PendingTx{llid, std::move(payload)});
+    PendingTx& tx = tx_queue_.push_back();
+    tx.llid = llid;
+    tx.payload.assign(payload.begin(), payload.end());
 }
 
 void Connection::send_control(const ControlPdu& pdu) {
@@ -431,11 +431,15 @@ void Connection::process_frame(const DataPdu& pdu, bool crc_ok, TimePoint /*rx_s
     // Acknowledgement: the peer's NESN differing from our SN acks our last PDU.
     if (pdu.nesn != sn_) {
         sn_ = !sn_;
-        const bool was_terminate =
-            in_flight_ && in_flight_->llid == Llid::kControl && terminate_sent_ &&
-            !in_flight_->payload.empty() &&
-            in_flight_->payload[0] == static_cast<std::uint8_t>(ControlOpcode::kTerminateInd);
-        in_flight_.reset();
+        bool was_terminate = false;
+        if (in_flight_) {
+            const PendingTx& tx = tx_queue_.front();
+            was_terminate =
+                tx.llid == Llid::kControl && terminate_sent_ && !tx.payload.empty() &&
+                tx.payload[0] == static_cast<std::uint8_t>(ControlOpcode::kTerminateInd);
+            tx_queue_.pop_front();
+            in_flight_ = false;
+        }
         if (was_terminate) {
             disconnect(DisconnectReason::kLocalTerminate);
             return;
@@ -650,7 +654,7 @@ void Connection::schedule_next_event() {
     // Slave latency: skip events when idle (never across a procedure instant).
     int skipped = 0;
     if (config_.role == Role::kSlave && config_.params.latency > 0 && !update_now &&
-        !pending_update_ && !pending_map_ && tx_queue_.empty() && !in_flight_ &&
+        !pending_update_ && !pending_map_ && tx_queue_.empty() &&
         anchor_valid_ && events_since_anchor_ == 0) {
         skipped = config_.params.latency;
         for (int i = 0; i < skipped; ++i) {

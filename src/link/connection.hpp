@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -27,6 +26,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/slot_queue.hpp"
 #include "common/time.hpp"
 #include "link/adv_pdu.hpp"
 #include "obs/event.hpp"
@@ -138,8 +138,8 @@ public:
     void handle_rx(const sim::RxFrame& frame);
     void handle_tx_complete();
 
-    /// Enqueues an upper-layer payload (L2CAP fragment).
-    void send_data(Llid llid, Bytes payload);
+    /// Enqueues a copy of an upper-layer payload (L2CAP fragment).
+    void send_data(Llid llid, BytesView payload);
     /// Enqueues an LL control PDU.
     void send_control(const ControlPdu& pdu);
     /// Graceful termination: sends LL_TERMINATE_IND, disconnects once acked.
@@ -219,8 +219,9 @@ private:
         Llid llid{};
         Bytes payload;
     };
-    std::deque<PendingTx> tx_queue_;
-    std::optional<PendingTx> in_flight_;  // transmitted, not yet acked
+    /// Queued PDUs; the front one is in flight once transmitted, until acked.
+    SlotQueue<PendingTx> tx_queue_;
+    bool in_flight_ = false;
     bool terminate_sent_ = false;
     bool terminate_after_tx_ = false;
     bool start_enc_rsp_sent_ = false;

@@ -1,5 +1,6 @@
 #include "obs/capture/capture.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -96,12 +97,38 @@ bool parse_phdr_packet(std::string_view payload, CaptureRecord& record,
     // The writer derives the reference AA and the other flag bits from the
     // record; a pseudo-header it would not have written is not ours.
     std::string expected;
-    append_phdr(expected, record);
+    append_phdr(expected, record, record.bytes);
     if (payload.substr(0, kPhdrSize) != expected) {
         *error = "pseudo-header the writer never emits (reference AA or flags)";
         return false;
     }
     return true;
+}
+
+/// Makes `out` a pcap image with no packets yet: the 24-byte file header.
+void start_pcap(std::string& out) {
+    out.clear();
+    put_u32le(out, kPcapMagicNs);
+    put_u16le(out, kPcapVersionMajor);
+    put_u16le(out, kPcapVersionMinor);
+    put_u32le(out, 0);  // thiszone
+    put_u32le(out, 0);  // sigfigs
+    put_u32le(out, kPcapSnaplen);
+    put_u32le(out, kLinktypeBleLlWithPhdr);
+}
+
+/// Appends one packet (record header, pseudo-header, frame) to a pcap image.
+/// The one packet writer: both vantages of CaptureBuilder, live or offline,
+/// and pcap_bytes() write through it.
+void append_packet(std::string& out, const PacketInfo& info, BytesView frame) {
+    const auto t = static_cast<std::uint64_t>(info.time < 0 ? 0 : info.time);
+    put_u32le(out, static_cast<std::uint32_t>(t / 1'000'000'000ull));
+    put_u32le(out, static_cast<std::uint32_t>(t % 1'000'000'000ull));
+    const auto len = static_cast<std::uint32_t>(kPhdrSize + frame.size());
+    put_u32le(out, len);  // incl_len
+    put_u32le(out, len);  // orig_len
+    append_phdr(out, info, frame);
+    out.append(reinterpret_cast<const char*>(frame.data()), frame.size());
 }
 
 RxVerdict verdict_from_name(std::string_view name, bool* ok) {
@@ -158,51 +185,35 @@ std::int8_t quantize_dbm(double dbm) noexcept {
     return static_cast<std::int8_t>(rounded);
 }
 
-void append_phdr(std::string& out, const CaptureRecord& record) {
-    out.push_back(static_cast<char>(rf_channel_from_logical(record.channel)));
-    out.push_back(static_cast<char>(record.signal_dbm));
-    out.push_back(static_cast<char>(record.noise_dbm));
-    out.push_back(static_cast<char>(record.aa_offenses));
+void append_phdr(std::string& out, const PacketInfo& info, BytesView frame) {
+    out.push_back(static_cast<char>(rf_channel_from_logical(info.channel)));
+    out.push_back(static_cast<char>(info.signal_dbm));
+    out.push_back(static_cast<char>(info.noise_dbm));
+    out.push_back(static_cast<char>(info.aa_offenses));
     std::uint32_t ref_aa = 0;
     bool ref_aa_valid = false;
-    if (record.bytes.size() >= 4) {
-        ref_aa = static_cast<std::uint32_t>(record.bytes[0]) |
-                 (static_cast<std::uint32_t>(record.bytes[1]) << 8) |
-                 (static_cast<std::uint32_t>(record.bytes[2]) << 16) |
-                 (static_cast<std::uint32_t>(record.bytes[3]) << 24);
+    if (frame.size() >= 4) {
+        ref_aa = static_cast<std::uint32_t>(frame[0]) |
+                 (static_cast<std::uint32_t>(frame[1]) << 8) |
+                 (static_cast<std::uint32_t>(frame[2]) << 16) |
+                 (static_cast<std::uint32_t>(frame[3]) << 24);
         ref_aa_valid = true;
     }
     put_u32le(out, ref_aa);
     std::uint16_t flags = kFlagDewhitened;  // our frames are always unwhitened
-    if (record.signal_valid) flags |= kFlagSignalValid;
-    if (record.noise_valid) flags |= kFlagNoiseValid;
+    if (info.signal_valid) flags |= kFlagSignalValid;
+    if (info.noise_valid) flags |= kFlagNoiseValid;
     if (ref_aa_valid) flags |= kFlagRefAaValid;
-    if (record.offenses_valid) flags |= kFlagOffensesValid;
-    if (record.crc_checked) flags |= kFlagCrcChecked;
-    if (record.crc_valid) flags |= kFlagCrcValid;
+    if (info.offenses_valid) flags |= kFlagOffensesValid;
+    if (info.crc_checked) flags |= kFlagCrcChecked;
+    if (info.crc_valid) flags |= kFlagCrcValid;
     put_u16le(out, flags);
 }
 
 std::string pcap_bytes(const std::vector<CaptureRecord>& records) {
     std::string out;
-    out.reserve(24 + records.size() * 64);
-    put_u32le(out, kPcapMagicNs);
-    put_u16le(out, kPcapVersionMajor);
-    put_u16le(out, kPcapVersionMinor);
-    put_u32le(out, 0);  // thiszone
-    put_u32le(out, 0);  // sigfigs
-    put_u32le(out, kPcapSnaplen);
-    put_u32le(out, kLinktypeBleLlWithPhdr);
-    for (const CaptureRecord& record : records) {
-        const auto t = static_cast<std::uint64_t>(record.time < 0 ? 0 : record.time);
-        put_u32le(out, static_cast<std::uint32_t>(t / 1'000'000'000ull));
-        put_u32le(out, static_cast<std::uint32_t>(t % 1'000'000'000ull));
-        const auto len = static_cast<std::uint32_t>(kPhdrSize + record.bytes.size());
-        put_u32le(out, len);  // incl_len
-        put_u32le(out, len);  // orig_len
-        append_phdr(out, record);
-        out.append(reinterpret_cast<const char*>(record.bytes.data()), record.bytes.size());
-    }
+    start_pcap(out);
+    for (const CaptureRecord& record : records) append_packet(out, record, record.bytes);
     return out;
 }
 
@@ -266,45 +277,110 @@ ParsedCapture parse_capture(std::string_view bytes) {
     return parsed;
 }
 
-CaptureBuilder::CaptureBuilder(VantagePoint vantage) : vantage_(std::move(vantage)) {}
+CaptureBuilder::CaptureBuilder(VantagePoint vantage) : vantage_(std::move(vantage)) {
+    start_pcap(pcap_);
+}
+
+std::vector<CaptureRecord> CaptureBuilder::records() const {
+    return parse_capture(pcap_).records;
+}
+
+void CaptureBuilder::clear() {
+    start_pcap(pcap_);
+    parked_.clear();
+    parked_head_ = 0;
+    arena_.clear();
+}
 
 void CaptureBuilder::on_tx(TimePoint time, std::uint64_t tx_id, std::uint8_t channel,
                            double tx_power_dbm, BytesView bytes) {
     switch (vantage_.kind) {
         case VantageKind::kOmniscient: {
-            CaptureRecord record;
-            record.time = time;
-            record.channel = channel;
             // God view: the only power figure that exists without a receiver
             // is the sender's TX power; no CRC judgement either.
-            record.signal_dbm = quantize_dbm(tx_power_dbm);
-            record.signal_valid = true;
-            record.bytes.assign(bytes.begin(), bytes.end());
-            records_.push_back(std::move(record));
+            PacketInfo info;
+            info.time = time;
+            info.channel = channel;
+            info.signal_dbm = quantize_dbm(tx_power_dbm);
+            info.signal_valid = true;
+            append_packet(pcap_, info, bytes);
             return;
         }
         case VantageKind::kDevice: {
             // Park the frame until the named receiver's verdict arrives
             // (RxDecision fires at the frame's end).  Prune stale entries
-            // first: pending_ is tx_id-ordered and tx ids are monotonic in
-            // start time, so popping from the front is exact.  The age is
-            // taken in unsigned arithmetic so that times read from a trace
-            // file cannot overflow it.
-            while (!pending_.empty() && pending_.begin()->second.time < time &&
-                   static_cast<std::uint64_t>(time) -
-                           static_cast<std::uint64_t>(pending_.begin()->second.time) >
-                       static_cast<std::uint64_t>(kPendingHorizonNs)) {
-                pending_.erase(pending_.begin());
+            // first, skipping judged ones: parked_ is tx_id-ordered and tx
+            // ids are monotonic in start time, so popping from the front is
+            // exact.  The age is taken in unsigned arithmetic so that times
+            // read from a trace file cannot overflow it.
+            for (; parked_head_ < parked_.size(); ++parked_head_) {
+                const Parked& oldest = parked_[parked_head_];
+                const bool stale =
+                    oldest.time < time &&
+                    static_cast<std::uint64_t>(time) - static_cast<std::uint64_t>(oldest.time) >
+                        static_cast<std::uint64_t>(kPendingHorizonNs);
+                if (!oldest.judged && !stale) break;
             }
-            PendingTx tx;
-            tx.time = time;
-            tx.channel = channel;
-            tx.tx_power_dbm = tx_power_dbm;
-            tx.bytes.assign(bytes.begin(), bytes.end());
-            pending_.emplace(tx_id, std::move(tx));
+            park(time, tx_id, channel, bytes);
             return;
         }
     }
+}
+
+void CaptureBuilder::park(TimePoint time, std::uint64_t tx_id, std::uint8_t channel,
+                          BytesView bytes) {
+    if (parked_head_ == parked_.size()) {
+        parked_.clear();  // nothing awaits a verdict: start the storage over
+        parked_head_ = 0;
+        arena_.clear();
+    }
+    if (parked_.size() == parked_.capacity() ||
+        arena_.size() + bytes.size() > arena_.capacity()) {
+        compact();
+    }
+    Parked entry;
+    entry.tx_id = tx_id;
+    entry.time = time;
+    entry.offset = static_cast<std::uint32_t>(arena_.size());
+    entry.size = static_cast<std::uint32_t>(bytes.size());
+    entry.channel = channel;
+    // Live streams arrive in tx-id order, so the frame goes last; a trace
+    // file may repeat or reorder ids, and a repeat of a frame still waiting
+    // for its verdict is ignored.
+    auto at = parked_.end();
+    if (parked_head_ < parked_.size() && tx_id <= parked_.back().tx_id) {
+        at = first_parked_from(tx_id);
+        if (at->tx_id == tx_id && !at->judged) return;
+        if (at->tx_id == tx_id) at = parked_.erase(at);
+    }
+    arena_.insert(arena_.end(), bytes.begin(), bytes.end());
+    parked_.insert(at, entry);
+}
+
+std::vector<CaptureBuilder::Parked>::iterator CaptureBuilder::first_parked_from(
+    std::uint64_t tx_id) {
+    return std::lower_bound(parked_.begin() + static_cast<std::ptrdiff_t>(parked_head_),
+                            parked_.end(), tx_id,
+                            [](const Parked& p, std::uint64_t id) { return p.tx_id < id; });
+}
+
+void CaptureBuilder::compact() {
+    spare_arena_.clear();
+    std::size_t kept = 0;
+    for (std::size_t i = parked_head_; i < parked_.size(); ++i) {
+        Parked entry = parked_[i];
+        if (entry.judged) continue;
+        const auto first = arena_.begin() + static_cast<std::ptrdiff_t>(entry.offset);
+        entry.offset = static_cast<std::uint32_t>(spare_arena_.size());
+        spare_arena_.insert(spare_arena_.end(), first, first + entry.size);
+        parked_[kept++] = entry;
+    }
+    parked_.resize(kept);
+    parked_head_ = 0;
+    arena_.swap(spare_arena_);
+    // Still more than half full: double, so that compacting stays amortized O(1).
+    if (2 * parked_.size() > parked_.capacity()) parked_.reserve(2 * parked_.capacity());
+    if (2 * arena_.size() > arena_.capacity()) arena_.reserve(2 * arena_.capacity());
 }
 
 void CaptureBuilder::on_rx(std::uint64_t tx_id, std::string_view receiver,
@@ -312,37 +388,35 @@ void CaptureBuilder::on_rx(std::uint64_t tx_id, std::string_view receiver,
                            int sync_bit_errors) {
     if (vantage_.kind != VantageKind::kDevice) return;
     if (receiver != vantage_.device) return;
-    const auto it = pending_.find(tx_id);
-    if (it == pending_.end()) return;
-    const PendingTx& tx = it->second;
+    const auto it = first_parked_from(tx_id);
+    if (it == parked_.end() || it->tx_id != tx_id || it->judged) return;
     // The verdict is this receiver's final word on the frame.
+    it->judged = true;
     switch (verdict) {
         case RxVerdict::kLostSync:
             // The correlator never matched — a real sniffer logs nothing.
             break;
         case RxVerdict::kDelivered:
         case RxVerdict::kDeliveredCorrupted: {
-            CaptureRecord record;
-            record.time = tx.time;
-            record.channel = tx.channel;
-            record.signal_dbm = quantize_dbm(rssi_dbm);
-            record.noise_dbm = quantize_dbm(noise_dbm);
-            record.signal_valid = true;
-            record.noise_valid = true;
+            PacketInfo info;
+            info.time = it->time;
+            info.channel = it->channel;
+            info.signal_dbm = quantize_dbm(rssi_dbm);
+            info.noise_dbm = quantize_dbm(noise_dbm);
+            info.signal_valid = true;
+            info.noise_valid = true;
             const int offenses = sync_bit_errors < 0 ? 0 : sync_bit_errors;
-            record.aa_offenses = static_cast<std::uint8_t>(offenses > 255 ? 255 : offenses);
-            record.offenses_valid = true;
-            record.crc_checked = true;
-            record.crc_valid = verdict == RxVerdict::kDelivered;
+            info.aa_offenses = static_cast<std::uint8_t>(offenses > 255 ? 255 : offenses);
+            info.offenses_valid = true;
+            info.crc_checked = true;
+            info.crc_valid = verdict == RxVerdict::kDelivered;
             // The parked bytes are the sender's: corruption is reflected in
             // the CRC flags, not by mutating the payload (the medium does not
             // publish the corrupted image).
-            record.bytes = tx.bytes;
-            records_.push_back(std::move(record));
+            append_packet(pcap_, info, BytesView(arena_).subspan(it->offset, it->size));
             break;
         }
     }
-    pending_.erase(it);
 }
 
 void CaptureSink::on_event(const Event& event) {
@@ -354,9 +428,8 @@ void CaptureSink::on_event(const Event& event) {
     }
 }
 
-std::vector<CaptureRecord> records_from_trace_lines(const std::vector<std::string>& lines,
-                                                    const VantagePoint& vantage,
-                                                    std::string* error) {
+std::string pcap_from_trace_lines(const std::vector<std::string>& lines,
+                                  const VantagePoint& vantage, std::string* error) {
     CaptureBuilder builder(vantage);
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::string& line = lines[i];
@@ -399,7 +472,7 @@ std::vector<CaptureRecord> records_from_trace_lines(const std::vector<std::strin
         // Every other event kind (and the meta header, which has no "e") is
         // irrelevant to captures.
     }
-    return builder.records();
+    return builder.take();
 }
 
 }  // namespace ble::obs::capture

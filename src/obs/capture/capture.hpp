@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,11 +44,11 @@ struct VantagePoint {
     std::string device;  ///< receiver name; meaningful for kDevice only
 };
 
-/// One captured frame: everything the LE_LL_WITH_PHDR pseudo-header carries
-/// plus the on-air bytes.  `time` is sim-time (ns) — the frame's on-air
-/// *start*, for both vantages, so the same frame timestamps identically in an
-/// omniscient and a sniffer capture.
-struct CaptureRecord {
+/// What the LE_LL_WITH_PHDR pseudo-header and the pcap record header carry
+/// about one packet besides its bytes.  `time` is sim-time (ns) — the frame's
+/// on-air *start*, for both vantages, so the same frame timestamps
+/// identically in an omniscient and a sniffer capture.
+struct PacketInfo {
     TimePoint time = 0;
     std::uint8_t channel = 0;       ///< logical BLE channel (0-39)
     std::int8_t signal_dbm = 0;     ///< quantized; see quantize_dbm()
@@ -60,7 +59,14 @@ struct CaptureRecord {
     bool offenses_valid = false;
     bool crc_checked = false;       ///< a receiver judged the CRC
     bool crc_valid = false;         ///< meaningful iff crc_checked
-    Bytes bytes;                    ///< AA + PDU + CRC, unwhitened
+
+    bool operator==(const PacketInfo&) const = default;
+};
+
+/// One packet read back from a capture file: its header fields and the
+/// on-air bytes (AA + PDU + CRC, unwhitened).
+struct CaptureRecord : PacketInfo {
+    Bytes bytes;
 
     bool operator==(const CaptureRecord&) const = default;
 };
@@ -77,16 +83,17 @@ struct CaptureRecord {
 /// sink wrote — the offline exporter's bit-identity depends on this.
 [[nodiscard]] std::int8_t quantize_dbm(double dbm) noexcept;
 
-/// The 10-byte LE_LL_WITH_PHDR pseudo-header for one record (appended to
-/// `out`).  The reference access address is the frame's own AA.
-void append_phdr(std::string& out, const CaptureRecord& record);
+/// The 10-byte LE_LL_WITH_PHDR pseudo-header of `frame` (appended to `out`).
+/// The reference access address is the frame's own AA.
+void append_phdr(std::string& out, const PacketInfo& info, BytesView frame);
 
-/// Serializes records into a complete pcap file image.
+/// Serializes records into a complete pcap file image, through the packet
+/// writer CaptureBuilder uses.
 [[nodiscard]] std::string pcap_bytes(const std::vector<CaptureRecord>& records);
 
 /// In-repo reader: parses a pcap file image back into records (used by
 /// tests and `trace_replay --pcap-diff` for byte-level round-trips; not a
-/// general pcap reader — it accepts exactly what pcap_bytes emits).
+/// general pcap reader — it accepts exactly what the writer emits).
 struct ParsedCapture {
     bool ok = false;
     std::string error;
@@ -96,16 +103,20 @@ struct ParsedCapture {
 [[nodiscard]] ParsedCapture parse_capture(std::string_view bytes);
 
 /// The vantage state machine, shared verbatim by the live CaptureSink and the
-/// offline JSONL renderer so both produce the identical record sequence.
+/// offline JSONL renderer so both write the identical pcap image.
 ///
-/// Omniscient: every on_tx() appends a record (signal = sender TX power, CRC
+/// Omniscient: every on_tx() writes a packet (signal = sender TX power, CRC
 /// unchecked — nobody judged it).  Device: on_tx() parks the frame; the named
 /// receiver's on_rx() verdict then decides — kLostSync drops the frame (a
 /// real sniffer's correlator never matched, it logs nothing), anything else
-/// appends a record with the receiver's RSSI/noise/sync-error view and CRC
+/// writes a packet with the receiver's RSSI/noise/sync-error view and CRC
 /// flags from the verdict.  Parked frames no receiver ever judged are pruned
 /// by sim-time horizon, so memory stays bounded and the output is a pure
 /// function of the stream.
+///
+/// Packets are written straight into one pcap image, and parked frames live
+/// in a tx-id-ordered queue over one byte arena; both keep their storage
+/// across reuse(), so a warmed builder allocates nothing per frame.
 class CaptureBuilder {
 public:
     explicit CaptureBuilder(VantagePoint vantage);
@@ -116,36 +127,61 @@ public:
                double rssi_dbm, double noise_dbm, int sync_bit_errors);
 
     [[nodiscard]] const VantagePoint& vantage() const noexcept { return vantage_; }
-    [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {
-        return records_;
+    /// The pcap file image so far: the file header, then one packet per
+    /// captured frame.
+    [[nodiscard]] const std::string& pcap() const noexcept { return pcap_; }
+    /// The captured packets, parsed back from pcap().
+    [[nodiscard]] std::vector<CaptureRecord> records() const;
+
+    /// Starts a new capture, keeping the storage; parked frames are dropped.
+    void clear();
+    /// Moves the pcap image out; call reuse() before the next frame.
+    [[nodiscard]] std::string take() noexcept { return std::move(pcap_); }
+    /// Starts a new capture in `storage` (a string take() returned, handed
+    /// back once its bytes are consumed), keeping its capacity.
+    void reuse(std::string&& storage) {
+        pcap_ = std::move(storage);
+        clear();
     }
 
 private:
-    struct PendingTx {
+    /// A device-vantage frame awaiting its receiver's verdict.
+    struct Parked {
+        std::uint64_t tx_id = 0;
         TimePoint time = 0;
+        std::uint32_t offset = 0;  ///< the frame's bytes in arena_
+        std::uint32_t size = 0;
         std::uint8_t channel = 0;
-        double tx_power_dbm = 0.0;
-        Bytes bytes;
+        bool judged = false;       ///< verdict seen: only the slot is left
     };
 
+    void park(TimePoint time, std::uint64_t tx_id, std::uint8_t channel, BytesView bytes);
+    /// The first unpruned entry whose tx id is not below `tx_id`.
+    std::vector<Parked>::iterator first_parked_from(std::uint64_t tx_id);
+    /// Moves the unjudged frames to the front of fresh storage.
+    void compact();
+
     VantagePoint vantage_;
-    std::vector<CaptureRecord> records_;
-    std::map<std::uint64_t, PendingTx> pending_;  ///< device vantage only
+    std::string pcap_;
+    std::vector<Parked> parked_;  ///< tx-id order; [parked_head_, end) unpruned
+    std::size_t parked_head_ = 0;
+    Bytes arena_;
+    Bytes spare_arena_;           ///< compact()'s target, then swapped in
 };
 
 /// EventBus sink feeding a CaptureBuilder from live TxStart/RxDecision
-/// events.  Attach one per trial like the trace sinks.
+/// events.  Attach one per trial like the trace sinks, or clear its builder
+/// between trials.
 class CaptureSink : public EventSink {
 public:
     explicit CaptureSink(VantagePoint vantage = {}) : builder_(std::move(vantage)) {}
 
     void on_event(const Event& event) override;
 
+    [[nodiscard]] CaptureBuilder& builder() noexcept { return builder_; }
     [[nodiscard]] const CaptureBuilder& builder() const noexcept { return builder_; }
-    [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {
-        return builder_.records();
-    }
-    [[nodiscard]] std::string pcap_bytes() const { return capture::pcap_bytes(records()); }
+    [[nodiscard]] const std::string& pcap() const noexcept { return builder_.pcap(); }
+    [[nodiscard]] std::vector<CaptureRecord> records() const { return builder_.records(); }
 
 private:
     CaptureBuilder builder_;
@@ -153,12 +189,13 @@ private:
 
 /// Offline renderer: replays recorded JSONL trace lines (the
 /// INJECTABLE_TRACE_DIR artifact format; the meta header line is skipped)
-/// through a CaptureBuilder.  Produces the identical records a live sink at
-/// the same vantage produced, because the tx/rx lines carry every field the
+/// through a CaptureBuilder.  Writes the identical pcap image a live sink at
+/// the same vantage wrote, because the tx/rx lines carry every field the
 /// builder consumes ("tx_dbm"/"noise_dbm" included) at the same quantization.
-/// On malformed input returns an empty vector and sets *error.
-[[nodiscard]] std::vector<CaptureRecord> records_from_trace_lines(
-    const std::vector<std::string>& lines, const VantagePoint& vantage,
-    std::string* error = nullptr);
+/// On malformed input returns an empty string (a capture is never empty: it
+/// has a file header) and sets *error.
+[[nodiscard]] std::string pcap_from_trace_lines(const std::vector<std::string>& lines,
+                                                const VantagePoint& vantage,
+                                                std::string* error = nullptr);
 
 }  // namespace ble::obs::capture

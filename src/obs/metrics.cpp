@@ -276,6 +276,17 @@ void MetricsSink::on_event(const Event& event) {
     std::visit(Visitor{*this}, event);
 }
 
+void MetricsSink::restart() noexcept {
+    registry_.reset();
+    any_event_ = false;
+    first_time_ = 0;
+    last_time_ = 0;
+    have_attempt_time_ = false;
+    last_attempt_time_ = 0;
+    trial_attempts_ = 0;
+    finalized_ = false;
+}
+
 void MetricsSink::finalize() {
     if (finalized_) return;
     finalized_ = true;

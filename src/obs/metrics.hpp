@@ -149,6 +149,11 @@ public:
     /// span).  Call once, after the trial's last event.
     void finalize();
 
+    /// Starts a new trial on the same cells: zeroes the registry and the
+    /// per-trial state, so one sink serves trial after trial without
+    /// re-resolving its cells.
+    void restart() noexcept;
+
     [[nodiscard]] MetricsRegistry& registry() noexcept { return registry_; }
 
 private:

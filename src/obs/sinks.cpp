@@ -33,12 +33,28 @@ const char* event_kind_name(const Event& event) noexcept {
 
 namespace {
 
+/// A trace line's opening, by event kind: `{"e":"<event_kind_name>"`.
+constexpr std::string_view kLineOpen[] = {
+    R"({"e":"tx")",      R"({"e":"rx")",  R"({"e":"conn")", R"({"e":"widen")",
+    R"({"e":"attempt")", R"({"e":"ids")", R"({"e":"phase")"};
+static_assert(std::size(kLineOpen) == std::variant_size_v<Event>);
+
+/// `,"verdict":"<rx_verdict_name>"`, written whole.
+std::string_view verdict_member(RxVerdict verdict) noexcept {
+    switch (verdict) {
+        case RxVerdict::kDelivered: return R"(,"verdict":"delivered")";
+        case RxVerdict::kDeliveredCorrupted: return R"(,"verdict":"corrupted")";
+        case RxVerdict::kLostSync: return R"(,"verdict":"lost-sync")";
+    }
+    return R"(,"verdict":"?")";
+}
+
 TimePoint event_time(const Event& event) noexcept {
     return std::visit([](const auto& e) { return e.time; }, event);
 }
 
-/// Writes one event's line through a raw cursor into the zero-filled room past
-/// a trace, which grows geometrically: a line makes room for all its scalars
+/// Writes one event's line through a raw cursor into the room past a trace,
+/// which grows geometrically: a line makes room for all its scalars
 /// at once and each name or frame for its longest rendering.  dBm figures are
 /// capture::quantize_dbm's exact tenths, so offline pcap rendering matches live.
 class Line {
@@ -101,19 +117,18 @@ public:
         num(",\"tx_id\":", static_cast<long long>(e.tx_id));
         num(",\"ch\":", e.channel);
         str(",\"receiver\":", e.receiver);
-        str(",\"verdict\":", rx_verdict_name(e.verdict));
+        lit(verdict_member(e.verdict));
         fixed1(",\"rssi_dbm\":", e.rssi_dbm);
         fixed1(",\"noise_dbm\":", e.noise_dbm);
         num(",\"corrupted_bytes\":", e.corrupted_bytes);
         num(",\"sync_bit_errors\":", e.sync_bit_errors);
     }
     void operator()(const ConnEvent& e) {
-        const char* kind = e.kind == ConnEvent::Kind::kOpened       ? "opened"
-                           : e.kind == ConnEvent::Kind::kEventClosed ? "event"
-                                                                     : "closed";
-        str(",\"kind\":", kind);
+        lit(e.kind == ConnEvent::Kind::kOpened        ? R"(,"kind":"opened")"
+            : e.kind == ConnEvent::Kind::kEventClosed ? R"(,"kind":"event")"
+                                                      : R"(,"kind":"closed")");
         str(",\"device\":", e.device);
-        str(",\"role\":", e.role == 0 ? "master" : "slave");
+        lit(e.role == 0 ? R"(,"role":"master")" : R"(,"role":"slave")");
         num(",\"event_counter\":", e.event_counter);
         num(",\"ch\":", e.channel);
         if (e.kind == ConnEvent::Kind::kEventClosed) {
@@ -171,7 +186,7 @@ private:
 
 void JsonlTraceSink::on_event(const Event& event) {
     Line line(text_, size_, describe_, description_);
-    line.str("{\"e\":", event_kind_name(event));
+    line.lit(kLineOpen[event.index()]);
     line.num(",\"t_ns\":", event_time(event));
     std::visit(line, event);
     line.lit("}\n");
@@ -179,16 +194,27 @@ void JsonlTraceSink::on_event(const Event& event) {
 }
 
 void JsonlTraceSink::set_header(std::string_view line) {
-    const std::string head = line.empty() ? std::string() : std::string(line) + '\n';
-    text_.replace(0, header_size_, head);
-    size_ = size_ - header_size_ + head.size();
-    header_size_ = head.size();
+    const std::size_t head = line.empty() ? 0 : line.size() + 1;
+    const std::size_t events = size_ - header_size_;
+    if (text_.size() < head + events) text_.resize(head + events);
+    std::memmove(text_.data() + head, text_.data() + header_size_, events);
+    std::memcpy(text_.data(), line.data(), line.size());
+    if (head != 0) text_[head - 1] = '\n';
+    size_ = head + events;
+    header_size_ = head;
 }
 
 std::string JsonlTraceSink::take() {
     std::string out = std::move(text_.erase(size_));
+    text_.clear();
     clear();
     return out;
+}
+
+void JsonlTraceSink::reuse(std::string&& storage) {
+    text_ = std::move(storage);
+    text_.resize(text_.capacity());
+    clear();
 }
 
 bool trace_compression_available() noexcept {

@@ -47,7 +47,9 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
 
 /// Renders every event as one JSON line, in one pass through a raw cursor,
 /// into a single buffer (header line first, if set); write_text_file(path,
-/// str()) flushes it, and take() hands it over uncopied.
+/// str()) flushes it, and take() hands it over uncopied.  The buffer keeps
+/// its room across clear() and reuse(), so a sink that serves trial after
+/// trial stops allocating once it has held the longest trace.
 class JsonlTraceSink : public EventSink {
 public:
     explicit JsonlTraceSink(FrameDescriber describe = nullptr) : describe_(describe) {}
@@ -64,15 +66,18 @@ public:
     [[nodiscard]] std::string_view str() const noexcept { return {text_.data(), size_}; }
     /// Moves the whole trace out and leaves the sink empty.
     [[nodiscard]] std::string take();
+    /// Starts an empty trace in `storage` (a string take() returned, handed
+    /// back once its bytes are consumed), keeping its capacity as room.
+    void reuse(std::string&& storage);
+    /// Empties the trace, header included, and keeps the room.
     void clear() noexcept {
-        text_.clear();
         size_ = 0;
         header_size_ = 0;
     }
 
 private:
     FrameDescriber describe_ = nullptr;
-    std::string text_;             ///< the trace in [0, size_), then zero-filled room
+    std::string text_;             ///< the trace in [0, size_), then room
     std::size_t size_ = 0;
     std::size_t header_size_ = 0;  ///< bytes the header line takes, '\n' included
     std::string description_;      ///< the describer's output for the current frame

@@ -146,6 +146,53 @@ RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
     return result;
 }
 
+namespace {
+
+/// One worker's observation channels, reused by every trial it runs: the
+/// trace and capture buffers and the metric cells keep their storage, so a
+/// trial pays for its channels only where it outgrows the worker's longest
+/// trial so far.  A trial's bytes never depend on what ran before it: each
+/// world restarts every sink it attaches (restart(), clear(), set_header()).
+struct TrialChannels {
+    TrialChannels(const ExperimentConfig& series, const ResultChannels& ch, bool want_metrics,
+                  const MetaHeader& meta)
+        : config(series), metrics(registry) {
+        // Each setup retry builds a fresh world (and bus): restart every
+        // sink so they hold exactly the surviving world's events.
+        config.per_trial_sinks = [this, &series, &ch, want_metrics, &meta](
+                                     obs::EventBus& bus, std::uint64_t seed) {
+            if (ch.traces) {
+                meta.write(header, base_seed);
+                trace.clear();
+                trace.set_header(header);
+                bus.attach(trace);
+            }
+            if (want_metrics) {
+                metrics.restart();
+                bus.attach(metrics);
+            }
+            if (ch.captures) {
+                capture.builder().clear();
+                bus.attach(capture);
+            }
+            if (series.per_trial_sinks) series.per_trial_sinks(bus, seed);
+        };
+    }
+    TrialChannels(const TrialChannels&) = delete;
+    TrialChannels& operator=(const TrialChannels&) = delete;
+
+    ExperimentConfig config;  ///< the series' config, its sinks attached here
+    std::uint64_t base_seed = 0;  ///< the running trial's
+    std::string header;
+    obs::JsonlTraceSink trace{link::append_frame_description};
+    obs::MetricsRegistry registry;
+    obs::MetricsSink metrics;
+    obs::capture::CaptureSink capture;
+    TrialArtifact artifact;
+};
+
+}  // namespace
+
 std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink) {
     const ResultChannels& ch = sink.channels();
     const int runs = std::max(config.runs, 0);
@@ -153,6 +200,10 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
     const bool want_metrics = ch.metrics || static_cast<bool>(config.on_series_metrics);
     // The work counters' only destination is the merged metrics snapshot.
     const bool want_counts = ch.profile && want_metrics;
+    const bool instrumented = ch.traces || want_metrics || ch.captures;
+    const MetaHeader meta =
+        ch.traces ? experiment_meta_header(config, kSetupRetries) : MetaHeader{};
+    const std::string stem_prefix = sanitize_experiment_name(config.name) + "-seed";
 
     // Per-trial metric snapshots, stored by index like the results: merging
     // them in trial-index order afterwards is deterministic for any worker
@@ -167,7 +218,11 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
     runner.set_progress([&](int done, int total) {
         if (ch.progress) sink.on_progress(config.name, done, total);
     });
-    auto results = runner.map(runs, [&](int i) {
+    const auto make_channels = [&] {
+        return instrumented ? std::make_unique<TrialChannels>(config, ch, want_metrics, meta)
+                            : nullptr;
+    };
+    auto results = runner.map_with(runs, make_channels, [&](int i, auto& channels) {
         // RunResult::wall_ms is documented non-deterministic and excluded
         // from every comparison, so the host clock is fine here; sinks that
         // need byte-stable records turn the channel off.
@@ -178,36 +233,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             t0 = std::chrono::steady_clock::now();
         }
         const auto base_seed = config.base_seed + static_cast<std::uint64_t>(i);
-
-        const ExperimentConfig* trial_config = &config;
-        ExperimentConfig instrumented_config;
-        std::shared_ptr<obs::JsonlTraceSink> trace;
-        std::shared_ptr<obs::MetricsRegistry> registry;
-        std::shared_ptr<obs::MetricsSink> metrics;
-        std::shared_ptr<obs::capture::CaptureSink> capture;
-        if (ch.traces || want_metrics || ch.captures) {
-            instrumented_config = config;
-            // Each setup retry builds a fresh world (and bus): restart every
-            // sink so they hold exactly the surviving world's events.
-            instrumented_config.per_trial_sinks = [&](obs::EventBus& bus, std::uint64_t seed) {
-                if (ch.traces) {
-                    trace = std::make_shared<obs::JsonlTraceSink>(link::append_frame_description);
-                    trace->set_header(experiment_meta_json(config, base_seed, kSetupRetries));
-                    bus.attach(*trace);
-                }
-                if (want_metrics) {
-                    registry = std::make_shared<obs::MetricsRegistry>();
-                    metrics = std::make_shared<obs::MetricsSink>(*registry);
-                    bus.attach(*metrics);
-                }
-                if (ch.captures) {
-                    capture = std::make_shared<obs::capture::CaptureSink>();
-                    bus.attach(*capture);
-                }
-                if (config.per_trial_sinks) config.per_trial_sinks(bus, seed);
-            };
-            trial_config = &instrumented_config;
-        }
+        if (channels) channels->base_seed = base_seed;
 
         obs::work::Counters counts;
         RunResult result;
@@ -215,7 +241,8 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             // Install covers the whole trial (all setup retries) on this
             // worker thread; a null table counts nothing.
             const obs::work::Install install(want_counts ? &counts : nullptr);
-            result = run_injection_experiment_with_retry(*trial_config, base_seed, kSetupRetries);
+            result = run_injection_experiment_with_retry(channels ? channels->config : config,
+                                                         base_seed, kSetupRetries);
         }
         if (ch.wall_clock) {
             result.wall_ms =
@@ -223,27 +250,31 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
                 std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                     .count();
         }
-        if (metrics) {
-            metrics->finalize();
-            if (want_counts) counts.export_metrics(*registry);
-            metric_snapshots[static_cast<std::size_t>(i)] = registry->snapshot();
+        if (!channels) return result;
+        if (want_metrics) {
+            channels->metrics.finalize();
+            if (want_counts) counts.export_metrics(channels->registry);
+            metric_snapshots[static_cast<std::size_t>(i)] = channels->registry.snapshot();
         }
-        const std::string stem = sanitize_experiment_name(config.name) + "-seed" +
-                                 std::to_string(result.seed);
-        auto emit_artifact = [&](ArtifactKind kind, std::string content) {
-            TrialArtifact artifact;
-            artifact.kind = kind;
-            artifact.stem = stem;
-            artifact.seed = result.seed;
-            artifact.success = result.success;
-            artifact.content = std::move(content);
+        // Each artifact's bytes are moved in and, once the sink has seen
+        // them, handed back to the channel that wrote them.
+        TrialArtifact& artifact = channels->artifact;
+        artifact.stem.assign(stem_prefix);
+        json::append_u64(artifact.stem, result.seed);
+        artifact.seed = result.seed;
+        artifact.success = result.success;
+        if (ch.traces && (ch.trace_all || !result.success)) {
+            artifact.kind = ArtifactKind::kEventTrace;
+            artifact.content = channels->trace.take();
             sink.on_artifact(artifact);
-        };
-        if (trace && (ch.trace_all || !result.success)) {
-            emit_artifact(ArtifactKind::kEventTrace, trace->take());
+            channels->trace.reuse(std::move(artifact.content));
         }
-        if (capture) {
-            emit_artifact(ArtifactKind::kPcapCapture, capture->pcap_bytes());
+        if (ch.captures) {
+            obs::capture::CaptureBuilder& capture = channels->capture.builder();
+            artifact.kind = ArtifactKind::kPcapCapture;
+            artifact.content = capture.take();
+            sink.on_artifact(artifact);
+            capture.reuse(std::move(artifact.content));
         }
         return result;
     });

@@ -81,15 +81,30 @@ bool parse_walls(const std::string& s, std::vector<ble::sim::Wall>& out) {
 
 std::string experiment_meta_json(const ExperimentConfig& config, std::uint64_t seed,
                                  int tries) {
+    std::string out;
+    experiment_meta_header(config, tries).write(out, seed);
+    return out;
+}
+
+void MetaHeader::write(std::string& out, std::uint64_t seed) const {
+    out.assign(prefix);
+    json::append_u64(out, seed);
+    out += suffix;
+}
+
+MetaHeader experiment_meta_header(const ExperimentConfig& config, int tries) {
     const WorldSpec& w = config.world;
     const AttackParams& a = w.attack;
 
-    std::string out;
+    MetaHeader header;
+    std::string& head = header.prefix;
+    head += "{\"e\":\"meta\"";
+    append_int(head, "v", kTraceMetaVersion);
+    append_str(head, "name", config.name);
+    json::append_key(head, "seed");
+
+    std::string& out = header.suffix;
     out.reserve(1024);
-    out += "{\"e\":\"meta\"";
-    append_int(out, "v", kTraceMetaVersion);
-    append_str(out, "name", config.name);
-    append_u64(out, "seed", seed);
     append_int(out, "tries", tries);
     append_int(out, "max_attempts", config.max_attempts);
     append_u64(out, "ll_payload_size", config.ll_payload_size);
@@ -153,7 +168,7 @@ std::string experiment_meta_json(const ExperimentConfig& config, std::uint64_t s
         append_int(out, "dense_max_hop_interval", w.dense.max_hop_interval);
     }
     out += '}';
-    return out;
+    return header;
 }
 
 TraceMeta parse_trace_meta(const std::string& line) {

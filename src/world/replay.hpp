@@ -31,6 +31,18 @@ inline constexpr int kTraceMetaVersion = 1;
 [[nodiscard]] std::string experiment_meta_json(const ExperimentConfig& config,
                                                std::uint64_t seed, int tries);
 
+/// experiment_meta_json() cut at its seed: the line is `prefix`, the seed's
+/// decimal digits, then `suffix`.  A series renders its config once here,
+/// and each trial writes only its seed.
+struct MetaHeader {
+    std::string prefix;
+    std::string suffix;
+
+    /// Writes the line for `seed` into `out`, reusing its storage.
+    void write(std::string& out, std::uint64_t seed) const;
+};
+[[nodiscard]] MetaHeader experiment_meta_header(const ExperimentConfig& config, int tries);
+
 struct TraceMeta {
     bool valid = false;
     std::string error;

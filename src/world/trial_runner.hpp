@@ -19,8 +19,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace injectable::world {
@@ -86,7 +88,18 @@ public:
     /// and is rethrown on the calling thread after all workers join.
     template <typename Fn>
     auto map(int count, Fn&& fn) -> std::vector<decltype(fn(0))> {
-        using Result = decltype(fn(0));
+        return map_with(count, [] { return 0; }, [&fn](int i, int&) { return fn(i); });
+    }
+
+    /// map() with per-worker state: each worker calls make_state() once and
+    /// runs its trials as fn(i, state), so buffers the state owns keep their
+    /// storage from one trial to the next.  What a trial computes must not
+    /// depend on which trials ran before it on the same state.  Every state
+    /// is destroyed before map_with() returns.
+    template <typename MakeState, typename Fn>
+    auto map_with(int count, MakeState&& make_state, Fn&& fn)
+        -> std::vector<decltype(fn(0, std::declval<decltype(make_state())&>()))> {
+        using Result = decltype(fn(0, std::declval<decltype(make_state())&>()));
         if (count <= 0) return {};
         std::vector<Result> results(static_cast<std::size_t>(count));
         ProgressMeter meter(progress_label_, count,
@@ -102,8 +115,9 @@ public:
         };
         const int workers = jobs_ < count ? jobs_ : count;
         if (workers <= 1) {
+            auto state = make_state();
             for (int i = 0; i < count; ++i) {
-                results[static_cast<std::size_t>(i)] = fn(i);
+                results[static_cast<std::size_t>(i)] = fn(i, state);
                 note_done();
             }
             return results;
@@ -114,11 +128,13 @@ public:
         std::exception_ptr error;
         std::mutex error_mutex;
         auto worker = [&]() {
+            std::optional<decltype(make_state())> state;
             for (;;) {
                 const int i = next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= count || abort.load(std::memory_order_relaxed)) return;
                 try {
-                    results[static_cast<std::size_t>(i)] = fn(i);
+                    if (!state) state.emplace(make_state());
+                    results[static_cast<std::size_t>(i)] = fn(i, *state);
                     note_done();
                 } catch (...) {
                     const std::lock_guard lock(error_mutex);

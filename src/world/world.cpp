@@ -1,6 +1,7 @@
 #include "world/world.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "obs/bus.hpp"
@@ -180,11 +181,16 @@ void World::pump_traffic() {
     // Alternating GATT name reads and telemetry writes, so the master's
     // frames carry real payloads instead of empty polls (the paper's
     // Mirage/smartphone masters were not silent pollers).
+    static constexpr auto kTelemetry = [] {
+        std::array<std::uint8_t, 18> bytes{};
+        bytes.fill(0x5A);
+        return bytes;
+    }();
     if (central->connected() && central->gatt().queued() < 2) {
         if (++traffic_beat_ % 2 == 0) {
             central->gatt().read(bulb.name_handle(), nullptr);
         } else {
-            central->gatt().write(scratch_handle, Bytes(18, 0x5A), nullptr);
+            central->gatt().write(scratch_handle, kTelemetry, nullptr);
         }
     }
     const Duration period =

@@ -37,7 +37,7 @@ TEST(AttPduTest, NotificationRoundTrip) {
     const auto hv = HandleValue::parse(pdu);
     ASSERT_TRUE(hv.has_value());
     EXPECT_EQ(hv->handle, 0x000A);
-    EXPECT_EQ(hv->value, (Bytes{1, 2, 3}));
+    EXPECT_EQ(Bytes(hv->value.begin(), hv->value.end()), (Bytes{1, 2, 3}));
 }
 
 TEST(AttPduTest, ErrorRspRoundTrip) {

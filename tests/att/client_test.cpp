@@ -11,7 +11,8 @@ namespace {
 /// Client wired straight to a server (no radio): exercises queueing rules.
 struct Loop {
     Loop()
-        : client([this](const AttPdu& pdu) {
+        : client([this](BytesView wire) {
+              const AttPdu pdu = *AttPdu::parse(wire);
               sent.push_back(pdu);
               if (!auto_respond) return;
               if (const auto rsp = server.handle_pdu(pdu)) client.handle_pdu(*rsp);

@@ -1,9 +1,10 @@
 // Steady-state heap traffic of the race's frame path: once a link has run for
 // a while, a connection event allocates nothing — neither for the victims
-// exchanging empty PDUs, nor with a trace and metrics sink observing them,
-// nor for an attacker following and injecting into their link.  This
-// executable replaces the global operator new to count calls, so it is built
-// on its own.
+// exchanging empty PDUs, nor with a trace, metrics and pcap captures (both
+// vantages) observing them, nor for an attacker following and injecting into
+// their link, nor for the hosts carrying GATT reads and writes over L2CAP.
+// This executable replaces the global operator new to count calls, so it is
+// built on its own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,9 +20,11 @@
 #include "link/adv_pdu.hpp"
 #include "link/device.hpp"
 #include "link/trace.hpp"
+#include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "sim/world.hpp"
+#include "world/world.hpp"
 
 namespace {
 bool g_counting = false;
@@ -156,6 +159,80 @@ TEST(SteadyStateAllocations, TracedExchangeAllocatesNothing) {
     EXPECT_EQ(allocations, 0u) << "over " << world.master_events - before << " events";
     world.bus().detach(metrics);
     world.bus().detach(trace);
+}
+
+TEST(SteadyStateAllocations, CapturedExchangeAllocatesNothing) {
+    VictimLink world;
+    ASSERT_TRUE(world.master && world.slave);
+    // Every observation channel of an observed trial at once, plus the
+    // device vantage, which parks each frame until the peripheral's verdict.
+    // The buffers grow over a warm-up twice as long as the measured window,
+    // and clear() keeps their storage.
+    obs::JsonlTraceSink trace(link::append_frame_description);
+    obs::MetricsRegistry registry;
+    obs::MetricsSink metrics(registry);
+    obs::capture::CaptureSink omniscient;
+    obs::capture::CaptureSink sniffer({obs::capture::VantageKind::kDevice, "peripheral"});
+    world.bus().attach(trace);
+    world.bus().attach(metrics);
+    world.bus().attach(omniscient);
+    world.bus().attach(sniffer);
+    world.run_events(kWarmupEvents + 2 * kMeasuredEvents);
+    trace.clear();
+    omniscient.builder().clear();
+    sniffer.builder().clear();
+    const std::size_t header_bytes = omniscient.pcap().size();
+
+    const int before = world.master_events;
+    const std::size_t allocations =
+        allocations_during([&] { world.run_events(kMeasuredEvents); });
+    EXPECT_GE(world.master_events - before, kMeasuredEvents);
+    EXPECT_GT(omniscient.pcap().size(), header_bytes);
+    EXPECT_GT(sniffer.pcap().size(), header_bytes);
+    EXPECT_EQ(allocations, 0u) << "over " << world.master_events - before << " events";
+    world.bus().detach(sniffer);
+    world.bus().detach(omniscient);
+    world.bus().detach(metrics);
+    world.bus().detach(trace);
+}
+
+TEST(SteadyStateAllocations, GattReadWriteExchangeAllocatesNothing) {
+    // The paper testbed's hosts: the Central's traffic pump alternates a read
+    // of the bulb's name with an 18-byte write, each through ATT and L2CAP on
+    // both sides, every connection event.
+    world::WorldSpec spec = world::WorldSpec::protocol_test();
+    spec.master_traffic_every_events = 1;
+    world::World world(spec);
+    int writes = 0;
+    int events = 0;
+    world.peripheral->att_server().find(world.scratch_handle)->on_write =
+        [&writes](BytesView) -> std::optional<att::ErrorCode> {
+        ++writes;
+        return std::nullopt;
+    };
+    world.central->on_event_closed = [&events](const link::ConnectionEventReport&) {
+        ++events;
+    };
+    world.begin_connection();
+    ASSERT_TRUE(world.run_until(2_s, [&] {
+        return world.central->connected() && world.peripheral->connected();
+    }));
+    world.start_traffic();
+    world.run_until(10_s, [&] { return events >= kWarmupEvents; });
+    ASSERT_GT(writes, 0);
+
+    const int writes_before = writes;
+    const int events_before = events;
+    const std::size_t allocations = allocations_during([&] {
+        world.run_until(10_s, [&] { return events >= events_before + kMeasuredEvents; });
+    });
+    EXPECT_GE(events - events_before, kMeasuredEvents);
+    // Reads and writes alternate behind one request in flight, so the writes
+    // counted here pace the reads as well.
+    EXPECT_GE(writes - writes_before, kMeasuredEvents / 4);
+    EXPECT_EQ(allocations, 0u) << "over " << writes - writes_before
+                               << " writes and as many reads";
+    world.stop_traffic();
 }
 
 TEST(SteadyStateAllocations, FollowingAndInjectingAllocatesNothing) {

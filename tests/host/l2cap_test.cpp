@@ -11,11 +11,11 @@ struct L2capHarness {
     explicit L2capHarness(std::size_t mtu = 27)
         : channel(
               mtu,
-              [this](link::Llid llid, Bytes payload) {
-                  fragments.push_back({llid, std::move(payload)});
+              [this](link::Llid llid, BytesView payload) {
+                  fragments.push_back({llid, Bytes(payload.begin(), payload.end())});
               },
-              [this](std::uint16_t cid, const Bytes& sdu) {
-                  delivered.push_back({cid, sdu});
+              [this](std::uint16_t cid, BytesView sdu) {
+                  delivered.push_back({cid, Bytes(sdu.begin(), sdu.end())});
               }) {}
 
     /// Loops TX fragments back into the receive path.

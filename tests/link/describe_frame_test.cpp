@@ -98,7 +98,9 @@ std::string reference_describe_frame(BytesView bytes) {
     } else {
         detail = "L2CAP ";
         detail += pdu->llid == Llid::kDataStart ? "start" : "cont";
-        detail += " " + std::to_string(pdu->payload.size()) + "B";
+        detail += ' ';
+        detail += std::to_string(pdu->payload.size());
+        detail += 'B';
     }
     std::snprintf(buf, sizeof(buf), "DATA sn=%d nesn=%d%s %s", pdu->sn ? 1 : 0,
                   pdu->nesn ? 1 : 0, pdu->md ? " MD" : "", detail.c_str());

@@ -134,7 +134,7 @@ TEST(CapturePhdrTest, LaysOutAllTenBytes) {
     record.bytes = Bytes{0xD6, 0xBE, 0x89, 0x8E, 0x00};
 
     std::string out;
-    append_phdr(out, record);
+    append_phdr(out, record, record.bytes);
     ASSERT_EQ(out.size(), 10u);
     const auto* b = reinterpret_cast<const std::uint8_t*>(out.data());
     EXPECT_EQ(b[0], 0);  // rf channel
@@ -156,7 +156,7 @@ TEST(CapturePhdrTest, LaysOutAllTenBytes) {
     CaptureRecord tiny;
     tiny.bytes = Bytes{0x01, 0x02};
     std::string tiny_out;
-    append_phdr(tiny_out, tiny);
+    append_phdr(tiny_out, tiny, tiny.bytes);
     ASSERT_EQ(tiny_out.size(), 10u);
     const auto* t = reinterpret_cast<const std::uint8_t*>(tiny_out.data());
     EXPECT_EQ(t[4] | t[5] | t[6] | t[7], 0);
@@ -235,8 +235,9 @@ TEST(CaptureBuilderTest, DeviceVantageFollowsTheReceiversVerdicts) {
     // A verdict for a frame that was never parked is ignored.
     builder.on_rx(99, "bulb", RxVerdict::kDelivered, -60.0, -100.0, 0);
 
-    ASSERT_EQ(builder.records().size(), 2u);  // kLostSync logs nothing
-    const CaptureRecord& ok = builder.records()[0];
+    const std::vector<CaptureRecord> records = builder.records();
+    ASSERT_EQ(records.size(), 2u);  // kLostSync logs nothing
+    const CaptureRecord& ok = records[0];
     EXPECT_EQ(ok.time, 1000);  // the frame's on-air start, not the verdict time
     EXPECT_EQ(ok.channel, 5);
     EXPECT_EQ(ok.signal_dbm, quantize_dbm(-60.4));
@@ -247,7 +248,7 @@ TEST(CaptureBuilderTest, DeviceVantageFollowsTheReceiversVerdicts) {
     EXPECT_TRUE(ok.crc_valid);
     EXPECT_EQ(ok.bytes, delivered);
 
-    const CaptureRecord& bad = builder.records()[1];
+    const CaptureRecord& bad = records[1];
     EXPECT_TRUE(bad.crc_checked);
     EXPECT_FALSE(bad.crc_valid);
     // The bytes are the sender's originals; corruption lives in the CRC flag.
@@ -291,7 +292,7 @@ TEST(CaptureSinkTest, FeedsTheBuilderFromBusEvents) {
     EXPECT_EQ(sink.records()[0].signal_dbm, -8);
     EXPECT_EQ(sink.records()[0].bytes, frame);
 
-    const ParsedCapture parsed = parse_capture(sink.pcap_bytes());
+    const ParsedCapture parsed = parse_capture(sink.pcap());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     ASSERT_EQ(parsed.records.size(), 1u);
     EXPECT_EQ(parsed.records[0], sink.records()[0]);
@@ -311,14 +312,15 @@ TEST(CaptureOfflineTest, TraceLinesRenderExactlyLikeTheLiveBuilder) {
 
     std::string error;
     const std::vector<CaptureRecord> omni =
-        records_from_trace_lines(lines, VantagePoint{}, &error);
+        parse_capture(pcap_from_trace_lines(lines, VantagePoint{}, &error)).records;
     ASSERT_EQ(omni.size(), 1u) << error;
     EXPECT_EQ(omni[0].time, 1000);
     EXPECT_EQ(omni[0].signal_dbm, 0);
     EXPECT_EQ(omni[0].bytes, sample_frame(0x10));
 
-    const std::vector<CaptureRecord> device = records_from_trace_lines(
-        lines, VantagePoint{VantageKind::kDevice, "phone"}, &error);
+    const std::string device_pcap =
+        pcap_from_trace_lines(lines, VantagePoint{VantageKind::kDevice, "phone"}, &error);
+    const std::vector<CaptureRecord> device = parse_capture(device_pcap).records;
     ASSERT_EQ(device.size(), 1u) << error;
     // The offline record matches a live builder fed the same values.
     CaptureBuilder live(VantagePoint{VantageKind::kDevice, "phone"});
@@ -326,27 +328,29 @@ TEST(CaptureOfflineTest, TraceLinesRenderExactlyLikeTheLiveBuilder) {
     live.on_rx(1, "phone", RxVerdict::kDelivered, -60.4, -99.6, 1);
     ASSERT_EQ(live.records().size(), 1u);
     EXPECT_EQ(device[0], live.records()[0]);
+    EXPECT_EQ(device_pcap, live.pcap());
 
     // A vantage nobody transmitted to stays empty without erroring.
-    EXPECT_TRUE(records_from_trace_lines(lines, VantagePoint{VantageKind::kDevice, "ghost"},
-                                         &error)
-                    .empty());
+    const ParsedCapture ghost = parse_capture(
+        pcap_from_trace_lines(lines, VantagePoint{VantageKind::kDevice, "ghost"}, &error));
+    EXPECT_TRUE(ghost.ok) << ghost.error;
+    EXPECT_TRUE(ghost.records.empty());
 }
 
 TEST(CaptureOfflineTest, ReportsMalformedTraceLines) {
     std::string error;
-    EXPECT_TRUE(records_from_trace_lines({"not json"}, VantagePoint{}, &error).empty());
+    EXPECT_TRUE(pcap_from_trace_lines({"not json"}, VantagePoint{}, &error).empty());
     EXPECT_NE(error.find("line 1"), std::string::npos);
 
     error.clear();
-    EXPECT_TRUE(records_from_trace_lines(
+    EXPECT_TRUE(pcap_from_trace_lines(
                     {R"({"e":"tx","t_ns":1,"tx_id":1,"ch":37,"tx_dbm":0.0,"hex":"zz"})"},
                     VantagePoint{}, &error)
                     .empty());
     EXPECT_NE(error.find("bad tx hex"), std::string::npos);
 
     error.clear();
-    EXPECT_TRUE(records_from_trace_lines(
+    EXPECT_TRUE(pcap_from_trace_lines(
                     {R"({"e":"rx","t_ns":1,"tx_id":1,"receiver":"x","verdict":"nope"})"},
                     VantagePoint{}, &error)
                     .empty());

@@ -139,10 +139,11 @@ TEST(CaptureSeriesTest, OfflineRenderFromTheTraceReproducesTheLiveCapture) {
         ASSERT_NE(capture, sink.artifacts().end()) << "no capture for " << stem;
 
         std::string error;
-        const std::vector<CaptureRecord> records = obs::capture::records_from_trace_lines(
-            split_lines(content), VantagePoint{}, &error);
-        ASSERT_FALSE(records.empty()) << stem << ": " << error;
-        EXPECT_EQ(obs::capture::pcap_bytes(records), capture->second) << stem;
+        const std::string pcap =
+            obs::capture::pcap_from_trace_lines(split_lines(content), VantagePoint{}, &error);
+        ASSERT_FALSE(obs::capture::parse_capture(pcap).records.empty())
+            << stem << ": " << error;
+        EXPECT_EQ(pcap, capture->second) << stem;
         ++compared;
     }
     EXPECT_EQ(compared, 2);
@@ -282,9 +283,9 @@ TEST(CaptureGarbageTest, ReaderRejectsOrRoundTripsSeededGarbage) {
 }
 
 TEST(CaptureGarbageTest, OfflineRendererSurvivesMutatedTraceLines) {
-    // records_from_trace_lines (what tools/pcap_export runs) decodes the tx
+    // pcap_from_trace_lines (what tools/pcap_export runs) decodes the tx
     // and rx lines of a trace file.  Mutated lines must come back as an
-    // error or as records, never as a crash, at both kinds of vantage.
+    // error or as a capture, never as a crash, at both kinds of vantage.
     const RealArtifacts real = one_real_trial();
     ASSERT_GT(real.trace.size(), 4u);
     Rng rng(7101);
@@ -304,11 +305,12 @@ TEST(CaptureGarbageTest, OfflineRendererSurvivesMutatedTraceLines) {
         const VantagePoint vantage = i % 2 == 0 ? VantagePoint{}
                                                 : VantagePoint{VantageKind::kDevice, "bulb"};
         std::string error;
-        const std::vector<CaptureRecord> records =
-            obs::capture::records_from_trace_lines(lines, vantage, &error);
+        const std::string pcap = obs::capture::pcap_from_trace_lines(lines, vantage, &error);
         if (!error.empty()) {
-            EXPECT_TRUE(records.empty()) << error;
+            EXPECT_TRUE(pcap.empty()) << error;
             ++errors;
+        } else {
+            EXPECT_TRUE(obs::capture::parse_capture(pcap).ok);
         }
     }
     EXPECT_GT(errors, 0);

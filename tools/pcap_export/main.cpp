@@ -180,22 +180,22 @@ int run_traces(const Options& options, const char* argv0) {
             continue;
         }
         error.clear();
-        const std::vector<capture::CaptureRecord> records =
-            capture::records_from_trace_lines(lines, options.vantage, &error);
+        const std::string pcap = capture::pcap_from_trace_lines(lines, options.vantage, &error);
         if (!error.empty()) {
             std::fprintf(stderr, "ERROR %s: %s\n", input.c_str(), error.c_str());
             ++errors;
             continue;
         }
+        const std::size_t frames = capture::parse_capture(pcap).records.size();
         const std::string out = output_path(options, input);
-        if (!ble::obs::write_text_file(out, capture::pcap_bytes(records), options.gzip)) {
+        if (!ble::obs::write_text_file(out, pcap, options.gzip)) {
             std::fprintf(stderr, "ERROR %s: cannot write %s\n", argv0, out.c_str());
             ++errors;
             continue;
         }
         if (!options.quiet) {
-            std::printf("OK   %s: %zu frame%s -> %s\n", input.c_str(), records.size(),
-                        records.size() == 1 ? "" : "s", out.c_str());
+            std::printf("OK   %s: %zu frame%s -> %s\n", input.c_str(), frames,
+                        frames == 1 ? "" : "s", out.c_str());
         }
     }
     return errors > 0 ? 2 : 0;

@@ -190,13 +190,15 @@ int run_pcap_diff(const std::string& trace_path, const std::string& capture_path
     }
 
     error.clear();
-    const std::vector<capture::CaptureRecord> records =
-        capture::records_from_trace_lines(lines, capture::VantagePoint{}, &error);
+    const std::string rendered =
+        capture::pcap_from_trace_lines(lines, capture::VantagePoint{}, &error);
     if (!error.empty()) {
         std::fprintf(stderr, "ERROR %s: %s\n", trace_path.c_str(), error.c_str());
         return 2;
     }
-    if (capture::pcap_bytes(records) != recorded) {
+    const std::vector<capture::CaptureRecord> records =
+        capture::parse_capture(rendered).records;
+    if (rendered != recorded) {
         // Name the first divergent frame, not just the first byte: record
         // diffs read much better than offsets.
         std::size_t frame = 0;
