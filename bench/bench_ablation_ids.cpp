@@ -86,7 +86,7 @@ int main() {
         for (int i = 0; i < kRuns; ++i) {
             IdsRun run(9800 + static_cast<std::uint64_t>(i));
             if (!run.establish()) continue;
-            run.session->stop();
+            run.session.stop();
             ++row.runs;
             for (int k = 0; k < 10; ++k) {
                 run.central->gatt().write_command(
@@ -107,7 +107,7 @@ int main() {
             IdsRun run(9810 + static_cast<std::uint64_t>(i));
             if (!run.establish()) continue;
             ++row.runs;
-            ScenarioA scenario(*run.session);
+            ScenarioA scenario(run.session);
             std::optional<ScenarioA::Result> result;
             scenario.inject_write(run.bulb.control_handle(),
                                   gatt::LightbulbProfile::cmd_set_power(false),
@@ -133,7 +133,7 @@ int main() {
             ble::att::AttServer fake;
             gatt::GattBuilder builder(fake);
             gatt::add_gap_service(builder, "Hacked");
-            ScenarioB scenario(*run.session, fake);
+            ScenarioB scenario(run.session, fake);
             std::optional<ScenarioB::Result> result;
             scenario.execute([&](const ScenarioB::Result& r) { result = r; });
             run.run_until(60_s, [&] { return result.has_value(); });
@@ -154,7 +154,7 @@ int main() {
             IdsRun run(9850 + static_cast<std::uint64_t>(i));
             if (!run.establish()) continue;
             ++row.runs;
-            ScenarioC scenario(*run.session);
+            ScenarioC scenario(run.session);
             std::optional<ScenarioC::Result> result;
             scenario.execute([&](const ScenarioC::Result& r) { result = r; });
             run.run_until(120_s, [&] { return result.has_value(); });

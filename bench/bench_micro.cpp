@@ -203,6 +203,24 @@ void BM_InjectionTrialBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectionTrialBaseline);
 
+void BM_InjectionTrialRestarted(benchmark::State& state) {
+    // BM_InjectionTrialBaseline's config and seeds, every trial run on one
+    // World restarted to its seed, as run_series runs a worker's trials: the
+    // restart is timed, the World construction is not.
+    injectable::world::ExperimentConfig config;
+    config.name = "bench-micro-trial";
+    config.max_attempts = 200;
+    std::uint64_t seed = 7000;
+    injectable::world::World world(config.world, seed);
+    for (auto _ : state) {
+        world.restart(seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
+        benchmark::DoNotOptimize(result.attempts);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InjectionTrialRestarted);
+
 void BM_CaptureOmniscientTrial(benchmark::State& state) {
     // The identical trial with an omniscient CaptureSink attached and the
     // pcap image copied out per trial — what the captures channel

@@ -67,7 +67,7 @@ int main() {
         if (!world.establish_and_sync()) continue;
         ++row_a.runs;
         const TimePoint t0 = world.scheduler.now();
-        ScenarioA scenario(*world.session);
+        ScenarioA scenario(world.session);
         std::optional<ScenarioA::Result> result;
         scenario.inject_write(world.bulb.control_handle(),
                               gatt::LightbulbProfile::cmd_set_power(false),
@@ -91,7 +91,7 @@ int main() {
         att::AttServer fake;
         gatt::GattBuilder builder(fake);
         const auto name_handle = gatt::add_gap_service(builder, "Hacked");
-        ScenarioB scenario(*world.session, fake);
+        ScenarioB scenario(world.session, fake);
         std::optional<ScenarioB::Result> result;
         scenario.execute([&](const ScenarioB::Result& r) { result = r; });
         world.run_until(60_s, [&] { return result.has_value(); });
@@ -116,7 +116,7 @@ int main() {
         if (!world.establish_and_sync()) continue;
         ++row_c.runs;
         const TimePoint t0 = world.scheduler.now();
-        ScenarioC scenario(*world.session);
+        ScenarioC scenario(world.session);
         std::optional<ScenarioC::Result> result;
         scenario.execute([&](const ScenarioC::Result& r) { result = r; });
         world.run_until(120_s, [&] { return result.has_value(); });
@@ -142,7 +142,7 @@ int main() {
         ++row_d.runs;
         const TimePoint t0 = world.scheduler.now();
         const auto radio2 = world.make_attacker("attacker2", {1.0, 1.732});
-        ScenarioD scenario(*world.session, *radio2);
+        ScenarioD scenario(world.session, *radio2);
         scenario.tamper = [](Bytes sdu, bool from_master) -> std::optional<Bytes> {
             if (from_master && sdu.size() >= 7 && sdu[0] == 0x12 &&
                 sdu[3] == gatt::LightbulbProfile::kSetColor) {

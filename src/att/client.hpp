@@ -33,6 +33,15 @@ public:
 
     explicit AttClient(SendFn send) : send_(std::move(send)) {}
 
+    /// Drops every queued request and the notification callbacks, keeping
+    /// the queue's slots and buffers.
+    void restart() noexcept {
+        queue_.clear();
+        busy_ = false;
+        on_notification = nullptr;
+        on_indication = nullptr;
+    }
+
     /// Feed every server->client ATT PDU here.
     void handle_pdu(AttView pdu);
 

@@ -33,7 +33,14 @@ bool write_list(Bytes& out, Opcode opcode, std::size_t format, const ByteWriter&
 std::uint16_t AttServer::add(Attribute attribute) {
     attribute.handle = static_cast<std::uint16_t>(db_.size() + 1);
     db_.push_back(std::move(attribute));
+    initial_values_.push_back(db_.back().value);
     return db_.back().handle;
+}
+
+void AttServer::restore_values() {
+    for (std::size_t i = 0; i < db_.size(); ++i) {
+        db_[i].value.assign(initial_values_[i].begin(), initial_values_[i].end());
+    }
 }
 
 Attribute* AttServer::find(std::uint16_t handle) noexcept {

@@ -51,6 +51,10 @@ public:
 
     [[nodiscard]] std::uint16_t mtu() const noexcept { return mtu_; }
 
+    /// Sets every attribute's value back to the one it was added with,
+    /// reusing the value buffers.
+    void restore_values();
+
 private:
     // Each writes the response into `out`; false means there is none.
     bool handle_read(AttView request, Bytes& out);
@@ -60,6 +64,7 @@ private:
     bool handle_read_by_group_type(AttView request, Bytes& out);
 
     std::vector<Attribute> db_;
+    std::vector<Bytes> initial_values_;  ///< db_[i]'s value when added
     std::uint16_t mtu_ = 23;
 };
 

@@ -54,6 +54,9 @@ class ByteWriter {
 public:
     ByteWriter() = default;
     explicit ByteWriter(std::size_t reserve) { out_.reserve(reserve); }
+    /// Writes into `storage`, cleared first: a caller that hands its buffer
+    /// in and takes it back keeps the buffer's capacity.
+    explicit ByteWriter(Bytes&& storage) noexcept : out_(std::move(storage)) { out_.clear(); }
 
     void write_u8(std::uint8_t v);
     void write_u16(std::uint16_t v);

@@ -17,6 +17,13 @@ class AttackerRadio final : public ble::sim::RadioDevice {
 public:
     using ble::sim::RadioDevice::RadioDevice;
 
+    /// RadioDevice::restart, with both handlers unbound.
+    void restart(ble::Rng rng) {
+        ble::sim::RadioDevice::restart(rng);
+        rx_handler = nullptr;
+        tx_handler = nullptr;
+    }
+
     std::function<void(const ble::sim::RxFrame&)> rx_handler;
     std::function<void()> tx_handler;
 

@@ -112,11 +112,20 @@ class AttackSession {
 public:
     using Params = AttackParams;
 
-    AttackSession(AttackerRadio& radio, SniffedConnection target, Params params = {});
+    /// A session on `target`; with the defaults, an idle session that a
+    /// later restart() points at a connection.
+    explicit AttackSession(AttackerRadio& radio, SniffedConnection target = {},
+                           Params params = {});
     ~AttackSession();
 
     AttackSession(const AttackSession&) = delete;
     AttackSession& operator=(const AttackSession&) = delete;
+
+    /// Back to the state AttackSession(radio, target, params) constructs, in
+    /// place: every pending callback dropped, a running session's radio
+    /// handlers unbound, the on_* callbacks cleared, and the frame and
+    /// payload buffers kept.  The constructor runs this too.
+    void restart(SniffedConnection target, Params params);
 
     /// Starts following the connection from `target.time_reference`.
     void start();
@@ -131,9 +140,10 @@ public:
         /// Completion: success flag + number of attempts consumed.
         std::function<void(bool success, int attempts)> done;
     };
-    /// Queues a frame for injection starting at the next eligible event.
-    void inject(InjectionRequest request);
-    [[nodiscard]] bool injecting() const noexcept { return request_.has_value(); }
+    /// Queues a copy of `request` for injection starting at the next
+    /// eligible event (the payload is copied into a buffer the session keeps).
+    void inject(const InjectionRequest& request);
+    [[nodiscard]] bool injecting() const noexcept { return ss_.injecting; }
 
     // --- observers / attacker knowledge ---
     std::function<void(const SniffedPacket&)> on_packet;
@@ -148,29 +158,29 @@ public:
 
     /// The most recent injection attempt (valid once on_attempt has fired).
     [[nodiscard]] const std::optional<AttemptReport>& last_attempt() const noexcept {
-        return last_attempt_;
+        return ss_.last_attempt;
     }
 
     [[nodiscard]] const ble::link::ConnectionParams& params() const noexcept {
         return params_;
     }
     /// Counter of the next connection event the session will process.
-    [[nodiscard]] std::uint16_t event_counter() const noexcept { return event_counter_; }
-    [[nodiscard]] ble::TimePoint last_anchor() const noexcept { return anchor_; }
+    [[nodiscard]] std::uint16_t event_counter() const noexcept { return ss_.event_counter; }
+    [[nodiscard]] ble::TimePoint last_anchor() const noexcept { return ss_.anchor; }
     /// Eq. 5 widening the attacker assumes for the next event.
     [[nodiscard]] ble::Duration estimated_widening() const noexcept;
     /// SN/NESN of the most recent slave (resp. master) frame, once seen.
     [[nodiscard]] std::optional<std::pair<bool, bool>> slave_bits() const noexcept {
-        return slave_bits_;
+        return ss_.slave_bits;
     }
     [[nodiscard]] std::optional<std::pair<bool, bool>> master_bits() const noexcept {
-        return master_bits_;
+        return ss_.master_bits;
     }
     /// Clone of the hopping state (for hijacked-role Connections).
     [[nodiscard]] std::unique_ptr<ble::link::ChannelSelector> clone_selector() const {
         return selector_->clone();
     }
-    [[nodiscard]] bool lost() const noexcept { return lost_; }
+    [[nodiscard]] bool lost() const noexcept { return ss_.lost; }
     [[nodiscard]] AttackerRadio& radio() noexcept { return radio_; }
 
 private:
@@ -191,44 +201,51 @@ private:
     SniffedConnection target_;
 
     ble::link::ConnectionParams params_;
-    std::unique_ptr<ble::link::ChannelSelector> selector_;
-    bool running_ = false;
-    bool lost_ = false;
-
-    // Timing model.
-    std::uint16_t event_counter_ = 0;
-    std::uint8_t channel_ = 0;
-    ble::TimePoint anchor_ = 0;          // last *observed* anchor
-    ble::TimePoint predicted_anchor_ = 0;
-    int missed_events_ = 0;
-    ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
+    ble::link::ChannelSelector* selector_ = nullptr;  ///< held in held_selector_
+    ble::link::HeldSelector held_selector_;
     /// Every callback goes through this guard; stop() resets it.
     ble::sim::CallbackGuard guard_{radio_.scheduler()};
 
-    // Flow-control knowledge (Eq. 6 inputs).
-    std::optional<std::pair<bool, bool>> slave_bits_;
-    std::optional<std::pair<bool, bool>> master_bits_;
-    bool slave_bits_fresh_ = false;  // observed in the immediately previous event
+    /// Everything restart() sets back: one assignment from these values.
+    struct SessionState {
+        bool running = false;
+        bool lost = false;
 
-    // In-event state.
-    Mode mode_ = Mode::kObserve;
-    int frames_this_event_ = 0;
-    bool anchored_this_event_ = false;
+        // Timing model.
+        std::uint16_t event_counter = 0;
+        std::uint8_t channel = 0;
+        ble::TimePoint anchor = 0;  // last *observed* anchor
+        ble::TimePoint predicted_anchor = 0;
+        int missed_events = 0;
+        ble::sim::EventId timer = ble::sim::kInvalidEvent;
 
-    // Pending procedures sniffed off the air.
-    std::optional<ble::link::ConnectionUpdateInd> pending_update_;
-    std::optional<ble::link::ChannelMapInd> pending_map_;
+        // Flow-control knowledge (Eq. 6 inputs).
+        std::optional<std::pair<bool, bool>> slave_bits;
+        std::optional<std::pair<bool, bool>> master_bits;
+        bool slave_bits_fresh = false;  // observed in the immediately previous event
 
-    // Injection state.
-    std::optional<AttemptReport> last_attempt_;
-    std::optional<InjectionRequest> request_;
-    int attempts_ = 0;
-    InjectionObservation observation_;
-    bool awaiting_response_ = false;
+        // In-event state.
+        Mode mode = Mode::kObserve;
+        int frames_this_event = 0;
+        bool anchored_this_event = false;
 
-    // Frame-path buffers, reused by every frame so that their capacity
-    // carries over: the forged PDU of the pending attempt, its air frame,
+        // Pending procedures sniffed off the air.
+        std::optional<ble::link::ConnectionUpdateInd> pending_update;
+        std::optional<ble::link::ChannelMapInd> pending_map;
+
+        // Injection state.
+        std::optional<AttemptReport> last_attempt;
+        bool injecting = false;  ///< request_ is queued
+        int attempts = 0;
+        InjectionObservation observation;
+        bool awaiting_response = false;
+    };
+    SessionState ss_;
+
+    // Buffers kept across targets, so that their capacity carries over: the
+    // queued request, the forged PDU of the pending attempt, its air frame,
     // and the last received PDU.
+    InjectionRequest request_;
     ble::link::DataPdu inject_pdu_;
     ble::sim::AirFrame tx_frame_;
     ble::link::DataPdu rx_pdu_;

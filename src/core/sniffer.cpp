@@ -60,23 +60,23 @@ void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
     const auto raw = phy::split_frame(frame.bytes);
     if (!raw || raw->access_address != phy::kAdvertisingAccessAddress) return;
     if (!raw->crc_ok(phy::kAdvertisingCrcInit)) return;
-    const auto pdu = link::AdvPdu::parse(raw->pdu);
-    if (!pdu) return;
+    if (!link::AdvPdu::parse(raw->pdu, adv_rx_)) return;
+    const link::AdvPdu& pdu = adv_rx_;
 
-    if (on_advertisement) on_advertisement(*pdu, frame.end, frame.channel);
+    if (on_advertisement) on_advertisement(pdu, frame.end, frame.channel);
 
-    if (pdu->type == link::AdvPduType::kConnectReq) {
-        if (const auto req = link::ConnectReqPdu::parse(*pdu)) {
+    if (pdu.type == link::AdvPduType::kConnectReq) {
+        if (link::ConnectReqPdu::parse(pdu, connect_req_)) {
             SniffedConnection sniffed;
-            sniffed.params = req->params;
+            sniffed.params = connect_req_.params;
             sniffed.time_reference = frame.end;
             sniffed.from_connect_req = true;
-            if (on_connection) on_connection(sniffed, *req);
+            if (on_connection) on_connection(sniffed, connect_req_);
         }
         return;
     }
 
-    if (pdu->type == link::AdvPduType::kAdvInd) {
+    if (pdu.type == link::AdvPduType::kAdvInd) {
         // Sniffle-style follow: a CONNECT_REQ (or SCAN_REQ) starts exactly
         // T_IFS after this ADV_IND, on this channel — if nothing has started
         // by then, hop to the advertiser's next channel before its next PDU

@@ -49,6 +49,10 @@ private:
     ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
     /// Every callback goes through this guard; stop() resets it.
     ble::sim::CallbackGuard guard_{radio_.scheduler()};
+    /// The last advertising PDU heard and the CONNECT_REQ parsed from it,
+    /// parsed in place so that their buffers keep their storage.
+    ble::link::AdvPdu adv_rx_;
+    ble::link::ConnectReqPdu connect_req_;
 };
 
 /// Parameter recovery for an already-established connection. Limitations

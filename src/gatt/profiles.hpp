@@ -38,6 +38,13 @@ public:
     /// Installs GAP + the vendor service into `server`.
     void install(att::AttServer& server, const std::string& name = "SmartBulb");
 
+    /// Back to the state install() leaves (handles kept, on_change cleared);
+    /// the server restores the attribute values (AttServer::restore_values).
+    void restart() noexcept {
+        state_ = State{};
+        on_change = nullptr;
+    }
+
     [[nodiscard]] const State& state() const noexcept { return state_; }
     [[nodiscard]] std::uint16_t control_handle() const noexcept { return control_handle_; }
     [[nodiscard]] std::uint16_t name_handle() const noexcept { return name_handle_; }

@@ -6,7 +6,7 @@ Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
                  CentralConfig config)
     : config_(std::move(config)),
       att_client_([this](BytesView pdu) {
-          if (connected_) l2cap_.send(kAttCid, pdu);
+          if (st_.connected) l2cap_.send(kAttCid, pdu);
       }),
       l2cap_(
           27,
@@ -30,14 +30,26 @@ Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
     wire_hooks();
 }
 
+void Central::restart(Rng rng) {
+    rng_ = rng;
+    const link::DeviceAddress address = link::DeviceAddress::random_static(rng_);
+    device_->restart(rng_.fork(), address);
+    att_client_.restart();
+    l2cap_.reset();
+    st_ = HostState{};
+    on_connected = nullptr;
+    on_disconnected = nullptr;
+    on_event_closed = nullptr;
+}
+
 void Central::wire_hooks() {
     link::ConnectionHooks hooks;
     hooks.on_data = [this](const link::DataPdu& pdu) {
-        if (connected_) l2cap_.handle_ll_pdu(pdu);
+        if (st_.connected) l2cap_.handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
     hooks.on_disconnected = [this](link::DisconnectReason reason) {
-        connected_ = false;
+        st_.connected = false;
         l2cap_.reset();
         if (on_disconnected) on_disconnected(reason);
     };
@@ -47,7 +59,7 @@ void Central::wire_hooks() {
     device_->set_connection_hooks(std::move(hooks));
 
     device_->on_connection_established = [this](link::Connection&) {
-        connected_ = true;
+        st_.connected = true;
         if (on_connected) on_connected();
     };
 }
@@ -59,13 +71,13 @@ void Central::connect(const link::DeviceAddress& peer, link::ConnectionParams pa
 void Central::start_encryption(const crypto::Aes128Key& ltk) {
     link::Connection* conn = connection();
     if (conn == nullptr) return;
-    ltk_ = ltk;
+    st_.ltk = ltk;
     link::EncReq req;
     req.rand = rng_.next_u64();
     req.ediv = static_cast<std::uint16_t>(rng_.next_below(0x10000));
     for (auto& b : req.skd_m) b = static_cast<std::uint8_t>(rng_.next_below(256));
     for (auto& b : req.iv_m) b = static_cast<std::uint8_t>(rng_.next_below(256));
-    enc_req_ = req;
+    st_.enc_req = req;
     conn->send_control(req.to_control());
 }
 
@@ -75,20 +87,20 @@ bool Central::encrypted() const noexcept {
 }
 
 void Central::handle_control(const link::ControlPdu& pdu) {
-    if (pdu.opcode != link::ControlOpcode::kEncRsp || !enc_req_ || !ltk_) return;
+    if (pdu.opcode != link::ControlOpcode::kEncRsp || !st_.enc_req || !st_.ltk) return;
     link::Connection* conn = connection();
     if (conn == nullptr) return;
     const auto rsp = link::EncRsp::parse(pdu);
     if (!rsp) return;
 
     crypto::SessionMaterial material;
-    material.ltk = *ltk_;
-    material.skd_m = enc_req_->skd_m;
-    material.iv_m = enc_req_->iv_m;
+    material.ltk = *st_.ltk;
+    material.skd_m = st_.enc_req->skd_m;
+    material.iv_m = st_.enc_req->iv_m;
     material.skd_s = rsp->skd_s;
     material.iv_s = rsp->iv_s;
     conn->set_crypto(std::make_shared<crypto::LinkEncryption>(material));
-    enc_req_.reset();
+    st_.enc_req.reset();
     // LL_START_ENC_REQ leaves in plaintext; the Connection enables the cipher
     // for everything after it (both directions).
     conn->send_control(link::ControlPdu{link::ControlOpcode::kStartEncReq, {}});

@@ -30,13 +30,18 @@ public:
     Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
             CentralConfig config);
 
+    /// Back to the state a Central built on `rng` starts in, keeping its
+    /// device, ATT client and L2CAP buffers; the on_* callbacks are cleared.
+    /// Restart the medium first (see RadioDevice::restart).
+    void restart(Rng rng);
+
     /// Scans for `peer` and connects with `params` (AA/CRCInit auto-filled).
     void connect(const link::DeviceAddress& peer, link::ConnectionParams params = {});
 
     [[nodiscard]] att::AttClient& gatt() noexcept { return att_client_; }
     [[nodiscard]] link::LinkLayerDevice& device() noexcept { return *device_; }
     [[nodiscard]] link::Connection* connection() noexcept { return device_->connection(); }
-    [[nodiscard]] bool connected() const noexcept { return connected_; }
+    [[nodiscard]] bool connected() const noexcept { return st_.connected; }
 
     /// Starts the LL encryption procedure as master (LL_ENC_REQ ...).
     void start_encryption(const crypto::Aes128Key& ltk);
@@ -54,11 +59,15 @@ private:
     std::unique_ptr<link::LinkLayerDevice> device_;
     att::AttClient att_client_;
     L2capChannel l2cap_;  ///< carries ATT over the current connection
-    bool connected_ = false;
     Rng rng_;
 
-    std::optional<crypto::Aes128Key> ltk_;
-    std::optional<link::EncReq> enc_req_;  // material we sent, awaiting EncRsp
+    /// Everything restart() sets back: one assignment from these values.
+    struct HostState {
+        bool connected = false;
+        std::optional<crypto::Aes128Key> ltk;
+        std::optional<link::EncReq> enc_req;  // material we sent, awaiting EncRsp
+    };
+    HostState st_;
 };
 
 }  // namespace ble::host

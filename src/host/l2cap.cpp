@@ -42,9 +42,13 @@ void L2capChannel::handle_ll_pdu(const link::DataPdu& pdu) {
         return;
     }
     // Deliver from the other buffer, so that the channel is idle (and touched
-    // no more) while the upper layer runs.
+    // no more) while the upper layer runs.  The two trade roles on every
+    // frame, so each is kept as large as the other: which one a link (or a
+    // restarted world's next link) receives into never decides whether a
+    // frame allocates.
     rx_sdu_.swap(rx_buffer_);
     rx_buffer_.clear();
+    if (rx_buffer_.capacity() < rx_sdu_.capacity()) rx_buffer_.reserve(rx_sdu_.capacity());
     deliver_(cid, BytesView(rx_sdu_).subspan(4));
 }
 

@@ -5,6 +5,7 @@ namespace ble::host {
 Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
                        PeripheralConfig config)
     : config_(std::move(config)),
+      adv_data_(link::make_adv_name(config_.name)),
       l2cap_(
           27,
           [this](link::Llid llid, BytesView fragment) {
@@ -26,14 +27,26 @@ Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng 
     wire_hooks();
 }
 
+void Peripheral::restart(Rng rng) {
+    rng_ = rng;
+    const link::DeviceAddress address = link::DeviceAddress::random_static(rng_);
+    device_->restart(rng_.fork(), address);
+    att_server_.restore_values();
+    l2cap_.reset();
+    st_ = HostState{};
+    on_connected = nullptr;
+    on_disconnected = nullptr;
+    on_event_closed = nullptr;
+}
+
 void Peripheral::wire_hooks() {
     link::ConnectionHooks hooks;
     hooks.on_data = [this](const link::DataPdu& pdu) {
-        if (connected_) l2cap_.handle_ll_pdu(pdu);
+        if (st_.connected) l2cap_.handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
     hooks.on_disconnected = [this](link::DisconnectReason reason) {
-        connected_ = false;
+        st_.connected = false;
         l2cap_.reset();
         if (on_disconnected) on_disconnected(reason);
     };
@@ -43,20 +56,20 @@ void Peripheral::wire_hooks() {
     device_->set_connection_hooks(std::move(hooks));
 
     device_->on_connection_established = [this](link::Connection&) {
-        connected_ = true;
+        st_.connected = true;
         if (on_connected) on_connected();
     };
 }
 
-void Peripheral::start() { device_->start_advertising(link::make_adv_name(config_.name)); }
+void Peripheral::start() { device_->start_advertising(adv_data_); }
 
 void Peripheral::handle_att_sdu(BytesView sdu) {
     const auto pdu = att::AttView::parse(sdu);
-    if (pdu && att_server_.respond(*pdu, att_tx_) && connected_) l2cap_.send(kAttCid, att_tx_);
+    if (pdu && att_server_.respond(*pdu, att_tx_) && st_.connected) l2cap_.send(kAttCid, att_tx_);
 }
 
 void Peripheral::notify(std::uint16_t handle, BytesView value) {
-    if (!connected_) return;
+    if (!st_.connected) return;
     att::write_handle_pdu(att_tx_, att::Opcode::kHandleValueNotification, handle, value);
     l2cap_.send(kAttCid, att_tx_);
 }
@@ -67,7 +80,7 @@ void Peripheral::handle_control(const link::ControlPdu& pdu) {
     if (conn == nullptr) return;
     const auto req = link::EncReq::parse(pdu);
     if (!req) return;
-    if (!ltk_) {
+    if (!st_.ltk) {
         // No key: reject so the master does not wait forever.
         conn->send_control(
             link::ControlPdu{link::ControlOpcode::kRejectInd, Bytes{0x06}});
@@ -79,7 +92,7 @@ void Peripheral::handle_control(const link::ControlPdu& pdu) {
     for (auto& b : rsp.iv_s) b = static_cast<std::uint8_t>(rng_.next_below(256));
 
     crypto::SessionMaterial material;
-    material.ltk = *ltk_;
+    material.ltk = *st_.ltk;
     material.skd_m = req->skd_m;
     material.iv_m = req->iv_m;
     material.skd_s = rsp.skd_s;

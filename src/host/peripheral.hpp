@@ -30,13 +30,19 @@ public:
     Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
                PeripheralConfig config);
 
+    /// Back to the state a Peripheral built on `rng` starts in: attribute
+    /// handles kept and their values restored, buffers kept, no LTK, the
+    /// on_* callbacks cleared.  Restart the medium first (see
+    /// RadioDevice::restart).
+    void restart(Rng rng);
+
     /// Begins advertising (name in the AD payload).
     void start();
 
     [[nodiscard]] att::AttServer& att_server() noexcept { return att_server_; }
     [[nodiscard]] link::LinkLayerDevice& device() noexcept { return *device_; }
     [[nodiscard]] link::Connection* connection() noexcept { return device_->connection(); }
-    [[nodiscard]] bool connected() const noexcept { return connected_; }
+    [[nodiscard]] bool connected() const noexcept { return st_.connected; }
     [[nodiscard]] const link::DeviceAddress& address() const noexcept {
         return device_->address();
     }
@@ -46,7 +52,7 @@ public:
 
     /// Arms the LTK so the peripheral accepts LL_ENC_REQ (the paper's
     /// counter-measure 2: "systematically activate the encryption").
-    void set_ltk(const crypto::Aes128Key& ltk) { ltk_ = ltk; }
+    void set_ltk(const crypto::Aes128Key& ltk) { st_.ltk = ltk; }
 
     std::function<void()> on_connected;
     std::function<void(link::DisconnectReason)> on_disconnected;
@@ -59,13 +65,19 @@ private:
     void handle_control(const link::ControlPdu& pdu);
 
     PeripheralConfig config_;
+    Bytes adv_data_;  ///< the AD payload start() advertises
     std::unique_ptr<link::LinkLayerDevice> device_;
     att::AttServer att_server_;
     L2capChannel l2cap_;  ///< carries ATT over the current connection
     Bytes att_tx_;        ///< wire form of the PDU being sent
-    std::optional<crypto::Aes128Key> ltk_;
-    bool connected_ = false;
     Rng rng_;
+
+    /// Everything restart() sets back: one assignment from these values.
+    struct HostState {
+        bool connected = false;
+        std::optional<crypto::Aes128Key> ltk;
+    };
+    HostState st_;
 };
 
 }  // namespace ble::host

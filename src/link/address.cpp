@@ -33,10 +33,12 @@ void DeviceAddress::write_to(ByteWriter& w) const {
 }
 
 std::optional<DeviceAddress> DeviceAddress::read_from(ByteReader& r, AddressType type) {
-    auto bytes = r.read_bytes(6);
-    if (!bytes) return std::nullopt;
+    if (r.remaining() < 6) {
+        (void)r.skip(6);  // marks the reader failed, as a short read does
+        return std::nullopt;
+    }
     std::array<std::uint8_t, 6> octets{};
-    std::copy(bytes->begin(), bytes->end(), octets.begin());
+    for (auto& octet : octets) octet = *r.read_u8();
     return DeviceAddress(octets, type);
 }
 

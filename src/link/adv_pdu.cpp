@@ -15,8 +15,8 @@ std::uint8_t ppm_to_sca_field(double ppm) noexcept {
     }
 }
 
-AdvPdu ConnectReqPdu::to_adv_pdu() const {
-    ByteWriter w(34);
+void ConnectReqPdu::write_to(AdvPdu& out) const {
+    ByteWriter w(std::move(out.payload));
     initiator.write_to(w);
     advertiser.write_to(w);
     w.write_u32(params.access_address);
@@ -30,24 +30,27 @@ AdvPdu ConnectReqPdu::to_adv_pdu() const {
     w.write_u8(static_cast<std::uint8_t>((params.hop_increment & 0x1F) |
                                          ((params.master_sca & 0x07) << 5)));
 
+    out.type = AdvPduType::kConnectReq;
+    out.ch_sel = params.use_csa2;
+    out.tx_add = initiator.type() == AddressType::kRandom;
+    out.rx_add = advertiser.type() == AddressType::kRandom;
+    out.payload = w.take();
+}
+
+AdvPdu ConnectReqPdu::to_adv_pdu() const {
     AdvPdu pdu;
-    pdu.type = AdvPduType::kConnectReq;
-    pdu.ch_sel = params.use_csa2;
-    pdu.tx_add = initiator.type() == AddressType::kRandom;
-    pdu.rx_add = advertiser.type() == AddressType::kRandom;
-    pdu.payload = w.take();
+    write_to(pdu);
     return pdu;
 }
 
-std::optional<ConnectReqPdu> ConnectReqPdu::parse(const AdvPdu& pdu) noexcept {
-    if (pdu.type != AdvPduType::kConnectReq || pdu.payload.size() != 34) return std::nullopt;
-    ByteReader r(pdu.payload);
-    ConnectReqPdu out;
+bool ConnectReqPdu::parse(const AdvPdu& header, BytesView payload, ConnectReqPdu& out) noexcept {
+    if (header.type != AdvPduType::kConnectReq || payload.size() != 34) return false;
+    ByteReader r(payload);
     auto init = DeviceAddress::read_from(
-        r, pdu.tx_add ? AddressType::kRandom : AddressType::kPublic);
+        r, header.tx_add ? AddressType::kRandom : AddressType::kPublic);
     auto adv = DeviceAddress::read_from(
-        r, pdu.rx_add ? AddressType::kRandom : AddressType::kPublic);
-    if (!init || !adv) return std::nullopt;
+        r, header.rx_add ? AddressType::kRandom : AddressType::kPublic);
+    if (!init || !adv) return false;
     out.initiator = *init;
     out.advertiser = *adv;
     out.params.access_address = *r.read_u32();
@@ -59,36 +62,48 @@ std::optional<ConnectReqPdu> ConnectReqPdu::parse(const AdvPdu& pdu) noexcept {
     out.params.timeout = *r.read_u16();
     out.params.channel_map = ChannelMap::read_from(r);
     const auto hop_sca = r.read_u8();
-    if (!r.ok() || !hop_sca) return std::nullopt;
+    if (!r.ok() || !hop_sca) return false;
     out.params.hop_increment = *hop_sca & 0x1F;
     out.params.master_sca = (*hop_sca >> 5) & 0x07;
-    out.params.use_csa2 = pdu.ch_sel;
-    return out;
+    out.params.use_csa2 = header.ch_sel;
+    return true;
+}
+
+void AdvDataPdu::write(AdvPdu& out, AdvPduType type, const DeviceAddress& advertiser,
+                       BytesView data) {
+    ByteWriter w(std::move(out.payload));
+    advertiser.write_to(w);
+    w.write_bytes(data);
+    out.type = type;
+    out.ch_sel = false;
+    out.tx_add = advertiser.type() == AddressType::kRandom;
+    out.rx_add = false;
+    out.payload = w.take();
 }
 
 AdvPdu AdvDataPdu::to_adv_pdu() const {
-    ByteWriter w(6 + data.size());
-    advertiser.write_to(w);
-    w.write_bytes(data);
     AdvPdu pdu;
-    pdu.type = type;
-    pdu.tx_add = advertiser.type() == AddressType::kRandom;
-    pdu.payload = w.take();
+    pdu.payload.reserve(kDeviceAddressBytes + data.size());
+    write(pdu, type, advertiser, data);
     return pdu;
 }
 
-std::optional<AdvDataPdu> AdvDataPdu::parse(const AdvPdu& pdu) noexcept {
+std::optional<DeviceAddress> AdvDataPdu::advertiser_of(const AdvPdu& pdu) noexcept {
     if (pdu.payload.size() < kDeviceAddressBytes ||
         pdu.payload.size() > kMaxAdvPayloadBytes)
         return std::nullopt;
     ByteReader r(pdu.payload);
+    return DeviceAddress::read_from(r, pdu.tx_add ? AddressType::kRandom
+                                                  : AddressType::kPublic);
+}
+
+std::optional<AdvDataPdu> AdvDataPdu::parse(const AdvPdu& pdu) noexcept {
+    const auto advertiser = advertiser_of(pdu);
+    if (!advertiser) return std::nullopt;
     AdvDataPdu out;
     out.type = pdu.type;
-    auto adv = DeviceAddress::read_from(
-        r, pdu.tx_add ? AddressType::kRandom : AddressType::kPublic);
-    if (!adv) return std::nullopt;
-    out.advertiser = *adv;
-    out.data = r.read_rest();
+    out.advertiser = *advertiser;
+    out.data.assign(pdu.payload.begin() + kDeviceAddressBytes, pdu.payload.end());
     return out;
 }
 

@@ -52,8 +52,23 @@ struct ConnectReqPdu {
     DeviceAddress advertiser;
     ConnectionParams params;
 
+    /// Writes the CONNECT_REQ into `out`, reusing its payload buffer.
+    void write_to(AdvPdu& out) const;
     [[nodiscard]] AdvPdu to_adv_pdu() const;
-    static std::optional<ConnectReqPdu> parse(const AdvPdu& pdu) noexcept;
+    /// Parses the CONNECT_REQ with header `header` (its payload unused) and
+    /// payload `payload` into `out`; false (and `out` unspecified) if it is
+    /// no well-formed CONNECT_REQ.
+    static bool parse(const AdvPdu& header, BytesView payload, ConnectReqPdu& out) noexcept;
+    /// Parses into `out`, as above.
+    static bool parse(const AdvPdu& pdu, ConnectReqPdu& out) noexcept {
+        return parse(pdu, pdu.payload, out);
+    }
+    /// By-value form of the parser above; nullopt where it returns false.
+    static std::optional<ConnectReqPdu> parse(const AdvPdu& pdu) noexcept {
+        ConnectReqPdu out;
+        if (!parse(pdu, out)) return std::nullopt;
+        return out;
+    }
 };
 
 /// ADV_IND / ADV_NONCONN_IND / SCAN_RSP: advertiser address + AD payload.
@@ -62,8 +77,14 @@ struct AdvDataPdu {
     DeviceAddress advertiser;
     Bytes data;  ///< AD structures (we treat them opaquely; name helper below)
 
+    /// Writes a `type` PDU from `advertiser` carrying `data` into `out`,
+    /// reusing its payload buffer; ChSel and RxAdd are left clear.
+    static void write(AdvPdu& out, AdvPduType type, const DeviceAddress& advertiser,
+                      BytesView data);
     [[nodiscard]] AdvPdu to_adv_pdu() const;
     static std::optional<AdvDataPdu> parse(const AdvPdu& pdu) noexcept;
+    /// The advertiser address parse() reads, without copying the AD data.
+    static std::optional<DeviceAddress> advertiser_of(const AdvPdu& pdu) noexcept;
 };
 
 /// Builds the AD structure list for a complete local name (type 0x09).

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <variant>
 
 #include "link/channel_map.hpp"
 
@@ -68,6 +69,22 @@ public:
 private:
     std::uint16_t channel_identifier_;
     ChannelMap map_;
+};
+
+/// CSA#1 or CSA#2 held by value: a connection, or a follower of one, picks
+/// its algorithm per connection without a heap block.
+class HeldSelector {
+public:
+    ChannelSelector& csa1(std::uint8_t hop_increment, ChannelMap map,
+                          std::uint8_t initial_unmapped = 0) noexcept {
+        return held_.emplace<Csa1>(hop_increment, map, initial_unmapped);
+    }
+    ChannelSelector& csa2(std::uint32_t access_address, ChannelMap map) noexcept {
+        return held_.emplace<Csa2>(access_address, map);
+    }
+
+private:
+    std::variant<std::monostate, Csa1, Csa2> held_;
 };
 
 }  // namespace ble::link

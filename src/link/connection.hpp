@@ -121,6 +121,12 @@ public:
     Connection(sim::RadioDevice& radio, ConnectionConfig config, ConnectionHooks hooks);
     ~Connection();
 
+    /// Back to the state Connection(radio, config, hooks) constructs, in
+    /// place: every callback the previous connection scheduled is dropped,
+    /// and the TX queue and the frame buffers keep their storage.  The
+    /// constructor runs this too.
+    void restart(ConnectionConfig config, ConnectionHooks hooks);
+
     Connection(const Connection&) = delete;
     Connection& operator=(const Connection&) = delete;
 
@@ -152,16 +158,16 @@ public:
     bool start_channel_map_update(ChannelMap map, std::uint16_t instant_delta = 6);
 
     void set_crypto(std::shared_ptr<LinkCrypto> crypto) { crypto_ = std::move(crypto); }
-    [[nodiscard]] bool encryption_enabled() const noexcept { return encrypted_; }
+    [[nodiscard]] bool encryption_enabled() const noexcept { return ls_.encrypted; }
 
     // --- observers ---
     [[nodiscard]] Role role() const noexcept { return config_.role; }
     [[nodiscard]] const ConnectionParams& params() const noexcept { return config_.params; }
-    [[nodiscard]] std::uint16_t event_counter() const noexcept { return event_counter_; }
-    [[nodiscard]] bool sn() const noexcept { return sn_; }
-    [[nodiscard]] bool nesn() const noexcept { return nesn_; }
-    [[nodiscard]] bool closed() const noexcept { return closed_; }
-    [[nodiscard]] TimePoint last_anchor() const noexcept { return anchor_; }
+    [[nodiscard]] std::uint16_t event_counter() const noexcept { return ls_.event_counter; }
+    [[nodiscard]] bool sn() const noexcept { return ls_.sn; }
+    [[nodiscard]] bool nesn() const noexcept { return ls_.nesn; }
+    [[nodiscard]] bool closed() const noexcept { return ls_.closed; }
+    [[nodiscard]] TimePoint last_anchor() const noexcept { return ls_.anchor; }
 
 private:
     enum class State : std::uint8_t {
@@ -204,56 +210,65 @@ private:
     ConnectionConfig config_;
     ConnectionHooks hooks_;
     std::shared_ptr<LinkCrypto> crypto_;
+    /// config_.selector when one was given, else held_selector_.
+    ChannelSelector* selector_ = nullptr;
+    HeldSelector held_selector_;
     /// Every internal timer goes through this guard, so tearing down a
     /// device mid-event can never fire a dangling callback.
     sim::CallbackGuard guard_{radio_.scheduler()};
 
-    State state_ = State::kIdle;
-    bool closed_ = false;
-    bool encrypted_ = false;
+    /// Everything restart() sets back: one assignment from these values
+    /// (then SN, NESN and the event counter from the config).
+    struct LinkState {
+        State state = State::kIdle;
+        bool closed = false;
+        bool encrypted = false;
 
-    // Flow control (paper §III-B.6).
-    bool sn_ = false;    // transmitSeqNum
-    bool nesn_ = false;  // nextExpectedSeqNum
+        // Flow control (paper §III-B.6).
+        bool sn = false;    // transmitSeqNum
+        bool nesn = false;  // nextExpectedSeqNum
+        bool in_flight = false;  ///< the TX queue's front PDU is on the air
+        bool terminate_sent = false;
+        bool terminate_after_tx = false;
+        bool start_enc_rsp_sent = false;
+        std::uint8_t pending_terminate_code = 0x13;
+        bool version_sent = false;
+
+        // Event timing.
+        Duration last_widening = 0;  // widening of the current/most recent window
+        std::uint16_t event_counter = 0;
+        std::uint8_t channel = 0;
+        TimePoint anchor = 0;            // global time of last *observed* anchor
+        bool anchor_valid = false;
+        TimePoint predicted_anchor = 0;  // slave: next anchor prediction
+        int events_since_anchor = 0;     // slave: missed-event multiplier for Eq. 4
+        TimePoint last_valid_rx = 0;     // supervision timer base
+        sim::EventId timer = sim::kInvalidEvent;
+
+        // In-event bookkeeping.
+        ConnectionEventReport report{};
+        bool peer_md = false;
+        TimePoint last_rx_end = 0;
+        bool last_tx_md = false;  // the MD bit of the last PDU we sent
+
+        // Pending procedures (applied at their instant).
+        std::optional<ConnectionUpdateInd> pending_update;
+        std::optional<ChannelMapInd> pending_map;
+    };
+    LinkState ls_;
+
     struct PendingTx {
         Llid llid{};
         Bytes payload;
     };
     /// Queued PDUs; the front one is in flight once transmitted, until acked.
     SlotQueue<PendingTx> tx_queue_;
-    bool in_flight_ = false;
-    bool terminate_sent_ = false;
-    bool terminate_after_tx_ = false;
-    bool start_enc_rsp_sent_ = false;
-    std::uint8_t pending_terminate_code_ = 0x13;
-    bool version_sent_ = false;
-
-    // Event timing.
-    Duration last_widening_ = 0;  // widening of the current/most recent window
-    std::uint16_t event_counter_ = 0;
-    std::uint8_t channel_ = 0;
-    TimePoint anchor_ = 0;            // global time of last *observed* anchor
-    bool anchor_valid_ = false;
-    TimePoint predicted_anchor_ = 0;  // slave: next anchor prediction
-    int events_since_anchor_ = 0;     // slave: missed-event multiplier for Eq. 4
-    TimePoint last_valid_rx_ = 0;     // supervision timer base
-    sim::EventId timer_ = sim::kInvalidEvent;
-
-    // In-event bookkeeping.
-    ConnectionEventReport report_{};
-    bool peer_md_ = false;
-    TimePoint last_rx_end_ = 0;
-    bool last_tx_md_ = false;  // the MD bit of the last PDU we sent
 
     // Frame-path buffers, reused by every frame so that their capacity
     // carries over and a steady exchange allocates nothing.
     DataPdu tx_pdu_;
     sim::AirFrame tx_frame_;
     DataPdu rx_pdu_;
-
-    // Pending procedures (applied at their instant).
-    std::optional<ConnectionUpdateInd> pending_update_;
-    std::optional<ChannelMapInd> pending_map_;
 };
 
 }  // namespace ble::link

@@ -43,11 +43,19 @@ public:
                     LinkLayerDeviceConfig config);
     ~LinkLayerDevice() override;
 
+    /// Back to the state a new device built on `rng` at `address` starts in
+    /// (idle, no connection, no advertising data, no observer), keeping its
+    /// buffers and its Connection object for the next connection.  The
+    /// connection hooks and on_connection_established are wiring and stay.
+    void restart(Rng rng, const DeviceAddress& address);
+
     // --- Peripheral role ---
-    void start_advertising(Bytes adv_data);
-    void set_scan_response(Bytes scan_rsp_data) { scan_rsp_data_ = std::move(scan_rsp_data); }
+    void start_advertising(BytesView adv_data);
+    void set_scan_response(BytesView scan_rsp_data) {
+        scan_rsp_data_.assign(scan_rsp_data.begin(), scan_rsp_data.end());
+    }
     void stop_advertising();
-    [[nodiscard]] bool advertising() const noexcept { return mode_ == Mode::kAdvertising; }
+    [[nodiscard]] bool advertising() const noexcept { return st_.mode == Mode::kAdvertising; }
 
     // --- Observer role ---
     using AdvObserver = std::function<void(const AdvPdu&, TimePoint rx_end, double rssi_dbm,
@@ -67,7 +75,9 @@ public:
     /// Fired when a connection reaches the Link Layer (either role).
     std::function<void(Connection&)> on_connection_established;
 
-    [[nodiscard]] Connection* connection() noexcept { return connection_.get(); }
+    [[nodiscard]] Connection* connection() noexcept {
+        return st_.connected ? connection_.get() : nullptr;
+    }
     [[nodiscard]] const DeviceAddress& address() const noexcept { return config_.address; }
 
     void on_rx(const sim::RxFrame& frame) override;
@@ -86,34 +96,48 @@ private:
     void advertise_on_next_channel();
     void scan_rotate();
     void handle_adv_channel_rx(const sim::RxFrame& frame);
+    /// Sends adv_tx_ as an advertising-channel frame on `channel`.
+    void transmit_adv(sim::Channel channel);
     void become_slave(const ConnectReqPdu& req, TimePoint connect_req_end);
     void become_master(TimePoint connect_req_end);
+    /// Starts a connection on connection_, built on first use and restarted
+    /// in place after that.
+    void open_connection(ConnectionConfig config, TimePoint connect_req_end);
     ConnectionHooks make_effective_hooks();
     void cleanup_connection();
 
     LinkLayerDeviceConfig config_;
-    Mode mode_ = Mode::kIdle;
 
-    // Advertising state.
+    /// Everything restart() sets back: one assignment from these values.
+    struct State {
+        Mode mode = Mode::kIdle;
+        // Advertising.
+        int adv_channel_index = 0;  // 0..2 -> channels 37..39
+        sim::EventId adv_timer = sim::kInvalidEvent;
+        bool sending_scan_rsp = false;
+        // Scanning.
+        sim::EventId scan_timer = sim::kInvalidEvent;
+        int scan_channel_index = 0;
+        // Initiating.
+        std::optional<DeviceAddress> connect_target;
+        ConnectionParams initiate_params{};
+        bool connect_req_in_flight = false;
+        /// connection_ holds the live connection.
+        bool connected = false;
+    };
+    State st_;
+
+    // Buffers kept across connections and restarts.
     Bytes adv_data_;
     Bytes scan_rsp_data_;
-    int adv_channel_index_ = 0;  // 0..2 -> channels 37..39
-    sim::EventId adv_timer_ = sim::kInvalidEvent;
-    bool sending_scan_rsp_ = false;
-
-    // Scanning state.
-    AdvObserver adv_observer_;
-    sim::EventId scan_timer_ = sim::kInvalidEvent;
-    int scan_channel_index_ = 0;
-
-    // Initiating state.
-    std::optional<DeviceAddress> connect_target_;
-    ConnectionParams initiate_params_{};
-    bool connect_req_in_flight_ = false;
-
-    // Connection state.
-    ConnectionHooks user_hooks_;
+    AdvPdu adv_tx_;         ///< the advertising PDU being sent
+    sim::AirFrame adv_frame_;
+    AdvPdu adv_rx_;         ///< the last advertising PDU received
+    ConnectReqPdu connect_req_;
     std::unique_ptr<Connection> connection_;
+
+    AdvObserver adv_observer_;
+    ConnectionHooks user_hooks_;
 };
 
 }  // namespace ble::link

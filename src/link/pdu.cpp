@@ -43,30 +43,37 @@ bool DataPdu::parse_header(BytesView pdu, DataPdu& out) noexcept {
     return true;
 }
 
-Bytes AdvPdu::serialize() const {
-    ByteWriter w(2 + payload.size());
+std::array<std::uint8_t, 2> AdvPdu::header() const noexcept {
     std::uint8_t flags = static_cast<std::uint8_t>(type) & 0x0F;
     if (ch_sel) flags |= 1u << 5;
     if (tx_add) flags |= 1u << 6;
     if (rx_add) flags |= 1u << 7;
-    w.write_u8(flags);
-    w.write_u8(static_cast<std::uint8_t>(payload.size() & 0x3F));
+    return {flags, static_cast<std::uint8_t>(payload.size() & 0x3F)};
+}
+
+Bytes AdvPdu::serialize() const {
+    ByteWriter w(2 + payload.size());
+    w.write_bytes(header());
     w.write_bytes(payload);
     return w.take();
 }
 
-std::optional<AdvPdu> AdvPdu::parse(BytesView pdu) noexcept {
-    if (pdu.size() < 2) return std::nullopt;
+bool AdvPdu::parse_header(BytesView pdu, AdvPdu& out) noexcept {
+    if (pdu.size() < 2) return false;
     const std::uint8_t flags = pdu[0];
     const std::uint8_t length = pdu[1] & 0x3F;
-    if (pdu.size() != static_cast<std::size_t>(length) + 2) return std::nullopt;
-    AdvPdu out;
+    if (pdu.size() != static_cast<std::size_t>(length) + 2) return false;
     out.type = static_cast<AdvPduType>(flags & 0x0F);
     out.ch_sel = (flags & (1u << 5)) != 0;
     out.tx_add = (flags & (1u << 6)) != 0;
     out.rx_add = (flags & (1u << 7)) != 0;
+    return true;
+}
+
+bool AdvPdu::parse(BytesView pdu, AdvPdu& out) noexcept {
+    if (!parse_header(pdu, out)) return false;
     out.payload.assign(pdu.begin() + 2, pdu.end());
-    return out;
+    return true;
 }
 
 }  // namespace ble::link

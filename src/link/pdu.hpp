@@ -80,8 +80,23 @@ struct AdvPdu {
     bool rx_add = false;  ///< target address is random
     Bytes payload;
 
+    /// The 2 header bytes: type and the ChSel/TxAdd/RxAdd bits, then the
+    /// payload length.
+    [[nodiscard]] std::array<std::uint8_t, 2> header() const noexcept;
     [[nodiscard]] Bytes serialize() const;
-    static std::optional<AdvPdu> parse(BytesView pdu) noexcept;
+    /// Reads the header of a PDU into `out`, leaving its payload untouched
+    /// (the payload is pdu.subspan(2)); false on truncation or a length
+    /// mismatch.
+    static bool parse_header(BytesView pdu, AdvPdu& out) noexcept;
+    /// Parses a PDU into `out`, reusing its payload buffer; false (and `out`
+    /// unspecified) on truncation or a length mismatch.
+    static bool parse(BytesView pdu, AdvPdu& out) noexcept;
+    /// By-value form of the parser above; nullopt where it returns false.
+    static std::optional<AdvPdu> parse(BytesView pdu) noexcept {
+        AdvPdu out;
+        if (!parse(pdu, out)) return std::nullopt;
+        return out;
+    }
 };
 
 }  // namespace ble::link

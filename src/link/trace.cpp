@@ -28,14 +28,14 @@ const char* adv_type_name(AdvPduType type) {
 
 /// CONNECT_REQ carries every parameter the attacker needs (paper Table II) —
 /// surface the ones an analyst greps for when validating a capture.
-std::string connect_req_detail(const AdvPdu& pdu) {
-    const auto req = ConnectReqPdu::parse(pdu);
-    if (!req) return {};
+void append_connect_req_detail(std::string& out, const AdvPdu& header, BytesView payload) {
+    ConnectReqPdu req;
+    if (!ConnectReqPdu::parse(header, payload, req)) return;
     char buf[96];
-    std::snprintf(buf, sizeof(buf), " AA=%08x hop=%u inc=%u win=%u+%u", req->params.access_address,
-                  req->params.hop_interval, req->params.hop_increment, req->params.win_size,
-                  req->params.win_offset);
-    return buf;
+    std::snprintf(buf, sizeof(buf), " AA=%08x hop=%u inc=%u win=%u+%u", req.params.access_address,
+                  req.params.hop_interval, req.params.hop_increment, req.params.win_size,
+                  req.params.win_offset);
+    out += buf;
 }
 
 /// Procedure payload detail for the control PDUs the attack scenarios use:
@@ -75,17 +75,20 @@ void append_frame_description(std::string& out, BytesView bytes) {
     }
 
     if (raw->access_address == phy::kAdvertisingAccessAddress) {
-        const auto pdu = AdvPdu::parse(raw->pdu);
-        if (!pdu) {
+        // Like data PDUs below, read in place: the payload stays a view.
+        AdvPdu header;
+        if (!AdvPdu::parse_header(raw->pdu, header)) {
             out += "ADV malformed";
             return;
         }
-        std::string extra;
-        if (pdu->type == AdvPduType::kConnectReq) extra = connect_req_detail(*pdu);
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "%s (%zuB)%s%s", adv_type_name(pdu->type),
-                      pdu->payload.size(), pdu->ch_sel ? " ChSel" : "", extra.c_str());
+        const BytesView payload = raw->pdu.subspan(2);
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%s (%zuB)%s", adv_type_name(header.type),
+                      payload.size(), header.ch_sel ? " ChSel" : "");
         out += buf;
+        if (header.type == AdvPduType::kConnectReq) {
+            append_connect_req_detail(out, header, payload);
+        }
         return;
     }
 

@@ -55,6 +55,14 @@ public:
         std::erase_if(subscribers_, [token](const Subscriber& s) { return s.token == token; });
     }
 
+    /// Detaches every sink and subscriber: the bus of a restarted world
+    /// starts as empty as a new one.  Tokens are not reissued, so a token
+    /// kept from before unsubscribes nothing.
+    void clear() noexcept {
+        sinks_.clear();
+        subscribers_.clear();
+    }
+
     /// True when at least one sink or subscriber is attached — emitters may
     /// skip building expensive event payloads when nobody listens.
     [[nodiscard]] bool active() const noexcept {

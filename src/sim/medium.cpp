@@ -124,9 +124,19 @@ RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
       noise_mw_(dbm_to_mw(params_.noise_floor_dbm)),
       noise_dbm_(mw_to_dbm(noise_mw_)) {}
 
+void RadioMedium::restart(Rng rng) {
+    rng_ = rng;
+    bus_.clear();
+    run_ = RunState{};
+    for (ListenerList& list : listeners_) list.clear();
+    for (auto& list : channel_active_) list.clear();
+    for (auto& record : active_) spare_.push_back(std::move(record));
+    active_.clear();
+}
+
 void RadioMedium::attach(RadioDevice& device) {
     device.listen_state_ = ListenState{};
-    device.listen_state_.attach_order = next_attach_order_++;
+    device.listen_state_.attach_order = run_.next_attach_order++;
 }
 
 void RadioMedium::detach(RadioDevice& device) noexcept {
@@ -229,18 +239,22 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel,
 
     if (spare_.empty()) {
         active_.push_back(std::make_unique<Transmission>());
+        // Sized for any frame, so reusing the record never grows it, however
+        // garbage collection and restart() order the spare list.
+        active_.back()->frame.bytes.reserve(kMaxAirFrameBytes);
+        if (spare_.capacity() < ++records_) spare_.reserve(2 * records_);
     } else {
         active_.push_back(std::move(spare_.back()));
         spare_.pop_back();
     }
     Transmission& stored = *active_.back();
-    const std::uint64_t id = next_tx_id_++;
+    const std::uint64_t id = run_.next_tx_id++;
     stored.id = id;
     stored.sender = &device;
     stored.channel = channel;
     stored.start = scheduler_.now();
     stored.end = stored.start + frame.duration();
-    max_duration_ = std::max(max_duration_, stored.end - stored.start);
+    run_.max_duration = std::max(run_.max_duration, stored.end - stored.start);
     stored.frame = frame;
     stored.rx_power_dbm.clear();
     // Ids are monotonic, so appending keeps the per-channel view id-ordered.
@@ -289,11 +303,11 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     // channel_active_ is id-ordered, which fixes the FP accumulation order
     // and the order of the fading draws.  Ids follow start times, so the
     // scan starts at the first record that can still be on air (none lasts
-    // longer than max_duration_) and stops at the first that starts after
+    // longer than run_.max_duration) and stops at the first that starts after
     // this frame ends.
     const auto& on_channel = channel_active_[tx.channel];
     const auto first = std::lower_bound(
-        on_channel.begin(), on_channel.end(), tx.start - max_duration_,
+        on_channel.begin(), on_channel.end(), tx.start - run_.max_duration,
         [](const Transmission* record, TimePoint from) { return record->start < from; });
     InlineVec<Interference, 4> interferers;
     for (auto it = first; it != on_channel.end(); ++it) {

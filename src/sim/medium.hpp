@@ -43,6 +43,10 @@ class RadioDevice;
 using Channel = std::uint8_t;
 constexpr Channel kNumChannels = 40;
 
+/// The most bytes an AirFrame carries: access address (4), PDU header (2),
+/// the longest payload its 8-bit length field allows (255) and CRC (3).
+constexpr std::size_t kMaxAirFrameBytes = 4 + 2 + 255 + 3;
+
 /// A fully serialized over-the-air frame, PHY-agnostic from the medium's
 /// point of view: opaque bytes plus explicit timing.
 struct AirFrame {
@@ -88,19 +92,21 @@ struct ListenState {
     bool active = false;
     /// Transmission the receiver is locked on (0 = idle).
     std::uint64_t locked_tx = 0;
-    /// Monotonic attach sequence number, assigned once by RadioMedium::attach.
+    /// Monotonic attach sequence number, assigned by RadioMedium::attach (and
+    /// the same again when a restarted medium's devices re-attach in order).
     /// The per-channel interest lists sort by it, so a channel's receivers
     /// are always walked in attach order — the property that keeps RNG draw
     /// order (and therefore traces) bit-stable.
     std::uint64_t attach_order = 0;
     /// Mean path loss from recent senders to this receiver, direct-mapped by
     /// the sender's attach order (0 = empty slot).  Positions and walls
-    /// cannot change once a medium exists and attach orders are never
-    /// reused, so an entry never goes stale.  A receiver in the paper's
-    /// worlds hears its peer, the attacker and little else: four slots leave
-    /// only each pair's first lookup to miss (hit share 99% on far_race, 92%
-    /// on exp1_setup).  A stadium_crowd receiver hears a crowd and gains
-    /// nothing: 2% of lookups hit, 6% with 64 slots.
+    /// cannot change once a medium exists, and attach orders are reused
+    /// only by RadioMedium::restart(), after which every device attaches
+    /// again with an empty memo, so an entry never goes stale.  A receiver
+    /// in the paper's worlds hears its peer, the attacker and little else:
+    /// four slots leave only each pair's first lookup to miss (hit share 99%
+    /// on far_race, 92% on exp1_setup).  A stadium_crowd receiver hears a
+    /// crowd and gains nothing: 2% of lookups hit, 6% with 64 slots.
     struct MeanLoss {
         std::uint64_t sender = 0;
         double db = 0.0;
@@ -149,7 +155,14 @@ public:
     RadioMedium(const RadioMedium&) = delete;
     RadioMedium& operator=(const RadioMedium&) = delete;
 
-    /// Called by RadioDevice's constructor/destructor.
+    /// Back to a new medium's state on `rng`: no transmission (records move
+    /// to the spare list with their buffers), no listener, no bus subscriber,
+    /// tx ids and attach orders rewound.  Every device still attached must
+    /// then re-attach (RadioDevice::restart) in the order it was built, so
+    /// it gets back the attach order it had.
+    void restart(Rng rng);
+
+    /// Called by RadioDevice's constructor/destructor and restart().
     void attach(RadioDevice& device);
     void detach(RadioDevice& device) noexcept;
 
@@ -185,8 +198,10 @@ public:
 
 private:
     struct RxPower {
-        /// ListenState::attach_order of the receiver: never reused, so a
-        /// device built at a dead one's address cannot inherit its power.
+        /// ListenState::attach_order of the receiver: never reused while a
+        /// record is in use (restart() retires every record before it
+        /// rewinds the orders), so a device built at a dead one's address
+        /// cannot inherit its power.
         std::uint64_t receiver;
         double dbm;
     };
@@ -231,11 +246,16 @@ private:
     double noise_dbm_;
     obs::EventBus bus_;
 
-    std::uint64_t next_tx_id_ = 1;
-    /// The longest airtime transmitted so far: a record that started more
-    /// than this before a frame cannot overlap it.
-    Duration max_duration_ = 0;
-    std::uint64_t next_attach_order_ = 1;
+    /// The scalars restart() sets back (the containers below are cleared):
+    /// one assignment from these values.
+    struct RunState {
+        std::uint64_t next_tx_id = 1;
+        /// The longest airtime transmitted so far: a record that started
+        /// more than this before a frame cannot overlap it.
+        Duration max_duration = 0;
+        std::uint64_t next_attach_order = 1;
+    };
+    RunState run_;
     /// Per-channel interest lists, sorted by ListenState::attach_order: the
     /// attached devices filtered to (active, channel), in attach order.
     /// Membership invariant: a device appears in listeners_[c] iff its
@@ -248,8 +268,11 @@ private:
     /// platform, and so garbage collection can stop at the first record too
     /// young to drop.  Records are heap blocks that never move while in use.
     std::vector<std::unique_ptr<Transmission>> active_;
-    /// Records garbage collection reclaimed, reused last-in first-out.
+    /// Records garbage collection or restart() reclaimed, reused last-in
+    /// first-out.  Its capacity covers every record ever made, so restart()
+    /// moves them all here without growing it.
     std::vector<std::unique_ptr<Transmission>> spare_;
+    std::size_t records_ = 0;  ///< records ever made
     /// Per-channel view of `active_` in the same id order (append-only in id
     /// order; erasure preserves relative order), so interference collection
     /// touches co-channel transmissions only and stops at the first one that

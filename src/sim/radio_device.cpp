@@ -8,7 +8,14 @@ RadioDevice::RadioDevice(Scheduler& scheduler, RadioMedium& medium, Rng rng,
       medium_(medium),
       rng_(rng),
       config_(std::move(config)),
-      sleep_clock_(config_.clock, rng_.fork()) {
+      sleep_clock_(config_.clock, rng) {
+    restart(rng);
+}
+
+void RadioDevice::restart(Rng rng) {
+    rng_ = rng;
+    sleep_clock_ = SleepClock(config_.clock, rng_.fork());
+    transmitting_ = false;
     medium_.attach(*this);
 }
 

@@ -30,6 +30,11 @@ public:
     RadioDevice(const RadioDevice&) = delete;
     RadioDevice& operator=(const RadioDevice&) = delete;
 
+    /// Back to the state a device built on `rng` starts in: its sleep clock
+    /// re-drawn, not transmitting, re-attached to the medium (restart the
+    /// medium first).  The constructor runs this too.
+    void restart(Rng rng);
+
     /// Frame fully received (possibly with corrupted bytes — check CRC).
     virtual void on_rx(const RxFrame& frame) = 0;
     /// Own transmission left the antenna.

@@ -182,6 +182,28 @@ std::size_t Scheduler::run_all(std::size_t max_events) {
     return count;
 }
 
+void Scheduler::restart() noexcept {
+    // Only occupied buckets hold nodes; the bitmap names them.
+    for (std::size_t word = 0; word < occupancy_.size(); ++word) {
+        for (std::uint64_t bits = occupancy_[word]; bits != 0; bits &= bits - 1) {
+            Bucket& bucket =
+                buckets_[(word << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
+            for (EventNode* node = bucket.head; node != nullptr;) {
+                EventNode* next = node->next;
+                ++node->generation;  // even: no longer pending
+                release(node);
+                node = next;
+            }
+            bucket = Bucket{};
+        }
+    }
+    occupancy_ = {};
+    pending_ = 0;
+    now_ = 0;
+    next_seq_ = 1;
+    cursor_ = 0;
+}
+
 std::size_t Scheduler::storage_entries() const noexcept {
     std::size_t total = 0;
     for (const Bucket& b : buckets_) {

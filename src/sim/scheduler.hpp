@@ -95,6 +95,13 @@ public:
     /// Drains the queue (bounded by `max_events` as a runaway guard).
     std::size_t run_all(std::size_t max_events = 100'000'000);
 
+    /// Back to a new scheduler's clock and sequence counter, with every
+    /// pending callback destroyed unrun.  The arena keeps its chunks, and a
+    /// node's generation only ever grows, so an EventId issued before the
+    /// restart stays stale (cancelling it is a no-op).  CallbackGuard slots
+    /// belong to their owners and are kept.
+    void restart() noexcept;
+
     /// Callback bytes stored inside an event node.  Every callback src/
     /// schedules fits, and CallbackGuard asserts it for every guarded one.
     static constexpr std::size_t kInlineBytes = 64;

@@ -13,7 +13,15 @@ PathLossModel make_path_loss(const RadioWorldSpec& spec) {
 RadioWorld::RadioWorld(const RadioWorldSpec& spec, std::uint64_t seed)
     : seed(seed),
       rng(seed),
-      medium(scheduler, rng.fork(), make_path_loss(spec), CaptureModel(spec.capture),
-             spec.medium) {}
+      medium(scheduler, rng, make_path_loss(spec), CaptureModel(spec.capture), spec.medium) {
+    restart(seed);
+}
+
+void RadioWorld::restart(std::uint64_t new_seed) {
+    seed = new_seed;
+    rng = Rng(new_seed);
+    scheduler.restart();
+    medium.restart(rng.fork());
+}
 
 }  // namespace ble::sim

@@ -34,6 +34,12 @@ struct RadioWorld {
     RadioWorld(const RadioWorld&) = delete;
     RadioWorld& operator=(const RadioWorld&) = delete;
 
+    /// Back to the state RadioWorld(spec, seed) constructs: the root stream
+    /// reseeded, the scheduler and the medium restarted, the medium's stream
+    /// forked first.  The constructor runs this too.  Devices built on the
+    /// medium must restart next, in the order they were built.
+    void restart(std::uint64_t new_seed);
+
     void run_for(Duration d) { scheduler.run_until(scheduler.now() + d); }
 
     /// Runs the scheduler until `pred()` or the budget expires; returns the

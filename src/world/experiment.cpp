@@ -5,8 +5,10 @@
 #include <memory>
 #include <sstream>
 
+#include "att/att_pdu.hpp"
 #include "common/json.hpp"
-#include "core/forge.hpp"
+#include "gatt/profiles.hpp"
+#include "host/l2cap.hpp"
 #include "link/trace.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
@@ -29,10 +31,44 @@ std::string sanitize_experiment_name(const std::string& name) {
     return out;
 }
 
-RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t seed) {
+namespace {
+
+/// The observable injected payload, written into `out` in place: an L2CAP
+/// frame on the ATT channel carrying a Write Command that sets the bulb's
+/// colour, its value padded with `pad` zero bytes.  The same bytes as
+/// att_over_l2cap(att::make_write_cmd(handle, LightbulbProfile::cmd_set_color(
+/// r, g, b, pad))), without their three intermediate buffers.
+void write_set_color_payload(Bytes& out, std::uint16_t handle, std::uint8_t r, std::uint8_t g,
+                             std::uint8_t b, std::size_t pad) {
+    ByteWriter w(std::move(out));
+    w.write_u16(static_cast<std::uint16_t>(3 + 4 + pad));  // L2CAP length: the ATT PDU
+    w.write_u16(host::kAttCid);
+    w.write_u8(static_cast<std::uint8_t>(att::Opcode::kWriteCmd));
+    w.write_u16(handle);
+    w.write_u8(gatt::LightbulbProfile::kSetColor);
+    w.write_u8(r);
+    w.write_u8(g);
+    w.write_u8(b);
+    out = w.take();
+    out.resize(out.size() + pad, 0x00);
+}
+
+/// What a trial's hooks write to; each hook captures one pointer to it, so
+/// the hooks fit std::function's inline storage.
+struct TrialState {
+    World& w;
+    RunResult& result;
+    bool observable = false;
+    int commands_seen = 0;
+    std::optional<bool> outcome;
+};
+
+}  // namespace
+
+RunResult run_injection_experiment(World& w, const ExperimentConfig& config,
+                                   std::uint64_t seed) {
     RunResult result;
     result.seed = seed;
-    World w(config.world, seed);
     if (config.per_trial_sinks) config.per_trial_sinks(w.bus(), seed);
     w.emit_phase("trial-start");
 
@@ -49,8 +85,8 @@ RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t
     w.start_traffic();
 
     // Phase 2: synchronise and inject.
-    w.session = std::make_unique<AttackSession>(*w.attacker, *w.sniffed, config.world.attack);
-    AttackSession& session = *w.session;
+    AttackSession& session = w.session;
+    session.restart(*w.sniffed, config.world.attack);
     session.on_connection_lost = [&result] { result.session_lost = true; };
     w.peripheral->on_disconnected = [&result](link::DisconnectReason) {
         result.victim_disconnected = true;
@@ -62,34 +98,37 @@ RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t
     w.scheduler.run_until(w.scheduler.now() +
                           8 * connection_interval(config.world.hop_interval));
 
-    Bytes payload;
+    AttackSession::InjectionRequest& request = w.injection;
+    Bytes& payload = request.payload;
     if (config.payload_override) {
-        payload = *config.payload_override;
+        payload.assign(config.payload_override->begin(), config.payload_override->end());
     } else if (config.ll_payload_size >= 11) {
         // Observable frame: a Write Command driving the bulb, padded to the
         // requested LL payload size — gives ground truth for the heuristic.
-        const std::size_t pad = config.ll_payload_size - 11;
-        payload = att_over_l2cap(att::make_write_cmd(
-            w.bulb.control_handle(),
-            gatt::LightbulbProfile::cmd_set_color(
-                static_cast<std::uint8_t>(w.rng.next_below(256)),
-                static_cast<std::uint8_t>(w.rng.next_below(256)),
-                static_cast<std::uint8_t>(w.rng.next_below(256)), pad)));
+        // The colour is drawn blue, green, red: the draw order every pinned
+        // trace and digest records.
+        const auto b = static_cast<std::uint8_t>(w.rng.next_below(256));
+        const auto g = static_cast<std::uint8_t>(w.rng.next_below(256));
+        const auto r = static_cast<std::uint8_t>(w.rng.next_below(256));
+        write_set_color_payload(payload, w.bulb.control_handle(), r, g, b,
+                                config.ll_payload_size - 11);
     } else {
         // Too short for an ATT request: raw LL data (still exercises the
         // full race + heuristic; the slave LL-acks and the host discards).
         payload.resize(config.ll_payload_size);
-        for (auto& b : payload) b = static_cast<std::uint8_t>(w.rng.next_below(256));
+        for (auto& byte : payload) byte = static_cast<std::uint8_t>(w.rng.next_below(256));
     }
 
-    const bool observable = !config.payload_override && config.ll_payload_size >= 11;
-    int commands_seen = w.bulb.state().commands_received;
-    session.on_attempt = [&](const AttemptReport& report) {
+    TrialState trial{w, result, !config.payload_override && config.ll_payload_size >= 11,
+                     w.bulb.state().commands_received, std::nullopt};
+    session.on_attempt = [&trial](const AttemptReport& report) {
+        RunResult& result = trial.result;
+        World& w = trial.w;
         result.attempts = report.attempt;  // progress even if the budget cuts us off
         bool accepted = false;
-        if (observable) {
-            accepted = w.bulb.state().commands_received > commands_seen;
-            commands_seen = w.bulb.state().commands_received;
+        if (trial.observable) {
+            accepted = w.bulb.state().commands_received > trial.commands_seen;
+            trial.commands_seen = w.bulb.state().commands_received;
             if (report.verdict.success() && !accepted) ++result.heuristic_false_positives;
             if (!report.verdict.success() && accepted) ++result.heuristic_false_negatives;
         }
@@ -100,31 +139,28 @@ RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t
             event.event_counter = report.event_counter;
             event.channel = report.channel;
             event.heuristic_success = report.verdict.success();
-            event.ground_truth_known = observable;
+            event.ground_truth_known = trial.observable;
             event.accepted_by_slave = accepted;
             event.report = &report;
             w.bus().emit(event);
         }
     };
 
-    std::optional<bool> outcome;
-    AttackSession::InjectionRequest request;
     request.llid = config.llid;
-    request.payload = payload;
     request.max_attempts = config.max_attempts;
-    request.done = [&](bool ok, int attempts) {
-        outcome = ok;
-        result.attempts = attempts;
+    request.done = [&trial](bool ok, int attempts) {
+        trial.outcome = ok;
+        trial.result.attempts = attempts;
     };
     w.emit_phase("inject");
-    session.inject(std::move(request));
+    session.inject(request);
 
     // Worst case: ~2 events per attempt plus resync overhead.
     const Duration budget = connection_interval(config.world.hop_interval) *
                             (4 * config.max_attempts + 64);
-    w.run_until(budget, [&] { return outcome.has_value(); });
+    w.run_until(budget, [&trial] { return trial.outcome.has_value(); });
     w.stop_traffic();
-    result.success = outcome.value_or(false);
+    result.success = trial.outcome.value_or(false);
     char done_detail[48];
     std::snprintf(done_detail, sizeof(done_detail), "success=%d attempts=%d",
                   result.success ? 1 : 0, result.attempts);
@@ -132,11 +168,18 @@ RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t
     return result;
 }
 
-RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
+RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t seed) {
+    World w(config.world, seed);
+    return run_injection_experiment(w, config, seed);
+}
+
+RunResult run_injection_experiment_with_retry(World& w, const ExperimentConfig& config,
                                               std::uint64_t seed, int tries) {
     RunResult result;
     for (int t = 0; t < tries; ++t) {
-        result = run_injection_experiment(config, seed + 7919u * static_cast<std::uint64_t>(t));
+        const std::uint64_t try_seed = seed + 7919u * static_cast<std::uint64_t>(t);
+        if (t > 0) w.restart(try_seed);
+        result = run_injection_experiment(w, config, try_seed);
         // A missed CONNECT_REQ or failed pairing is an experiment-setup
         // failure, not an attack outcome: the paper's operator re-runs the
         // connection. Attack failures (lost sync, exhausted attempts) stand.
@@ -144,6 +187,12 @@ RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
     }
     result.seed = seed;  // the reproducing seed is the trial's base seed
     return result;
+}
+
+RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
+                                              std::uint64_t seed, int tries) {
+    World w(config.world, seed);
+    return run_injection_experiment_with_retry(w, config, seed, tries);
 }
 
 namespace {
@@ -157,8 +206,8 @@ struct TrialChannels {
     TrialChannels(const ExperimentConfig& series, const ResultChannels& ch, bool want_metrics,
                   const MetaHeader& meta)
         : config(series), metrics(registry) {
-        // Each setup retry builds a fresh world (and bus): restart every
-        // sink so they hold exactly the surviving world's events.
+        // Each setup retry restarts the world (and empties its bus): restart
+        // every sink so they hold exactly the surviving world's events.
         config.per_trial_sinks = [this, &series, &ch, want_metrics, &meta](
                                      obs::EventBus& bus, std::uint64_t seed) {
             if (ch.traces) {
@@ -191,6 +240,14 @@ struct TrialChannels {
     TrialArtifact artifact;
 };
 
+/// One worker's state for a series: its World, built on the worker's first
+/// trial and restarted for every later one, and its observation channels
+/// (null when the series is not instrumented).
+struct Worker {
+    std::unique_ptr<World> world;
+    std::unique_ptr<TrialChannels> channels;
+};
+
 }  // namespace
 
 std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink) {
@@ -218,11 +275,14 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
     runner.set_progress([&](int done, int total) {
         if (ch.progress) sink.on_progress(config.name, done, total);
     });
-    const auto make_channels = [&] {
-        return instrumented ? std::make_unique<TrialChannels>(config, ch, want_metrics, meta)
-                            : nullptr;
+    const auto make_worker = [&] {
+        Worker worker;
+        if (instrumented) {
+            worker.channels = std::make_unique<TrialChannels>(config, ch, want_metrics, meta);
+        }
+        return worker;
     };
-    auto results = runner.map_with(runs, make_channels, [&](int i, auto& channels) {
+    auto results = runner.map_with(runs, make_worker, [&](int i, Worker& worker) {
         // RunResult::wall_ms is documented non-deterministic and excluded
         // from every comparison, so the host clock is fine here; sinks that
         // need byte-stable records turn the channel off.
@@ -233,16 +293,22 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
             t0 = std::chrono::steady_clock::now();
         }
         const auto base_seed = config.base_seed + static_cast<std::uint64_t>(i);
+        TrialChannels* channels = worker.channels.get();
         if (channels) channels->base_seed = base_seed;
 
         obs::work::Counters counts;
         RunResult result;
         {
-            // Install covers the whole trial (all setup retries) on this
-            // worker thread; a null table counts nothing.
+            // Install covers the whole trial (world restart and all setup
+            // retries) on this worker thread; a null table counts nothing.
             const obs::work::Install install(want_counts ? &counts : nullptr);
-            result = run_injection_experiment_with_retry(channels ? channels->config : config,
-                                                         base_seed, kSetupRetries);
+            if (worker.world) {
+                worker.world->restart(base_seed);
+            } else {
+                worker.world = std::make_unique<World>(config.world, base_seed);
+            }
+            result = run_injection_experiment_with_retry(
+                *worker.world, channels ? channels->config : config, base_seed, kSetupRetries);
         }
         if (ch.wall_clock) {
             result.wall_ms =

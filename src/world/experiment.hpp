@@ -54,10 +54,10 @@ struct ExperimentConfig {
     ble::link::Llid llid = ble::link::Llid::kDataStart;
 
     /// Called once per trial *world* (including each setup retry, which
-    /// builds a fresh world) right after construction, before any event is
-    /// emitted: attach per-trial sinks to the world's isolated bus here.
-    /// Invoked concurrently from worker threads, but each call receives a
-    /// bus no other thread touches.
+    /// restarts the world) right after it is built or restarted, before any
+    /// event is emitted: attach per-trial sinks to the world's isolated bus
+    /// here (a restart detaches them again).  Invoked concurrently from
+    /// worker threads, but each call receives a bus no other thread touches.
     std::function<void(ble::obs::EventBus&, std::uint64_t seed)> per_trial_sinks;
 
     /// Receives the series' merged metrics snapshot at the end of
@@ -111,12 +111,24 @@ struct Stats {
 /// report and recorder agree on trace paths.
 [[nodiscard]] std::string sanitize_experiment_name(const std::string& name);
 
-/// Runs one full measurement (connection + sniff + inject).
+/// Runs one full measurement (connection + sniff + inject) on `w`, which
+/// must be as World(config.world, seed) builds it: new, or restarted to
+/// `seed`.  The result is the same either way.
+[[nodiscard]] RunResult run_injection_experiment(World& w, const ExperimentConfig& config,
+                                                 std::uint64_t seed);
+
+/// The same on a world of its own.
 [[nodiscard]] RunResult run_injection_experiment(const ExperimentConfig& config,
                                                  std::uint64_t seed);
 
 /// Re-runs the setup phase (connection + sniff) on setup failures, as the
-/// paper's operator would; attack outcomes are never retried.
+/// paper's operator would; attack outcomes are never retried.  `w` starts
+/// as for run_injection_experiment() and is restarted for each retry.
+[[nodiscard]] RunResult run_injection_experiment_with_retry(World& w,
+                                                            const ExperimentConfig& config,
+                                                            std::uint64_t seed, int tries);
+
+/// The same on a world of its own.
 [[nodiscard]] RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
                                                             std::uint64_t seed, int tries);
 

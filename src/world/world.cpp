@@ -71,18 +71,49 @@ link::ConnectionParams WorldSpec::connection_params() const {
     return params;
 }
 
-World::World(WorldSpec world_spec, std::uint64_t seed)
-    : RadioWorld(world_spec.rf(), seed), spec(std::move(world_spec)) {
-    // Fork order is the reproducibility contract: medium (in RadioWorld),
-    // then peripheral, central, attacker.
-    host::PeripheralConfig p_cfg;
-    p_cfg.name = spec.peripheral_name;
-    p_cfg.radio.position = spec.peripheral_pos;
-    p_cfg.radio.clock.sca_ppm = spec.slave_sca_ppm;
-    p_cfg.widening_scale = spec.widening_scale;
-    p_cfg.support_csa2 = spec.use_csa2;
-    peripheral = std::make_unique<host::Peripheral>(scheduler, medium, rng.fork(), p_cfg);
+namespace {
 
+host::PeripheralConfig peripheral_config(const WorldSpec& spec) {
+    host::PeripheralConfig cfg;
+    cfg.name = spec.peripheral_name;
+    cfg.radio.position = spec.peripheral_pos;
+    cfg.radio.clock.sca_ppm = spec.slave_sca_ppm;
+    cfg.widening_scale = spec.widening_scale;
+    cfg.support_csa2 = spec.use_csa2;
+    return cfg;
+}
+
+host::CentralConfig central_config(const WorldSpec& spec) {
+    host::CentralConfig cfg;
+    cfg.name = spec.central_name;
+    cfg.radio.position = spec.central_pos;
+    cfg.radio.clock.sca_ppm = spec.master_clock_ppm;
+    cfg.declared_sca_ppm = spec.master_sca_ppm;
+    cfg.support_csa2 = spec.use_csa2;
+    return cfg;
+}
+
+sim::RadioDeviceConfig attacker_config(const WorldSpec& spec) {
+    sim::RadioDeviceConfig cfg;
+    cfg.name = spec.attacker_name;
+    cfg.position = spec.attacker_pos;
+    cfg.clock.sca_ppm = spec.attacker_sca_ppm;
+    return cfg;
+}
+
+}  // namespace
+
+// The devices are built on copies of the root stream as placeholders;
+// restart() gives each its own fork, in the contract's order.
+World::World(WorldSpec world_spec, std::uint64_t seed)
+    : RadioWorld(world_spec.rf(), seed),
+      spec(std::move(world_spec)),
+      peripheral(std::make_unique<host::Peripheral>(scheduler, medium, rng,
+                                                    peripheral_config(spec))),
+      central(std::make_unique<host::Central>(scheduler, medium, rng, central_config(spec))),
+      attacker(std::make_unique<AttackerRadio>(scheduler, medium, rng, attacker_config(spec))),
+      session(*attacker),
+      sniffer_(*attacker) {
     if (spec.profile == VictimProfile::kLightbulb) {
         bulb.install(peripheral->att_server(), spec.gap_device_name);
         att::Attribute scratch;
@@ -90,31 +121,38 @@ World::World(WorldSpec world_spec, std::uint64_t seed)
         scratch.writable = true;
         scratch_handle = peripheral->att_server().add(std::move(scratch));
     }
-
-    host::CentralConfig c_cfg;
-    c_cfg.name = spec.central_name;
-    c_cfg.radio.position = spec.central_pos;
-    c_cfg.radio.clock.sca_ppm = spec.master_clock_ppm;
-    c_cfg.declared_sca_ppm = spec.master_sca_ppm;
-    c_cfg.support_csa2 = spec.use_csa2;
-    central = std::make_unique<host::Central>(scheduler, medium, rng.fork(), c_cfg);
-
-    sim::RadioDeviceConfig a_cfg;
-    a_cfg.name = spec.attacker_name;
-    a_cfg.position = spec.attacker_pos;
-    a_cfg.clock.sca_ppm = spec.attacker_sca_ppm;
-    attacker = std::make_unique<AttackerRadio>(scheduler, medium, rng.fork(), a_cfg);
-
-    // The crowd forks *after* every baseline device, so enabling density
-    // appends to the RNG tree instead of shifting the baseline streams.
-    if (!spec.dense.empty()) {
-        crowd = build_crowd(scheduler, medium, rng.fork(), spec.dense);
-    }
+    restart(seed);
 }
 
 World::World(WorldSpec world_spec) : World(world_spec, world_spec.seed) {}
 
 World::~World() { stop_traffic(); }
+
+void World::restart(std::uint64_t new_seed) {
+    // Stop the previous trial's activity while the devices it touches are
+    // still attached, then rewind the substrate.
+    sniffer_.stop();
+    sniffer_.on_connection = nullptr;
+    sniffer_.on_advertisement = nullptr;
+    session.restart(SniffedConnection{}, spec.attack);
+    crowd.reset();
+    RadioWorld::restart(new_seed);
+
+    // Fork order is the reproducibility contract: medium (in RadioWorld),
+    // then peripheral, central, attacker.
+    peripheral->restart(rng.fork());
+    bulb.restart();
+    central->restart(rng.fork());
+    attacker->restart(rng.fork());
+    // The crowd forks *after* every baseline device, so enabling density
+    // appends to the RNG tree instead of shifting the baseline streams.
+    if (!spec.dense.empty()) {
+        crowd = build_crowd(scheduler, medium, rng.fork(), spec.dense);
+    }
+    sniffed.reset();
+    injection.done = nullptr;
+    traffic_ = Traffic{};
+}
 
 void World::begin_connection() {
     peripheral->start();
@@ -123,18 +161,18 @@ void World::begin_connection() {
 
 std::optional<SniffedConnection> World::establish_and_sniff(
     Duration budget, const std::function<bool()>& also_wait_for) {
-    AdvSniffer sniffer(*attacker);
     std::optional<SniffedConnection> captured;
-    sniffer.on_connection = [&](const SniffedConnection& conn,
-                                const link::ConnectReqPdu&) { captured = conn; };
-    sniffer.start();
+    sniffer_.on_connection = [&captured](const SniffedConnection& conn,
+                                         const link::ConnectReqPdu&) { captured = conn; };
+    sniffer_.start();
     begin_connection();
 
     run_until(budget, [&] {
         return captured && central->connected() && peripheral->connected() &&
                (!also_wait_for || also_wait_for());
     });
-    sniffer.stop();
+    sniffer_.stop();
+    sniffer_.on_connection = nullptr;
     sniffed = captured;
     const bool established = central->connected() && peripheral->connected();
     emit_phase("establish", established ? (captured ? "established sniffed"
@@ -158,23 +196,23 @@ bool World::encrypt() {
 }
 
 AttackSession& World::start_session(Duration sync_budget) {
-    session = std::make_unique<AttackSession>(*attacker, *sniffed, spec.attack);
-    session->start();
+    session.restart(*sniffed, spec.attack);
+    session.start();
     scheduler.run_until(scheduler.now() + sync_budget);
     emit_phase("sync");
-    return *session;
+    return session;
 }
 
 void World::start_traffic() {
     if (spec.master_traffic_every_events <= 0 || scratch_handle == 0) return;
-    if (traffic_timer_ != sim::kInvalidEvent) return;  // already pumping
+    if (traffic_.timer != sim::kInvalidEvent) return;  // already pumping
     pump_traffic();
 }
 
 void World::stop_traffic() {
-    if (traffic_timer_ == sim::kInvalidEvent) return;
-    scheduler.cancel(traffic_timer_);
-    traffic_timer_ = sim::kInvalidEvent;
+    if (traffic_.timer == sim::kInvalidEvent) return;
+    scheduler.cancel(traffic_.timer);
+    traffic_.timer = sim::kInvalidEvent;
 }
 
 void World::pump_traffic() {
@@ -187,7 +225,7 @@ void World::pump_traffic() {
         return bytes;
     }();
     if (central->connected() && central->gatt().queued() < 2) {
-        if (++traffic_beat_ % 2 == 0) {
+        if (++traffic_.beat % 2 == 0) {
             central->gatt().read(bulb.name_handle(), nullptr);
         } else {
             central->gatt().write(scratch_handle, kTelemetry, nullptr);
@@ -195,7 +233,7 @@ void World::pump_traffic() {
     }
     const Duration period =
         connection_interval(spec.hop_interval) * spec.master_traffic_every_events;
-    traffic_timer_ = scheduler.schedule_after(period, [this] { pump_traffic(); });
+    traffic_.timer = scheduler.schedule_after(period, [this] { pump_traffic(); });
 }
 
 void World::emit_phase(std::string_view phase, std::string_view detail) {

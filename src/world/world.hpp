@@ -9,11 +9,12 @@
 // attack's phases (establish+sniff, encrypt, synchronise) as helpers, so call
 // sites compose phases instead of hand-wiring devices.
 //
-// Reproducibility contract: a World is a pure function of (spec, seed).  The
-// constructor forks the root RNG in a fixed order (medium, peripheral,
-// central, attacker); helpers that draw randomness (encrypt(), payload
-// generation in the experiment harness) use the root stream afterwards.  Two
-// Worlds built from equal specs and seeds replay the same simulation.
+// Reproducibility contract: a World is a pure function of (spec, seed).
+// restart() forks the root RNG in a fixed order (medium, peripheral,
+// central, attacker, crowd); helpers that draw randomness (encrypt(), payload
+// generation in the experiment harness) use the root stream afterwards.  The
+// constructor builds the devices and then runs restart(), so a world
+// restarted to a seed and a world built with it replay the same simulation.
 #pragma once
 
 #include <functional>
@@ -136,6 +137,17 @@ struct World : ble::sim::RadioWorld {
     World(WorldSpec world_spec, std::uint64_t seed);
     ~World() override;
 
+    /// Back to exactly the state World(spec, seed) constructs, in place: the
+    /// scheduler, medium, hosts, attacker radio, session and sniffer keep
+    /// their storage (buffers, arena chunks, transmission records, the
+    /// connection objects, the GATT attributes with their handles), every
+    /// pending event and bus subscriber is dropped, the GATT values and the
+    /// bulb state go back to their installed values, and the on_* hooks a
+    /// trial set on the hosts and the session are cleared.  A dense crowd is
+    /// rebuilt.  The constructor runs this too.  Radios from make_attacker()
+    /// are not restarted: destroy them first.
+    void restart(std::uint64_t new_seed);
+
     // --- phase helpers (the attack's timeline, in order) ---
 
     /// Starts the Peripheral advertising and the Central connecting, without
@@ -156,10 +168,9 @@ struct World : ble::sim::RadioWorld {
     /// §VIII solution 2).  Returns false if the procedure did not complete.
     bool encrypt();
 
-    /// Creates the AttackSession from the sniffed parameters, starts
-    /// following the hopping and runs the scheduler for `sync_budget` so the
-    /// widening estimate settles.  Requires a prior successful
-    /// establish_and_sniff().
+    /// Points `session` at the sniffed parameters, starts following the
+    /// hopping and runs the scheduler for `sync_budget` so the widening
+    /// estimate settles.  Requires a prior successful establish_and_sniff().
     AttackSession& start_session(ble::Duration sync_budget = ble::milliseconds(400));
 
     /// Starts/stops the background GATT traffic pump (no-op when the spec
@@ -190,13 +201,25 @@ struct World : ble::sim::RadioWorld {
     std::uint16_t scratch_handle = 0;
 
     std::optional<SniffedConnection> sniffed;
-    std::unique_ptr<AttackSession> session;
+    /// The attack session on `attacker`: idle until start_session() (or a
+    /// harness, via AttackSession::restart) points it at a connection.
+    AttackSession session;
+    /// The request run_injection_experiment() hands `session`, kept so that
+    /// its payload buffer keeps its storage from one trial to the next.
+    AttackSession::InjectionRequest injection;
 
 private:
     void pump_traffic();
 
-    ble::sim::EventId traffic_timer_ = ble::sim::kInvalidEvent;
-    int traffic_beat_ = 0;
+    /// Captures the CONNECT_REQ for establish_and_sniff().
+    AdvSniffer sniffer_;
+
+    /// The traffic pump's state; restart() assigns it back to these values.
+    struct Traffic {
+        ble::sim::EventId timer = ble::sim::kInvalidEvent;
+        int beat = 0;
+    };
+    Traffic traffic_;
 };
 
 }  // namespace injectable::world

@@ -3,8 +3,9 @@
 // exchanging empty PDUs, nor with a trace, metrics and pcap captures (both
 // vantages) observing them, nor for an attacker following and injecting into
 // their link, nor for the hosts carrying GATT reads and writes over L2CAP.
-// This executable replaces the global operator new to count calls, so it is
-// built on its own.
+// And a whole trial on a restarted world allocates nothing either.  This
+// executable replaces the global operator new to count calls, so it is built
+// on its own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "sim/world.hpp"
+#include "world/experiment.hpp"
 #include "world/world.hpp"
 
 namespace {
@@ -242,7 +244,8 @@ TEST(SteadyStateAllocations, FollowingAndInjectingAllocatesNothing) {
     session.start();
 
     // Every request is built before the measured window, so re-arming from
-    // the completion handler moves a payload in instead of allocating one.
+    // the completion handler copies a payload into the session's kept buffer
+    // instead of allocating one.
     std::vector<AttackSession::InjectionRequest> requests(kMeasuredEvents);
     std::size_t next = 0;
     int attempts = 0;
@@ -271,6 +274,53 @@ TEST(SteadyStateAllocations, FollowingAndInjectingAllocatesNothing) {
     EXPECT_FALSE(session.lost());
     EXPECT_EQ(allocations, 0u) << "over " << attempts - attempts_before << " attempts, "
                                << successes - successes_before << " injected";
+}
+
+TEST(SteadyStateAllocations, RestartedWorldTrialAllocatesNothing) {
+    // A whole paper-baseline trial (establish and sniff, sync, inject) on a
+    // world restarted to a seed it has already run: the restart and the trial
+    // find every buffer, arena chunk, transmission record, connection object
+    // and sink cell already grown.  Bare, then observed by the channels
+    // run_series attaches (a trace, metrics and a pcap capture), which restart
+    // for each world as they do there.
+    world::ExperimentConfig bare;
+    bare.world = world::WorldSpec::paper_baseline();
+    constexpr std::uint64_t kSeed = 7;
+
+    obs::JsonlTraceSink trace(link::append_frame_description);
+    obs::MetricsRegistry registry;
+    obs::MetricsSink metrics(registry);
+    obs::capture::CaptureSink capture;
+    world::ExperimentConfig observed = bare;
+    observed.per_trial_sinks = [&trace, &metrics, &capture](obs::EventBus& bus, std::uint64_t) {
+        trace.clear();
+        metrics.restart();
+        capture.builder().clear();
+        bus.attach(trace);
+        bus.attach(metrics);
+        bus.attach(capture);
+    };
+
+    for (const world::ExperimentConfig* config : {&bare, &observed}) {
+        const bool with_sinks = config == &observed;
+        world::World world(config->world, kSeed);
+        const world::RunResult first = world::run_injection_experiment(world, *config, kSeed);
+        ASSERT_TRUE(first.success);
+        const std::size_t trace_bytes = trace.str().size();
+
+        world::RunResult again;
+        const std::size_t allocations = allocations_during([&] {
+            world.restart(kSeed);
+            again = world::run_injection_experiment(world, *config, kSeed);
+        });
+        EXPECT_EQ(again, first);
+        EXPECT_EQ(trace.str().size(), trace_bytes);
+        if (with_sinks) {
+            EXPECT_GT(trace_bytes, 0u);
+        }
+        EXPECT_EQ(allocations, 0u) << (with_sinks ? "observed" : "bare") << " trial, "
+                                   << again.attempts << " attempts";
+    }
 }
 
 }  // namespace

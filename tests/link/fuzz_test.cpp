@@ -101,6 +101,56 @@ TEST_P(ParserFuzzTest, ConnectReqParserRoundTripsOrRejects) {
     }
 }
 
+TEST_P(ParserFuzzTest, InPlaceAdvParsersMatchTheOwningOnes) {
+    // The caller-owned forms parse into objects reused from input to input,
+    // as the link layer and the sniffer reuse theirs: whatever the previous
+    // input left there, each must accept exactly what the owning parser
+    // accepts and fill the same fields.
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863);
+    link::AdvPdu adv;
+    link::AdvPdu header;
+    link::ConnectReqPdu req;
+    link::ConnectReqPdu req_from_view;
+    for (int i = 0; i < 2000; ++i) {
+        Bytes data = random_bytes(rng, 40);
+        // Half the inputs are well-formed CONNECT_REQ frames, so the
+        // CONNECT_REQ parsers see their accepting path too.
+        if (rng.chance(0.5) && data.size() >= 2) {
+            data.resize(36);
+            data[0] = static_cast<std::uint8_t>((data[0] & 0xF0) |
+                                                static_cast<std::uint8_t>(
+                                                    link::AdvPduType::kConnectReq));
+            data[1] = 34;
+        }
+        const auto owned = link::AdvPdu::parse(data);
+        ASSERT_EQ(link::AdvPdu::parse(data, adv), owned.has_value());
+        ASSERT_EQ(link::AdvPdu::parse_header(data, header), owned.has_value());
+        if (!owned) continue;
+        EXPECT_EQ(adv.type, owned->type);
+        EXPECT_EQ(adv.ch_sel, owned->ch_sel);
+        EXPECT_EQ(adv.tx_add, owned->tx_add);
+        EXPECT_EQ(adv.rx_add, owned->rx_add);
+        EXPECT_EQ(adv.payload, owned->payload);
+        EXPECT_EQ(header.type, owned->type);
+        EXPECT_EQ(header.ch_sel, owned->ch_sel);
+        EXPECT_EQ(header.tx_add, owned->tx_add);
+        EXPECT_EQ(header.rx_add, owned->rx_add);
+
+        const auto owned_req = link::ConnectReqPdu::parse(*owned);
+        ASSERT_EQ(link::ConnectReqPdu::parse(adv, req), owned_req.has_value());
+        ASSERT_EQ(link::ConnectReqPdu::parse(header, BytesView(data).subspan(2), req_from_view),
+                  owned_req.has_value());
+        if (!owned_req) continue;
+        for (const link::ConnectReqPdu* in_place : {&req, &req_from_view}) {
+            EXPECT_EQ(in_place->initiator, owned_req->initiator);
+            EXPECT_EQ(in_place->advertiser, owned_req->advertiser);
+            EXPECT_EQ(in_place->to_adv_pdu().serialize(), owned_req->to_adv_pdu().serialize());
+            EXPECT_EQ(in_place->params.master_sca, owned_req->params.master_sca);
+            EXPECT_EQ(in_place->params.use_csa2, owned_req->params.use_csa2);
+        }
+    }
+}
+
 TEST_P(ParserFuzzTest, AttServerSurvivesGarbageRequests) {
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 65537);
     att::AttServer server;

@@ -322,6 +322,34 @@ TEST(SchedulerTest, PendingEventsAreDestroyedOnceWithTheScheduler) {
     EXPECT_EQ(live, 0);
 }
 
+TEST(SchedulerTest, RestartDropsPendingEventsAndKeepsOldIdsStale) {
+    int calls = 0;
+    int live = 0;
+    Scheduler s;
+    const EventId before = s.schedule_at(5, Tracked<0>(&calls, &live));
+    (void)s.schedule_at(6, Oversized(&calls, &live));
+    s.run_until(3);
+    s.restart();
+    // Destroyed unrun, the clock back at zero, the arena kept.
+    EXPECT_EQ(live, 0);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.now(), 0);
+    EXPECT_EQ(s.storage_entries(), 0u);
+    EXPECT_GT(s.pooled_nodes(), 0u);
+
+    // The node `before` named is reused, but its generation moved on: the
+    // old id cancels nothing.
+    std::vector<int> order;
+    const EventId first = s.schedule_at(5, [&] { order.push_back(1); });
+    const EventId second = s.schedule_at(5, [&] { order.push_back(2); });
+    ASSERT_TRUE((first >> 32) == (before >> 32) || (second >> 32) == (before >> 32));
+    s.cancel(before);
+    EXPECT_EQ(s.pending(), 2u);
+    s.run_all();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(calls, 0);
+}
+
 TEST(CallbackGuardTest, ResetDropsPendingCallbacksOnly) {
     Scheduler s;
     CallbackGuard guard(s);

@@ -174,8 +174,8 @@ TEST(CaptureVantageTest, InjectedPduPresentAtVictimSnifferAbsentOutOfRange) {
 
     ASSERT_TRUE(w.establish_and_sniff(10_s).has_value());
     w.start_traffic();
-    w.session = std::make_unique<AttackSession>(*w.attacker, *w.sniffed, spec.attack);
-    w.session->start();
+    w.session.restart(*w.sniffed, spec.attack);
+    w.session.start();
     w.scheduler.run_until(w.scheduler.now() + 8 * connection_interval(spec.hop_interval));
 
     std::optional<bool> outcome;
@@ -184,7 +184,7 @@ TEST(CaptureVantageTest, InjectedPduPresentAtVictimSnifferAbsentOutOfRange) {
     request.payload = marker;
     request.max_attempts = 400;
     request.done = [&](bool ok, int) { outcome = ok; };
-    w.session->inject(std::move(request));
+    w.session.inject(request);
     const Duration budget = connection_interval(spec.hop_interval) * (4 * 400 + 64);
     w.run_until(budget, [&] { return outcome.has_value(); });
     ASSERT_TRUE(outcome.has_value());

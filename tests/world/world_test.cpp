@@ -136,7 +136,43 @@ TEST(WorldTest, StartSessionSynchronisesAttacker) {
     AttackSession& session = world.start_session(400_ms);
     EXPECT_FALSE(session.lost());
     EXPECT_GT(session.event_counter(), 0);  // it has tracked real events
-    EXPECT_EQ(world.session.get(), &session);
+    EXPECT_EQ(&world.session, &session);
+}
+
+TEST(WorldTest, RestartRewindsToWhatTheConstructorBuilds) {
+    // A trial writes the bulb's control attribute, bumps its command counter
+    // and leaves sinks, hooks and pending events behind; a restart to another
+    // seed must leave none of it, and match a world built with that seed.
+    ExperimentConfig config;
+    World used(config.world, 41);
+    ASSERT_TRUE(run_injection_experiment(used, config, 41).success);
+    ASSERT_GT(used.bulb.state().commands_received, 0);
+    used.restart(42);
+    World fresh(config.world, 42);
+
+    EXPECT_EQ(used.seed, 42u);
+    EXPECT_EQ(used.scheduler.now(), fresh.scheduler.now());
+    EXPECT_EQ(used.scheduler.pending(), fresh.scheduler.pending());
+    EXPECT_FALSE(used.bus().active());
+    EXPECT_FALSE(used.sniffed.has_value());
+    EXPECT_FALSE(used.central->connected());
+    EXPECT_FALSE(used.peripheral->connected());
+    EXPECT_EQ(used.central->connection(), nullptr);
+    EXPECT_EQ(used.bulb.state().commands_received, 0);
+    EXPECT_EQ(used.peripheral->address(), fresh.peripheral->address());
+    EXPECT_EQ(used.central->device().address(), fresh.central->device().address());
+    const auto& values = used.peripheral->att_server().attributes();
+    const auto& expected = fresh.peripheral->att_server().attributes();
+    ASSERT_EQ(values.size(), expected.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(values[i].handle, expected[i].handle);
+        EXPECT_EQ(values[i].value, expected[i].value) << "handle " << values[i].handle;
+    }
+    EXPECT_EQ(used.attacker->sleep_clock().current_ppm(),
+              fresh.attacker->sleep_clock().current_ppm());
+    EXPECT_EQ(used.peripheral->device().sleep_clock().current_ppm(),
+              fresh.peripheral->device().sleep_clock().current_ppm());
+    EXPECT_EQ(used.rng.next_u64(), fresh.rng.next_u64());
 }
 
 TEST(WorldTest, LightbulbProfileInstalledWithScratchAttribute) {
