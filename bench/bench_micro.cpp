@@ -111,7 +111,7 @@ void BM_SchedulerChurn(benchmark::State& state) {
     for (auto _ : state) {
         sim::Scheduler scheduler;
         for (int i = 0; i < 1000; ++i) {
-            // injectable-lint: allow(D4) -- churn bench measures the discard path
+            // Measures the discard path.
             (void)scheduler.schedule_at(i * 10, [] {});
         }
         scheduler.run_all();
@@ -196,7 +196,8 @@ void BM_InjectionTrialBaseline(benchmark::State& state) {
     config.max_attempts = 200;
     std::uint64_t seed = 7000;
     for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        injectable::world::World world(config.world, seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
         benchmark::DoNotOptimize(result.attempts);
     }
     state.SetItemsProcessed(state.iterations());
@@ -237,7 +238,8 @@ void BM_CaptureOmniscientTrial(benchmark::State& state) {
     };
     std::uint64_t seed = 7000;
     for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        injectable::world::World world(config.world, seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
         benchmark::DoNotOptimize(result.attempts);
         const std::string pcap = sink->pcap();
         benchmark::DoNotOptimize(pcap.size());
@@ -260,7 +262,8 @@ void BM_InjectionTrialTraced(benchmark::State& state) {
     };
     std::uint64_t seed = 7000;
     for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        injectable::world::World world(config.world, seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
         benchmark::DoNotOptimize(result.attempts);
         const std::string text(trace->str());
         benchmark::DoNotOptimize(text.size());
@@ -279,7 +282,8 @@ void BM_InjectionTrialProfiled(benchmark::State& state) {
     for (auto _ : state) {
         obs::work::Counters counts;
         const obs::work::Install install(&counts);
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        injectable::world::World world(config.world, seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
         benchmark::DoNotOptimize(result.attempts);
     }
     state.SetItemsProcessed(state.iterations());
@@ -361,7 +365,8 @@ void BM_DenseWorldTrial(benchmark::State& state) {
     config.world = injectable::world::WorldSpec::office();
     std::uint64_t seed = 7500;
     for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
+        injectable::world::World world(config.world, seed);
+        const auto result = injectable::world::run_injection_experiment(world, config, seed++);
         benchmark::DoNotOptimize(result.attempts);
     }
     state.SetItemsProcessed(state.iterations());
@@ -465,7 +470,7 @@ void BM_SchedulerSparseHop(benchmark::State& state) {
     sim::Scheduler scheduler;
     for (auto _ : state) {
         for (int i = 0; i < 64; ++i) {
-            // injectable-lint: allow(D4) -- churn bench measures the discard path
+            // Measures the discard path.
             (void)scheduler.schedule_after(static_cast<ble::Duration>(i) * 45'000'000, [] {});
         }
         scheduler.run_all();

@@ -1,0 +1,863 @@
+#include "paper.hpp"
+
+#include <atomic>
+#include <cstdarg>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "common/hex.hpp"
+#include "core/scenarios.hpp"
+#include "gatt/builder.hpp"
+#include "ids/detector.hpp"
+#include "link/connection.hpp"
+#include "obs/bus.hpp"
+#include "phy/frame.hpp"
+#include "world/world.hpp"
+
+namespace injectable::paper {
+
+using namespace ble;
+using namespace injectable::world;
+
+namespace {
+
+[[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...) {
+    char buf[64];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
+    return buf;
+}
+
+// --- sweep columns ---------------------------------------------------------
+
+// Fig. 9: quartiles of the attempts before success.
+const Columns kFig9{print_stats_header,
+                    [](const std::string& label, const std::vector<RunResult>& results) {
+                        print_stats_row(label, summarize(results));
+                    }};
+
+int victims_dropped(const std::vector<RunResult>& results) {
+    int n = 0;
+    for (const auto& r : results) n += r.victim_disconnected ? 1 : 0;
+    return n;
+}
+
+const Columns kWidening{
+    [](const std::string& variable) {
+        std::printf("%-10s %9s %7s %8s %7s %12s\n", variable.c_str(), "success", "median",
+                    "mean", "max", "victims died");
+    },
+    [](const std::string& label, const std::vector<RunResult>& results) {
+        const Stats stats = summarize(results);
+        std::printf("%-10s %5d/%-3d %7.1f %8.2f %7.0f %8d/%d\n", label.c_str(),
+                    stats.successes, stats.n, stats.median, stats.mean, stats.max,
+                    victims_dropped(results), stats.n);
+    }};
+
+const Columns kEncryption{
+    [](const std::string& variable) {
+        std::printf("%-12s %14s %16s %14s\n", variable.c_str(), "cmd injected",
+                    "victims dropped", "mean attempts");
+    },
+    [](const std::string& label, const std::vector<RunResult>& results) {
+        const Stats stats = summarize(results);
+        std::printf("%-12s %8d/%-5d %10d/%-5d %14.2f\n", label.c_str(), stats.successes,
+                    stats.n, victims_dropped(results), stats.n, stats.mean);
+    }};
+
+// Eq. 7 scored against the bulb's command counter, over the trials that got
+// as far as injecting.
+const Columns kHeuristic{
+    [](const std::string& variable) {
+        std::printf("%-16s %8s %8s %8s\n", variable.c_str(), "runs", "FP", "FN");
+    },
+    [](const std::string& label, const std::vector<RunResult>& results) {
+        int fp = 0, fn = 0, n = 0;
+        for (const auto& r : results) {
+            if (!r.established || !r.sniffed) continue;
+            ++n;
+            fp += r.heuristic_false_positives;
+            fn += r.heuristic_false_negatives;
+        }
+        std::printf("%-16s %8d %8d %8d\n", label.c_str(), n, fp, fn);
+    }};
+
+// --- Fig. 9 (§VII) ---------------------------------------------------------
+
+// Experiment 1 (§VII-A): attempts before success vs the Hop Interval, on a
+// 2 m equilateral triangle.  The 22-byte injected frame (176 µs at LE 1M)
+// fits none of these widened windows, so every attempt races into a
+// collision: the paper's deliberate worst case.
+Table exp1() {
+    Table t;
+    t.id = "exp1";
+    t.heading = "=== Experiment 1: Hop Interval sensitivity (paper Fig. 9, left) ===\n"
+                "22-byte frame over the air, 2 m equilateral triangle, 25 runs/value\n\n";
+    t.variable = "hop interval";
+    t.columns = &kFig9;
+    t.footer = "\nExpected shape (paper): 100% success; median < 4 everywhere; spread\n"
+               "(max - min, Q3 - Q1) shrinks from 25 to 100 and stabilises afterwards.\n";
+    for (std::uint16_t hop : {25, 50, 75, 100, 125, 150}) {
+        ExperimentConfig config;
+        config.name = "exp1";
+        config.world.master_sca_ppm = 250.0;   // declared by the Mirage-driven HCI dongle
+        config.world.master_clock_ppm = 80.0;  // its actual crystal runs well inside that
+        config.world.hop_interval = hop;
+        config.ll_payload_size = 12;  // -> 22 bytes / 176 µs over the air
+        config.base_seed = 1000 + hop;
+        t.rows.push_back({format("%u (%.2f ms)", hop, hop * 1.25), std::move(config)});
+    }
+    return t;
+}
+
+// Experiment 2 (§VII-B): attempts vs the injected payload size at Hop
+// Interval 75.  Shorter frames overlap the legitimate one for less airtime.
+Table exp2() {
+    Table t;
+    t.id = "exp2";
+    t.heading = "=== Experiment 2: payload-size sensitivity (paper Fig. 9, middle) ===\n"
+                "Hop Interval 75 (93.75 ms), 2 m triangle, 25 runs/value\n\n";
+    t.variable = "LL payload (bytes)";
+    t.columns = &kFig9;
+    t.footer = "\nExpected shape (paper): higher reliability as the payload shrinks;\n"
+               "median stays very low (< 3) for all sizes.\n";
+    for (std::size_t payload : {std::size_t{4}, std::size_t{9}, std::size_t{14},
+                                std::size_t{16}}) {
+        ExperimentConfig config;
+        config.name = "exp2";
+        config.world.master_sca_ppm = 250.0;
+        config.world.master_clock_ppm = 80.0;
+        config.world.hop_interval = 75;
+        config.ll_payload_size = payload;
+        config.base_seed = 2000 + payload;
+        t.rows.push_back({format("%zu (air %zu B, %zu us)", payload, payload + 10,
+                                 (payload + 10) * 8),
+                          std::move(config)});
+    }
+    return t;
+}
+
+// Experiment 3 (§VII-C): attempts vs the attacker's distance from the
+// Peripheral, at Fig. 8's positions A-F; the phone sits 2 m from the bulb
+// at its default Hop Interval of 36 (45 ms).
+Table exp3() {
+    Table t;
+    t.id = "exp3";
+    t.heading = "=== Experiment 3: distance sensitivity (paper Fig. 9, right) ===\n"
+                "Hop Interval 36 (45 ms), phone at 2 m, 25 runs/position\n\n";
+    t.variable = "attacker position";
+    t.columns = &kFig9;
+    t.footer = "\nExpected shape (paper): every connection is eventually injectable even\n"
+               "at 10 m (while the master sits 2 m away); attempts and variance grow\n"
+               "with distance.\n";
+    const struct {
+        const char* label;
+        double distance_m;
+    } positions[] = {{"A (1 m)", 1.0}, {"B (2 m)", 2.0}, {"C (4 m)", 4.0},
+                     {"D (6 m)", 6.0}, {"E (8 m)", 8.0}, {"F (10 m)", 10.0}};
+    for (const auto& pos : positions) {
+        ExperimentConfig config;
+        config.name = "exp3";
+        config.world.hop_interval = 36;
+        config.ll_payload_size = 12;
+        config.world.peripheral_pos = {0.0, 0.0};
+        config.world.central_pos = {2.0, 0.0};
+        config.world.attacker_pos = {-pos.distance_m, 0.0};  // opposite side of the bulb
+        config.base_seed = 3000 + static_cast<std::uint64_t>(pos.distance_m * 10);
+        t.rows.push_back({pos.label, std::move(config)});
+    }
+    return t;
+}
+
+// Experiment 3b (§VII-C): Experiment 3's room with the attacker 2-8 m away
+// on the other side of a wall.
+Table exp3b() {
+    Table t;
+    t.id = "exp3b";
+    t.heading = "=== Experiment 3b: through-the-wall injection (paper Fig. 9) ===\n"
+                "Hop Interval 36, phone at 2 m, 6 dB wall, 25 runs/distance\n\n";
+    t.variable = "distance (wall)";
+    t.columns = &kFig9;
+    t.footer = "\nExpected shape (paper): more attempts than the open-room experiment and\n"
+               "variance growing with distance, but still a successful injection for\n"
+               "every tested connection.\n";
+    for (double distance : {2.0, 4.0, 6.0, 8.0}) {
+        ExperimentConfig config;
+        config.name = "exp3b";
+        config.world.hop_interval = 36;
+        config.ll_payload_size = 12;
+        config.world.peripheral_pos = {0.0, 0.0};
+        config.world.central_pos = {2.0, 0.0};
+        config.world.attacker_pos = {-distance, 0.0};
+        config.world.walls.push_back(sim::Wall{{-1.0, -50.0}, {-1.0, 50.0}, 6.0});
+        config.base_seed = 3500 + static_cast<std::uint64_t>(distance * 10);
+        t.rows.push_back({format("%.0f m + wall", distance), std::move(config)});
+    }
+    return t;
+}
+
+// --- ablations --------------------------------------------------------------
+
+// §VIII counter-measure 1: the victim slave's window widening scaled below
+// the spec value, measuring the injection cost and the collateral damage to
+// the legitimate link that the paper warns about.
+Table ablation_widening() {
+    Table t;
+    t.id = "ablation_widening";
+    t.heading = "=== Ablation: window-widening reduction (paper §VIII, solution 1) ===\n"
+                "hop 36, 2 m triangle, 25 runs/scale; attacker still assumes spec widening\n\n";
+    t.variable = "scale";
+    t.columns = &kWidening;
+    t.footer = "\nExpected shape: smaller windows drive the injection cost up steeply\n"
+               "(the attacker, still assuming spec widening, transmits before the\n"
+               "shrunken window opens). With the well-behaved crystals modelled here\n"
+               "the legitimate link itself survives even 0.1x; a device drifting near\n"
+               "its declared SCA would instead start losing sync — the paper's warning\n"
+               "about \"side effects on the reliability and stability of the\n"
+               "communications\".\n";
+    for (double scale : {1.0, 0.75, 0.5, 0.25, 0.1}) {
+        ExperimentConfig config;
+        config.world.hop_interval = 36;
+        config.world.widening_scale = scale;
+        config.base_seed = 7000 + static_cast<std::uint64_t>(scale * 100);
+        t.rows.push_back({format("%.2f", scale), std::move(config)});
+    }
+    return t;
+}
+
+// §VIII counter-measure 2: on an encrypted link the plaintext injection
+// still wins the race, but its MIC fails and the slave drops the link:
+// denial of service instead of command injection.
+Table ablation_encryption() {
+    Table t;
+    t.id = "ablation_encryption";
+    t.heading = "=== Ablation: LL encryption (paper §VIII, solution 2) ===\n"
+                "hop 36, 2 m triangle, 25 runs/config, injected ATT write\n\n";
+    t.variable = "link";
+    t.columns = &kEncryption;
+    t.footer = "\nExpected shape: plaintext -> the command executes and the connection\n"
+               "survives (stealthy injection). Encrypted -> the injected frame cannot\n"
+               "carry a valid MIC; no command ever executes, and races that beat the\n"
+               "master kill the connection (availability impact only, as §IV argues).\n";
+    for (bool encrypted : {false, true}) {
+        ExperimentConfig config;
+        config.world.hop_interval = 36;
+        config.world.encrypt_link = encrypted;
+        config.max_attempts = 40;
+        config.base_seed = 7600 + (encrypted ? 1 : 0);
+        t.rows.push_back({encrypted ? "encrypted" : "plaintext", std::move(config)});
+    }
+    return t;
+}
+
+// §V-C: "The Slave's Sleep Clock Accuracy can be estimated at 20 ppm, which
+// is the worst case from the attacker's perspective."  Assuming more than
+// the slave's real widening overshoots its window start.
+Table ablation_sca() {
+    Table t;
+    t.id = "ablation_sca";
+    t.heading = "=== Ablation: attacker's assumed slave SCA (paper §V-C) ===\n"
+                "hop 36, victim slave really 20 ppm, 25 runs/assumption\n\n";
+    t.variable = "assumed SCA (ppm)";
+    t.columns = &kFig9;
+    t.footer = "\nShape: the estimate is forgiving. Assuming a bit more than the real\n"
+               "20 ppm shifts the injection earlier inside the slave's (real) window —\n"
+               "a slightly longer head start, slightly cheaper injections — until the\n"
+               "assumption overshoots the actual window start and frames begin to land\n"
+               "before the slave listens (the 400 ppm column turns back up). The\n"
+               "paper's worst-case 20 ppm guess is safe: it can never overshoot.\n";
+    for (double assumed : {0.0, 10.0, 20.0, 50.0, 150.0, 400.0}) {
+        ExperimentConfig config;
+        config.world.hop_interval = 36;
+        config.world.attack.assumed_slave_sca_ppm = assumed;
+        config.base_seed = 7800 + static_cast<std::uint64_t>(assumed);
+        t.rows.push_back({format("%.0f ppm", assumed), std::move(config)});
+    }
+    return t;
+}
+
+// §III-B.3: "the proposed approach can be easily adapted to the second
+// algorithm".  The attacker sniffs the inputs of both (CSA#1's hop
+// increment, CSA#2's access address).
+Table ablation_csa2() {
+    Table t;
+    t.id = "ablation_csa2";
+    t.heading = "=== Ablation: CSA#1 vs CSA#2 (paper §III-B.3) ===\n"
+                "hop 36, 2 m triangle, 25 runs each\n\n";
+    t.variable = "algorithm";
+    t.columns = &kFig9;
+    t.footer = "\nExpected shape: statistically identical columns — upgrading to the\n"
+               "BLE 5 channel selection algorithm is NOT a mitigation (the PRN is\n"
+               "seeded by the access address, which every data frame leaks).\n";
+    for (bool csa2 : {false, true}) {
+        ExperimentConfig config;
+        config.world.hop_interval = 36;
+        config.world.use_csa2 = csa2;
+        config.base_seed = 8200 + (csa2 ? 1 : 0);
+        t.rows.push_back({csa2 ? "CSA#2 (BLE 5)" : "CSA#1", std::move(config)});
+    }
+    return t;
+}
+
+// Eq. 7's accuracy, scored against the victim bulb's command counter: the
+// paper validated it the same way, with "a frame with a visible effect on
+// the device".
+Table ablation_heuristic() {
+    Table t;
+    t.id = "ablation_heuristic";
+    t.heading = "=== Ablation: Eq. 7 heuristic accuracy vs ground truth ===\n"
+                "observable Write Command injections; FP = heuristic says success\n"
+                "but the command never executed; FN = executed but heuristic said no\n\n";
+    t.variable = "configuration";
+    t.columns = &kHeuristic;
+    t.footer = "\nExpected shape: near-zero false positives and false negatives — the\n"
+               "paper validated the heuristic by injecting frames with observable\n"
+               "effects and relies on it for every multi-frame scenario.\n";
+    const struct {
+        const char* label;
+        std::uint16_t hop;
+        double attacker_x;
+    } cases[] = {
+        {"triangle/hop36", 36, 0.0},
+        {"triangle/hop75", 75, 0.0},
+        {"far (8 m)", 36, -8.0},
+    };
+    for (const auto& c : cases) {
+        ExperimentConfig config;
+        config.world.hop_interval = c.hop;
+        if (c.attacker_x != 0.0) config.world.attacker_pos = {c.attacker_x, 0.0};
+        config.runs = 50;
+        config.base_seed = 7900 + c.hop;
+        t.rows.push_back({c.label, std::move(config)});
+    }
+    return t;
+}
+
+// --- Tables I-II, Figs. 1-5 -------------------------------------------------
+
+// Tables I and II from the implementation: a real CONNECT_REQ is built,
+// serialized and torn back apart, so the printed offsets are the code's.
+void print_frame_formats() {
+    std::printf("=== Table I: frame format for LE 1M ===\n\n");
+    const Bytes pdu{0x0A, 0x02, 0xAA, 0xBB};  // header + 2-byte payload
+    const auto frame = phy::make_air_frame(0xAF9A9CD4, pdu, 0x555555);
+    std::printf("| %-10s | %-16s | %-26s | %-8s |\n", "Preamble", "Access Address",
+                "Protocol Data Unit (PDU)", "CRC");
+    std::printf("| %-10s | %-16s | %-26s | %-8s |\n", "1 byte", "4 bytes", "variable",
+                "3 bytes");
+    std::printf("\nserialized example (AA..CRC): %s\n", to_hex(frame.bytes).c_str());
+    std::printf("airtime at LE 1M: %ld us (8 us preamble + %zu bytes x 8 us)\n",
+                static_cast<long>(to_us(frame.duration())), frame.bytes.size());
+
+    std::printf("\n=== Table II: CONNECT_REQ PDU payload ===\n\n");
+    link::ConnectReqPdu req;
+    req.initiator = *link::DeviceAddress::from_string("11:22:33:44:55:66");
+    req.advertiser = *link::DeviceAddress::from_string("aa:bb:cc:dd:ee:ff");
+    req.params.access_address = 0xAF9A9CD4;
+    req.params.crc_init = 0x17B0C3;
+    req.params.win_size = 1;
+    req.params.win_offset = 2;
+    req.params.hop_interval = 36;
+    req.params.latency = 0;
+    req.params.timeout = 100;
+    req.params.hop_increment = 9;
+    req.params.master_sca = 5;
+    const auto adv = req.to_adv_pdu();
+
+    struct Field {
+        const char* name;
+        int size;
+    };
+    const Field fields[] = {{"Init. addr.", 6},  {"Adv. addr.", 6}, {"Access addr.", 4},
+                            {"CRCInit", 3},      {"WinSize", 1},    {"WinOffset", 2},
+                            {"Hop interval", 2}, {"Latency", 2},    {"Timeout", 2},
+                            {"Channel Map", 5},  {"Hop+SCA", 1}};
+    int offset = 0;
+    std::printf("%-14s %-8s %-10s %s\n", "field", "offset", "size", "bytes");
+    for (const auto& field : fields) {
+        const Bytes slice(adv.payload.begin() + offset,
+                          adv.payload.begin() + offset + field.size);
+        std::printf("%-14s %-8d %-10d %s\n", field.name, offset, field.size,
+                    to_hex(slice).c_str());
+        offset += field.size;
+    }
+    std::printf("total payload: %zu bytes (Table II: 34)\n", adv.payload.size());
+    std::printf("Hop Increment = 5 bits, SCA = 3 bits, packed in the last byte\n");
+}
+
+// Figs. 1 and 2 measured on the simulated stack: two consecutive connection
+// events (anchor points, T_IFS spacing), then a connection update (old
+// interval, transmit window at the instant, new interval).
+void print_timeline() {
+    WorldSpec spec = WorldSpec::protocol_test();
+    spec.seed = 42;
+    spec.hop_interval = 40;  // 50 ms
+    spec.supervision_timeout = 300;
+    spec.master_clock_ppm = 20.0;  // stock 20 ppm crystals on both victims
+    spec.peripheral_name = "slave";
+    spec.central_name = "master";
+    spec.central_pos = {1.0, 0.0};
+    World world(spec);
+
+    struct Tx {
+        std::string who;
+        TimePoint start;
+        Duration dur;
+        sim::Channel channel;
+    };
+    std::vector<Tx> txs;
+    obs::ScopedSubscription sub(world.bus(), [&](const obs::Event& event) {
+        if (const auto* tx = std::get_if<obs::TxStart>(&event)) {
+            txs.push_back(Tx{std::string(tx->sender), tx->time, tx->duration, tx->channel});
+        }
+    });
+
+    world.begin_connection();
+    world.run_until(2_s, [&] {
+        return world.central->connected() && world.peripheral->connected();
+    });
+
+    std::printf("=== Fig. 1: two consecutive connection events (measured) ===\n");
+    std::printf("hop interval 40 -> connInterval = 50 ms; T_IFS = 150 us\n\n");
+    txs.clear();
+    world.run_for(120'000'000LL);  // ~2 events
+    TimePoint t0 = txs.empty() ? 0 : txs.front().start;
+    for (const auto& tx : txs) {
+        std::printf("  t=%10.3f ms  ch %2u  %-6s frame (%3.0f us)%s\n",
+                    to_ms(tx.start - t0), tx.channel, tx.who.c_str(), to_us(tx.dur),
+                    tx.who == "master" ? "  <- anchor point" : "");
+    }
+
+    std::printf("\n=== Fig. 2: connection update procedure (measured) ===\n");
+    link::ConnectionUpdateInd update;
+    update.interval = 16;  // -> 20 ms
+    update.win_offset = 2;
+    update.win_size = 1;
+    update.timeout = 300;
+    world.central->connection()->start_connection_update(update, /*instant_delta=*/3);
+    std::printf("LL_CONNECTION_UPDATE_IND sent: new interval 20 ms, WinOffset 2, "
+                "instant = counter + 3\n\n");
+    txs.clear();
+    world.run_for(300'000'000LL);
+    t0 = txs.empty() ? 0 : txs.front().start;
+    TimePoint last_master = 0;
+    for (const auto& tx : txs) {
+        if (tx.who != "master") continue;
+        std::printf("  anchor t=%10.3f ms  ch %2u  (delta %7.3f ms)\n",
+                    to_ms(tx.start - t0), tx.channel,
+                    last_master == 0 ? 0.0 : to_ms(tx.start - last_master));
+        last_master = tx.start;
+    }
+    std::printf(
+        "\nExpected: 50 ms anchor spacing before the instant; one gap of\n"
+        "50 + 1.25 + 2*1.25 = 53.75 ms (transmit window) at the instant; 20 ms\n"
+        "spacing afterwards.\n");
+}
+
+// Figs. 3/4 and Eq. 4/5: the window widening that opens the injection
+// opportunity, and the share of the injected frame that airs before the
+// legitimate master starts.
+void print_window_widening() {
+    std::printf("=== Window widening (paper Eq. 4/5, Figs. 3-4) ===\n\n");
+    std::printf("w = (SCA_M + SCA_S)/1e6 * connInterval + 32 us\n\n");
+
+    std::printf("%-14s", "hop interval");
+    const double master_scas[] = {20, 50, 150, 250, 500};
+    for (double sca : master_scas) std::printf("  M=%3.0fppm", sca);
+    std::printf("\n");
+    for (std::uint16_t hop : {6, 25, 36, 50, 75, 100, 150, 320, 800, 3200}) {
+        std::printf("%5u (%7.1f ms)", hop, hop * 1.25);
+        for (double sca : master_scas) {
+            const Duration w = link::window_widening(sca, 20.0, connection_interval(hop));
+            std::printf(" %7.1fus", to_us(w));
+        }
+        std::printf("\n");
+    }
+
+    std::printf(
+        "\nHead start for the paper's 22-byte / 176 us injected frame\n"
+        "(slave-assumed SCA 20 ppm; clean share = fraction of the frame that\n"
+        "airs before the legitimate anchor):\n\n");
+    std::printf("%-16s %10s %12s %12s\n", "hop interval", "w (us)", "head start",
+                "clean share");
+    for (std::uint16_t hop : {25, 50, 75, 100, 125, 150}) {
+        const Duration w = link::window_widening(250.0, 20.0, connection_interval(hop));
+        const double head = to_us(w);
+        std::printf("%5u (%6.2f ms) %10.1f %10.1fus %11.1f%%\n", hop, hop * 1.25, to_us(w),
+                    head, 100.0 * head / 176.0);
+    }
+    std::printf(
+        "\nNone of these windows fit the whole 176 us frame: every injection in\n"
+        "experiments 1-3 races into a collision, the paper's deliberate worst\n"
+        "case (\"none of the window widening values ... allowed an injected\n"
+        "frame to be entirely transmitted without a collision\").\n");
+}
+
+// Fig. 5's three outcomes, (a) the injected frame lands before the
+// legitimate one, (b) they collide, (c) the legitimate frame wins: the
+// attacker's TX delay is swept across the receive window and every attempt
+// classified by its Eq. 7 signals, so the outcome mass moves a -> b -> c.
+void print_injection_outcomes() {
+    std::printf("=== Injection outcome anatomy (paper Fig. 5) ===\n");
+    std::printf("hop 36, short 4-byte payload (14 B / 112 us over the air),\n");
+    std::printf("TX delayed by D microseconds past the window start (w ~= 35 us)\n\n");
+    std::printf("%8s %9s %10s %12s %12s %10s\n", "D (us)", "attempts", "(a)+(b) ok",
+                "(b) corrupt", "(c) master", "no rsp");
+
+    for (int delay_us : {0, 10, 20, 30, 40, 60, 90, 120}) {
+        // run_series fans trials out on worker threads; each trial's bus
+        // delivers its attempts on that trial's worker, so accumulate into
+        // atomics (the printed totals are order-independent and stay
+        // deterministic).
+        std::atomic<int> ok{0}, corrupt{0}, master_won{0}, silent{0}, total{0};
+        ExperimentConfig config;
+        config.world.hop_interval = 36;
+        config.ll_payload_size = 4;
+        config.runs = 40;
+        config.max_attempts = 10;  // sample attempts, not time-to-success
+        config.base_seed = 6000 + static_cast<std::uint64_t>(delay_us);
+        config.world.attack.tx_latency_mean = microseconds(delay_us);
+        config.world.attack.tx_latency_sd = 0;
+        config.world.attack.hiccup_prob = 0.0;
+        config.world.attack.turnaround_time = 0;
+        config.per_trial_sinks = [&](obs::EventBus& bus, std::uint64_t) {
+            bus.subscribe([&](const obs::Event& event) {
+                const auto* attempt = std::get_if<obs::InjectionAttempt>(&event);
+                if (attempt == nullptr || attempt->report == nullptr) return;
+                const AttemptReport& report = *attempt->report;
+                ++total;
+                if (!report.verdict.response_seen) {
+                    ++silent;
+                } else if (!report.verdict.timing_ok) {
+                    ++master_won;  // slave anchored on the legitimate frame
+                } else if (!report.verdict.flow_ok) {
+                    ++corrupt;  // anchored on us, CRC failed
+                } else {
+                    ++ok;
+                }
+            });
+        };
+        (void)run_series(config);
+        const int n = total.load();
+        std::printf("%8d %9d %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n", delay_us, n,
+                    100.0 * ok.load() / n, 100.0 * corrupt.load() / n,
+                    100.0 * master_won.load() / n, 100.0 * silent.load() / n);
+    }
+    std::printf(
+        "\nExpected shape: a small delay (~10-30 us) wins the race (outcomes\n"
+        "a/b); as the delay crosses the widening the legitimate master wins\n"
+        "(outcome c dominates, success collapses to 0). D = 0 is the window\n"
+        "EDGE: the slave's own receive window also opens w early, so firing\n"
+        "exactly there races the slave's listen-start and half the frames are\n"
+        "never heard — which is why the attacker keeps a small TX latency\n"
+        "margin (paper §V-C transmits \"as soon as possible\", not earlier).\n"
+        "Past the edge (D >= 40) residual successes come from desync chaos the\n"
+        "repeated jam-like collisions cause, not from winning clean races.\n");
+}
+
+// --- §VI scenarios and the §VIII IDS ----------------------------------------
+
+// The §VI scenarios run on the paper-baseline world (fading office, declared
+// 50 / real 30 ppm master) with a silent master and a generous supervision
+// timeout, so takeover time measures the attack rather than traffic luck.
+WorldSpec scenario_spec(std::uint64_t seed) {
+    WorldSpec spec;
+    spec.seed = seed;
+    spec.supervision_timeout = 300;
+    spec.master_traffic_every_events = 0;
+    return spec;
+}
+
+enum class Attack { kA, kB, kC, kD };
+
+struct Outcome {
+    bool success = false;  ///< the scenario reported success
+    int attempts = 0;
+    std::uint16_t forged_name = 0;                ///< B: the fake server's Device Name
+    EmulatedEndpoint* hijacked_master = nullptr;  ///< C: the attacker's master
+};
+
+/// Runs §VI attack `attack` on `w`, whose session is synchronised, until the
+/// scenario reports or its budget ends, then calls `check` while everything
+/// the attack uses is still alive: B's forged server still serves, C's
+/// master and D's relay still run.
+void launch(World& w, Attack attack, const std::function<void(const Outcome&)>& check) {
+    Outcome out;
+    bool reported = false;
+    const auto done = [&](const auto& result) {
+        reported = true;
+        out.success = result.success;
+        out.attempts = result.attempts;
+    };
+    const auto reported_yet = [&] { return reported; };
+    switch (attack) {
+        case Attack::kA: {
+            ScenarioA scenario(w.session);
+            scenario.inject_write(w.bulb.control_handle(),
+                                  gatt::LightbulbProfile::cmd_set_power(false), done);
+            w.run_until(60_s, reported_yet);
+            check(out);
+            return;
+        }
+        case Attack::kB: {
+            att::AttServer fake;
+            gatt::GattBuilder builder(fake);
+            out.forged_name = gatt::add_gap_service(builder, "Hacked");
+            ScenarioB scenario(w.session, fake);
+            scenario.execute(done);
+            w.run_until(60_s, reported_yet);
+            check(out);
+            return;
+        }
+        case Attack::kC: {
+            ScenarioC scenario(w.session);
+            scenario.execute(done);
+            w.run_until(120_s, reported_yet);
+            out.hijacked_master = scenario.hijacked_master();
+            check(out);
+            return;
+        }
+        case Attack::kD: {
+            const auto radio2 = w.make_attacker("attacker2", {1.0, 1.732});
+            ScenarioD scenario(w.session, *radio2);
+            // Rewrite the colour of every Set Color write in flight.
+            scenario.tamper = [](Bytes sdu, bool from_master) -> std::optional<Bytes> {
+                if (from_master && sdu.size() >= 7 && sdu[0] == 0x12 &&
+                    sdu[3] == gatt::LightbulbProfile::kSetColor) {
+                    sdu[4] = 0x11;
+                    sdu[5] = 0x22;
+                    sdu[6] = 0x33;
+                }
+                return sdu;
+            };
+            scenario.execute(done);
+            w.run_until(120_s, reported_yet);
+            check(out);
+            return;
+        }
+    }
+}
+
+/// Ground truth for a reported success: the attack's effect on the victims.
+bool effect_observed(World& w, Attack attack, const Outcome& out) {
+    switch (attack) {
+        case Attack::kA:
+            return !w.bulb.state().powered;
+        case Attack::kB: {
+            // The master reads the forged Device Name and stays connected.
+            std::optional<Bytes> name;
+            w.central->gatt().read(out.forged_name,
+                                   [&](std::optional<Bytes> v) { name = std::move(v); });
+            w.run_until(5_s, [&] { return name.has_value(); });
+            return name && std::string(name->begin(), name->end()) == "Hacked" &&
+                   w.central->connected();
+        }
+        case Attack::kC: {
+            // The hijacked master drives the bulb.
+            bool wrote = false;
+            out.hijacked_master->client().write(w.bulb.control_handle(),
+                                                gatt::LightbulbProfile::cmd_set_power(false),
+                                                [&](bool ok) { wrote = ok; });
+            w.run_until(5_s, [&] { return wrote; });
+            return wrote && !w.bulb.state().powered;
+        }
+        case Attack::kD: {
+            // The master's colour arrives tampered.
+            bool wrote = false;
+            w.central->gatt().write(w.bulb.control_handle(),
+                                    gatt::LightbulbProfile::cmd_set_color(200, 100, 50),
+                                    [&](bool ok) { wrote = ok; });
+            w.run_until(10_s, [&] { return wrote; });
+            return wrote && w.bulb.state().r == 0x11 && w.bulb.state().g == 0x22;
+        }
+    }
+    return false;
+}
+
+// §VI: the four scenarios end to end, each validated against ground truth.
+// The paper reports them qualitatively; this adds success rates, attempt
+// counts and time to takeover (up to the validated effect).
+void print_scenarios() {
+    std::printf("=== Attack scenarios A-D (paper §VI), 20 runs each ===\n\n");
+    std::printf("%-34s %9s %10s %14s\n", "scenario", "success", "attempts",
+                "takeover (ms)");
+    const struct {
+        Attack attack;
+        const char* name;
+        std::uint64_t seed;
+    } rows[] = {
+        {Attack::kA, "A: trigger feature (bulb off)", 9100},
+        {Attack::kB, "B: slave hijack (serve 'Hacked')", 9200},
+        {Attack::kC, "C: master hijack (drive slave)", 9300},
+        {Attack::kD, "D: MitM (tamper RGB in flight)", 9400},
+    };
+    for (const auto& row : rows) {
+        int runs = 0, success = 0;
+        long total_attempts = 0;
+        double total_takeover_ms = 0;
+        for (int i = 0; i < 20; ++i) {
+            World world(scenario_spec(row.seed + static_cast<std::uint64_t>(i)));
+            if (!world.establish_and_sniff(5_s)) continue;
+            world.start_session(400_ms);
+            ++runs;
+            const TimePoint t0 = world.scheduler.now();
+            launch(world, row.attack, [&](const Outcome& out) {
+                if (!out.success || !effect_observed(world, row.attack, out)) return;
+                ++success;
+                total_attempts += out.attempts;
+                total_takeover_ms += to_ms(world.scheduler.now() - t0);
+            });
+        }
+        std::printf("%-34s %5d/%-3d %10.1f %14.0f\n", row.name, success, runs,
+                    success ? static_cast<double>(total_attempts) / success : 0.0,
+                    success ? total_takeover_ms / success : 0.0);
+    }
+    std::printf(
+        "\nExpected shape (paper): all four scenarios succeed against the\n"
+        "emulated devices; B-D leave the surviving victims unaware.\n");
+}
+
+/// A scenario world with an IDS probe radio that captures the same
+/// CONNECT_REQ as the attacker and monitors the connection from then on.
+struct IdsRun : World {
+    explicit IdsRun(std::uint64_t seed)
+        : World(scenario_spec(seed)), probe(make_attacker("ids-probe", {0.5, -1.0})) {}
+
+    bool establish() {
+        AdvSniffer ids_sniffer(*probe);
+        std::optional<SniffedConnection> ids_cap;
+        ids_sniffer.on_connection = [&](const SniffedConnection& c,
+                                        const link::ConnectReqPdu&) { ids_cap = c; };
+        ids_sniffer.start();
+        const auto atk_cap = establish_and_sniff(5_s, [&] { return ids_cap.has_value(); });
+        ids_sniffer.stop();
+        if (!atk_cap || !ids_cap) return false;
+        detector = std::make_unique<ids::InjectionDetector>(*probe, *ids_cap);
+        alert_sub = obs::ScopedSubscription(bus(), [this](const obs::Event& event) {
+            const auto* alert = std::get_if<obs::IdsAlert>(&event);
+            if (alert != nullptr && !first_alert) first_alert = alert->time;
+        });
+        detector->start();
+        attack_t0 = scheduler.now();
+        start_session(400_ms);
+        return true;
+    }
+
+    std::unique_ptr<AttackerRadio> probe;
+    std::unique_ptr<ids::InjectionDetector> detector;
+    std::optional<TimePoint> first_alert;  ///< time of the first IDS alert
+    obs::ScopedSubscription alert_sub;     // writes first_alert; destroyed before it
+    TimePoint attack_t0 = 0;
+};
+
+// §VIII solution 3: the IDS against benign traffic and scenarios A-C:
+// detection rate, time to first alert and the false-positive baseline.
+void print_ablation_ids() {
+    std::printf("=== Ablation: IDS detection (paper §VIII, solution 3), 15 runs ===\n\n");
+    std::printf("%-28s %7s %11s %10s %12s\n", "workload", "runs", "attack ok", "detected",
+                "latency(ms)");
+    const struct {
+        const char* name;
+        std::uint64_t seed;
+        std::optional<Attack> attack;  ///< none: benign GATT traffic
+        Duration settle;               ///< watched after the scenario reports
+    } rows[] = {
+        {"benign (FP baseline)", 9800, std::nullopt, 0},
+        {"scenario A (ATT inject)", 9810, Attack::kA, 2_s},
+        {"scenario B (slave hijack)", 9830, Attack::kB, 2_s},
+        {"scenario C (master hijack)", 9850, Attack::kC, 3_s},
+    };
+    for (const auto& row : rows) {
+        int runs = 0, attack_ok = 0, detected = 0;
+        double latency_ms_sum = 0;
+        for (int i = 0; i < 15; ++i) {
+            IdsRun run(row.seed + static_cast<std::uint64_t>(i));
+            if (!run.establish()) continue;
+            ++runs;
+            if (!row.attack) {
+                run.session.stop();
+                for (int k = 0; k < 10; ++k) {
+                    run.central->gatt().write_command(
+                        run.bulb.control_handle(),
+                        gatt::LightbulbProfile::cmd_set_brightness(
+                            static_cast<std::uint8_t>(k * 10)));
+                    run.scheduler.run_until(run.scheduler.now() + 500_ms);
+                }
+                if (run.first_alert) ++detected;  // false positive
+                continue;
+            }
+            launch(run, *row.attack, [&](const Outcome& out) {
+                run.scheduler.run_until(run.scheduler.now() + row.settle);
+                if (out.success) ++attack_ok;
+                if (run.first_alert) {
+                    ++detected;
+                    latency_ms_sum += to_ms(*run.first_alert - run.attack_t0);
+                }
+            });
+        }
+        std::printf("%-28s %7d %11d %10d %12.0f\n", row.name, runs, attack_ok, detected,
+                    detected ? latency_ms_sum / detected : 0.0);
+    }
+    std::printf(
+        "\nExpected shape: zero alerts on benign traffic. Update-based hijacks\n"
+        "(C/D) are always caught — their double-anchor transmit window is a\n"
+        "gross timing signature. Terminate hijacks are caught when the probe\n"
+        "decodes the injected PDU or its timing shift. Single-frame ATT\n"
+        "injections (A) are the stealthiest: the anchor shifts by only\n"
+        "(widening - attacker latency), sometimes inside the legitimate drift\n"
+        "envelope — the residual the paper's RF-fingerprinting IDS [13] exists\n"
+        "to cover.\n");
+}
+
+/// A table that prints itself.
+Table printed(std::string id, void (*print)()) {
+    Table t;
+    t.id = std::move(id);
+    t.print = print;
+    return t;
+}
+
+}  // namespace
+
+const std::vector<Table>& tables() {
+    static const std::vector<Table> all = [] {
+        std::vector<Table> t;
+        t.push_back(printed("frame_formats", print_frame_formats));
+        t.push_back(printed("timeline", print_timeline));
+        t.push_back(printed("window_widening", print_window_widening));
+        t.push_back(printed("injection_outcomes", print_injection_outcomes));
+        t.push_back(printed("scenarios", print_scenarios));
+        t.push_back(exp1());
+        t.push_back(exp2());
+        t.push_back(exp3());
+        t.push_back(exp3b());
+        t.push_back(ablation_widening());
+        t.push_back(ablation_encryption());
+        t.push_back(printed("ablation_ids", print_ablation_ids));
+        t.push_back(ablation_sca());
+        t.push_back(ablation_csa2());
+        t.push_back(ablation_heuristic());
+        return t;
+    }();
+    return all;
+}
+
+void print(const Table& table) {
+    if (table.print != nullptr) {
+        table.print();
+        return;
+    }
+    std::fputs(table.heading.c_str(), stdout);
+    table.columns->header(table.variable);
+    for (const Row& row : table.rows) table.columns->row(row.label, run_series(row.config));
+    std::fputs(table.footer.c_str(), stdout);
+}
+
+}  // namespace injectable::paper

@@ -1,30 +1,28 @@
-# Runs one paper bench the way golden/compare.cmake does and checks the
-# paper's claims on its printed table, not its numbers:
-#   cmake -DBENCH=<binary> [-DOPEN_ROOM=<bench_experiment3_distance>] -P shape.cmake
+# Runs one paper table the way golden/compare.cmake does and checks the
+# paper's claims on it, not its numbers:
+#   cmake -DBENCH=<paper_eval> -DTABLE=<id> -P shape.cmake
 # A declared model-version bump may move any number in bench/golden/; it must
-# never break one of these claims.  OPEN_ROOM is read by bench_experiment3_wall
-# only, whose means are compared with the open-room Exp 3 means.
+# never break one of these claims.  exp3b's means are also compared with the
+# open-room exp3 means.
 foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS PCAP_DIR METRICS PROF
             PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)
 
-get_filename_component(bench "${BENCH}" NAME)
-
 # Reports one broken claim; the script still checks the rest.
 function(fail)
   string(CONCAT what ${ARGN})
-  message(SEND_ERROR "${bench}: ${what}")
+  message(SEND_ERROR "${TABLE}: ${what}")
 endfunction()
 
-# Runs <binary> and parses every stdout line matching <regex>: group 1 is the
-# row label, groups 2.. are stored under the field names that follow.  Sets
-# <prefix>_rows and <prefix>_label_<i> / <prefix>_<field>_<i> for row i.
-function(parse_rows binary prefix regex)
-  execute_process(COMMAND "${binary}" OUTPUT_VARIABLE text RESULT_VARIABLE rc)
+# Prints table <id> and parses every stdout line matching <regex>: group 1 is
+# the row label, groups 2.. are stored under the field names that follow.
+# Sets <prefix>_rows and <prefix>_label_<i> / <prefix>_<field>_<i> for row i.
+function(parse_rows id prefix regex)
+  execute_process(COMMAND "${BENCH}" ${id} OUTPUT_VARIABLE text RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${binary} exited with ${rc}")
+    message(FATAL_ERROR "paper_eval ${id} exited with ${rc}")
   endif()
   # Neither ';' nor brackets may reach a CMake list.
   string(REGEX REPLACE "[][;]" " " text "${text}")
@@ -75,29 +73,29 @@ function(check_non_decreasing prefix field)
   endforeach()
 endfunction()
 
-if(bench MATCHES "^bench_experiment1_hop_interval")
-  parse_rows("${BENCH}" exp "${fig9}" ok n median mean)
+if(TABLE STREQUAL "exp1")
+  parse_rows(${TABLE} exp "${fig9}" ok n median mean)
   check_full_success(exp 6)
   foreach(i RANGE 5)
     if(NOT exp_median_${i} LESS 4)
       fail("'${exp_label_${i}}' has median ${exp_median_${i}}, the paper's stays < 4")
     endif()
   endforeach()
-elseif(bench MATCHES "^bench_experiment2_payload")
-  parse_rows("${BENCH}" exp "${fig9}" ok n median mean)
+elseif(TABLE STREQUAL "exp2")
+  parse_rows(${TABLE} exp "${fig9}" ok n median mean)
   check_full_success(exp 4)
-elseif(bench MATCHES "^bench_experiment3_distance")
-  parse_rows("${BENCH}" exp "${fig9}" ok n median mean)
+elseif(TABLE STREQUAL "exp3")
+  parse_rows(${TABLE} exp "${fig9}" ok n median mean)
   check_full_success(exp 6)
   check_non_decreasing(exp median)
   check_non_decreasing(exp mean)
-elseif(bench MATCHES "^bench_experiment3_wall")
-  parse_rows("${BENCH}" wall "${fig9}" ok n median mean)
+elseif(TABLE STREQUAL "exp3b")
+  parse_rows(${TABLE} wall "${fig9}" ok n median mean)
   check_full_success(wall 4)
   check_non_decreasing(wall median)
   check_non_decreasing(wall mean)
   # 2/4/6/8 m behind the wall against open-room positions B/C/D/E.
-  parse_rows("${OPEN_ROOM}" open "${fig9}" ok n median mean)
+  parse_rows(exp3 open "${fig9}" ok n median mean)
   check_full_success(open 6)
   foreach(i RANGE 3)
     math(EXPR j "${i} + 1")
@@ -106,13 +104,13 @@ elseif(bench MATCHES "^bench_experiment3_wall")
            "'${open_label_${j}}' mean ${open_mean_${j}}")
     endif()
   endforeach()
-elseif(bench MATCHES "^bench_scenarios")
+elseif(TABLE STREQUAL "scenarios")
   # label, success n/m, mean attempts, takeover ms.
-  parse_rows("${BENCH}" sc "^(.*[^ ]) +([0-9]+)/([0-9]+) +[0-9.]+ +[0-9]+$" ok n)
+  parse_rows(${TABLE} sc "^(.*[^ ]) +([0-9]+)/([0-9]+) +[0-9.]+ +[0-9]+$" ok n)
   check_full_success(sc 4)
-elseif(bench MATCHES "^bench_ablation_ids")
+elseif(TABLE STREQUAL "ablation_ids")
   # label, runs, attack ok, detected, latency ms.
-  parse_rows("${BENCH}" ids "^(.*[^ ]) +([0-9]+) +[0-9]+ +([0-9]+) +[0-9]+$" runs detected)
+  parse_rows(${TABLE} ids "^(.*[^ ]) +([0-9]+) +[0-9]+ +([0-9]+) +[0-9]+$" runs detected)
   if(NOT ids_rows EQUAL 4)
     fail("parsed ${ids_rows} table rows, expected 4")
   else()
@@ -128,5 +126,5 @@ elseif(bench MATCHES "^bench_ablation_ids")
     endif()
   endif()
 else()
-  message(FATAL_ERROR "no paper claims recorded for ${bench}")
+  message(FATAL_ERROR "no paper claims recorded for table ${TABLE}")
 endif()

@@ -248,8 +248,8 @@ void ScenarioC::execute(std::function<void(const Result&)> done) {
         request.done = [this](bool ok, int attempts) {
             result_.attempts += attempts;
             if (!ok) {
-                // Defer the retry out of the completion callback.
-                // injectable-lint: allow(D4) -- immediate one-shot retry hop
+                // Defer the retry out of the completion callback: an
+                // immediate one-shot, so there is nothing to cancel.
                 (void)session_.radio().scheduler().schedule_after(0, [this] { retry_(); });
                 return;
             }
@@ -329,7 +329,7 @@ void ScenarioCSlave::execute(std::function<void(const Result&)> done) {
         request.done = [this](bool ok, int attempts) {
             result_.attempts += attempts;
             if (!ok) {
-                // injectable-lint: allow(D4) -- immediate one-shot retry hop
+                // An immediate one-shot retry hop: nothing to cancel.
                 (void)session_.radio().scheduler().schedule_after(0, [this] { retry_(); });
                 return;
             }
@@ -402,7 +402,7 @@ void ScenarioD::execute(std::function<void(const Result&)> done) {
         request.done = [this](bool ok, int attempts) {
             result_.attempts += attempts;
             if (!ok) {
-                // injectable-lint: allow(D4) -- immediate one-shot retry hop
+                // An immediate one-shot retry hop: nothing to cancel.
                 (void)session_.radio().scheduler().schedule_after(0, [this] { retry_(); });
                 return;
             }

@@ -112,7 +112,6 @@ void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
                     // Fire-and-forget: the lambda re-checks the mode, so a
                     // stale response is a no-op and cancellation is never
                     // needed.
-                    // injectable-lint: allow(D4) -- guarded by the mode check
                     (void)scheduler().schedule_at(frame.end + kTifs, [this, channel] {
                         if (st_.mode != Mode::kAdvertising) return;
                         AdvDataPdu::write(adv_tx_, AdvPduType::kScanRsp, config_.address,
@@ -133,7 +132,7 @@ void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
             // CSA#2 when both ends advertise support (ChSel bits).
             st_.initiate_params.use_csa2 = config_.support_csa2 && pdu.ch_sel;
             const sim::Channel channel = frame.channel;
-            // injectable-lint: allow(D4) -- guarded by the mode check
+            // Fire-and-forget, guarded by the mode check.
             (void)scheduler().schedule_at(frame.end + kTifs, [this, channel] {
                 if (st_.mode != Mode::kInitiating) return;
                 connect_req_.initiator = config_.address;
@@ -195,7 +194,7 @@ ConnectionHooks LinkLayerDevice::make_effective_hooks() {
     hooks.on_disconnected = [this](DisconnectReason reason) {
         if (user_hooks_.on_disconnected) user_hooks_.on_disconnected(reason);
         // Defer the cleanup: we are inside a Connection member function.
-        // injectable-lint: allow(D4) -- immediate one-shot; nothing to cancel
+        // An immediate one-shot, so there is nothing to cancel.
         (void)scheduler().schedule_after(0, [this] { cleanup_connection(); });
     };
     return hooks;

@@ -290,8 +290,7 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel,
     // The finish event must fire even if the sender detaches mid-frame — the
     // medium outlives every frame, and finish_transmission tolerates a gone
     // sender, so there is never a reason to cancel it.
-    (void)scheduler_.schedule_at(  // injectable-lint: allow(D4) -- see above
-        stored.end, [this, id] { finish_transmission(id); });
+    (void)scheduler_.schedule_at(stored.end, [this, id] { finish_transmission(id); });
     return id;
 }
 

@@ -63,7 +63,7 @@ public:
     /// distorted by the sleep clock's current drift. This is how every LL
     /// timer (connection events, transmit windows) is armed.
     template <typename F>
-    EventId schedule_local(Duration local_delay, F&& fn) {
+    [[nodiscard]] EventId schedule_local(Duration local_delay, F&& fn) {
         const Duration global_delay = sleep_clock_.to_global(local_delay);
         return scheduler_.schedule_after(global_delay, std::forward<F>(fn));
     }

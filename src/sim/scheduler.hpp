@@ -49,7 +49,7 @@ public:
     /// The callable is built in place inside the event's arena node (on the
     /// heap only if it is larger than kInlineBytes).  The returned EventId is
     /// the only way to cancel the event; discarding it (fire-and-forget)
-    /// needs an audited allow(D4) lint suppression.
+    /// takes a (void) cast, as every build has -Werror=unused-result.
     template <typename F>
     [[nodiscard]] EventId schedule_at(TimePoint t, F&& fn) {
         using Fn = std::decay_t<F>;

@@ -168,11 +168,6 @@ RunResult run_injection_experiment(World& w, const ExperimentConfig& config,
     return result;
 }
 
-RunResult run_injection_experiment(const ExperimentConfig& config, std::uint64_t seed) {
-    World w(config.world, seed);
-    return run_injection_experiment(w, config, seed);
-}
-
 RunResult run_injection_experiment_with_retry(World& w, const ExperimentConfig& config,
                                               std::uint64_t seed, int tries) {
     RunResult result;
@@ -187,12 +182,6 @@ RunResult run_injection_experiment_with_retry(World& w, const ExperimentConfig& 
     }
     result.seed = seed;  // the reproducing seed is the trial's base seed
     return result;
-}
-
-RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
-                                              std::uint64_t seed, int tries) {
-    World w(config.world, seed);
-    return run_injection_experiment_with_retry(w, config, seed, tries);
 }
 
 namespace {

@@ -117,19 +117,11 @@ struct Stats {
 [[nodiscard]] RunResult run_injection_experiment(World& w, const ExperimentConfig& config,
                                                  std::uint64_t seed);
 
-/// The same on a world of its own.
-[[nodiscard]] RunResult run_injection_experiment(const ExperimentConfig& config,
-                                                 std::uint64_t seed);
-
 /// Re-runs the setup phase (connection + sniff) on setup failures, as the
 /// paper's operator would; attack outcomes are never retried.  `w` starts
 /// as for run_injection_experiment() and is restarted for each retry.
 [[nodiscard]] RunResult run_injection_experiment_with_retry(World& w,
                                                             const ExperimentConfig& config,
-                                                            std::uint64_t seed, int tries);
-
-/// The same on a world of its own.
-[[nodiscard]] RunResult run_injection_experiment_with_retry(const ExperimentConfig& config,
                                                             std::uint64_t seed, int tries);
 
 /// Runs the config.runs trials of one series through an explicit

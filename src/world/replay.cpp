@@ -331,21 +331,22 @@ ReplayDiff replay_trace_lines(const std::vector<std::string>& lines) {
     diff.seed = meta.seed;
     diff.recorded_events = lines.size() - 1;
 
-    // Re-run the trial exactly as run_series recorded it: a fresh trace sink
-    // per world (each setup retry builds a fresh world), the same frame
+    // Re-run the trial exactly as run_series recorded it: the trace emptied
+    // for each world (each setup retry restarts it), the same frame
     // describer, the same retry policy.
     ExperimentConfig config = std::move(meta.config);
-    std::shared_ptr<obs::JsonlTraceSink> trace;
+    obs::JsonlTraceSink trace(link::append_frame_description);
     config.per_trial_sinks = [&trace](obs::EventBus& bus, std::uint64_t) {
-        trace = std::make_shared<obs::JsonlTraceSink>(link::append_frame_description);
-        bus.attach(*trace);
+        trace.clear();
+        bus.attach(trace);
     };
-    (void)run_injection_experiment_with_retry(config, meta.seed, meta.tries);
+    World w(config.world, meta.seed);
+    (void)run_injection_experiment_with_retry(w, config, meta.seed, meta.tries);
     diff.loaded = true;
 
     // The fresh event lines, viewed in place in the trace sink's one buffer.
     std::vector<std::string_view> fresh;
-    for (std::string_view rest = trace ? trace->events() : std::string_view(); !rest.empty();) {
+    for (std::string_view rest = trace.events(); !rest.empty();) {
         const std::size_t nl = rest.find('\n');
         fresh.push_back(rest.substr(0, nl));
         rest.remove_prefix(nl + 1);
@@ -444,10 +445,18 @@ SeriesReplay replay_series_line(const std::string& line, int jobs) {
     const int tries = meta.tries;
     TrialRunner runner(jobs);
     runner.set_progress_label(replay.name + " (replay)");
-    const std::vector<RunResult> fresh =
-        runner.map(replay.trials, [&](int i) {
-            return run_injection_experiment_with_retry(config, recorded[static_cast<std::size_t>(i)].seed,
-                                                       tries);
+    // One World per worker, restarted for each recorded seed as run_series
+    // restarts it for each trial.
+    const std::vector<RunResult> fresh = runner.map_with(
+        replay.trials, [] { return std::unique_ptr<World>(); },
+        [&](int i, std::unique_ptr<World>& world) {
+            const std::uint64_t seed = recorded[static_cast<std::size_t>(i)].seed;
+            if (world) {
+                world->restart(seed);
+            } else {
+                world = std::make_unique<World>(config.world, seed);
+            }
+            return run_injection_experiment_with_retry(*world, config, seed, tries);
         });
 
     replay.loaded = true;

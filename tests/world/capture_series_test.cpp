@@ -337,7 +337,8 @@ TEST(DescribeFrameSweepTest, EveryFig8BaselineFrameDecodesWithoutUnknowns) {
     // A successful trial is short (the paper's attack often lands within a
     // few attempts), so sweep several seeds for frame-type variety.
     for (std::uint64_t seed = 4201; seed < 4206; ++seed) {
-        const RunResult result = run_injection_experiment(config, seed);
+        World w(config.world, seed);
+        const RunResult result = run_injection_experiment(w, config, seed);
         ASSERT_TRUE(result.established) << "seed " << seed;
         ASSERT_TRUE(result.sniffed) << "seed " << seed;
     }

@@ -66,7 +66,8 @@ TEST(EventStreamTest, MetricsSinkSeesTheWholeTrial) {
     config.per_trial_sinks = [&metrics](ble::obs::EventBus& bus, std::uint64_t) {
         bus.attach(metrics);
     };
-    const RunResult result = run_injection_experiment(config, config.base_seed);
+    World w(config.world, config.base_seed);
+    const RunResult result = run_injection_experiment(w, config, config.base_seed);
     ASSERT_TRUE(result.established);
 
     const auto c = registry.snapshot().counters;
@@ -81,7 +82,7 @@ TEST(EventStreamTest, MetricsSinkSeesTheWholeTrial) {
 
 TEST(EventStreamTest, AttemptHookRidesTheBus) {
     // A per-attempt hook is a bus subscription to InjectionAttempt, the same
-    // form bench_injection_outcomes uses.
+    // form `paper_eval injection_outcomes` uses.
     ExperimentConfig config = small_config();
     int hook_calls = 0;
     int last_attempt = 0;
@@ -96,7 +97,8 @@ TEST(EventStreamTest, AttemptHookRidesTheBus) {
             last_report_attempt = attempt->report->attempt;
         });
     };
-    const RunResult result = run_injection_experiment(config, config.base_seed);
+    World w(config.world, config.base_seed);
+    const RunResult result = run_injection_experiment(w, config, config.base_seed);
     ASSERT_TRUE(result.established);
     EXPECT_EQ(hook_calls, result.attempts);
     EXPECT_EQ(last_attempt, result.attempts);

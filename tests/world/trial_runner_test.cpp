@@ -125,7 +125,8 @@ TEST(TrialRunnerTest, ParallelExperimentMatchesSerialBitForBit) {
     config.world.attacker_pos = {6.0, 4.0};
 
     const auto trial = [&](std::uint64_t seed) {
-        return run_injection_experiment_with_retry(config, seed, 3);
+        World w(config.world, seed);
+        return run_injection_experiment_with_retry(w, config, seed, 3);
     };
 
     TrialRunner serial(1);
@@ -150,8 +151,10 @@ TEST(TrialRunnerTest, RetryPathIsDeterministic) {
     config.world.attacker_pos = {10.0, 8.0};  // sniffing often fails out here
     config.world.walls.push_back({{5.0, -10.0}, {5.0, 10.0}, 12.0});
 
-    const RunResult a = run_injection_experiment_with_retry(config, 77, 4);
-    const RunResult b = run_injection_experiment_with_retry(config, 77, 4);
+    World wa(config.world, 77);
+    World wb(config.world, 77);
+    const RunResult a = run_injection_experiment_with_retry(wa, config, 77, 4);
+    const RunResult b = run_injection_experiment_with_retry(wb, config, 77, 4);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.seed, 77u);  // records the base seed, not the retry seed
 }

@@ -36,7 +36,6 @@ const char* rule_name(Rule rule) noexcept {
         case Rule::kD1: return "D1";
         case Rule::kD2: return "D2";
         case Rule::kD3: return "D3";
-        case Rule::kD4: return "D4";
         case Rule::kE1: return "E1";
         case Rule::kS1: return "S1";
         case Rule::kL1: return "L1";
@@ -220,7 +219,6 @@ std::optional<Rule> parse_rule_name(std::string_view name) {
     if (name == "D1") return Rule::kD1;
     if (name == "D2") return Rule::kD2;
     if (name == "D3") return Rule::kD3;
-    if (name == "D4") return Rule::kD4;
     if (name == "E1") return Rule::kE1;
     if (name == "S1") return Rule::kS1;
     if (name == "L1") return Rule::kL1;
@@ -573,110 +571,6 @@ struct Scanner {
         }
     }
 
-    // D4: discarded sim::Scheduler handles.  schedule_at()/schedule_after()
-    // return the [[nodiscard]] EventId that is the only way to cancel the
-    // event; a statement-position call (bare, behind a (void) cast, or as an
-    // if/for/while body) is fire-and-forget and must carry an audited
-    // allow(D4).
-    void rule_d4() {
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            const Token& t = toks[i];
-            if (t.kind != TokenKind::kIdentifier ||
-                (t.text != "schedule_at" && t.text != "schedule_after")) {
-                continue;
-            }
-            if (!punct_at(i + 1, "(")) continue;
-            // Match the call's closing parenthesis.
-            int depth = 0;
-            std::size_t close = i + 1;
-            for (; close < toks.size(); ++close) {
-                if (punct_at(close, "(")) ++depth;
-                else if (punct_at(close, ")") && --depth == 0) break;
-            }
-            if (close >= toks.size()) continue;
-            // Only a statement-position call can discard the handle; a call
-            // nested in a larger expression (assignment RHS, argument,
-            // return) hands the EventId to a consumer.  This also skips pure
-            // declarations, whose `(` holds parameters, not arguments.
-            if (!punct_at(close + 1, ";")) continue;
-            // Walk backward over the receiver chain: identifiers linked by
-            // `.` / `->` / `::`, where a link may come from a nullary call
-            // (`scheduler().schedule_at`).
-            std::size_t start = i;
-            while (start >= 2) {
-                const Token& link = toks[start - 1];
-                if (link.kind != TokenKind::kPunct ||
-                    (link.text != "." && link.text != "->" && link.text != "::")) {
-                    break;
-                }
-                if (toks[start - 2].kind == TokenKind::kIdentifier) {
-                    start -= 2;
-                    continue;
-                }
-                if (punct_at(start - 2, ")")) {
-                    int d = 0;
-                    std::size_t j = start - 2;
-                    while (true) {
-                        if (punct_at(j, ")")) ++d;
-                        else if (punct_at(j, "(") && --d == 0) break;
-                        if (j == 0) break;
-                        --j;
-                    }
-                    if (d != 0 || j == 0 || toks[j - 1].kind != TokenKind::kIdentifier) break;
-                    start = j - 1;
-                    continue;
-                }
-                break;
-            }
-            // Classify the token before the chain: a statement boundary
-            // means the result hit the floor; a (void) cast is an explicit
-            // discard (still audited); a closing control-flow paren means
-            // the call is a brace-less if/for/while body.  Anything else
-            // consumes the EventId.
-            bool discarded = false;
-            bool voided = false;
-            if (start == 0) {
-                discarded = true;
-            } else {
-                const Token& before = toks[start - 1];
-                if (before.kind == TokenKind::kPunct &&
-                    (before.text == ";" || before.text == "{" || before.text == "}")) {
-                    discarded = true;
-                } else if (before.kind == TokenKind::kIdentifier &&
-                           (before.text == "else" || before.text == "do")) {
-                    discarded = true;
-                } else if (before.kind == TokenKind::kPunct && before.text == ")") {
-                    if (start >= 3 && toks[start - 2].kind == TokenKind::kIdentifier &&
-                        toks[start - 2].text == "void" && punct_at(start - 3, "(")) {
-                        discarded = true;
-                        voided = true;
-                    } else {
-                        int d = 0;
-                        std::size_t j = start - 1;
-                        while (true) {
-                            if (punct_at(j, ")")) ++d;
-                            else if (punct_at(j, "(") && --d == 0) break;
-                            if (j == 0) break;
-                            --j;
-                        }
-                        if (d == 0 && j > 0 && toks[j - 1].kind == TokenKind::kIdentifier &&
-                            (toks[j - 1].text == "if" || toks[j - 1].text == "for" ||
-                             toks[j - 1].text == "while")) {
-                            discarded = true;
-                        }
-                    }
-                }
-            }
-            if (!discarded) continue;
-            emit(Rule::kD4, t.line,
-                 std::string(voided ? "explicitly discarded" : "discarded") +
-                     " sim::Scheduler handle: the EventId returned by '" + t.text +
-                     "(...)' is the only way to cancel the event; store it, or "
-                     "allow(D4) with an argument for why cancellation can never be "
-                     "needed");
-        }
-    }
-
     // E1: environment reads in src/ outside the edge-wiring allowlist.  The
     // result refactor moved every output channel behind an explicit
     // ResultSink; the INJECTABLE_* variables survive only as one concrete
@@ -774,7 +668,6 @@ FileSummary summarize_source(const std::string& file, const std::string& logical
     Scanner scanner{file, stream.tokens, findings};
     scanner.rule_d1();
     scanner.rule_d1_unordered_emit();
-    scanner.rule_d4();
 
     if (!path_contains(logical_path, kD2Allowlist)) scanner.rule_d2();
 

@@ -39,14 +39,6 @@
 //       the result.  Stats must use the integer merge helpers
 //       (MetricsSnapshot / HistogramSnapshot) or accumulate in a provably
 //       fixed order (suppress with the argument).
-//   D4  No discarded sim::Scheduler handles: schedule_at()/schedule_after()
-//       return the [[nodiscard]] EventId that is the only way to cancel the
-//       scheduled event.  A statement-position call — bare, behind a (void)
-//       cast, or as the body of an if/for/while — is fire-and-forget: the
-//       event can never be cancelled, which is how stale-callback bugs (a
-//       timer firing into a torn-down connection) are born.  Store the
-//       handle, or suppress with an argument for why cancellation can never
-//       be needed.
 //   E1  No environment reads (getenv / secure_getenv) in src/ outside the
 //       edge-wiring allowlist: every output channel flows through an
 //       explicit ResultSink (src/world/result_sink.hpp), and the classic
@@ -73,9 +65,10 @@
 //       The directory-level graph is exported as a deterministic DOT
 //       artifact (include_graph_dot) for CI.
 //
-// Enum exhaustiveness is the compiler's job (-Werror=switch in the top-level
-// CMakeLists.txt) and lock discipline is checked at run time by the CI TSan
-// job.
+// Enum exhaustiveness and discarded scheduler handles are the compiler's
+// job (-Werror=switch and -Werror=unused-result in the top-level
+// CMakeLists.txt), and lock discipline is checked at run time by the CI
+// TSan job.
 //
 // Suppressions are audited: the directive grammar is in DESIGN.md §8, the
 // reason is mandatory and lands in the JSONL, and a malformed directive
@@ -99,7 +92,6 @@ enum class Rule {
     kD1,              ///< pointer-keyed unordered container
     kD2,              ///< wall clock / unseeded randomness
     kD3,              ///< float accumulation in the stats layer
-    kD4,              ///< discarded scheduler handle (fire-and-forget event)
     kE1,              ///< environment read outside the edge-wiring allowlist
     kS1,              ///< bare spec magic number in phy/link
     kL1,              ///< architecture layering violation / include cycle

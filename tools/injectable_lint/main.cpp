@@ -27,7 +27,6 @@ void print_usage(const char* argv0) {
                  "        emission inside iteration over any unordered container\n"
                  "    D2  wall-clock time / unseeded randomness\n"
                  "    D3  float/double accumulation in the stats layer\n"
-                 "    D4  discarded [[nodiscard]] scheduler handles\n"
                  "    E1  getenv outside the edge-wiring allowlist\n"
                  "    S1  bare spec magic numbers in src/phy, src/link\n"
                  "  and one whole-program rule over the merged per-file summaries:\n"

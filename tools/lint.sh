@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Runs the full static-analysis pass locally, mirroring the CI `lint` job:
 #
-#   1. injectable_lint (two-phase: per-TU rules D1-D4, E1, S1 plus the
+#   1. injectable_lint (two-phase: per-TU rules D1-D3, E1, S1 plus the
 #      whole-program layering rule L1) over src/ tools/ bench/ examples/.
 #      Writes the same artifacts CI uploads: the findings JSONL, the
 #      include-layer DOT graph, and the audited allow() inventory.
-#      Enum exhaustiveness is not a lint rule: every build compiles with
-#      -Werror=switch.
+#      Enum exhaustiveness and dropped scheduler handles are not lint
+#      rules: every build compiles with -Werror=switch and
+#      -Werror=unused-result.
 #   2. clang-tidy (profile in .clang-tidy) over the same trees, when a
 #      compile_commands.json and run-clang-tidy are available.
 #
