@@ -7,8 +7,7 @@
 # depends on the simulation alone; two workers also exercise the parallel
 # merge.  After a deliberate model change, regenerate a table with
 #   BENCH_JOBS=2 build/bench/paper_eval <id> > bench/golden/<id>.txt
-foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS PCAP_DIR METRICS PROF
-            PROGRESS)
+foreach(var RUNS JSON TRACE_DIR TRACE_ALL PCAP_DIR METRICS PROF PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)

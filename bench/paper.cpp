@@ -757,7 +757,7 @@ struct IdsRun : World {
     TimePoint attack_t0 = 0;
 };
 
-// §VIII solution 3: the IDS against benign traffic and scenarios A-C:
+// §VIII solution 3: the IDS against benign traffic and scenarios A-D:
 // detection rate, time to first alert and the false-positive baseline.
 void print_ablation_ids() {
     std::printf("=== Ablation: IDS detection (paper §VIII, solution 3), 15 runs ===\n\n");
@@ -773,6 +773,7 @@ void print_ablation_ids() {
         {"scenario A (ATT inject)", 9810, Attack::kA, 2_s},
         {"scenario B (slave hijack)", 9830, Attack::kB, 2_s},
         {"scenario C (master hijack)", 9850, Attack::kC, 3_s},
+        {"scenario D (MitM)", 9870, Attack::kD, 3_s},
     };
     for (const auto& row : rows) {
         int runs = 0, attack_ok = 0, detected = 0;

@@ -4,8 +4,7 @@
 # A declared model-version bump may move any number in bench/golden/; it must
 # never break one of these claims.  exp3b's means are also compared with the
 # open-room exp3 means.
-foreach(var RUNS JSON TRACE_DIR TRACE_ALL TRACE_COMPRESS PCAP_DIR METRICS PROF
-            PROGRESS)
+foreach(var RUNS JSON TRACE_DIR TRACE_ALL PCAP_DIR METRICS PROF PROGRESS)
   unset(ENV{INJECTABLE_${var}})
 endforeach()
 set(ENV{BENCH_JOBS} 2)
@@ -111,19 +110,23 @@ elseif(TABLE STREQUAL "scenarios")
 elseif(TABLE STREQUAL "ablation_ids")
   # label, runs, attack ok, detected, latency ms.
   parse_rows(${TABLE} ids "^(.*[^ ]) +([0-9]+) +[0-9]+ +([0-9]+) +[0-9]+$" runs detected)
-  if(NOT ids_rows EQUAL 4)
-    fail("parsed ${ids_rows} table rows, expected 4")
+  if(NOT ids_rows EQUAL 5)
+    fail("parsed ${ids_rows} table rows, expected 5")
   else()
     if(NOT ids_label_0 MATCHES "^benign" OR NOT ids_runs_0 GREATER 0 OR
        NOT ids_detected_0 EQUAL 0)
       fail("'${ids_label_0}' raised alerts in ${ids_detected_0}/${ids_runs_0} runs, "
            "the IDS must stay silent on benign traffic")
     endif()
-    if(NOT ids_label_3 MATCHES "^scenario C" OR NOT ids_runs_3 EQUAL 15 OR
-       NOT ids_detected_3 EQUAL 15)
-      fail("'${ids_label_3}' detected ${ids_detected_3}/${ids_runs_3}, "
-           "update-based hijacks are caught 15/15")
-    endif()
+    set(ids_scenario_3 C)
+    set(ids_scenario_4 D)
+    foreach(i 3 4)
+      if(NOT ids_label_${i} MATCHES "^scenario ${ids_scenario_${i}} " OR
+         NOT ids_runs_${i} EQUAL 15 OR NOT ids_detected_${i} EQUAL 15)
+        fail("'${ids_label_${i}}' detected ${ids_detected_${i}}/${ids_runs_${i}}, "
+             "update-based hijacks are caught 15/15")
+      endif()
+    endforeach()
   endif()
 else()
   message(FATAL_ERROR "no paper claims recorded for table ${TABLE}")

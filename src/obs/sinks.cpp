@@ -9,10 +9,6 @@
 #include "common/hex.hpp"
 #include "common/json.hpp"
 
-#if BLE_OBS_HAS_ZLIB
-#include <zlib.h>
-#endif
-
 namespace ble::obs {
 
 const char* rx_verdict_name(RxVerdict verdict) noexcept {
@@ -217,28 +213,7 @@ void JsonlTraceSink::reuse(std::string&& storage) {
     clear();
 }
 
-bool trace_compression_available() noexcept {
-#if BLE_OBS_HAS_ZLIB
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool write_text_file(const std::string& path, std::string_view content, bool gzip) {
-#if BLE_OBS_HAS_ZLIB
-    if (gzip) {
-        gzFile gz = gzopen(path.c_str(), "wb");
-        if (gz == nullptr) return false;
-        bool ok = content.empty() ||
-                  gzwrite(gz, content.data(), static_cast<unsigned>(content.size())) ==
-                      static_cast<int>(content.size());
-        if (gzclose(gz) != Z_OK) ok = false;
-        return ok;
-    }
-#else
-    (void)gzip;  // graceful fallback: write plain when zlib is unavailable
-#endif
+bool write_text_file(const std::string& path, std::string_view content) {
     FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
     bool ok = content.empty() || std::fwrite(content.data(), 1, content.size(), f) == content.size();
@@ -249,22 +224,6 @@ bool write_text_file(const std::string& path, std::string_view content, bool gzi
 bool read_binary_file(const std::string& path, std::string& content, std::string* error) {
     content.clear();
     bool ok = false;
-#if BLE_OBS_HAS_ZLIB
-    // gzread is transparent: it inflates gzip streams and passes plain files
-    // through unchanged, so one path serves .pcap and .pcap.gz alike.
-    if (gzFile gz = gzopen(path.c_str(), "rb")) {
-        char buf[1 << 16];
-        int n = 0;
-        ok = true;
-        while ((n = gzread(gz, buf, sizeof(buf))) > 0) content.append(buf, static_cast<std::size_t>(n));
-        if (n < 0) ok = false;
-        if (gzclose(gz) != Z_OK) ok = false;
-    }
-#else
-    if (path.size() >= 3 && path.compare(path.size() - 3, 3, ".gz") == 0) {
-        if (error != nullptr) *error = "built without zlib: cannot read " + path;
-        return false;
-    }
     if (FILE* f = std::fopen(path.c_str(), "rb")) {
         char buf[1 << 16];
         std::size_t n = 0;
@@ -273,7 +232,6 @@ bool read_binary_file(const std::string& path, std::string& content, std::string
         if (std::ferror(f) != 0) ok = false;
         std::fclose(f);
     }
-#endif
     if (!ok && error != nullptr) *error = "cannot read " + path;
     return ok;
 }

@@ -21,27 +21,19 @@ namespace ble::obs {
 /// line's "desc" field) to `out`, as link::append_frame_description does.
 using FrameDescriber = void (*)(std::string& out, BytesView frame);
 
-/// True when ble_obs was built with zlib: gzip-compressed trace writing (and
-/// transparent .gz reading) is available.
-[[nodiscard]] bool trace_compression_available() noexcept;
+/// Writes `content` to `path` (truncating).  Returns false on I/O error.
+/// This is the one file-writing primitive every result channel shares, so
+/// artifact bytes are identical no matter which sink routed them.
+bool write_text_file(const std::string& path, std::string_view content);
 
-/// Writes `content` to `path` (truncating); with gzip=true the stream is
-/// gzip-compressed when trace_compression_available(), and written plain
-/// otherwise (graceful fallback).  Returns false on I/O error.  This is the
-/// one file-writing primitive every result channel shares, so artifact bytes
-/// are identical no matter which sink routed them.
-bool write_text_file(const std::string& path, std::string_view content, bool gzip = false);
-
-/// Reads a whole file into `content` as raw bytes.  Reads gzip-compressed
-/// files transparently when built with zlib (plain files work either way).
-/// The binary counterpart of read_jsonl_file — capture files (.pcap[.gz])
-/// come back through here.  Returns false and sets *error on failure.
+/// Reads a whole file into `content` as raw bytes: the binary counterpart of
+/// read_jsonl_file, through which capture files (.pcap) come back.  Returns
+/// false and sets *error on failure.
 [[nodiscard]] bool read_binary_file(const std::string& path, std::string& content,
                                     std::string* error = nullptr);
 
-/// Reads a JSONL file into lines (without the trailing newlines).  Reads
-/// gzip-compressed files transparently when built with zlib (plain files work
-/// either way).  On failure returns an empty vector and sets *error.
+/// Reads a JSONL file into lines (without the trailing newlines).  On
+/// failure returns an empty vector and sets *error.
 [[nodiscard]] std::vector<std::string> read_jsonl_file(const std::string& path,
                                                        std::string* error = nullptr);
 

@@ -317,7 +317,6 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         artifact.stem.assign(stem_prefix);
         json::append_u64(artifact.stem, result.seed);
         artifact.seed = result.seed;
-        artifact.success = result.success;
         if (ch.traces && (ch.trace_all || !result.success)) {
             artifact.kind = ArtifactKind::kEventTrace;
             artifact.content = channels->trace.take();

@@ -107,7 +107,7 @@ struct Stats {
 [[nodiscard]] Stats summarize(const std::vector<RunResult>& results);
 
 /// Filesystem-safe form of an experiment name, as used in trace file stems
-/// ("<name>-seed<seed>.jsonl[.gz]").  Shared with tools/campaign_report so
+/// ("<name>-seed<seed>.jsonl").  Shared with tools/campaign_report so
 /// report and recorder agree on trace paths.
 [[nodiscard]] std::string sanitize_experiment_name(const std::string& name);
 

@@ -75,7 +75,7 @@ struct ReplayDiff {
 /// diffs recorded vs. fresh event streams.
 [[nodiscard]] ReplayDiff replay_trace_lines(const std::vector<std::string>& lines);
 
-/// Reads `path` (gzip-transparent when built with zlib) and replays it.
+/// Reads `path` and replays it.
 [[nodiscard]] ReplayDiff replay_trace_file(const std::string& path);
 
 // ---------------------------------------------------------------------------

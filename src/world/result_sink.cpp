@@ -18,8 +18,8 @@ namespace {
 /// Process-wide on purpose — several sinks may share one output file.
 std::mutex g_record_mutex;
 
-void write_or_throw(const std::string& path, std::string_view content, bool gzip) {
-    if (!ble::obs::write_text_file(path, content, gzip)) {
+void write_or_throw(const std::string& path, std::string_view content) {
+    if (!ble::obs::write_text_file(path, content)) {
         throw std::runtime_error("cannot write " + path);
     }
 }
@@ -27,13 +27,12 @@ void write_or_throw(const std::string& path, std::string_view content, bool gzip
 ResultChannels channels_for(const SinkPaths& paths) {
     ResultChannels ch;
     ch.series_record = !paths.json_path.empty() || paths.metrics_print;
-    ch.metrics = !paths.json_path.empty() || paths.metrics_print || paths.metrics;
+    ch.metrics = ch.series_record;  // a record carries the merged snapshot
     ch.traces = !paths.trace_dir.empty();
     ch.trace_all = paths.trace_all;
     ch.profile = paths.profile;
     ch.progress = paths.progress;
     ch.captures = !paths.pcap_dir.empty();
-    ch.wall_clock = paths.wall_clock;
     return ch;
 }
 
@@ -48,18 +47,12 @@ void PathsResultSink::on_artifact(const TrialArtifact& artifact) {
     switch (artifact.kind) {
         case ArtifactKind::kEventTrace: {
             if (paths_.trace_dir.empty()) return;
-            const std::string path = paths_.trace_dir + "/" + artifact.stem + ".jsonl" +
-                                     (paths_.trace_gzip ? ".gz" : "");
-            write_or_throw(path, artifact.content, paths_.trace_gzip);
+            write_or_throw(paths_.trace_dir + "/" + artifact.stem + ".jsonl", artifact.content);
             return;
         }
         case ArtifactKind::kPcapCapture: {
             if (paths_.pcap_dir.empty()) return;
-            // Same gzip toggle as the JSONL traces: one INJECTABLE_TRACE_COMPRESS
-            // knob compresses every per-trial artifact family.
-            const std::string path = paths_.pcap_dir + "/" + artifact.stem + ".pcap" +
-                                     (paths_.trace_gzip ? ".gz" : "");
-            write_or_throw(path, artifact.content, paths_.trace_gzip);
+            write_or_throw(paths_.pcap_dir + "/" + artifact.stem + ".pcap", artifact.content);
             return;
         }
     }
@@ -100,8 +93,6 @@ SinkPaths sink_paths_from_env() {
     if (const char* env = std::getenv("INJECTABLE_JSON")) paths.json_path = env;
     if (const char* env = std::getenv("INJECTABLE_TRACE_DIR")) paths.trace_dir = env;
     paths.trace_all = std::getenv("INJECTABLE_TRACE_ALL") != nullptr;
-    paths.trace_gzip = std::getenv("INJECTABLE_TRACE_COMPRESS") != nullptr &&
-                       ble::obs::trace_compression_available();
     if (const char* env = std::getenv("INJECTABLE_PCAP_DIR")) paths.pcap_dir = env;
     paths.metrics_print = std::getenv("INJECTABLE_METRICS") != nullptr;
     paths.profile = std::getenv("INJECTABLE_PROF") != nullptr;

@@ -2,8 +2,9 @@
 //
 // run_series() used to push results out through ambient globals — the
 // INJECTABLE_* environment variables named files and toggles, read deep
-// inside the harness.  Callers that want the results in memory (tests,
-// pcap_export, the end-to-end benchmark) could not reach them that way.
+// inside the harness.  Callers that want the results in memory or in their
+// own directories (tests, pcap_export, the end-to-end benchmark) could not
+// reach them that way.
 //
 // So the channels are first-class:
 //
@@ -66,9 +67,7 @@ struct TrialArtifact {
     ArtifactKind kind = ArtifactKind::kEventTrace;
     std::string stem;         ///< "<sanitized-name>-seed<seed>" file stem
     std::uint64_t seed = 0;   ///< the trial's reproducing seed
-    bool success = false;     ///< trial outcome (write_all filtering happened
-                              ///< upstream; kept for sink-side labeling)
-    std::string content;      ///< uncompressed bytes (sink may gzip on write)
+    std::string content;      ///< the file's bytes
 };
 
 /// Half-open trial range of a series: trials [first, first+count) of
@@ -127,13 +126,10 @@ struct SinkPaths {
     std::string json_path;   ///< append one series record line per series
     std::string trace_dir;   ///< seed-keyed replayable JSONL traces
     bool trace_all = false;  ///< keep successful-trial traces too
-    bool trace_gzip = false; ///< gzip traces on write (when zlib is in)
     std::string pcap_dir;    ///< seed-keyed omniscient .pcap captures
     bool metrics_print = false;  ///< print the merged metrics summary
-    bool metrics = false;        ///< collect metrics even without json/print
     bool profile = false;        ///< work counters in the metrics snapshot
     bool progress = false;       ///< ETA heartbeats on stderr
-    bool wall_clock = true;      ///< record RunResult::wall_ms
 };
 
 /// A record or artifact that cannot be written throws std::runtime_error
@@ -144,7 +140,6 @@ public:
     ~PathsResultSink() override;
 
     [[nodiscard]] const ResultChannels& channels() const noexcept override { return channels_; }
-    [[nodiscard]] const SinkPaths& paths() const noexcept { return paths_; }
 
     void on_artifact(const TrialArtifact& artifact) override;
     void on_series_record(const ExperimentConfig& config, const SeriesSlice& slice,
@@ -165,9 +160,8 @@ private:
 // call these to build the default sink; everything below them takes explicit
 // configuration.
 
-/// Reads the classic INJECTABLE_JSON / _TRACE_DIR / _TRACE_ALL /
-/// _TRACE_COMPRESS / _PCAP_DIR / _METRICS / _PROF / _PROGRESS variables
-/// into a SinkPaths.
+/// Reads the classic INJECTABLE_JSON / _TRACE_DIR / _TRACE_ALL / _PCAP_DIR /
+/// _METRICS / _PROF / _PROGRESS variables into a SinkPaths.
 [[nodiscard]] SinkPaths sink_paths_from_env();
 
 /// INJECTABLE_RUNS override for the per-series run count (`runs` unchanged

@@ -163,7 +163,7 @@ TEST(JsonlTraceSinkTest, HeaderLinePrecedesEvents) {
     EXPECT_TRUE(sink.str().empty());
 }
 
-TEST(JsonlTraceSinkTest, GzipRoundTrip) {
+TEST(JsonlTraceSinkTest, FileRoundTrip) {
     JsonlTraceSink sink;
     sink.set_header("{\"e\":\"meta\",\"v\":1}");
     EventBus bus;
@@ -173,23 +173,10 @@ TEST(JsonlTraceSinkTest, GzipRoundTrip) {
     bus.emit(tx);
     bus.emit(IdsAlert{});
 
-    const bool gz = trace_compression_available();
-    const std::string path =
-        ::testing::TempDir() + (gz ? "obs_sink_test.jsonl.gz" : "obs_sink_test_rt.jsonl");
-    ASSERT_TRUE(write_text_file(path, sink.str(), gz));
+    const std::string path = ::testing::TempDir() + "obs_sink_test_rt.jsonl";
+    ASSERT_TRUE(write_text_file(path, sink.str()));
 
-    if (gz) {
-        // The bytes on disk really are gzip (magic 1f 8b), not plain text.
-        FILE* f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        unsigned char magic[2] = {0, 0};
-        ASSERT_EQ(std::fread(magic, 1, 2, f), 2u);
-        std::fclose(f);
-        EXPECT_EQ(magic[0], 0x1f);
-        EXPECT_EQ(magic[1], 0x8b);
-    }
-
-    // read_jsonl_file is transparent: same API for plain and gzip traces.
+    // The header line comes back first, then the events in emission order.
     std::string error;
     const std::vector<std::string> lines = read_jsonl_file(path, &error);
     std::remove(path.c_str());

@@ -26,7 +26,6 @@ ble::obs::MetricsSnapshot series_metrics(int jobs, bool profile, int runs = 4) {
     };
     SinkPaths paths;
     paths.profile = profile;
-    paths.wall_clock = false;
     PathsResultSink sink(paths);
     (void)run_series(config, sink);
     return merged;

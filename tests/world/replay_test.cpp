@@ -68,7 +68,6 @@ std::vector<std::string> record_trace(const std::string& tag) {
     const EnvGuard runs("INJECTABLE_RUNS", nullptr);
     const EnvGuard trace_dir("INJECTABLE_TRACE_DIR", dir.c_str());
     const EnvGuard trace_all("INJECTABLE_TRACE_ALL", "1");
-    const EnvGuard compress("INJECTABLE_TRACE_COMPRESS", nullptr);
     const EnvGuard json("INJECTABLE_JSON", nullptr);
 
     ExperimentConfig config = small_config();

@@ -1,8 +1,8 @@
 // campaign_report CLI: fold a campaign's INJECTABLE_JSON records (plus,
 // optionally, its trace directory) into one self-contained report.
 //
-//   campaign_report [--traces DIR] [--md FILE] [--check] <results.jsonl[.gz]>...
-//   campaign_report --diff <A.jsonl[.gz]> <B.jsonl[.gz]> [--md FILE]
+//   campaign_report [--traces DIR] [--md FILE] [--check] <results.jsonl>...
+//   campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]
 //
 //   --traces DIR     also check recorded-vs-expected event counts against
 //                    the per-trial traces under DIR (INJECTABLE_TRACE_DIR)
@@ -26,7 +26,7 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--traces DIR] [--md FILE] [--check] <results.jsonl[.gz]>...\n"
+                 "usage: %s [--traces DIR] [--md FILE] [--check] <results.jsonl>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
                  "  per-series tables, counters, log2 histograms and (with\n"

@@ -228,8 +228,7 @@ std::vector<DriftRow> compute_drift(const CampaignData& campaign,
         for (const world::RunResult& trial : series.trials) {
             const std::string stem = stem_base + u64_str(trial.seed) + ".jsonl";
             std::string error;
-            std::vector<std::string> lines = ble::obs::read_jsonl_file(stem, &error);
-            if (lines.empty()) lines = ble::obs::read_jsonl_file(stem + ".gz", &error);
+            const std::vector<std::string> lines = ble::obs::read_jsonl_file(stem, &error);
             if (lines.empty()) continue;
             ++row.traces_found;
             for (const std::string& line : lines) {

@@ -44,9 +44,9 @@ struct CampaignData {
     std::vector<std::string> errors;  ///< unreadable files / unparsable lines
 };
 
-/// Reads and parses every INJECTABLE_JSON file (gzip-transparent).  Parse
-/// failures — including a histogram bucket index outside 0..64 — land in
-/// `errors`; parsable lines are kept regardless.
+/// Reads and parses every INJECTABLE_JSON file.  Parse failures — including
+/// a histogram bucket index outside 0..64 — land in `errors`; parsable lines
+/// are kept regardless.
 [[nodiscard]] CampaignData load_campaign(const std::vector<std::string>& json_paths);
 
 /// Per-series recorded-vs-expected event counts.  `expected_events` is the

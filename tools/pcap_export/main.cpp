@@ -6,7 +6,7 @@
 // decided at record time.  This tool re-renders them offline, bit-identical
 // to what a live CaptureSink at the same vantage would have written:
 //
-//   pcap_export [options] <trace.jsonl[.gz]>...
+//   pcap_export [options] <trace.jsonl>...
 //       render each trace into a .pcap file next to it (or under
 //       --out-dir), at the chosen vantage.
 //
@@ -21,7 +21,6 @@
 //                            omniscient = every frame on the medium (default);
 //                            any other value names a device whose radio's
 //                            sync verdicts gate what the capture contains
-//   --gzip                   gzip outputs (adds .gz; needs zlib)
 //   --out FILE               exact output path (single input, trace mode)
 //   --out-dir DIR            output directory (default: alongside each input,
 //                            or "." for --from-json)
@@ -31,8 +30,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -40,6 +40,7 @@
 #include "obs/sinks.hpp"
 #include "world/experiment.hpp"
 #include "world/replay.hpp"
+#include "world/result_sink.hpp"
 
 namespace {
 
@@ -48,7 +49,6 @@ namespace world = injectable::world;
 
 struct Options {
     capture::VantagePoint vantage;  // omniscient by default
-    bool gzip = false;
     bool from_json = false;
     bool quiet = false;
     std::string out_path;
@@ -58,11 +58,10 @@ struct Options {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [options] <trace.jsonl[.gz]>...\n"
+                 "usage: %s [options] <trace.jsonl>...\n"
                  "       %s --from-json [options] <results.jsonl>...\n"
                  "  --vantage omniscient|<device>\n"
                  "                          capture vantage point (default omniscient)\n"
-                 "  --gzip                  gzip outputs (adds .gz; needs zlib)\n"
                  "  --out FILE              exact output path (single trace input)\n"
                  "  --out-dir DIR           output directory\n"
                  "  --from-json             re-run recorded series and export every\n"
@@ -95,8 +94,6 @@ bool parse_options(int argc, char** argv, Options& options) {
             if (!value_of(options.out_path)) return false;
         } else if (std::strcmp(arg, "--out-dir") == 0) {
             if (!value_of(options.out_dir)) return false;
-        } else if (std::strcmp(arg, "--gzip") == 0) {
-            options.gzip = true;
         } else if (std::strcmp(arg, "--from-json") == 0) {
             options.from_json = true;
         } else if (std::strcmp(arg, "--quiet") == 0) {
@@ -112,10 +109,6 @@ bool parse_options(int argc, char** argv, Options& options) {
         }
     }
     if (options.inputs.empty()) return false;
-    if (options.gzip && !ble::obs::trace_compression_available()) {
-        std::fprintf(stderr, "%s: --gzip requested but built without zlib\n", argv[0]);
-        return false;
-    }
     if (!options.out_path.empty() && (options.inputs.size() != 1 || options.from_json)) {
         std::fprintf(stderr, "%s: --out needs exactly one trace input\n", argv[0]);
         return false;
@@ -136,18 +129,14 @@ bool parse_options(int argc, char** argv, Options& options) {
     return true;
 }
 
-/// "<dir>/exp1-seed1003.jsonl.gz" -> "exp1-seed1003" (extension-stripped stem).
+/// "<dir>/exp1-seed1003.jsonl" -> "exp1-seed1003" (extension-stripped stem).
 std::string trace_stem(const std::string& path) {
+    constexpr std::string_view kSuffix = ".jsonl";
     const std::size_t slash = path.find_last_of('/');
     std::string stem = slash == std::string::npos ? path : path.substr(slash + 1);
-    auto strip = [&](const char* suffix) {
-        const std::size_t n = std::strlen(suffix);
-        if (stem.size() > n && stem.compare(stem.size() - n, n, suffix) == 0) {
-            stem.resize(stem.size() - n);
-        }
-    };
-    strip(".gz");
-    strip(".jsonl");
+    if (stem.size() > kSuffix.size() && stem.ends_with(kSuffix)) {
+        stem.resize(stem.size() - kSuffix.size());
+    }
     return stem;
 }
 
@@ -164,7 +153,7 @@ std::string output_path(const Options& options, const std::string& input) {
     if (options.vantage.kind == capture::VantageKind::kDevice) {
         name += "." + options.vantage.device;
     }
-    name += options.gzip ? ".pcap.gz" : ".pcap";
+    name += ".pcap";
     return dir + "/" + name;
 }
 
@@ -188,7 +177,7 @@ int run_traces(const Options& options, const char* argv0) {
         }
         const std::size_t frames = capture::parse_capture(pcap).records.size();
         const std::string out = output_path(options, input);
-        if (!ble::obs::write_text_file(out, pcap, options.gzip)) {
+        if (!ble::obs::write_text_file(out, pcap)) {
             std::fprintf(stderr, "ERROR %s: cannot write %s\n", argv0, out.c_str());
             ++errors;
             continue;
@@ -201,55 +190,13 @@ int run_traces(const Options& options, const char* argv0) {
     return errors > 0 ? 2 : 0;
 }
 
-// ---------------------------------------------------------------------------
-// --from-json: re-run each recorded series with the captures channel on and
-// write every trial's capture artifact as it arrives.
-
-class ExportSink final : public world::ResultSink {
-public:
-    ExportSink(const Options& options) : options_(options) {
-        channels_.captures = true;
-        channels_.wall_clock = false;
-    }
-
-    [[nodiscard]] const world::ResultChannels& channels() const noexcept override {
-        return channels_;
-    }
-
-    void on_artifact(const world::TrialArtifact& artifact) override {
-        if (artifact.kind != world::ArtifactKind::kPcapCapture) return;
-        const std::string path =
-            dir() + "/" + artifact.stem + (options_.gzip ? ".pcap.gz" : ".pcap");
-        const bool ok = ble::obs::write_text_file(path, artifact.content, options_.gzip);
-        const std::lock_guard lock(mutex_);
-        if (ok) {
-            ++exported_;
-        } else {
-            errors_.push_back("cannot write " + path);
-        }
-    }
-
-    void on_series_record(const world::ExperimentConfig&, const world::SeriesSlice&,
-                          const std::vector<world::RunResult>&,
-                          const ble::obs::MetricsSnapshot*) override {}
-    void on_progress(const std::string&, int, int) override {}
-
-    [[nodiscard]] int exported() const noexcept { return exported_; }
-    [[nodiscard]] const std::vector<std::string>& errors() const noexcept { return errors_; }
-
-private:
-    [[nodiscard]] std::string dir() const {
-        return options_.out_dir.empty() ? "." : options_.out_dir;
-    }
-
-    const Options& options_;
-    world::ResultChannels channels_{};  // captures only; wall clock off too
-    std::mutex mutex_;  // guards: exported_, errors_
-    int exported_ = 0;
-    std::vector<std::string> errors_;
-};
-
+// --from-json: re-run each recorded series with a PathsResultSink whose only
+// channel is the capture directory, so every trial's capture is written the
+// way INJECTABLE_PCAP_DIR writes it during the campaign.
 int run_from_json(const Options& options) {
+    world::SinkPaths paths;
+    paths.pcap_dir = options.out_dir.empty() ? "." : options.out_dir;
+    world::PathsResultSink sink(paths);
     int errors = 0;
     for (const std::string& input : options.inputs) {
         std::string error;
@@ -290,18 +237,18 @@ int run_from_json(const Options& options) {
             // Trial seeds are base_seed + index, so re-running the recorded
             // trial count reproduces exactly the recorded seed list.
             config.runs = static_cast<int>(trials->array.size());
-            ExportSink sink(options);
-            const std::vector<world::RunResult> results = world::run_series(config, sink);
-            for (const std::string& message : sink.errors()) {
-                fail(message);
+            std::vector<world::RunResult> results;
+            try {
+                results = world::run_series(config, sink);
+            } catch (const std::runtime_error& e) {  // the sink's "cannot write <path>"
+                fail(e.what());
+                continue;
             }
             if (!options.quiet) {
-                std::printf("OK   %s:%zu: %s, %d trial capture%s -> %s\n", input.c_str(),
-                            n + 1, config.name.c_str(), sink.exported(),
-                            sink.exported() == 1 ? "" : "s",
-                            options.out_dir.empty() ? "." : options.out_dir.c_str());
+                std::printf("OK   %s:%zu: %s, %zu trial capture%s -> %s\n", input.c_str(),
+                            n + 1, config.name.c_str(), results.size(),
+                            results.size() == 1 ? "" : "s", paths.pcap_dir.c_str());
             }
-            (void)results;
         }
     }
     return errors > 0 ? 2 : 0;

@@ -7,7 +7,7 @@
 // recorded event stream byte for byte.  This tool is the determinism
 // guarantee as an executable check:
 //
-//   trace_replay [--diff] [--stats] [--quiet] <trace.jsonl[.gz]>...
+//   trace_replay [--diff] [--stats] [--quiet] <trace.jsonl>...
 //
 //   --diff   (default) replay each trace and diff against the recording;
 //            exits 0 when every trace replays without divergence, 1 when any
@@ -16,7 +16,7 @@
 //   --stats  no replay: tally recorded events by type ("e" field) per trace
 //            and print the aggregate table across all traces — a quick
 //            what-happened view of a campaign directory.  Exits 0, or 2 on
-//            unreadable traces.
+//            unreadable traces or a line that is not a trace event.
 //
 //   trace_replay --from-json <results.jsonl>...
 //            replay whole series straight from INJECTABLE_JSON records: each
@@ -25,7 +25,7 @@
 //            fields are diffed — no stored traces needed.  Same exit codes
 //            as --diff.
 //
-//   trace_replay --pcap-diff <trace.jsonl[.gz]> <capture.pcap[.gz]>
+//   trace_replay --pcap-diff <trace.jsonl> <capture.pcap>
 //            render the trace offline through the capture subsystem
 //            (omniscient vantage) and byte-compare against the recorded
 //            capture — the capture counterpart of --diff: a live
@@ -33,8 +33,6 @@
 //            Also round-trips the recorded file through the in-repo reader
 //            (parse + re-serialize must reproduce the input).  Exits 0
 //            identical, 1 divergent, 2 on usage / I/O errors.
-//
-// Reads gzip-compressed traces transparently when built with zlib.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -50,9 +48,9 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--diff] [--stats] [--quiet] <trace.jsonl[.gz]>...\n"
+                 "usage: %s [--diff] [--stats] [--quiet] <trace.jsonl>...\n"
                  "       %s --from-json [--quiet] <results.jsonl>...\n"
-                 "       %s --pcap-diff [--quiet] <trace.jsonl[.gz]> <capture.pcap[.gz]>\n"
+                 "       %s --pcap-diff [--quiet] <trace.jsonl> <capture.pcap>\n"
                  "  --diff       replay each trace (seed + config from its meta header)\n"
                  "               and diff the recorded event stream against the fresh\n"
                  "               one (the default mode)\n"
@@ -94,11 +92,20 @@ int run_stats(const std::vector<std::string>& paths, bool quiet) {
             ++errors;
             continue;
         }
+        const auto stray = std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+            return event_name(line).empty();
+        });
+        if (stray != lines.end()) {
+            std::fprintf(stderr, "ERROR %s: line %zu is not a trace event\n", path.c_str(),
+                         static_cast<std::size_t>(stray - lines.begin()) + 1);
+            ++errors;
+            continue;
+        }
         ++traces;
         std::uint64_t events = 0;
         for (const std::string& line : lines) {
             const std::string name = event_name(line);
-            if (name.empty() || name == "meta") continue;  // header carries no event
+            if (name == "meta") continue;  // header carries no event
             ++aggregate[name];
             ++events;
         }
