@@ -106,7 +106,7 @@ Table exp1() {
                "(max - min, Q3 - Q1) shrinks from 25 to 100 and stabilises afterwards.\n";
     for (std::uint16_t hop : {25, 50, 75, 100, 125, 150}) {
         ExperimentConfig config;
-        config.name = "exp1";
+        config.name = format("exp1-hop%u", hop);
         config.world.master_sca_ppm = 250.0;   // declared by the Mirage-driven HCI dongle
         config.world.master_clock_ppm = 80.0;  // its actual crystal runs well inside that
         config.world.hop_interval = hop;
@@ -131,7 +131,7 @@ Table exp2() {
     for (std::size_t payload : {std::size_t{4}, std::size_t{9}, std::size_t{14},
                                 std::size_t{16}}) {
         ExperimentConfig config;
-        config.name = "exp2";
+        config.name = format("exp2-payload%zu", payload);
         config.world.master_sca_ppm = 250.0;
         config.world.master_clock_ppm = 80.0;
         config.world.hop_interval = 75;
@@ -164,7 +164,7 @@ Table exp3() {
                      {"D (6 m)", 6.0}, {"E (8 m)", 8.0}, {"F (10 m)", 10.0}};
     for (const auto& pos : positions) {
         ExperimentConfig config;
-        config.name = "exp3";
+        config.name = format("exp3-%.0fm", pos.distance_m);
         config.world.hop_interval = 36;
         config.ll_payload_size = 12;
         config.world.peripheral_pos = {0.0, 0.0};
@@ -190,7 +190,7 @@ Table exp3b() {
                "every tested connection.\n";
     for (double distance : {2.0, 4.0, 6.0, 8.0}) {
         ExperimentConfig config;
-        config.name = "exp3b";
+        config.name = format("exp3b-%.0fm-wall", distance);
         config.world.hop_interval = 36;
         config.ll_payload_size = 12;
         config.world.peripheral_pos = {0.0, 0.0};
@@ -224,6 +224,7 @@ Table ablation_widening() {
                "communications\".\n";
     for (double scale : {1.0, 0.75, 0.5, 0.25, 0.1}) {
         ExperimentConfig config;
+        config.name = format("ablation_widening-%.2f", scale);
         config.world.hop_interval = 36;
         config.world.widening_scale = scale;
         config.base_seed = 7000 + static_cast<std::uint64_t>(scale * 100);
@@ -248,6 +249,8 @@ Table ablation_encryption() {
                "master kill the connection (availability impact only, as §IV argues).\n";
     for (bool encrypted : {false, true}) {
         ExperimentConfig config;
+        config.name =
+            encrypted ? "ablation_encryption-encrypted" : "ablation_encryption-plaintext";
         config.world.hop_interval = 36;
         config.world.encrypt_link = encrypted;
         config.max_attempts = 40;
@@ -275,6 +278,7 @@ Table ablation_sca() {
                "paper's worst-case 20 ppm guess is safe: it can never overshoot.\n";
     for (double assumed : {0.0, 10.0, 20.0, 50.0, 150.0, 400.0}) {
         ExperimentConfig config;
+        config.name = format("ablation_sca-%.0fppm", assumed);
         config.world.hop_interval = 36;
         config.world.attack.assumed_slave_sca_ppm = assumed;
         config.base_seed = 7800 + static_cast<std::uint64_t>(assumed);
@@ -298,6 +302,7 @@ Table ablation_csa2() {
                "seeded by the access address, which every data frame leaks).\n";
     for (bool csa2 : {false, true}) {
         ExperimentConfig config;
+        config.name = csa2 ? "ablation_csa2-csa2" : "ablation_csa2-csa1";
         config.world.hop_interval = 36;
         config.world.use_csa2 = csa2;
         config.base_seed = 8200 + (csa2 ? 1 : 0);
@@ -331,6 +336,8 @@ Table ablation_heuristic() {
     };
     for (const auto& c : cases) {
         ExperimentConfig config;
+        config.name =
+            format("ablation_heuristic-hop%u%s", c.hop, c.attacker_x != 0.0 ? "-far" : "");
         config.world.hop_interval = c.hop;
         if (c.attacker_x != 0.0) config.world.attacker_pos = {c.attacker_x, 0.0};
         config.runs = 50;
@@ -518,6 +525,7 @@ void print_injection_outcomes() {
         // deterministic).
         std::atomic<int> ok{0}, corrupt{0}, master_won{0}, silent{0}, total{0};
         ExperimentConfig config;
+        config.name = format("injection_outcomes-%dus", delay_us);
         config.world.hop_interval = 36;
         config.ll_payload_size = 4;
         config.runs = 40;

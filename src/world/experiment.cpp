@@ -1,5 +1,6 @@
 #include "world/experiment.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -258,12 +259,7 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         want_metrics ? static_cast<std::size_t>(runs) : 0);
 
     TrialRunner runner(config.jobs);
-    runner.set_progress_label(config.name);
-    // Always installed, so the runner's environment-gated default meter never
-    // engages: progress is entirely the sink's channel.
-    runner.set_progress([&](int done, int total) {
-        if (ch.progress) sink.on_progress(config.name, done, total);
-    });
+    std::atomic<int> finished{0};
     const auto make_worker = [&] {
         Worker worker;
         if (instrumented) {
@@ -275,12 +271,8 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         // RunResult::wall_ms is documented non-deterministic and excluded
         // from every comparison, so the host clock is fine here; sinks that
         // need byte-stable records turn the channel off.
-        // injectable-lint: allow(D2) -- measures host wall-clock cost only
         std::chrono::steady_clock::time_point t0{};
-        if (ch.wall_clock) {
-            // injectable-lint: allow(D2) -- host wall-clock cost, see above.
-            t0 = std::chrono::steady_clock::now();
-        }
+        if (ch.wall_clock) t0 = std::chrono::steady_clock::now();
         const auto base_seed = config.base_seed + static_cast<std::uint64_t>(i);
         TrialChannels* channels = worker.channels.get();
         if (channels) channels->base_seed = base_seed;
@@ -301,10 +293,10 @@ std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& si
         }
         if (ch.wall_clock) {
             result.wall_ms =
-                // injectable-lint: allow(D2) -- host wall-clock cost, see above.
                 std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                     .count();
         }
+        if (ch.progress) sink.on_progress(config.name, ++finished, runs);
         if (!channels) return result;
         if (want_metrics) {
             channels->metrics.finalize();
@@ -426,11 +418,14 @@ RunResult run_result_from_json(const json::Value& trial) {
 Stats summarize(const std::vector<RunResult>& results) {
     Stats stats;
     std::vector<double> attempts;
+    // Summed as an integer, so no order of the trials can change the mean.
+    std::int64_t sum = 0;
     for (const auto& r : results) {
         ++stats.n;
         if (r.success) {
             ++stats.successes;
             attempts.push_back(static_cast<double>(r.attempts));
+            sum += r.attempts;
         }
     }
     if (attempts.empty()) return stats;
@@ -447,10 +442,7 @@ Stats summarize(const std::vector<RunResult>& results) {
     stats.median = quantile(0.5);
     stats.q3 = quantile(0.75);
     stats.max = attempts.back();
-    double sum = 0;
-    // injectable-lint: allow(D3) -- sums `attempts` after the sort above, so the accumulation order (and the FP result) is fixed
-    for (double a : attempts) sum += a;
-    stats.mean = sum / static_cast<double>(attempts.size());
+    stats.mean = static_cast<double>(sum) / static_cast<double>(attempts.size());
     return stats;
 }
 

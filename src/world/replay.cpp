@@ -216,7 +216,6 @@ TraceMeta parse_trace_meta(const json::Value& v) {
     ExperimentConfig& config = meta.config;
     config.name = v.string_at("name", "replay");
     config.runs = 1;
-    config.jobs = 1;
     config.base_seed = meta.seed;
     // run_injection_experiment budgets 4 * max_attempts + 64 connection
     // events in an int.
@@ -444,7 +443,6 @@ SeriesReplay replay_series_line(const std::string& line, int jobs) {
     const ExperimentConfig config = std::move(meta.config);  // callbacks are empty
     const int tries = meta.tries;
     TrialRunner runner(jobs);
-    runner.set_progress_label(replay.name + " (replay)");
     // One World per worker, restarted for each recorded seed as run_series
     // restarts it for each trial.
     const std::vector<RunResult> fresh = runner.map_with(

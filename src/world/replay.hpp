@@ -51,7 +51,8 @@ struct TraceMeta {
     ExperimentConfig config;
 };
 
-/// Parses a meta header line back into a runnable config.
+/// Parses a meta header line back into a runnable config: one run, with
+/// `jobs` left at 0 so run_series takes its worker count from BENCH_JOBS.
 [[nodiscard]] TraceMeta parse_trace_meta(const std::string& line);
 /// The same, from an already parsed meta object (a series record's "meta").
 [[nodiscard]] TraceMeta parse_trace_meta(const ble::json::Value& meta);

@@ -1,5 +1,7 @@
 #include "world/result_sink.hpp"
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -7,11 +9,24 @@
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "world/experiment.hpp"
-#include "world/trial_runner.hpp"
 
 namespace injectable::world {
 
 namespace {
+
+/// Minimum gap between heartbeat lines: keeps a fast campaign from flooding
+/// stderr while still feeling live.
+constexpr std::uint64_t kProgressIntervalNs = 200'000'000;  // 200 ms
+
+/// The heartbeat's only clock read.  Its output is stderr for humans, never
+/// recorded, parsed or compared.
+std::uint64_t host_now_ns() {
+    const auto now = std::chrono::steady_clock::now().time_since_epoch();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
+}
+
+bool env_progress_enabled() { return std::getenv("INJECTABLE_PROGRESS") != nullptr; }
 
 /// Guards series-record appends: run_series() may execute concurrently
 /// (nested sweeps, tests), and each series must land as one intact line.
@@ -37,6 +52,75 @@ ResultChannels channels_for(const SinkPaths& paths) {
 }
 
 }  // namespace
+
+/// One series' stderr heartbeat: throttled "done/total (pct) elapsed eta"
+/// lines and one closing line.  It writes stderr only, so trial results,
+/// metrics and artifacts are identical with or without it.
+class PathsResultSink::ProgressMeter {
+public:
+    ProgressMeter(std::string label, int total)
+        : label_(std::move(label)), total_(total), start_ns_(host_now_ns()) {}
+
+    ProgressMeter(const ProgressMeter&) = delete;
+    ProgressMeter& operator=(const ProgressMeter&) = delete;
+
+    // Close with a final line wherever an aborted campaign stopped, so the
+    // last heartbeat never understates progress (a completed campaign already
+    // printed its closing line from report()).
+    ~ProgressMeter() {
+        if (!closed_.load(std::memory_order_relaxed)) {
+            print_line(done_.load(std::memory_order_relaxed), true);
+        }
+    }
+
+    /// Thread-safe; `done` trials have finished (monotone: out-of-order
+    /// calls keep the maximum).
+    void report(int done) {
+        int prev = done_.load(std::memory_order_relaxed);
+        while (prev < done &&
+               !done_.compare_exchange_weak(prev, done, std::memory_order_relaxed)) {
+        }
+        if (done >= total_) {
+            // One closing line, printed by whoever reaches the total first.
+            if (!closed_.exchange(true, std::memory_order_relaxed)) print_line(done, true);
+            return;
+        }
+        const std::uint64_t now = host_now_ns();
+        std::uint64_t last = last_print_ns_.load(std::memory_order_relaxed);
+        if (now - last < kProgressIntervalNs) return;
+        // One printer per interval: whoever wins the CAS writes the line.
+        if (!last_print_ns_.compare_exchange_strong(last, now, std::memory_order_relaxed)) {
+            return;
+        }
+        print_line(done, false);
+    }
+
+private:
+    void print_line(int done, bool final_line) const {
+        const double elapsed_s = static_cast<double>(host_now_ns() - start_ns_) / 1e9;
+        const double pct = 100.0 * static_cast<double>(done) / static_cast<double>(total_);
+        char eta[32];
+        if (done > 0 && done < total_) {
+            const double eta_s = elapsed_s * static_cast<double>(total_ - done) /
+                                 static_cast<double>(done);
+            std::snprintf(eta, sizeof(eta), " eta %.1fs", eta_s);
+        } else {
+            eta[0] = '\0';
+        }
+        // Single fprintf call: concurrent heartbeats from other meters stay
+        // line-atomic on POSIX stderr.
+        std::fprintf(stderr, "[injectable] %s: %d/%d trials (%.0f%%) elapsed %.1fs%s%s\n",
+                     label_.c_str(), done, total_, pct, elapsed_s, eta,
+                     final_line ? " done" : "");
+    }
+
+    std::string label_;
+    int total_;
+    std::uint64_t start_ns_;
+    std::atomic<int> done_{0};
+    std::atomic<bool> closed_{false};
+    std::atomic<std::uint64_t> last_print_ns_{0};
+};
 
 PathsResultSink::PathsResultSink(SinkPaths paths)
     : paths_(std::move(paths)), channels_(channels_for(paths_)) {}
@@ -79,7 +163,7 @@ void PathsResultSink::on_progress(const std::string& label, int done, int total)
     {
         const std::lock_guard lock(progress_mutex_);
         auto& slot = meters_[label];
-        if (!slot) slot = std::make_unique<ProgressMeter>(label, total, /*enabled=*/true);
+        if (!slot) slot = std::make_unique<ProgressMeter>(label, total);
         meter = slot.get();
     }
     meter->report(done);
@@ -107,7 +191,5 @@ int env_runs_override(int runs) {
     }
     return runs;
 }
-
-bool env_progress_enabled() { return std::getenv("INJECTABLE_PROGRESS") != nullptr; }
 
 }  // namespace injectable::world

@@ -9,7 +9,7 @@
 // So the channels are first-class:
 //
 //  * ResultChannels — which outputs a run should produce at all (production
-//    gating lives with the owner, not with getenv probes);
+//    gating lives with the owner, not with environment probes);
 //  * TrialArtifact  — one per-trial by-product (JSONL event trace, PCAP
 //    capture) as bytes + identity;
 //  * ResultSink     — the consumer interface: artifacts, the per-series
@@ -17,7 +17,8 @@
 //
 // The legacy environment behavior is exactly one concrete sink wired at the
 // edge: sink_paths_from_env() + PathsResultSink.  Nothing else in src/ reads
-// INJECTABLE_* (enforced by injectable_lint rule E1).
+// INJECTABLE_* (the lint.banned_names ctest fails on an environment read in
+// any other src/ file but trial_runner.cpp's BENCH_JOBS).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,6 @@ namespace injectable::world {
 
 struct ExperimentConfig;
 struct RunResult;
-class ProgressMeter;
 
 /// Which output channels a series run produces.  Channels gate *production*
 /// (no trace sink attached when traces is off); what a produced value means
@@ -148,6 +148,8 @@ public:
     void on_progress(const std::string& label, int done, int total) override;
 
 private:
+    class ProgressMeter;  // one series' stderr heartbeat (result_sink.cpp)
+
     SinkPaths paths_;
     ResultChannels channels_;
     std::mutex progress_mutex_;  // guards: meters_
@@ -156,9 +158,9 @@ private:
 
 // ---------------------------------------------------------------------------
 // Edge wiring — the ONLY place in src/ that reads INJECTABLE_* environment
-// variables (injectable_lint rule E1 enforces the boundary).  Tools and mains
-// call these to build the default sink; everything below them takes explicit
-// configuration.
+// variables (the lint.banned_names ctest enforces the boundary).  Tools and
+// mains call these to build the default sink; everything below them takes
+// explicit configuration.
 
 /// Reads the classic INJECTABLE_JSON / _TRACE_DIR / _TRACE_ALL / _PCAP_DIR /
 /// _METRICS / _PROF / _PROGRESS variables into a SinkPaths.
@@ -167,8 +169,5 @@ private:
 /// INJECTABLE_RUNS override for the per-series run count (`runs` unchanged
 /// when the variable is unset or not a positive integer).
 [[nodiscard]] int env_runs_override(int runs);
-
-/// INJECTABLE_PROGRESS heartbeat toggle.
-[[nodiscard]] bool env_progress_enabled();
 
 }  // namespace injectable::world

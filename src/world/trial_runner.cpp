@@ -1,10 +1,6 @@
 #include "world/trial_runner.hpp"
 
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-
-#include "world/result_sink.hpp"
 
 namespace injectable::world {
 
@@ -16,80 +12,6 @@ int resolve_jobs(int requested) noexcept {
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-namespace {
-
-/// Minimum gap between heartbeat lines: keeps a fast campaign from flooding
-/// stderr while still feeling live.
-constexpr std::uint64_t kProgressIntervalNs = 200'000'000;  // 200 ms
-
-/// The progress meter's only clock read.  Its output is a stderr heartbeat
-/// for humans — never recorded, parsed, or compared — so the host clock is
-/// quarantined to exactly this helper.
-std::uint64_t host_now_ns() {
-    // injectable-lint: allow(D2) -- ETA heartbeat timing; stderr-only output
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
-}
-
-}  // namespace
-
-bool TrialRunner::default_progress_enabled() { return env_progress_enabled(); }
-
-ProgressMeter::ProgressMeter(std::string label, int total, bool enabled)
-    : label_(std::move(label)), total_(total), enabled_(total > 0 && enabled) {
-    if (enabled_) start_ns_ = host_now_ns();
-}
-
-ProgressMeter::~ProgressMeter() {
-    // Close with a final line wherever an aborted campaign stopped, so the
-    // last heartbeat never understates progress (a completed campaign already
-    // printed its closing line from report()).
-    if (enabled_ && !closed_.load(std::memory_order_relaxed)) {
-        print_line(done_.load(std::memory_order_relaxed), true);
-    }
-}
-
-void ProgressMeter::report(int done) {
-    if (!enabled_) return;
-    // Monotone maximum: workers report out of order near the end.
-    int prev = done_.load(std::memory_order_relaxed);
-    while (prev < done &&
-           !done_.compare_exchange_weak(prev, done, std::memory_order_relaxed)) {
-    }
-    if (done >= total_) {
-        // One closing line, printed by whoever reaches the total first.
-        if (!closed_.exchange(true, std::memory_order_relaxed)) print_line(done, true);
-        return;
-    }
-    const std::uint64_t now = host_now_ns();
-    std::uint64_t last = last_print_ns_.load(std::memory_order_relaxed);
-    if (now - last < kProgressIntervalNs) return;
-    // One printer per interval: whoever wins the CAS writes the line.
-    if (!last_print_ns_.compare_exchange_strong(last, now, std::memory_order_relaxed)) return;
-    print_line(done, false);
-}
-
-void ProgressMeter::print_line(int done, bool final_line) {
-    const std::uint64_t elapsed_ns = host_now_ns() - start_ns_;
-    const double elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
-    const double pct =
-        total_ > 0 ? 100.0 * static_cast<double>(done) / static_cast<double>(total_) : 100.0;
-    char eta[32];
-    if (done > 0 && done < total_) {
-        const double eta_s = elapsed_s * static_cast<double>(total_ - done) /
-                             static_cast<double>(done);
-        std::snprintf(eta, sizeof(eta), " eta %.1fs", eta_s);
-    } else {
-        eta[0] = '\0';
-    }
-    // Single fprintf call: concurrent heartbeats from other meters stay
-    // line-atomic on POSIX stderr.
-    std::fprintf(stderr, "[injectable] %s: %d/%d trials (%.0f%%) elapsed %.1fs%s%s\n",
-                 label_.c_str(), done, total_, pct, elapsed_s, eta,
-                 final_line ? " done" : "");
 }
 
 }  // namespace injectable::world

@@ -15,12 +15,9 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,56 +28,12 @@ namespace injectable::world {
 /// hardware concurrency (never less than 1).
 [[nodiscard]] int resolve_jobs(int requested = 0) noexcept;
 
-/// Opt-in campaign heartbeat: prints throttled "done/total (pct) elapsed
-/// eta" lines to stderr as trials complete.  Pure observer — it reads the
-/// host clock (quarantined in trial_runner.cpp) and writes stderr only, so
-/// it cannot perturb determinism: trial results, metrics and traces are
-/// identical with or without it.  Whether a meter is enabled is the owner's
-/// decision (the INJECTABLE_PROGRESS edge read lives in result_sink.cpp).
-class ProgressMeter {
-public:
-    /// `label` names the campaign in each line; `total` is the trial count.
-    ProgressMeter(std::string label, int total, bool enabled);
-    ~ProgressMeter();
-    ProgressMeter(const ProgressMeter&) = delete;
-    ProgressMeter& operator=(const ProgressMeter&) = delete;
-
-    /// Thread-safe; reports that `done` trials have completed (monotone —
-    /// out-of-order calls keep the maximum).  Prints throttled heartbeats and
-    /// the closing line once done reaches the total.
-    void report(int done);
-
-    [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-private:
-    void print_line(int done, bool final_line);
-
-    std::string label_;
-    int total_;
-    bool enabled_;
-    std::uint64_t start_ns_ = 0;
-    std::atomic<int> done_{0};
-    std::atomic<bool> closed_{false};
-    std::atomic<std::uint64_t> last_print_ns_{0};
-};
-
 class TrialRunner {
 public:
     /// jobs == 0 resolves via BENCH_JOBS / hardware concurrency.
     explicit TrialRunner(int jobs = 0) : jobs_(resolve_jobs(jobs)) {}
 
     [[nodiscard]] int jobs() const noexcept { return jobs_; }
-
-    /// Label used by the progress heartbeat (defaults to "trials").
-    void set_progress_label(std::string label) { progress_label_ = std::move(label); }
-
-    /// Called once per completed trial with (done, total), from whichever
-    /// worker thread finished the trial — must be thread-safe.  Setting a
-    /// callback replaces the default environment-gated stderr meter, making
-    /// the runner fully sink-driven (run_series routes this to
-    /// ResultSink::on_progress).
-    using ProgressFn = std::function<void(int done, int total)>;
-    void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
     /// Runs fn(0) .. fn(count - 1), each exactly once, and returns the
     /// results ordered by index.  fn must be safe to call concurrently from
@@ -102,24 +55,10 @@ public:
         using Result = decltype(fn(0, std::declval<decltype(make_state())&>()));
         if (count <= 0) return {};
         std::vector<Result> results(static_cast<std::size_t>(count));
-        ProgressMeter meter(progress_label_, count,
-                            !progress_ && default_progress_enabled());
-        std::atomic<int> completed{0};
-        auto note_done = [&]() {
-            const int done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (progress_) {
-                progress_(done, count);
-            } else {
-                meter.report(done);
-            }
-        };
         const int workers = jobs_ < count ? jobs_ : count;
         if (workers <= 1) {
             auto state = make_state();
-            for (int i = 0; i < count; ++i) {
-                results[static_cast<std::size_t>(i)] = fn(i, state);
-                note_done();
-            }
+            for (int i = 0; i < count; ++i) results[static_cast<std::size_t>(i)] = fn(i, state);
             return results;
         }
 
@@ -135,7 +74,6 @@ public:
                 try {
                     if (!state) state.emplace(make_state());
                     results[static_cast<std::size_t>(i)] = fn(i, *state);
-                    note_done();
                 } catch (...) {
                     const std::lock_guard lock(error_mutex);
                     if (!error) error = std::current_exception();
@@ -153,12 +91,7 @@ public:
     }
 
 private:
-    /// Defers to the INJECTABLE_PROGRESS edge read in result_sink.cpp.
-    [[nodiscard]] static bool default_progress_enabled();
-
     int jobs_;
-    std::string progress_label_ = "trials";
-    ProgressFn progress_;
 };
 
 }  // namespace injectable::world

@@ -2,8 +2,8 @@
 //
 // The post-fix shape of the PR 3 code: receiver walks go through an
 // attach-order vector, in-flight transmissions live in an id-ordered map,
-// and the one remaining pointer-keyed container is a lookup-only memo with
-// an audited allow(D1).
+// and the per-receiver memo is keyed by the receiver's attach index, not by
+// its address.
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -15,8 +15,8 @@ class RadioDevice;
 
 struct Transmission {
     std::uint64_t id = 0;
-    /// injectable-lint: allow(D1) -- lookup-only memo (find/emplace, never iterated)
-    std::unordered_map<const RadioDevice*, double> rx_power_dbm;
+    /// Receiver attach index -> rx power: lookup-only (find/emplace).
+    std::unordered_map<std::uint32_t, double> rx_power_dbm;
 };
 
 class RadioMedium {

@@ -2,8 +2,7 @@
 //
 // The compliant counterpart to bad_d1_unordered_emit.cpp: emission walks an
 // attach-order vector, and the unordered map is a lookup index that is only
-// ever iterated for maintenance that feeds no events.  Scans fully clean —
-// no suppression needed.
+// ever iterated for maintenance that feeds no events.  Scans fully clean.
 #include <cstddef>
 #include <unordered_map>
 #include <vector>

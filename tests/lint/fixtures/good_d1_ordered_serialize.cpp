@@ -4,7 +4,7 @@
 // serialized out of trial-index order (a vector) and an ordered map, so the
 // byte stream is the same on every run; the unordered map is a lookup index
 // that is only ever iterated for bookkeeping that feeds no serializer.
-// Scans fully clean — no suppression needed.
+// Scans fully clean.
 #include <cstddef>
 #include <cstdint>
 #include <map>

@@ -1,9 +1,7 @@
 // lint-fixture-path: src/obs/aggregate.cpp
 //
 // The deterministic alternatives: integer counters merge associatively, and
-// when an FP sum is unavoidable it runs over a sorted (fixed-order) sequence
-// under an audited allow(D3).
-#include <algorithm>
+// a mean divides an integer sum once, at the end.
 #include <cstdint>
 #include <vector>
 
@@ -17,14 +15,11 @@ std::uint64_t total_events(const std::vector<std::uint64_t>& counts) {
     return events;
 }
 
-double mean_attempt_time(std::vector<double> samples) {
-    std::sort(samples.begin(), samples.end());
-    double total = 0.0;
-    for (const double sample : samples) {
-        // injectable-lint: allow(D3) -- summed in sorted order, identical on every run
-        total += sample;
-    }
-    return samples.empty() ? 0.0 : total / static_cast<double>(samples.size());
+double mean_attempts(const std::vector<int>& attempts) {
+    std::int64_t total = 0;
+    for (const int a : attempts) total += a;
+    if (attempts.empty()) return 0.0;
+    return static_cast<double>(total) / static_cast<double>(attempts.size());
 }
 
 }  // namespace ble::obs

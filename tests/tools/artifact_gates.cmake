@@ -1,11 +1,15 @@
-# The campaign artifact gates end to end, on a small exp1 campaign:
+# The campaign artifact gates end to end, on the whole paper evaluation at two
+# runs a series:
 #   cmake -DPAPER_EVAL=<paper_eval> -DTRACE_REPLAY=<trace_replay>
-#         -DPCAP_EXPORT=<pcap_export> -DWORK_DIR=<fresh dir> -P artifact_gates.cmake
+#         -DPCAP_EXPORT=<pcap_export> -DCAMPAIGN_REPORT=<campaign_report>
+#         -DWORK_DIR=<fresh dir> -P artifact_gates.cmake
 # The campaign writes its JSON records, every trial's trace and every trial's
-# capture.  Then: the traces and the records must replay; pcap_export over the
-# traces and over the records must each reproduce the recorded captures byte
-# for byte; trace_replay --pcap-diff must pass on every trace/capture pair;
-# and trace_replay --stats must reject a file that is not a trace.
+# capture.  Then: every recorded trial must have its own trace and capture
+# (no two series may write the same file) and campaign_report --check must
+# pass; the traces and the records must replay; pcap_export over the traces
+# and over the records must each reproduce the recorded captures byte for
+# byte; trace_replay --pcap-diff must pass on every trace/capture pair; and
+# trace_replay --stats must reject a file that is not a trace.
 
 # Clears every INJECTABLE_* variable, so only what this script sets is read.
 function(clear_injectable_env)
@@ -53,16 +57,22 @@ set(ENV{INJECTABLE_JSON} ${WORK_DIR}/results.jsonl)
 set(ENV{INJECTABLE_TRACE_DIR} ${WORK_DIR}/traces)
 set(ENV{INJECTABLE_TRACE_ALL} 1)
 set(ENV{INJECTABLE_PCAP_DIR} ${WORK_DIR}/pcap)
-expect_exit(0 ${PAPER_EVAL} exp1)
+expect_exit(0 ${PAPER_EVAL})
 clear_injectable_env()
 
+file(READ ${WORK_DIR}/results.jsonl records)
+string(REGEX MATCHALL "{\"seed\":" trials "${records}")
 file(GLOB traces ${WORK_DIR}/traces/*.jsonl)
 file(GLOB pcaps RELATIVE ${WORK_DIR}/pcap ${WORK_DIR}/pcap/*)
+list(LENGTH trials trial_count)
 list(LENGTH traces trace_count)
 list(LENGTH pcaps pcap_count)
-if(trace_count EQUAL 0 OR NOT pcap_count EQUAL trace_count)
-  message(FATAL_ERROR "the campaign wrote ${trace_count} traces and ${pcap_count} captures")
+if(trial_count EQUAL 0 OR NOT trace_count EQUAL trial_count OR
+   NOT pcap_count EQUAL trial_count)
+  message(FATAL_ERROR "the campaign recorded ${trial_count} trials but wrote "
+                      "${trace_count} traces and ${pcap_count} captures")
 endif()
+expect_exit(0 ${CAMPAIGN_REPORT} --traces ${WORK_DIR}/traces --check ${WORK_DIR}/results.jsonl)
 
 expect_exit(0 ${TRACE_REPLAY} --diff --quiet ${traces})
 expect_exit(0 ${TRACE_REPLAY} --from-json --quiet ${WORK_DIR}/results.jsonl)

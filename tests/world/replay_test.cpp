@@ -84,6 +84,16 @@ std::vector<std::string> record_trace(const std::string& tag) {
     return lines;
 }
 
+TEST(TraceMetaTest, ParsedConfigLeavesWorkersToBenchJobs) {
+    // pcap_export --from-json hands each record's parsed config to
+    // run_series, whose TrialRunner sizes itself from config.jobs; the header
+    // carries no worker count, so BENCH_JOBS must decide it.
+    const EnvGuard jobs("BENCH_JOBS", "4");
+    const TraceMeta meta = parse_trace_meta(experiment_meta_json(small_config(), 7, 1));
+    ASSERT_TRUE(meta.valid) << meta.error;
+    EXPECT_EQ(TrialRunner(meta.config.jobs).jobs(), 4);
+}
+
 TEST(TraceMetaTest, HeaderRoundTripsTheFullConfig) {
     ExperimentConfig config = small_config();
     config.name = "meta \"quoted\"\nname";

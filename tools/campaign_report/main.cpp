@@ -16,11 +16,11 @@
 // exits 0 on success, 1 on --check failure, 2 on usage/IO errors.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "campaign_report/report.hpp"
+#include "obs/sinks.hpp"
 
 namespace {
 
@@ -32,13 +32,6 @@ void print_usage(const char* argv0) {
                  "  per-series tables, counters, log2 histograms and (with\n"
                  "  --traces) event-count drift.\n",
                  argv0);
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << content;
-    return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -112,7 +105,7 @@ int main(int argc, char** argv) {
         const std::string md = render_diff(a, b);
         if (md_path.empty()) {
             std::fputs(md.c_str(), stdout);
-        } else if (!write_file(md_path, md)) {
+        } else if (!ble::obs::write_text_file(md_path, md)) {
             std::fprintf(stderr, "%s: cannot write %s\n", argv[0], md_path.c_str());
             return 2;
         }
@@ -126,7 +119,7 @@ int main(int argc, char** argv) {
     const std::string md = render_markdown(campaign, drift, have_traces);
     if (md_path.empty()) {
         if (!check) std::fputs(md.c_str(), stdout);
-    } else if (!write_file(md_path, md)) {
+    } else if (!ble::obs::write_text_file(md_path, md)) {
         std::fprintf(stderr, "%s: cannot write %s\n", argv[0], md_path.c_str());
         return 2;
     }

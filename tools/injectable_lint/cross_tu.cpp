@@ -1,11 +1,9 @@
 // Phase 2 (DESIGN.md §8): the whole-program architecture-layering rule (L1)
-// over merged FileSummary records, plus the deterministic include-graph DOT
-// and the audited-suppression inventory that CI uploads as artifacts.
+// over merged FileSummary records.
 #include "injectable_lint/lint.hpp"
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,36 +53,32 @@ int family_rank(std::string_view family) noexcept {
     return -1;
 }
 
-/// Suppression lookup for cross-TU findings: same line / line-above contract
-/// as the per-TU rules, fed from the summaries' parsed directives.
-struct SuppressionIndex {
-    // (path, line) -> per-rule reason
-    std::map<std::pair<std::string, int>, std::map<Rule, std::string>> by_site;
+}  // namespace
 
-    explicit SuppressionIndex(const std::vector<FileSummary>& files) {
-        for (const FileSummary& f : files) {
-            for (const SuppressionRecord& s : f.suppressions)
-                by_site[{f.path, s.line}][s.rule] = s.reason;
-        }
-    }
+int layer_rank(std::string_view logical_path) noexcept {
+    return family_rank(layer_component(logical_path));
+}
 
-    void apply(Finding& f) const {
-        for (const int line : {f.line, f.line - 1}) {
-            const auto it = by_site.find({f.file, line});
-            if (it == by_site.end()) continue;
-            const auto rule_it = it->second.find(f.rule);
-            if (rule_it == it->second.end()) continue;
-            f.suppressed = true;
-            f.suppress_reason = rule_it->second;
-            return;
-        }
+const char* layer_name(int rank) noexcept {
+    switch (rank) {
+        case 0: return "common";
+        case 1: return "obs";
+        case 2: return "phy/sim";
+        case 3: return "link/crypto";
+        case 4: return "att/gatt";
+        case 5: return "host";
+        case 6: return "core";
+        case 7: return "ids/dongle/world";
+        case 8: return "tools";
+        case 9: return "bench/examples/tests";
+        default: return "?";
     }
-};
+}
 
 /// L1 — architecture layering.  Upward edges are judged from the include
 /// spelling alone (the include does not need to be in the scan set); cycles
 /// are detected on the resolved file-level graph.
-void rule_l1(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
+void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
     for (const FileSummary& f : files) {
         const int from = layer_rank(f.logical);
         if (from < 0) continue;
@@ -99,9 +93,7 @@ void rule_l1(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
                                std::to_string(to) +
                                "); dependencies must point down the layer order, so "
                                "invert the dependency (callback/interface in the lower "
-                               "layer) or move the shared piece down",
-                           false,
-                           {}});
+                               "layer) or move the shared piece down"});
         }
     }
 
@@ -194,111 +186,8 @@ void rule_l1(const std::vector<FileSummary>& files, std::vector<Finding>& out) {
                            e.inc->path +
                            "\" closes a cycle in the project include graph; break it "
                            "with a forward declaration or by moving the shared "
-                           "declarations into a lower-layer header",
-                       false,
-                       {}});
+                           "declarations into a lower-layer header"});
     }
-}
-
-}  // namespace
-
-int layer_rank(std::string_view logical_path) noexcept {
-    return family_rank(layer_component(logical_path));
-}
-
-const char* layer_name(int rank) noexcept {
-    switch (rank) {
-        case 0: return "common";
-        case 1: return "obs";
-        case 2: return "phy/sim";
-        case 3: return "link/crypto";
-        case 4: return "att/gatt";
-        case 5: return "host";
-        case 6: return "core";
-        case 7: return "ids/dongle/world";
-        case 8: return "tools";
-        case 9: return "bench/examples/tests";
-        default: return "?";
-    }
-}
-
-void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Finding>& findings) {
-    std::vector<Finding> fresh;
-    rule_l1(files, fresh);
-    const SuppressionIndex suppressions(files);
-    for (Finding& f : fresh) suppressions.apply(f);
-    findings.insert(findings.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
-}
-
-std::string include_graph_dot(const std::vector<FileSummary>& files) {
-    // Directory-family graph: nodes grouped into rank clusters, edges deduped
-    // and sorted, upward edges highlighted.  Byte-deterministic for a given
-    // summary set — the CI artifact is diffable across runs.
-    std::set<std::string> nodes;
-    std::set<std::pair<std::string, std::string>> edges;
-    for (const FileSummary& f : files) {
-        const std::string from = layer_component(f.logical);
-        if (from.empty() || family_rank(from) < 0) continue;
-        nodes.insert(from);
-        for (const IncludeDirective& inc : f.includes) {
-            if (inc.angled) continue;
-            const std::string to = layer_component(inc.path);
-            if (to.empty() || family_rank(to) < 0 || to == from) continue;
-            nodes.insert(to);
-            edges.insert({from, to});
-        }
-    }
-    std::string out;
-    out += "digraph injectable_layers {\n";
-    out += "  rankdir=BT;\n";
-    out += "  node [shape=box, fontname=\"monospace\"];\n";
-    std::map<int, std::vector<std::string>> by_rank;
-    for (const std::string& node : nodes) by_rank[family_rank(node)].push_back(node);
-    for (const auto& [rank, members] : by_rank) {
-        out += "  { rank=same;";
-        for (const std::string& m : members) out += " \"" + m + "\";";
-        out += " }  // layer " + std::to_string(rank) + ": " + layer_name(rank) + "\n";
-    }
-    for (const auto& [from, to] : edges) {
-        out += "  \"" + from + "\" -> \"" + to + "\"";
-        if (family_rank(from) < family_rank(to))
-            out += " [color=red, penwidth=2.0, label=\"UPWARD\"]";
-        out += ";\n";
-    }
-    out += "}\n";
-    return out;
-}
-
-std::string suppressions_jsonl(const std::vector<FileSummary>& files) {
-    struct Row {
-        std::string file;
-        int line;
-        std::string rule;
-        std::string reason;
-    };
-    std::vector<Row> rows;
-    for (const FileSummary& f : files) {
-        for (const SuppressionRecord& s : f.suppressions)
-            rows.push_back({f.path, s.line, rule_name(s.rule), s.reason});
-    }
-    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-        if (a.file != b.file) return a.file < b.file;
-        if (a.line != b.line) return a.line < b.line;
-        return a.rule < b.rule;
-    });
-    std::string out;
-    for (const Row& r : rows) {
-        out += "{\"rule\":";
-        append_json_string(out, r.rule);
-        out += ",\"file\":";
-        append_json_string(out, r.file);
-        out += ",\"line\":" + std::to_string(r.line);
-        out += ",\"reason\":";
-        append_json_string(out, r.reason);
-        out += "}\n";
-    }
-    return out;
 }
 
 }  // namespace injectable::lint

@@ -34,12 +34,9 @@ constexpr std::string_view kPuncts2[] = {"::", "->", "+=", "-=", "*=", "/=", "%=
 const char* rule_name(Rule rule) noexcept {
     switch (rule) {
         case Rule::kD1: return "D1";
-        case Rule::kD2: return "D2";
         case Rule::kD3: return "D3";
-        case Rule::kE1: return "E1";
         case Rule::kS1: return "S1";
         case Rule::kL1: return "L1";
-        case Rule::kBadSuppression: return "lint-suppression";
     }
     return "?";
 }
@@ -108,22 +105,15 @@ TokenStream tokenize(std::string_view src) {
             continue;
         }
         line_start = false;
-        // Comments (collected: they carry the suppression directives).
+        // Comments (dropped, like string literals).
         if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
             const std::size_t end = src.find('\n', i);
-            const std::size_t stop = end == std::string_view::npos ? src.size() : end;
-            out.comments.push_back({std::string(src.substr(i + 2, stop - i - 2)), line});
-            i = stop;
+            i = end == std::string_view::npos ? src.size() : end;
             continue;
         }
         if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-            const int start_line = line;
             const std::size_t end = src.find("*/", i + 2);
             const std::size_t stop = end == std::string_view::npos ? src.size() : end + 2;
-            std::string_view body = src.substr(i + 2, (end == std::string_view::npos
-                                                           ? src.size() - i - 2
-                                                           : end - i - 2));
-            out.comments.push_back({std::string(body), start_line});
             advance_over(src.substr(i, stop - i));
             continue;
         }
@@ -210,97 +200,6 @@ TokenStream tokenize(std::string_view src) {
 
 namespace {
 
-struct Suppression {
-    std::set<Rule> rules;
-    std::string reason;
-};
-
-std::optional<Rule> parse_rule_name(std::string_view name) {
-    if (name == "D1") return Rule::kD1;
-    if (name == "D2") return Rule::kD2;
-    if (name == "D3") return Rule::kD3;
-    if (name == "E1") return Rule::kE1;
-    if (name == "S1") return Rule::kS1;
-    if (name == "L1") return Rule::kL1;
-    return std::nullopt;
-}
-
-std::string_view trim(std::string_view s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())) != 0)
-        s.remove_prefix(1);
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())) != 0)
-        s.remove_suffix(1);
-    return s;
-}
-
-/// Parses suppression directives — `allow(R1[,R2...]) -- reason` after the
-/// `injectable-lint:` tag — out of comments.  Tagged text that does not start
-/// with `allow` is prose, not a directive.
-std::map<int, Suppression> collect_suppressions(const std::vector<Comment>& comments,
-                                                const std::string& file,
-                                                std::vector<Finding>& findings) {
-    std::map<int, Suppression> by_line;
-    constexpr std::string_view kTag = "injectable-lint:";
-    for (const Comment& comment : comments) {
-        const std::size_t tag = comment.text.find(kTag);
-        if (tag == std::string::npos) continue;
-        std::string_view rest = trim(std::string_view(comment.text).substr(tag + kTag.size()));
-        if (!rest.starts_with("allow")) continue;  // prose, not a directive
-        auto malformed = [&](const std::string& why) {
-            findings.push_back({Rule::kBadSuppression, file, comment.line,
-                                "malformed suppression (" + why +
-                                    "); expected: injectable-lint: allow(<rule>[,<rule>]) "
-                                    "-- <reason>",
-                                false,
-                                {}});
-        };
-        rest = trim(rest.substr(5));
-        if (!rest.starts_with("(")) {
-            malformed("missing '(' after allow");
-            continue;
-        }
-        const std::size_t close = rest.find(')');
-        if (close == std::string_view::npos) {
-            malformed("missing ')'");
-            continue;
-        }
-        Suppression sup;
-        std::string_view list = rest.substr(1, close - 1);
-        bool ok = !trim(list).empty();
-        while (ok && !list.empty()) {
-            const std::size_t comma = list.find(',');
-            const std::string_view name = trim(list.substr(0, comma));
-            const auto rule = parse_rule_name(name);
-            if (!rule) {
-                malformed("unknown rule '" + std::string(name) + "'");
-                ok = false;
-                break;
-            }
-            sup.rules.insert(*rule);
-            if (comma == std::string_view::npos) break;
-            list.remove_prefix(comma + 1);
-        }
-        if (!ok) continue;
-        if (sup.rules.empty()) {
-            malformed("empty rule list");
-            continue;
-        }
-        std::string_view tail = trim(rest.substr(close + 1));
-        if (!tail.starts_with("--")) {
-            malformed("missing '-- <reason>'");
-            continue;
-        }
-        tail = trim(tail.substr(2));
-        if (tail.empty()) {
-            malformed("empty reason");
-            continue;
-        }
-        sup.reason = std::string(tail);
-        by_line[comment.line] = std::move(sup);
-    }
-    return by_line;
-}
-
 /// True if `needle`, a path fragment that starts with a directory name,
 /// occurs in `path` at the start of a component: "src/" matches
 /// "src/phy/crc.cpp" and "repo/src/phy/crc.cpp", never "asan-src/examples".
@@ -311,16 +210,6 @@ bool path_contains(const std::string& path, std::string_view needle) {
     }
     return false;
 }
-
-/// Path (component match) where rule D2 never fires: the seeded rng
-/// primitives themselves.  Every other clock read needs an audited allow(D2)
-/// suppression, so the whole-tree suppression inventory lists each one.
-constexpr std::string_view kD2Allowlist = "src/common/rng.";
-
-/// Paths (component match) where rule E1 never fires: the edge wiring that
-/// owns the INJECTABLE_* / BENCH_JOBS environment contract.
-constexpr std::string_view kE1Allowlist[] = {"src/world/result_sink.cpp",
-                                             "src/world/trial_runner.cpp"};
 
 /// Numeric value of a pp-number's leading digits (hex or decimal, digit
 /// separators stripped, suffixes ignored).  nullopt for floating literals.
@@ -361,7 +250,7 @@ struct Scanner {
     std::vector<Finding>& findings;
 
     void emit(Rule rule, int line, std::string message) {
-        findings.push_back({rule, file, line, std::move(message), false, {}});
+        findings.push_back({rule, file, line, std::move(message)});
     }
 
     const Token* at(std::size_t i) const { return i < toks.size() ? &toks[i] : nullptr; }
@@ -405,8 +294,7 @@ struct Scanner {
                 emit(Rule::kD1, t.line,
                      "pointer-keyed std::" + t.text + "<" + key_text +
                          ", ...>: iteration order is heap-address order and varies run to "
-                         "run; use an attach-order vector / stable-index map, or allow(D1) "
-                         "with an order-freedom argument");
+                         "run; use an attach-order vector or a stable-index map");
             }
         }
     }
@@ -500,39 +388,9 @@ struct Scanner {
                              "': hash order is unspecified and varies run to run, so "
                              "the emitted event order (or serialized byte stream) is "
                              "nondeterministic; iterate an ordered or attach-order "
-                             "view, or allow(D1) with an order-freedom argument");
+                             "view");
                     break;
                 }
-            }
-        }
-    }
-
-    // D2: wall-clock time / unseeded randomness.
-    void rule_d2() {
-        static const std::set<std::string, std::less<>> kAlways = {
-            "system_clock",  "steady_clock", "high_resolution_clock", "gettimeofday",
-            "clock_gettime", "timespec_get", "random_device",         "srand"};
-        static const std::set<std::string, std::less<>> kCalls = {"time", "rand", "clock"};
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            const Token& t = toks[i];
-            if (t.kind != TokenKind::kIdentifier) continue;
-            const bool member_access =
-                i > 0 && toks[i - 1].kind == TokenKind::kPunct &&
-                (toks[i - 1].text == "." || toks[i - 1].text == "->");
-            if (kAlways.count(t.text) > 0) {
-                if (member_access) continue;  // e.g. a field named steady_clock
-                emit(Rule::kD2, t.line,
-                     "'" + t.text +
-                         "' is wall-clock/unseeded-randomness: sim time must flow from "
-                         "common/time.hpp (sim::Scheduler) and randomness from "
-                         "common/rng.hpp (seeded streams)");
-                continue;
-            }
-            if (kCalls.count(t.text) > 0 && punct_at(i + 1, "(") && !member_access) {
-                emit(Rule::kD2, t.line,
-                     "call to '" + t.text +
-                         "(': wall-clock/unseeded-randomness primitive; use the "
-                         "Scheduler clock and seeded Rng streams instead");
             }
         }
     }
@@ -565,39 +423,9 @@ struct Scanner {
                 emit(Rule::kD3, t.line,
                      "float/double accumulation into '" + t.text +
                          "' in the stats layer: FP addition is order-dependent; use the "
-                         "integer merge helpers (MetricsSnapshot/HistogramSnapshot) or "
-                         "allow(D3) with a fixed-order argument");
+                         "integer merge helpers (MetricsSnapshot/HistogramSnapshot) or an "
+                         "integer sum");
             }
-        }
-    }
-
-    // E1: environment reads in src/ outside the edge-wiring allowlist.  The
-    // result refactor moved every output channel behind an explicit
-    // ResultSink; the INJECTABLE_* variables survive only as one concrete
-    // sink built at the edge (sink_paths_from_env).  Any other getenv is
-    // ambient configuration no caller can see or set.
-    void rule_e1() {
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            const Token& t = toks[i];
-            if (t.kind != TokenKind::kIdentifier ||
-                (t.text != "getenv" && t.text != "secure_getenv")) {
-                continue;
-            }
-            // Skip member accesses (a mock's method of that name) and
-            // declaration position (`const char* getenv(...)` in a mock):
-            // neither reads the process environment.
-            const bool not_a_read =
-                i > 0 && toks[i - 1].kind == TokenKind::kPunct &&
-                (toks[i - 1].text == "." || toks[i - 1].text == "->" ||
-                 toks[i - 1].text == "*");
-            if (not_a_read) continue;
-            emit(Rule::kE1, t.line,
-                 "environment read ('" + t.text +
-                     "') outside the edge wiring: output channels are explicit "
-                     "ResultSink configuration (src/world/result_sink.hpp); read the "
-                     "variable in sink_paths_from_env()/the tool main and pass it "
-                     "down, or allow(E1) with an argument for why this must stay "
-                     "ambient");
         }
     }
 
@@ -661,47 +489,19 @@ FileSummary summarize_source(const std::string& file, const std::string& logical
     FileSummary out;
     out.path = file;
     out.logical = logical_path;
-    std::vector<Finding>& findings = out.findings;
     TokenStream stream = tokenize(source);
-    const auto suppressions = collect_suppressions(stream.comments, file, findings);
 
-    Scanner scanner{file, stream.tokens, findings};
+    Scanner scanner{file, stream.tokens, out.findings};
     scanner.rule_d1();
     scanner.rule_d1_unordered_emit();
-
-    if (!path_contains(logical_path, kD2Allowlist)) scanner.rule_d2();
-
     if (path_contains(logical_path, "src/obs/") || path_contains(logical_path, "src/world/"))
         scanner.rule_d3();
-
-    bool e1_allowlisted = false;
-    for (const std::string_view allowed : kE1Allowlist) {
-        if (path_contains(logical_path, allowed)) e1_allowlisted = true;
-    }
-    if (path_contains(logical_path, "src/") && !e1_allowlisted) scanner.rule_e1();
     if (path_contains(logical_path, "src/phy/") || path_contains(logical_path, "src/link/"))
         scanner.rule_s1();
-
-    // Apply suppressions: a directive on line L covers findings on L and L+1
-    // (trailing comment on the offending line, or a comment line above it).
-    for (Finding& f : findings) {
-        if (f.rule == Rule::kBadSuppression) continue;
-        for (const int directive_line : {f.line, f.line - 1}) {
-            const auto it = suppressions.find(directive_line);
-            if (it == suppressions.end() || it->second.rules.count(f.rule) == 0) continue;
-            f.suppressed = true;
-            f.suppress_reason = it->second.reason;
-            break;
-        }
-    }
-    std::stable_sort(findings.begin(), findings.end(),
+    std::stable_sort(out.findings.begin(), out.findings.end(),
                      [](const Finding& a, const Finding& b) { return a.line < b.line; });
 
-    // Cross-TU raw material (phase 2 input).
-    out.includes = std::move(stream.includes);
-    for (const auto& [line, sup] : suppressions) {
-        for (const Rule rule : sup.rules) out.suppressions.push_back({rule, line, sup.reason});
-    }
+    out.includes = std::move(stream.includes);  // phase 2 input
     return out;
 }
 
@@ -740,10 +540,10 @@ std::string tree_path(const std::filesystem::path& file) {
 std::string fixture_logical_path(const std::string& path, std::string_view source) {
     constexpr std::string_view kPathTag = "// lint-fixture-path:";
     if (!source.starts_with(kPathTag)) return path;
-    const std::size_t eol = source.find('\n');
-    return std::string(trim(source.substr(
-        kPathTag.size(),
-        eol == std::string_view::npos ? std::string_view::npos : eol - kPathTag.size())));
+    const std::string_view rest = source.substr(0, source.find('\n')).substr(kPathTag.size());
+    const std::size_t first = rest.find_first_not_of(" \t");
+    if (first == std::string_view::npos) return {};
+    return std::string(rest.substr(first, rest.find_last_not_of(" \t\r") - first + 1));
 }
 
 }  // namespace
@@ -793,23 +593,24 @@ Analysis analyze_paths(const std::vector<std::string>& roots) {
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
     // Phase 1: per-TU summaries.
+    std::vector<FileSummary> summaries;
     for (const std::string& file : files) {
         std::string source;
         if (!read_file(file, source)) {
             analysis.files_scanned = -1;
             return analysis;
         }
-        analysis.files.push_back(
+        summaries.push_back(
             summarize_source(file, fixture_logical_path(tree_path(file), source), source));
         ++analysis.files_scanned;
     }
 
     // Phase 2: whole-program rules over the merged summaries.
-    for (const FileSummary& s : analysis.files) {
+    for (const FileSummary& s : summaries) {
         analysis.findings.insert(analysis.findings.end(), s.findings.begin(),
                                  s.findings.end());
     }
-    run_cross_tu_rules(analysis.files, analysis.findings);
+    run_cross_tu_rules(summaries, analysis.findings);
     std::stable_sort(analysis.findings.begin(), analysis.findings.end(),
                      [](const Finding& a, const Finding& b) {
                          if (a.file != b.file) return a.file < b.file;
@@ -818,72 +619,15 @@ Analysis analyze_paths(const std::vector<std::string>& roots) {
     return analysis;
 }
 
-int unsuppressed_count(const std::vector<Finding>& findings) noexcept {
-    int n = 0;
-    for (const Finding& f : findings) {
-        if (!f.suppressed) ++n;
-    }
-    return n;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
-std::string to_jsonl(const std::vector<Finding>& findings) {
-    std::string out;
-    for (const Finding& f : findings) {
-        out += "{\"rule\":";
-        append_json_string(out, rule_name(f.rule));
-        out += ",\"file\":";
-        append_json_string(out, f.file);
-        out += ",\"line\":" + std::to_string(f.line);
-        out += ",\"suppressed\":";
-        out += f.suppressed ? "true" : "false";
-        if (f.suppressed) {
-            out += ",\"reason\":";
-            append_json_string(out, f.suppress_reason);
-        }
-        out += ",\"message\":";
-        append_json_string(out, f.message);
-        out += "}\n";
-    }
-    return out;
-}
-
 std::string summary(const std::vector<Finding>& findings, int files_scanned) {
     std::string out;
-    int suppressed = 0;
     for (const Finding& f : findings) {
-        if (f.suppressed) {
-            ++suppressed;
-            continue;
-        }
         out += f.file + ":" + std::to_string(f.line) + ": [" + rule_name(f.rule) + "] " +
                f.message + "\n";
     }
-    const int open = unsuppressed_count(findings);
     out += "injectable_lint: " + std::to_string(files_scanned) + " files, " +
-           std::to_string(open) + " finding" + (open == 1 ? "" : "s") + " (" +
-           std::to_string(suppressed) + " suppressed with audited reasons)\n";
+           std::to_string(findings.size()) + " finding" + (findings.size() == 1 ? "" : "s") +
+           "\n";
     return out;
 }
 

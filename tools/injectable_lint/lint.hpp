@@ -1,5 +1,5 @@
-// injectable-lint: project-specific determinism & spec-invariant static
-// analysis (DESIGN.md §8).
+// injectable_lint: the determinism and spec-invariant checks that need a
+// tokenizer or the include graph (DESIGN.md §8).
 //
 // The reproduction's core contract is bit-identical determinism for any
 // worker count: a trial is a pure function of (config, seed).  PR 3's
@@ -9,43 +9,28 @@
 // relatives) statically, before a single trial runs.
 //
 // The analysis runs in two phases: phase 1 lexes every translation unit
-// into a FileSummary (per-TU findings plus the raw material the
-// whole-program rule needs: include directives and suppression directives);
-// phase 2 merges the summaries and runs L1 over the whole program.
+// into a FileSummary (per-TU findings plus its include directives); phase 2
+// merges the summaries and runs L1 over the whole program.
 //
 // Per-translation-unit rules:
 //
 //   D1  No pointer-keyed std::unordered_map / std::unordered_set: their
 //       iteration order is heap-address order, which varies run to run, so
 //       any iteration that reaches RNG draws or event emission breaks
-//       replayability.  Use attach-order vectors / stable-index maps, or
-//       suppress with an order-freedom argument.  Extension: event emission
-//       (emit / dispatch / on_event) *or result serialization*
-//       (to_json / to_jsonl / json_escape / append_json_escaped /
-//       append_escaped / encode_frame / append_frame / on_artifact /
-//       on_series_record) from inside a range-for over *any*
-//       std::unordered_* container is flagged
-//       regardless of key type — hash order is unspecified for every key,
-//       so the emitted event order or serialized byte stream would vary
-//       across standard libraries and runs.  The byte-identity contract on
-//       records and traces (DESIGN.md §6) dies exactly here: results
-//       serialized out of hash order differ from run to run.
-//   D2  No wall-clock time or unseeded randomness outside the allowlisted
-//       time/rng primitives: simulated time must flow from common/time.hpp
-//       (sim::Scheduler) and all randomness from common/rng.hpp (seeded
-//       xoshiro streams).
+//       replayability.  Use attach-order vectors / stable-index maps.
+//       Extension: event emission (emit / dispatch / on_event) *or result
+//       serialization* (to_json / to_jsonl / json_escape /
+//       append_json_escaped / append_escaped / encode_frame / append_frame /
+//       on_artifact / on_series_record) from inside a range-for over *any*
+//       std::unordered_* container is flagged regardless of key type — hash
+//       order is unspecified for every key, so the emitted event order or
+//       serialized byte stream would vary across standard libraries and
+//       runs.  The byte-identity contract on records and traces (DESIGN.md
+//       §6) dies exactly here.
 //   D3  No float/double accumulation in the stats layer (src/obs, src/world):
 //       FP addition is non-associative, so accumulation order becomes part of
-//       the result.  Stats must use the integer merge helpers
-//       (MetricsSnapshot / HistogramSnapshot) or accumulate in a provably
-//       fixed order (suppress with the argument).
-//   E1  No environment reads (getenv / secure_getenv) in src/ outside the
-//       edge-wiring allowlist: every output channel flows through an
-//       explicit ResultSink (src/world/result_sink.hpp), and the classic
-//       INJECTABLE_* variables are exactly one concrete sink built at the
-//       edge by sink_paths_from_env().  A getenv anywhere else re-creates
-//       ambient-global plumbing — config a caller can neither see in the
-//       signature nor set without touching the process environment.
+//       the result.  Stats use the integer merge helpers
+//       (MetricsSnapshot / HistogramSnapshot) or integer sums.
 //   S1  No bare spec magic numbers in src/phy / src/link: frame-layout and
 //       timing constants (TIFS 150 µs, the 1250 µs unit, 8 µs/byte LE 1M
 //       airtime, channel counts, the advertising access address, ...) must be
@@ -62,17 +47,13 @@
 //         ids/dongle/world → tools → bench/examples/tests
 //       An include edge from a lower layer into a higher one is a finding at
 //       the offending #include line, and any include cycle is a finding.
-//       The directory-level graph is exported as a deterministic DOT
-//       artifact (include_graph_dot) for CI.
 //
-// Enum exhaustiveness and discarded scheduler handles are the compiler's
-// job (-Werror=switch and -Werror=unused-result in the top-level
-// CMakeLists.txt), and lock discipline is checked at run time by the CI
-// TSan job.
-//
-// Suppressions are audited: the directive grammar is in DESIGN.md §8, the
-// reason is mandatory and lands in the JSONL, and a malformed directive
-// (unknown rule, missing reason) is itself a finding.
+// Every finding is an error: there are no suppressions.  Host clocks,
+// unseeded randomness and environment reads are banned by name, which a
+// grep does (the lint.banned_names ctest); enum exhaustiveness and
+// discarded scheduler handles are the compiler's job (-Werror=switch and
+// -Werror=unused-result in the top-level CMakeLists.txt), and lock
+// discipline is checked at run time by the CI TSan job.
 //
 // The scanner is deliberately lightweight: a real C++ tokenizer (comments,
 // string/char literals, raw strings, pp-numbers, #include directives) but no
@@ -89,13 +70,10 @@
 namespace injectable::lint {
 
 enum class Rule {
-    kD1,              ///< pointer-keyed unordered container
-    kD2,              ///< wall clock / unseeded randomness
-    kD3,              ///< float accumulation in the stats layer
-    kE1,              ///< environment read outside the edge-wiring allowlist
-    kS1,              ///< bare spec magic number in phy/link
-    kL1,              ///< architecture layering violation / include cycle
-    kBadSuppression,  ///< malformed injectable-lint directive
+    kD1,  ///< pointer-keyed unordered container
+    kD3,  ///< float accumulation in the stats layer
+    kS1,  ///< bare spec magic number in phy/link
+    kL1,  ///< architecture layering violation / include cycle
 };
 
 [[nodiscard]] const char* rule_name(Rule rule) noexcept;
@@ -105,8 +83,6 @@ struct Finding {
     std::string file;  ///< path as reported to the user
     int line = 0;      ///< 1-based
     std::string message;
-    bool suppressed = false;
-    std::string suppress_reason;  ///< audited reason (valid iff suppressed)
 };
 
 // --- tokenizer (exposed for the self-tests) ---
@@ -117,11 +93,6 @@ struct Token {
     TokenKind kind = TokenKind::kPunct;
     std::string text;
     int line = 1;
-};
-
-struct Comment {
-    std::string text;
-    int line = 1;  ///< line the comment starts on
 };
 
 /// One #include directive (the only preprocessor shape the rules need —
@@ -135,42 +106,32 @@ struct IncludeDirective {
 
 struct TokenStream {
     std::vector<Token> tokens;
-    std::vector<Comment> comments;
     std::vector<IncludeDirective> includes;
 };
 
-/// Lexes C++ source: comments collected separately, string/char literals
-/// dropped (their contents can never trigger a rule), preprocessor directives
-/// skipped except #include which is collected, numbers kept as whole
-/// pp-numbers (so `8_us` and `0x555555` are single tokens).  Directive lines
-/// honour backslash line-continuations (LF and CRLF) so multi-line macros
-/// never leak tokens into the rule scans.
+/// Lexes C++ source: comments and string/char literals dropped (their
+/// contents can never trigger a rule), preprocessor directives skipped
+/// except #include which is collected, numbers kept as whole pp-numbers (so
+/// `8_us` and `0x555555` are single tokens).  Directive lines honour
+/// backslash line-continuations (LF and CRLF) so multi-line macros never
+/// leak tokens into the rule scans.
 [[nodiscard]] TokenStream tokenize(std::string_view source);
 
 // --- phase-1 summaries ---
-
-/// One parsed allow() directive (the audited suppression inventory).
-struct SuppressionRecord {
-    Rule rule = Rule::kD1;
-    int line = 1;
-    std::string reason;
-};
 
 /// Everything phase 2 needs to know about one translation unit.
 struct FileSummary {
     std::string path;     ///< real path, reported in findings
     std::string logical;  ///< layer-driving path (fixture header may differ)
-    std::vector<Finding> findings;  ///< per-TU findings, suppressions applied
+    std::vector<Finding> findings;  ///< per-TU findings
     std::vector<IncludeDirective> includes;
-    std::vector<SuppressionRecord> suppressions;
 };
 
 /// Phase 1 over one TU: tokenize, run the per-TU rules, collect the
 /// cross-TU raw material.  `logical_path` drives rule applicability (which
 /// directory family the file belongs to) and may differ from the reported
 /// `file` path — fixtures use a `// lint-fixture-path:` first line to
-/// impersonate a tree location.  Findings include suppressed ones (they
-/// carry the audited reason into the JSONL).
+/// impersonate a tree location.
 [[nodiscard]] FileSummary summarize_source(const std::string& file,
                                            const std::string& logical_path,
                                            std::string_view source);
@@ -178,8 +139,7 @@ struct FileSummary {
 // --- phase 2: whole-program analysis ---
 
 struct Analysis {
-    std::vector<FileSummary> files;  ///< sorted by reported path
-    std::vector<Finding> findings;   ///< per-TU + cross-TU, per-file line order
+    std::vector<Finding> findings;  ///< per-TU + cross-TU, per-file line order
     int files_scanned = 0;
 };
 
@@ -189,8 +149,7 @@ struct Analysis {
 [[nodiscard]] int layer_rank(std::string_view logical_path) noexcept;
 [[nodiscard]] const char* layer_name(int rank) noexcept;
 
-/// Runs the cross-TU rule (L1) over merged summaries, appending findings
-/// (with each file's suppressions applied).
+/// Runs the cross-TU rule (L1) over merged summaries, appending findings.
 void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Finding>& findings);
 
 /// Full two-phase run: phase 1 over every *.cpp/*.hpp/*.h/*.cc under
@@ -203,25 +162,6 @@ void run_cross_tu_rules(const std::vector<FileSummary>& files, std::vector<Findi
 /// checkout is called and however the root was spelt; a file outside any
 /// checkout by the path as given.  files_scanned is -1 if any root is missing.
 [[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots);
-
-/// Deterministic DOT rendering of the directory-level include graph, layer
-/// ranks as clusters, upward edges highlighted.
-[[nodiscard]] std::string include_graph_dot(const std::vector<FileSummary>& files);
-
-/// The audited allow() inventory as stable JSONL (rule, file, line, reason),
-/// sorted by (file, line, rule) — the CI suppression artifact.
-[[nodiscard]] std::string suppressions_jsonl(const std::vector<FileSummary>& files);
-
-// --- reporting ---
-
-[[nodiscard]] int unsuppressed_count(const std::vector<Finding>& findings) noexcept;
-
-/// Appends `s` as a quoted JSON string literal: the one escaper behind
-/// to_jsonl and suppressions_jsonl.
-void append_json_string(std::string& out, std::string_view s);
-
-/// One JSON object per finding, one per line (stable field order).
-[[nodiscard]] std::string to_jsonl(const std::vector<Finding>& findings);
 
 /// Human summary: `file:line: [rule] message` per finding plus a totals line.
 [[nodiscard]] std::string summary(const std::vector<Finding>& findings, int files_scanned);
